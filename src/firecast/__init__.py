@@ -1,6 +1,9 @@
 """firecast: discrete-location event risk with mutually exciting point
 processes, dynamic detection thresholds, and ensemble conformal sets."""
 
+# the one version literal: pyproject.toml and run manifests read it from here
+__version__ = "0.1.0"
+
 from .conformal import (
     CalibrationStore,
     ConformalRun,
@@ -26,7 +29,7 @@ from .estimation import (
     project,
     projected_gradient_descent,
 )
-from .events import EventRecord, EventSequence, load_events_csv, save_events_csv
+from .events import EventSequence, load_events_csv, save_events_csv
 from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer, precomputed_scorer
 from .model import (
     KernelConfig,
@@ -58,5 +61,3 @@ from .thresholding import (
     detect,
     project_threshold,
 )
-
-__version__ = "0.1.0"

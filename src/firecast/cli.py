@@ -1,4 +1,9 @@
-"""Command-line interface: simulate, fit, predict, conformal, eval, gridify, run."""
+"""Command-line interface: simulate, fit, predict, conformal, eval, gridify, run.
+
+Each subcommand only parses its arguments and calls the same pipeline stage
+functions as ``firecast run``: ``pipeline.build_mark_model``, ``fit_stage``,
+``predict_stage`` and ``conformal_stage``.
+"""
 
 from __future__ import annotations
 
@@ -10,26 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import conformal as conformal_mod
-from . import estimation, pipeline, simulation, thresholding
+from . import estimation, pipeline, simulation
 from .events import load_events_csv, save_events_csv
-from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer, load_precomputed_scores
 from .model import ModelParams
 
 
 def _load_params(path) -> ModelParams:
     return ModelParams.from_json(Path(path).read_text())
-
-
-def _mark_model(args, seq):
-    if args.mark_model == "linear":
-        return LinearMarkModel()
-    if args.mark_model == "kde":
-        return NonLinearMarkModel(kde_scorer(seq.marks))
-    if args.mark_model == "precomputed":
-        if not args.scores:
-            raise ValueError("--scores is required with --mark-model precomputed")
-        return NonLinearMarkModel(load_precomputed_scores(args.scores))
-    raise ValueError(f"unknown mark model {args.mark_model!r}")
 
 
 def cmd_simulate(args) -> int:
@@ -44,7 +36,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
-    mark_model = _mark_model(args, seq)
+    mark_model = pipeline.build_mark_model(args.mark_model, seq, args.scores)
     config = estimation.FitConfig(
         beta_low=args.beta_low,
         beta_high=args.beta_high,
@@ -53,10 +45,7 @@ def cmd_fit(args) -> int:
         kappa=args.kappa,
         l1_weight=args.l1_weight,
     )
-    if args.method == "alternating":
-        fit = estimation.alternating_fit(seq, mark_model, config)
-    else:
-        fit = estimation.grid_fit(seq, mark_model, config)
+    fit = pipeline.fit_stage(seq, mark_model, config, args.method)
     fit.params.to_json(args.out)
     if args.trace:
         pipeline.write_fit_trace_csv(args.trace, fit.trace)
@@ -67,17 +56,10 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     params = _load_params(args.params)
     seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
-    mark_model = _mark_model(args, seq)
-    num_days = int(np.floor(seq.horizon))
-    risk = pipeline.risk_series(params, seq, mark_model)
-    truth = pipeline.daily_truths(seq, num_days)
-    config = thresholding.ThresholdConfig.from_first_day_risk(
-        risk[0], num_days, delta=args.delta, a1=args.a1, a2=args.a2
+    mark_model = pipeline.build_mark_model(args.mark_model, seq)
+    trace = pipeline.predict_stage(
+        params, seq, mark_model, args.delta, args.a1, args.a2, screening=not args.no_screening
     )
-    screening = (
-        None if args.no_screening else thresholding.ScreeningState.from_validation(truth)
-    )
-    trace = thresholding.detect(risk, truth, config, screening)
     pipeline.write_detections_csv(args.out, trace)
     print(f"wrote detection trace to {args.out}")
     return 0
@@ -87,11 +69,11 @@ def cmd_eval(args) -> int:
     if args.counterfactual:
         params = _load_params(args.params)
         seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
-        mark_model = LinearMarkModel()
         marks_a = np.array([float(v) for v in args.marks_a.split(",")])
         marks_b = np.array([float(v) for v in args.marks_b.split(",")])
         out = pipeline.counterfactual_delta(
-            params, seq, mark_model, args.time, args.location, marks_a, marks_b
+            params, seq, pipeline.build_mark_model("linear", seq), args.time, args.location,
+            marks_a, marks_b,
         )
         print(json.dumps(out, sort_keys=True))
         return 0
@@ -104,34 +86,20 @@ def cmd_eval(args) -> int:
 
 def cmd_conformal(args) -> int:
     seq = load_events_csv(args.data, horizon=args.horizon, num_locations=args.locations)
-    if seq.magnitudes is None:
-        raise ValueError("conformal needs a 'magnitude' column")
-    X, y = seq.marks, seq.magnitudes
-    n_train = args.train_size
-    if not 10 <= n_train < len(seq):
-        raise ValueError("train size must be >= 10 and leave a test stream")
-    sp = conformal_mod.ScoreParams(lambda_reg=args.lambda_reg, k_reg=args.k_reg)
-    alphas = tuple(float(a) for a in args.alphas.split(","))
-    if args.method == "eraps":
-        run = conformal_mod.eraps(
-            X[:n_train], y[:n_train], X[n_train:], y[n_train:],
-            num_bootstrap=args.num_bootstrap,
-            batch_size=min(args.batch_size, len(seq) - n_train),
-            alphas=alphas,
-            score_params=sp,
-            seed=args.seed,
-        )
-    else:
-        run = conformal_mod.sraps(
-            X[:n_train], y[:n_train], X[n_train:], y[n_train:],
-            split_fraction=args.split_fraction,
-            alphas=alphas,
-            score_params=sp,
-            seed=args.seed,
-        )
+    run = pipeline.conformal_stage(
+        seq,
+        n_train=args.train_size,
+        method=args.method,
+        alphas=tuple(float(a) for a in args.alphas.split(",")),
+        score_params=conformal_mod.ScoreParams(lambda_reg=args.lambda_reg, k_reg=args.k_reg),
+        num_bootstrap=args.num_bootstrap,
+        batch_size=args.batch_size,
+        split_fraction=args.split_fraction,
+        seed=args.seed,
+    )
     pipeline.write_conformal_sets_jsonl(args.sets, run)
     pipeline.write_conformal_summary_csv(args.summary, run)
-    for a in alphas:
+    for a in run.alphas:
         print(f"alpha={a}: coverage {run.coverage[a]:.4f}, mean size {run.mean_size[a]:.3f}")
     return 0
 

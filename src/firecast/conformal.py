@@ -356,16 +356,7 @@ def eraps(
             )
             store = store.slide(new_scores)
 
-    coverage, mean_size = _summaries(sets, np.asarray(test_y), alphas)
-    return ConformalRun(
-        method="eraps",
-        alphas=alphas,
-        sets=sets,
-        coverage=coverage,
-        mean_size=mean_size,
-        class_labels=class_labels,
-        loo_fallbacks=fallbacks,
-    )
+    return _conformal_run("eraps", alphas, sets, test_y, class_labels, loo_fallbacks=fallbacks)
 
 
 def sraps(
@@ -418,46 +409,41 @@ def sraps(
         for a in alphas:
             sets[a].append(build_set(proba_test[j], store, a, u_j, score_params, class_labels))
 
-    truths = np.asarray(test_y) if test_y is not None else None
-    coverage, mean_size = _summaries(sets, truths, alphas)
-    return ConformalRun(
-        method="sraps",
-        alphas=alphas,
-        sets=sets,
-        coverage=coverage,
-        mean_size=mean_size,
-        class_labels=class_labels,
-    )
+    return _conformal_run("sraps", alphas, sets, test_y, class_labels)
 
 
-def _summaries(sets, truths, alphas):
-    coverage, mean_size = {}, {}
-    for a in alphas:
-        stream = sets[a]
-        mean_size[a] = float(np.mean([s.size for s in stream])) if stream else 0.0
-        if truths is None:
-            coverage[a] = float("nan")
-        else:
-            hits = [truths[i] in stream[i] for i in range(len(stream))]
-            coverage[a] = float(np.mean(hits)) if hits else float("nan")
-    return coverage, mean_size
-
-
-def coverage_report(sets_by_alpha: dict, truths: np.ndarray, alphas=None):
+def coverage_report(sets_by_alpha: dict, truths: np.ndarray | None, alphas=None):
     """Marginal coverage and mean set size per alpha.
 
-    Returns a list of ``{"alpha", "coverage", "mean_size"}`` rows sorted by
-    alpha.
+    Returns a list of ``{"alpha", "coverage", "mean_size"}`` rows, in the
+    order of ``alphas`` (default: sorted).  Coverage is nan when ``truths``
+    is None (labels not revealed) or a stream is empty.
     """
-    truths = np.asarray(truths)
+    truths = None if truths is None else np.asarray(truths)
     if alphas is None:
         alphas = sorted(sets_by_alpha)
     rows = []
     for a in alphas:
         stream = sets_by_alpha[a]
-        if len(stream) != len(truths):
+        if truths is not None and len(stream) != len(truths):
             raise ValueError("prediction-set stream and truth stream are misaligned")
-        coverage = float(np.mean([truths[i] in stream[i] for i in range(len(stream))])) if len(stream) else float("nan")
+        if truths is None or not len(stream):
+            coverage = float("nan")
+        else:
+            coverage = float(np.mean([truths[i] in stream[i] for i in range(len(stream))]))
         mean_size = float(np.mean([s.size for s in stream])) if len(stream) else 0.0
         rows.append({"alpha": float(a), "coverage": coverage, "mean_size": mean_size})
     return rows
+
+
+def _conformal_run(method, alphas, sets, truths, class_labels, loo_fallbacks=0) -> ConformalRun:
+    rows = coverage_report(sets, truths, alphas)
+    return ConformalRun(
+        method=method,
+        alphas=alphas,
+        sets=sets,
+        coverage={a: row["coverage"] for a, row in zip(alphas, rows)},
+        mean_size={a: row["mean_size"] for a, row in zip(alphas, rows)},
+        class_labels=class_labels,
+        loo_fallbacks=loo_fallbacks,
+    )

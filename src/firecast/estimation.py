@@ -22,7 +22,7 @@ import numpy as np
 
 from . import model
 from .events import EventSequence
-from .model import ModelParams, RATE_FLOOR
+from .model import BALL_RADIUS, ModelParams, RATE_FLOOR
 
 LINE_SCAN_POINTS = 25  # coarse scan resolution of the beta line search
 
@@ -37,15 +37,10 @@ class NonFiniteGradientError(RuntimeError):
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Convex constraint region: balls per block, nonnegativity, and the
-    interaction sparsity mask."""
+    """Convex constraint region: mu >= 0, beta >= 0, the interaction
+    sparsity mask, and radius-``BALL_RADIUS`` balls on mu, alpha and gamma."""
 
     mask: np.ndarray
-    mu_radius: float = 1.0
-    alpha_radius: float = 1.0
-    gamma_radius: float = 1.0
-    nonneg_mu: bool = True
-    nonneg_beta: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
@@ -55,30 +50,29 @@ class FeasibleSet:
         return self.mask.shape[0]
 
 
-def _scale_into_ball(x: np.ndarray, radius: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(x))
-    if nrm <= radius:
-        return x
-    return x * (radius / nrm)
+def _project_blocks(mu: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, masked_out) -> None:
+    """Project the parameter blocks onto the feasible set, in place.
+
+    mu is clamped to the nonnegative orthant and alpha has its masked
+    entries zeroed; each block is then scaled into its ball.  Each
+    composition is the exact projection for its intersection
+    (orthant-with-ball and subspace-with-ball, both centered at the origin).
+    """
+    np.maximum(mu, 0.0, out=mu)
+    alpha[masked_out] = 0.0
+    for block in (mu, alpha, gamma):
+        nrm = float(np.linalg.norm(block))
+        if nrm > BALL_RADIUS:
+            block *= BALL_RADIUS / nrm
 
 
 def project(raw: ModelParams, feasible: FeasibleSet) -> ModelParams:
-    """Exact Euclidean projection onto the feasible set.
-
-    Per block: mu is clamped to the nonnegative orthant then scaled into its
-    l2 ball; alpha has masked entries zeroed then is scaled into its
-    Frobenius ball; gamma is scaled into its l2 ball; beta is clamped at
-    zero.  Each composition is the exact projection for its intersection
-    (orthant-with-ball and subspace-with-ball, both centered at the origin).
-    """
+    """Exact Euclidean projection onto the feasible set; beta is clamped at zero."""
     if raw.mu.shape != (feasible.num_locations,) or raw.alpha.shape != feasible.mask.shape:
         raise ValueError("parameter shapes do not match the feasible set")
-    mu = np.maximum(raw.mu, 0.0) if feasible.nonneg_mu else raw.mu
-    mu = _scale_into_ball(mu, feasible.mu_radius)
-    alpha = _scale_into_ball(np.where(feasible.mask, raw.alpha, 0.0), feasible.alpha_radius)
-    gamma = _scale_into_ball(raw.gamma, feasible.gamma_radius)
-    beta = max(raw.beta, 0.0) if feasible.nonneg_beta else raw.beta
-    return ModelParams(mu=mu, alpha=alpha, beta=beta, gamma=gamma, mask=feasible.mask)
+    mu, alpha, gamma = raw.mu.copy(), raw.alpha.copy(), raw.gamma.copy()
+    _project_blocks(mu, alpha, gamma, ~feasible.mask)
+    return ModelParams(mu=mu, alpha=alpha, beta=max(raw.beta, 0.0), gamma=gamma, mask=feasible.mask)
 
 
 def soft_threshold(x: np.ndarray, amount: float) -> np.ndarray:
@@ -329,23 +323,8 @@ def pgd_fit(
     masked_out = ~feasible.mask.ravel()
 
     def project_flat(x):
-        # same block projections as project(), on the flat layout
         out = x.copy()
-        mu = out[:K]
-        if feasible.nonneg_mu:
-            np.maximum(mu, 0.0, out=mu)
-        nrm = float(np.linalg.norm(mu))
-        if nrm > feasible.mu_radius:
-            mu *= feasible.mu_radius / nrm
-        a = out[K : K + K * K]
-        a[masked_out] = 0.0
-        nrm = float(np.linalg.norm(a))
-        if nrm > feasible.alpha_radius:
-            a *= feasible.alpha_radius / nrm
-        g = out[K + K * K :]
-        nrm = float(np.linalg.norm(g))
-        if nrm > feasible.gamma_radius:
-            g *= feasible.gamma_radius / nrm
+        _project_blocks(out[:K], out[K : K + K * K], out[K + K * K :], masked_out)
         return out
 
     def prox_flat(x, t):

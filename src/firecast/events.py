@@ -1,4 +1,4 @@
-"""Event records, event sequences, and the flat-file event format.
+"""Columnar event sequences and the flat-file event format.
 
 Times are measured in days since the start of the observation horizon;
 fractional values are allowed.  Locations are integer cell ids produced by a
@@ -23,16 +23,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
         out = arr.copy()  # never flip flags on a caller-owned buffer
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One observation: (time, location, marks, optional magnitude label)."""
-
-    time: float
-    location: int
-    marks: np.ndarray
-    magnitude_label: int | None = None
 
 
 @dataclass(frozen=True)
@@ -96,39 +86,6 @@ class EventSequence:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def events(self) -> list[EventRecord]:
-        mags = self.magnitudes
-        return [
-            EventRecord(
-                time=float(self.times[i]),
-                location=int(self.locations[i]),
-                marks=self.marks[i],
-                magnitude_label=None if mags is None else int(mags[i]),
-            )
-            for i in range(len(self))
-        ]
-
-    @classmethod
-    def from_records(
-        cls,
-        records: list[EventRecord],
-        horizon: float,
-        num_locations: int,
-        mark_dim: int | None = None,
-    ) -> "EventSequence":
-        if mark_dim is None:
-            mark_dim = len(records[0].marks) if records else 0
-        order = sorted(range(len(records)), key=lambda i: records[i].time)
-        times = np.array([records[i].time for i in order], dtype=float)
-        locs = np.array([records[i].location for i in order], dtype=np.int64)
-        marks = np.zeros((len(records), mark_dim))
-        for row, i in enumerate(order):
-            marks[row] = records[i].marks
-        mags = None
-        if records and all(r.magnitude_label is not None for r in records):
-            mags = np.array([records[i].magnitude_label for i in order], dtype=np.int64)
-        return cls(times, locs, marks, horizon, num_locations, mags)
 
 
 def save_events_csv(seq: EventSequence, path: str | Path) -> None:

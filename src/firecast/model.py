@@ -32,6 +32,7 @@ from .marks import LinearMarkModel
 
 RATE_FLOOR = 1e-12  # lower clamp for any rate fed to log or used as a density
 
+BALL_RADIUS = 1.0  # l2 radius bounding mu, alpha (Frobenius) and gamma
 NORM_TOL = 1e-9  # slack on ball-constraint checks
 
 
@@ -78,11 +79,11 @@ class ModelParams:
             raise ValueError("beta must be nonnegative")
         if np.any(self.mu < 0):
             raise ValueError("mu must be nonnegative")
-        if np.linalg.norm(self.mu) > 1 + NORM_TOL:
+        if np.linalg.norm(self.mu) > BALL_RADIUS + NORM_TOL:
             raise ValueError("||mu||_2 must be <= 1")
-        if np.linalg.norm(self.alpha) > 1 + NORM_TOL:
+        if np.linalg.norm(self.alpha) > BALL_RADIUS + NORM_TOL:
             raise ValueError("||alpha||_F must be <= 1")
-        if np.linalg.norm(self.gamma) > 1 + NORM_TOL:
+        if np.linalg.norm(self.gamma) > BALL_RADIUS + NORM_TOL:
             raise ValueError("||gamma||_2 must be <= 1")
         if np.any(self.alpha[~self.mask] != 0.0):
             raise ValueError("alpha must be zero where the mask is false")

@@ -5,9 +5,12 @@ square grid, default 0.24-degree cells) or precomputed cell ids.  Continuous
 mark columns are imputed per location with a degree-5 spline over time
 (linear below six observed points, then constant fill), standardized, and
 min-max scaled to [0, 1]; scaling statistics are fitted once on training
-data and can be frozen for later files.  ``run_end_to_end`` chains
-simulate-or-ingest, fitting, detection, metrics, and optionally conformal
-sets, writing every artifact plus a reproducibility manifest.
+data and can be frozen for later files.
+
+The chain runs through one function per stage: ``build_mark_model``,
+``fit_stage``, ``predict_stage`` and ``conformal_stage``.  ``run_end_to_end``
+and the CLI subcommands both call them; ``run_end_to_end`` chains them after
+simulate-or-ingest and writes every artifact plus a reproducibility manifest.
 """
 
 from __future__ import annotations
@@ -16,19 +19,19 @@ import csv
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import InterpolatedUnivariateSpline
 
+from . import __version__
 from . import conformal as conformal_mod
 from . import estimation, model, simulation, thresholding
 from .events import EventSequence, save_events_csv
-from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
+from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer, load_precomputed_scores
 from .model import ModelParams, RATE_FLOOR
-
-__version__ = "0.1.0"
 
 
 class PipelineError(RuntimeError):
@@ -67,7 +70,8 @@ class GridSpec:
         # tolerate float error when the span is an exact multiple of the cell
         n_rows = max(1, math.ceil((self.lat_max - self.lat_min) / self.cell_size - 1e-9))
         n_cols = max(1, math.ceil((self.lon_max - self.lon_min) / self.cell_size - 1e-9))
-        retained = [i for i in range(n_rows * n_cols) if i not in set(self.excluded)]
+        excluded = set(self.excluded)
+        retained = [i for i in range(n_rows * n_cols) if i not in excluded]
         if not retained:
             raise ValueError("all grid cells are excluded")
         compact = {full: cid for cid, full in enumerate(retained)}
@@ -568,7 +572,93 @@ def _sha256(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
+# pipeline stages, shared by run_end_to_end and the CLI subcommands
+
+
+def build_mark_model(spec: str, seq: EventSequence, scores=None):
+    """Mark model by name: ``linear``, ``kde`` (fitted on ``seq``'s marks), or
+    ``precomputed`` (per-event scores read from the CSV at ``scores``)."""
+    if spec == "linear":
+        return LinearMarkModel()
+    if spec == "kde":
+        return NonLinearMarkModel(kde_scorer(seq.marks))
+    if spec == "precomputed":
+        if not scores:
+            raise ValueError("mark model 'precomputed' needs a per-event scores file (--scores)")
+        return NonLinearMarkModel(load_precomputed_scores(scores))
+    raise ValueError(f"unknown mark model {spec!r}")
+
+
+def fit_stage(
+    seq: EventSequence, mark_model, config: estimation.FitConfig, method: str, feasible=None
+) -> estimation.FitResult:
+    """Constrained MLE: ``alternating`` beta search, anything else the beta grid."""
+    fit = estimation.alternating_fit if method == "alternating" else estimation.grid_fit
+    return fit(seq, mark_model, config, feasible)
+
+
+def predict_stage(
+    params: ModelParams, seq: EventSequence, mark_model, delta, a1, a2, screening: bool
+) -> thresholding.DetectionTrace:
+    """Daily risk, day-level truths and the dynamic-threshold detections."""
+    num_days = int(math.floor(seq.horizon))
+    risk = risk_series(params, seq, mark_model)
+    truth = daily_truths(seq, num_days)
+    config = thresholding.ThresholdConfig.from_first_day_risk(
+        risk[0], num_days, delta=delta, a1=a1, a2=a2
+    )
+    state = thresholding.ScreeningState.from_validation(truth) if screening else None
+    return thresholding.detect(risk, truth, config, state)
+
+
+def conformal_stage(
+    seq: EventSequence, n_train: int, method: str, alphas, score_params: conformal_mod.ScoreParams,
+    num_bootstrap: int, batch_size: int, split_fraction: float, seed: int,
+) -> conformal_mod.ConformalRun:
+    """Magnitude prediction sets: the first ``n_train`` events train, the rest
+    form the test stream; ``eraps`` or else ``sraps``."""
+    if seq.magnitudes is None:
+        raise ValueError("conformal stage needs magnitude labels in the data")
+    if not 10 <= n_train < len(seq):
+        raise ValueError("train size must be >= 10 and leave a test stream")
+    X, y = seq.marks, seq.magnitudes
+    split = (X[:n_train], y[:n_train], X[n_train:], y[n_train:])
+    if method == "eraps":
+        return conformal_mod.eraps(
+            *split,
+            num_bootstrap=num_bootstrap,
+            batch_size=min(batch_size, len(seq) - n_train),
+            alphas=alphas,
+            score_params=score_params,
+            seed=seed,
+        )
+    return conformal_mod.sraps(
+        *split, split_fraction=split_fraction, alphas=alphas, score_params=score_params, seed=seed
+    )
+
+
+# ---------------------------------------------------------------------------
 # end-to-end orchestration
+
+STAGE_ARTIFACTS = {
+    "data": ("events.csv",),
+    "fit": ("params.json", "fit_trace.csv"),
+    "predict": ("detections.csv",),
+    "eval": ("metrics.csv",),
+    "conformal": ("conformal_sets.jsonl", "conformal_summary.csv"),
+}
+
+
+@contextmanager
+def _stage(name: str, done: list):
+    """Tag any failure inside the block with ``name``; on success append it to ``done``."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
+    done.append(name)
 
 
 def _bundle_simulate(cfg: dict, seed: int, wants_magnitudes: bool):
@@ -598,167 +688,96 @@ def _bundle_simulate(cfg: dict, seed: int, wants_magnitudes: bool):
     return simulation.simulate(sim), params.mask
 
 
+def _bundle_ingest(cfg: dict, notes: list):
+    grid = GridSpec.from_dict(cfg["grid"]) if "grid" in cfg else None
+    prep = PreprocessConfig(
+        spline_degree=int(cfg.get("spline_degree", 5)),
+        categorical_columns=tuple(cfg.get("categorical_columns", ())),
+    )
+    result = ingest(cfg["csv"], grid, prep, horizon=cfg.get("horizon"))
+    seq = result.sequence
+    notes.extend(result.messages)
+    mask = np.ones((seq.num_locations, seq.num_locations), dtype=bool)
+    if grid is not None and "neighbor_radius" in cfg:
+        mask = model.mask_from_centroids(grid.centroids(), float(cfg["neighbor_radius"]))
+    return seq, mask
+
+
 def run_end_to_end(bundle: dict, out_dir) -> dict:
     """Execute the full chain described by a config bundle; returns the manifest.
 
     Stages: simulate-or-ingest -> fit -> predict -> eval -> optional
-    conformal.  All artifacts land in ``out_dir`` with fixed names; the
-    manifest records the seed, package version, config hash, and artifact
-    digests, and two runs with the same bundle are byte-identical.
+    conformal, each through the stage functions above.  All artifacts land
+    in ``out_dir`` with fixed names; the manifest records the seed, package
+    version, config hash, and artifact digests, and two runs with the same
+    bundle are byte-identical.  A failing stage raises ``PipelineError``
+    tagged with its name; artifacts of earlier stages stay on disk.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = int(bundle.get("seed", 0))
-    config_hash = hashlib.sha256(
-        json.dumps(bundle, sort_keys=True).encode()
-    ).hexdigest()
-    artifacts: dict[str, str] = {}
+    config_hash = hashlib.sha256(json.dumps(bundle, sort_keys=True).encode()).hexdigest()
     notes: list[str] = []
     stages: list[str] = []
 
-    # --- data
-    try:
-        wants_mag = "conformal" in bundle
+    with _stage("data", stages):
         if "simulate" in bundle:
-            seq, mask = _bundle_simulate(bundle["simulate"], seed, wants_mag)
+            seq, mask = _bundle_simulate(bundle["simulate"], seed, "conformal" in bundle)
         elif "ingest" in bundle:
-            cfg = bundle["ingest"]
-            grid = GridSpec.from_dict(cfg["grid"]) if "grid" in cfg else None
-            prep = PreprocessConfig(
-                spline_degree=int(cfg.get("spline_degree", 5)),
-                categorical_columns=tuple(cfg.get("categorical_columns", ())),
-            )
-            result = ingest(cfg["csv"], grid, prep, horizon=cfg.get("horizon"))
-            seq = result.sequence
-            notes.extend(result.messages)
-            mask = np.ones((seq.num_locations, seq.num_locations), dtype=bool)
-            if grid is not None and "neighbor_radius" in cfg:
-                mask = model.mask_from_centroids(grid.centroids(), float(cfg["neighbor_radius"]))
+            seq, mask = _bundle_ingest(bundle["ingest"], notes)
         else:
             raise ValueError("bundle needs a 'simulate' or 'ingest' stage")
         save_events_csv(seq, out / "events.csv")
-        artifacts["events.csv"] = _sha256(out / "events.csv")
-        stages.append("data")
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("data", str(exc)) from exc
 
-    # --- fit
-    try:
+    with _stage("fit", stages):
         cfg = dict(bundle.get("fit", {}))
         method = cfg.pop("method", "grid")
-        mark_model = _mark_model_from_config(cfg.pop("mark_model", "linear"), seq)
-        fit_config = estimation.FitConfig(**cfg)
-        feasible = estimation.FeasibleSet(mask=mask)
-        if method == "alternating":
-            fit = estimation.alternating_fit(seq, mark_model, fit_config, feasible)
-        else:
-            fit = estimation.grid_fit(seq, mark_model, fit_config, feasible)
+        mark_model = build_mark_model(cfg.pop("mark_model", "linear"), seq)
+        fit = fit_stage(
+            seq, mark_model, estimation.FitConfig(**cfg), method, estimation.FeasibleSet(mask=mask)
+        )
         fit.params.to_json(out / "params.json")
         write_fit_trace_csv(out / "fit_trace.csv", fit.trace)
-        artifacts["params.json"] = _sha256(out / "params.json")
-        artifacts["fit_trace.csv"] = _sha256(out / "fit_trace.csv")
-        stages.append("fit")
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("fit", str(exc)) from exc
 
-    # --- predict
-    try:
+    with _stage("predict", stages):
         cfg = bundle.get("predict", {})
-        num_days = int(math.floor(seq.horizon))
-        risk = risk_series(fit.params, seq, mark_model)
-        truth = daily_truths(seq, num_days)
-        tconfig = thresholding.ThresholdConfig.from_first_day_risk(
-            risk[0],
-            num_days,
-            delta=float(cfg.get("delta", 0.05)),
-            a1=float(cfg.get("a1", 1.1)),
-            a2=float(cfg.get("a2", 1.1)),
+        trace = predict_stage(
+            fit.params, seq, mark_model, float(cfg.get("delta", 0.05)), float(cfg.get("a1", 1.1)),
+            float(cfg.get("a2", 1.1)), cfg.get("screening", True),
         )
-        screening = (
-            thresholding.ScreeningState.from_validation(truth) if cfg.get("screening", True) else None
-        )
-        trace = thresholding.detect(risk, truth, tconfig, screening)
         write_detections_csv(out / "detections.csv", trace)
-        artifacts["detections.csv"] = _sha256(out / "detections.csv")
-        stages.append("predict")
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("predict", str(exc)) from exc
 
-    # --- eval
-    try:
-        report = metrics_from_trace(trace)
-        write_metrics_csv(out / "metrics.csv", report)
-        artifacts["metrics.csv"] = _sha256(out / "metrics.csv")
-        stages.append("eval")
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("eval", str(exc)) from exc
+    with _stage("eval", stages):
+        write_metrics_csv(out / "metrics.csv", metrics_from_trace(trace))
 
-    # --- conformal (optional)
     if "conformal" in bundle:
-        try:
+        with _stage("conformal", stages):
             cfg = bundle["conformal"]
-            if seq.magnitudes is None:
-                raise ValueError("conformal stage needs magnitude labels in the data")
-            frac = float(cfg.get("train_fraction", 0.6))
-            n_train = max(10, int(frac * len(seq)))
-            if n_train >= len(seq):
-                raise ValueError("not enough events for a conformal test stream")
-            X, y = seq.marks, seq.magnitudes
-            sp = conformal_mod.ScoreParams(
-                lambda_reg=float(cfg.get("lambda_reg", 1.0)), k_reg=int(cfg.get("k_reg", 2))
+            run = conformal_stage(
+                seq,
+                n_train=max(10, int(float(cfg.get("train_fraction", 0.6)) * len(seq))),
+                method=cfg.get("method", "eraps"),
+                alphas=tuple(float(a) for a in cfg.get("alphas", (0.1,))),
+                score_params=conformal_mod.ScoreParams(
+                    lambda_reg=float(cfg.get("lambda_reg", 1.0)), k_reg=int(cfg.get("k_reg", 2))
+                ),
+                num_bootstrap=int(cfg.get("num_bootstrap", 10)),
+                batch_size=int(cfg.get("batch_size", 10)),
+                split_fraction=float(cfg.get("split_fraction", 0.5)),
+                seed=seed,
             )
-            alphas = tuple(float(a) for a in cfg.get("alphas", (0.1,)))
-            method = cfg.get("method", "eraps")
-            if method == "eraps":
-                run = conformal_mod.eraps(
-                    X[:n_train], y[:n_train], X[n_train:], y[n_train:],
-                    num_bootstrap=int(cfg.get("num_bootstrap", 10)),
-                    batch_size=min(int(cfg.get("batch_size", 10)), len(seq) - n_train),
-                    alphas=alphas,
-                    score_params=sp,
-                    seed=seed,
-                )
-            else:
-                run = conformal_mod.sraps(
-                    X[:n_train], y[:n_train], X[n_train:], y[n_train:],
-                    split_fraction=float(cfg.get("split_fraction", 0.5)),
-                    alphas=alphas,
-                    score_params=sp,
-                    seed=seed,
-                )
             write_conformal_sets_jsonl(out / "conformal_sets.jsonl", run)
             write_conformal_summary_csv(out / "conformal_summary.csv", run)
-            artifacts["conformal_sets.jsonl"] = _sha256(out / "conformal_sets.jsonl")
-            artifacts["conformal_summary.csv"] = _sha256(out / "conformal_summary.csv")
-            stages.append("conformal")
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError("conformal", str(exc)) from exc
 
     manifest = {
         "package_version": __version__,
         "seed": seed,
         "config_sha256": config_hash,
         "stages": stages,
-        "artifacts": artifacts,
+        "artifacts": {
+            name: _sha256(out / name) for stage in stages for name in STAGE_ARTIFACTS[stage]
+        },
         "notes": notes,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
-
-
-def _mark_model_from_config(spec, seq: EventSequence):
-    if spec == "linear":
-        return LinearMarkModel()
-    if spec == "kde":
-        return NonLinearMarkModel(kde_scorer(seq.marks))
-    raise ValueError(f"unknown mark model {spec!r}")

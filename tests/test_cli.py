@@ -154,3 +154,53 @@ def test_fit_with_precomputed_scores(tmp_path, params_file):
         "--beta-high", "1.0", "--out", str(fitted),
     ]) == 0
     assert fitted.exists()
+
+
+def test_cli_stages_match_run(tmp_path):
+    """The fit/predict/eval/conformal subcommands on a run's events.csv
+    reproduce that run's artifacts byte for byte."""
+    seed = 7
+    bundle = {
+        "seed": seed,
+        "simulate": {
+            "params": {
+                "mu": [0.35, 0.3],
+                "alpha": [[0.25, 0.1], [0.1, 0.2]],
+                "beta": 1.0,
+                "gamma": [0.7071067811865475, 0.7071067811865475],
+                "mask": [[True, True], [True, True]],
+            },
+            "horizon": 120.0,
+            "magnitude_classes": 3,
+        },
+        "fit": {"grid_points": 2, "pgd_steps": 30, "beta_low": 0.5, "beta_high": 1.5},
+        "predict": {"screening": True},
+        "conformal": {"method": "eraps", "num_bootstrap": 10, "batch_size": 10,
+                      "alphas": [0.1], "train_fraction": 0.6},
+    }
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps(bundle))
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(run)]) == 0
+
+    events = str(run / "events.csv")
+    n = len(load_events_csv(events, horizon=120.0, num_locations=2))
+    cli = tmp_path / "cli"
+    cli.mkdir()
+    common = ["--horizon", "120", "--locations", "2"]
+    assert main(["fit", "--events", events, *common, "--grid-points", "2", "--pgd-steps", "30",
+                 "--beta-low", "0.5", "--beta-high", "1.5", "--out", str(cli / "params.json"),
+                 "--trace", str(cli / "fit_trace.csv")]) == 0
+    assert main(["predict", "--params", str(cli / "params.json"), "--events", events, *common,
+                 "--out", str(cli / "detections.csv")]) == 0
+    assert main(["eval", "--detections", str(cli / "detections.csv"),
+                 "--out", str(cli / "metrics.csv")]) == 0
+    assert main(["conformal", "--data", events, *common, "--train-size", str(max(10, int(0.6 * n))),
+                 "--method", "eraps", "--num-bootstrap", "10", "--batch-size", "10",
+                 "--alphas", "0.1", "--seed", str(seed),
+                 "--sets", str(cli / "conformal_sets.jsonl"),
+                 "--summary", str(cli / "conformal_summary.csv")]) == 0
+
+    for name in ("params.json", "fit_trace.csv", "detections.csv", "metrics.csv",
+                 "conformal_sets.jsonl", "conformal_summary.csv"):
+        assert (cli / name).read_bytes() == (run / name).read_bytes(), f"{name} differs"
