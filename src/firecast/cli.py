@@ -26,9 +26,7 @@ def _load_params(path) -> ModelParams:
 
 def cmd_simulate(args) -> int:
     params = _load_params(args.params)
-    seq = simulation.simulate(
-        simulation.SimConfig(params=params, horizon=args.horizon, seed=args.seed)
-    )
+    seq = simulation.simulate(pipeline.simulation_config(params, {"horizon": args.horizon}, args.seed))
     save_events_csv(seq, args.out)
     print(f"wrote {len(seq)} events to {args.out}")
     return 0

@@ -5,7 +5,11 @@ convex in (mu, alpha, gamma); it is minimized by projected gradient descent
 with step sizes ``t_k = 1 / (kappa * (k + 1))`` and soft-thresholding for
 the l1 part of the gamma block.  ``beta`` itself is handled either by a
 one-dimensional grid search (``grid_fit``) or by alternating the convex
-solve with a golden-section line search (``alternating_fit``).
+solve with a golden-section line search (``alternating_fit``).  Each
+objective or gradient evaluation gathers only the (source, destination)
+pairs the interaction mask allows (:class:`model.EventKernel`), so it costs
+O(events x allowed sources), not O(n K^2): a neighbour mask is what makes
+state-scale fits cheap.
 
 All routines are deterministic: same inputs give bit-identical results.
 """
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import model
 from .events import EventSequence
-from .model import BALL_RADIUS, ModelParams, RATE_FLOOR
+from .model import BALL_RADIUS, ModelParams
 
 LINE_SCAN_POINTS = 25  # coarse scan resolution of the beta line search
 
@@ -199,91 +203,68 @@ class FitResult:
 
 
 class _FixedBetaProblem:
-    """Penalized objective and smooth gradient at a fixed beta, with the
-    history excitation precomputed once.  Operates on a flat parameter
-    vector [mu, alpha.ravel(), gamma].
+    """Penalized objective and smooth gradient at a fixed beta on a flat
+    parameter vector [mu, alpha.ravel(), gamma].
 
-    The event intensities for the most recent argument are cached by object
-    identity: the descent loop evaluates the objective and the gradient at
-    the same accepted iterate, so each is computed once.
+    The kernel gathers the pairs of ``support`` (the feasible mask);
+    projection zeroes alpha off the mask, so the gradient's off-mask entries
+    never reach an iterate.  A gamma-free mark term is scored once.  The
+    intensities of the latest argument are cached by identity: the descent
+    loop evaluates objective and gradient at the same accepted iterate.
     """
 
-    def __init__(self, seq: EventSequence, mark_model, beta: float, l1_weight: float):
-        self.seq = seq
-        self.beta = float(beta)
+    def __init__(self, seq: EventSequence, mark_model, beta: float, l1_weight: float, support: np.ndarray):
+        self.kernel = model.EventKernel(seq, support, beta)
         self.l1_weight = float(l1_weight)
-        self.K = seq.num_locations
-        self.p = seq.mark_dim
-        self.n = len(seq)
-        self.R = model.excitation_matrix(seq.times, seq.locations, self.K, beta)
+        self.K, self.p = seq.num_locations, seq.mark_dim
         self.marks = np.ascontiguousarray(seq.marks)
-        self._flat_idx = np.arange(self.n) * self.K + seq.locations
-        self.onehot = np.zeros((self.n, self.K))
-        if self.n:
-            self.onehot[np.arange(self.n), seq.locations] = 1.0
-        self.w = 1.0 - np.exp(-beta * (seq.horizon - seq.times)) if self.n else np.zeros(0)
-        self.sum_w_by_loc = self.onehot.T @ self.w if self.n else np.zeros(self.K)
         self.uses_gamma = mark_model.uses_gamma
         if not self.uses_gamma:
-            scores = model.event_mark_scores(
-                ModelParams(
-                    mu=np.zeros(self.K),
-                    alpha=np.zeros((self.K, self.K)),
-                    beta=beta,
-                    gamma=np.zeros(self.p),
-                    mask=np.ones((self.K, self.K), dtype=bool),
-                ),
-                seq,
-                mark_model,
-            )
-            self.const_mark_term = float(np.log(np.maximum(scores, RATE_FLOOR)).sum())
-        self._cache_key: np.ndarray | None = None
-        self._cache_lam: np.ndarray | None = None
+            self.const_mark_term = model.floored_log_sum(mark_model.event_scores(np.zeros(self.p), seq))
+        self._cache_key = self._cache_lam = None
 
     def split(self, x: np.ndarray):
-        K, p = self.K, self.p
+        K = self.K
         return x[:K], x[K : K + K * K].reshape(K, K), x[K + K * K :]
 
     def flatten(self, mu, alpha, gamma) -> np.ndarray:
         return np.concatenate([mu, alpha.ravel(), gamma])
 
     def _event_intensities(self, x, mu, alpha):
-        if self._cache_key is x:
-            return self._cache_lam
-        if not self.n:
-            lam = np.zeros(0)
-        else:
-            lam = mu.take(self.seq.locations)
-            lam += self.beta * (self.R @ alpha).take(self._flat_idx)
-        self._cache_key = x
-        self._cache_lam = lam
-        return lam
+        if self._cache_key is not x:
+            self._cache_key = x
+            self._cache_lam = self.kernel.intensities(mu, alpha)
+        return self._cache_lam
+
+    def _mark_term(self, gamma) -> float:
+        return model.floored_log_sum(self.marks @ gamma) if self.uses_gamma else self.const_mark_term
+
+    def _value(self, kernel, lam, mu, alpha, gamma, mark_term: float) -> float:
+        comp = kernel.compensator(mu, alpha)
+        event_term = model.floored_log_sum(lam)
+        return -(event_term + mark_term - comp) + self.l1_weight * float(np.abs(gamma).sum())
 
     def objective(self, x: np.ndarray) -> float:
         mu, alpha, gamma = self.split(x)
         lam = self._event_intensities(x, mu, alpha)
-        event_term = float(np.log(np.maximum(lam, RATE_FLOOR)).sum())
-        if self.uses_gamma:
-            scores = self.marks @ gamma if self.n else np.zeros(0)
-            mark_term = float(np.log(np.maximum(scores, RATE_FLOOR)).sum())
-        else:
-            mark_term = self.const_mark_term
-        comp = self.seq.horizon * mu.sum() + float(alpha.sum(axis=1) @ self.sum_w_by_loc)
-        return -(event_term + mark_term - comp) + self.l1_weight * float(np.abs(gamma).sum())
+        return self._value(self.kernel, lam, mu, alpha, gamma, self._mark_term(gamma))
+
+    def beta_profile(self, x: np.ndarray):
+        """The objective at ``x`` as a function of beta, for the line search:
+        the mark term and the index arrays are computed once."""
+        mu, alpha, gamma = self.split(x)
+        mark_term = self._mark_term(gamma)
+
+        def f(beta: float) -> float:
+            kernel = self.kernel.with_beta(beta)
+            return self._value(kernel, kernel.intensities(mu, alpha), mu, alpha, gamma, mark_term)
+
+        return f
 
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
         mu, alpha, gamma = self.split(x)
-        lam = self._event_intensities(x, mu, alpha)
-        inv_lam = np.where(lam > RATE_FLOOR, 1.0 / np.maximum(lam, RATE_FLOOR), 0.0)
-        g_mu = self.seq.horizon - self.onehot.T @ inv_lam
-        event_part = (self.R * (self.beta * inv_lam)[:, None]).T @ self.onehot
-        g_alpha = -event_part + self.sum_w_by_loc[:, None]
-        if self.uses_gamma and self.n:
-            scores = self.marks @ gamma
-            inv_s = np.where(scores > RATE_FLOOR, 1.0 / np.maximum(scores, RATE_FLOOR), 0.0)
-            g_gamma = -(self.marks.T @ inv_s)
-        else:
-            g_gamma = np.zeros(self.p)
+        g_mu, g_alpha = self.kernel.gradients(self._event_intensities(x, mu, alpha))
+        g_gamma = model.linear_mark_gradient(self.marks, gamma) if self.uses_gamma else np.zeros(self.p)
         return self.flatten(g_mu, g_alpha, g_gamma)
 
 
@@ -318,7 +299,7 @@ def pgd_fit(
         feasible = default_feasible_set(seq)
     if init is None:
         init = default_init(seq, feasible, beta)
-    problem = _FixedBetaProblem(seq, mark_model, beta, config.l1_weight)
+    problem = _FixedBetaProblem(seq, mark_model, beta, config.l1_weight, feasible.mask)
     K = problem.K
     masked_out = ~feasible.mask.ravel()
 
@@ -443,6 +424,8 @@ def alternating_fit(
     inner = dataclasses.replace(config, backtracking=True)
     beta = float(config.beta_init)
     params = init if init is not None else default_init(seq, feasible, beta)
+    # one set of index arrays (and one gamma-free mark term) for every line search
+    line_problem = _FixedBetaProblem(seq, mark_model, beta, config.l1_weight, feasible.mask)
     outer_trace = []
     trace = np.zeros(0)
     outer_done = 0
@@ -451,11 +434,7 @@ def alternating_fit(
         params = res.params
         trace = res.trace
 
-        def f_beta(b: float) -> float:
-            trial = ModelParams(
-                mu=params.mu, alpha=params.alpha, beta=float(b), gamma=params.gamma, mask=params.mask
-            )
-            return model.penalized_objective(trial, seq, mark_model, config.l1_weight)
+        f_beta = line_problem.beta_profile(line_problem.flatten(params.mu, params.alpha, params.gamma))
 
         hi = max(2.0**outer, config.beta_low * 2.0)
         scan = np.linspace(config.beta_low, hi, LINE_SCAN_POINTS)
@@ -472,11 +451,9 @@ def alternating_fit(
             )
             beta_cand, f_cand = float(scan[best]), float(scan_vals[best])
         # never move beta uphill relative to the current iterate
-        if f_cand <= f_beta(beta):
-            beta_new = beta_cand
-        else:
-            beta_new = beta
-        outer_trace.append(f_beta(beta_new))
+        f_now = f_beta(beta)
+        beta_new, f_new = (beta_cand, f_cand) if f_cand <= f_now else (beta, f_now)
+        outer_trace.append(f_new)
         outer_done = outer
         delta_beta = abs(beta_new - beta)
         beta = beta_new

@@ -13,14 +13,17 @@ form
       - T * sum_k mu_k - sum_i (sum_k alpha[u_i, k]) * (1 - exp(-beta (T - t_i))),
 
 whose integral term this module also exposes separately (the compensator of
-the location-summed ground process).  Intensities passed to ``log`` are
-floored at ``RATE_FLOOR`` so the objective stays finite on the whole
-feasible set, where negative interaction weights can drive the raw value
-to zero or below.
+the location-summed ground process).  :class:`EventKernel` evaluates the
+event intensities and their gradient over the (source, destination) pairs
+a mask allows, in O(events x allowed sources) rather than O(n K^2).
+Intensities passed to ``log`` are floored at ``RATE_FLOOR`` so the objective
+stays finite on the whole feasible set, where negative interaction weights
+can drive the raw value to zero or below.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -233,34 +236,80 @@ def integrated_ground_intensity(params: ModelParams, seq: EventSequence, t: floa
     return float(total)
 
 
-def _event_ground_intensities(params: ModelParams, seq: EventSequence, R: np.ndarray | None = None) -> np.ndarray:
-    if R is None:
-        R = excitation_matrix(seq.times, seq.locations, seq.num_locations, params.beta)
-    u = seq.locations
-    excite = np.einsum("na,an->n", R, params.alpha[:, u]) if len(seq) else np.zeros(0)
-    return params.mu[u] + params.beta * excite
+class EventKernel:
+    """Ground intensities at the events of one sequence, and their gradient,
+    as bincounts over gathered (event, source) pairs.
+
+    ``support`` (K x K bool) names the pairs (a, k) whose weight
+    ``alpha[a, k]`` may be nonzero; event i at location k = u_i gets one
+    pair per allowed source a, valued ``R[i, a]`` (see
+    :func:`excitation_matrix`).  The index arrays depend only on the
+    sequence and the support; ``with_beta`` shares them.
+    """
+
+    def __init__(self, seq: EventSequence, support: np.ndarray, beta: float):
+        self.seq = seq
+        self.rows, self.srcs = np.nonzero(np.asarray(support, dtype=bool)[:, seq.locations].T)
+        self.aidx = self.srcs * seq.num_locations + seq.locations[self.rows]
+        self._gather(beta)
+
+    def _gather(self, beta: float) -> None:
+        seq = self.seq
+        self.beta = float(beta)
+        R = excitation_matrix(seq.times, seq.locations, seq.num_locations, self.beta)
+        self.vals = R[self.rows, self.srcs]
+        w = 1.0 - np.exp(-self.beta * (seq.horizon - seq.times))
+        self.sum_w = np.bincount(seq.locations, w, minlength=seq.num_locations)
+
+    def with_beta(self, beta: float) -> "EventKernel":
+        """The same pairs at another decay."""
+        other = copy.copy(self)
+        other._gather(beta)
+        return other
+
+    def intensities(self, mu: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        excite = np.bincount(self.rows, self.vals * alpha.take(self.aidx), minlength=len(self.seq))
+        return mu[self.seq.locations] + self.beta * excite
+
+    def compensator(self, mu: np.ndarray, alpha: np.ndarray) -> float:
+        return self.seq.horizon * mu.sum() + float(alpha.sum(axis=1) @ self.sum_w)
+
+    def gradients(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, alpha) gradient of ``compensator - sum_i log lam_i``; events at
+        the floor add nothing, alpha entries off the support only compensator."""
+        K = self.seq.num_locations
+        inv_lam = inverse_above_floor(lam)
+        g_mu = self.seq.horizon - np.bincount(self.seq.locations, inv_lam, minlength=K)
+        event_part = np.bincount(self.aidx, self.vals * (self.beta * inv_lam)[self.rows], minlength=K * K)
+        return g_mu, self.sum_w[:, None] - event_part.reshape(K, K)
 
 
-def event_mark_scores(params: ModelParams, seq: EventSequence, mark_model) -> np.ndarray:
-    return np.asarray(mark_model.event_scores(params.gamma, seq), dtype=float)
+def inverse_above_floor(x: np.ndarray) -> np.ndarray:
+    """``1 / x`` where x is above ``RATE_FLOOR``, else 0."""
+    return np.where(x > RATE_FLOOR, 1.0 / np.maximum(x, RATE_FLOOR), 0.0)
+
+
+def floored_log_sum(x) -> float:
+    return float(np.log(np.maximum(x, RATE_FLOOR)).sum())
+
+
+def linear_mark_gradient(marks: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Gradient of ``-sum_i log(marks_i @ gamma)`` w.r.t. gamma."""
+    return -(marks.T @ inverse_above_floor(marks @ gamma))
 
 
 def log_likelihood(params: ModelParams, seq: EventSequence, mark_model) -> float:
-    """Exact log-likelihood of the sequence; log arguments floored at RATE_FLOOR."""
+    """Exact log-likelihood of the sequence (for any alpha: the kernel gathers
+    its nonzeros); log arguments floored at RATE_FLOOR."""
     for arr in (params.mu, params.alpha, params.gamma):
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite parameter")
     if not np.isfinite(params.beta):
         raise ValueError("non-finite beta")
-    lam = _event_ground_intensities(params, seq)
-    event_term = float(np.log(np.maximum(lam, RATE_FLOOR)).sum())
-    scores = event_mark_scores(params, seq, mark_model)
-    mark_term = float(np.log(np.maximum(scores, RATE_FLOOR)).sum())
-    comp = seq.horizon * params.mu.sum()
-    if len(seq):
-        w = 1.0 - np.exp(-params.beta * (seq.horizon - seq.times))
-        comp += (params.alpha.sum(axis=1)[seq.locations] * w).sum()
-    return event_term + mark_term - float(comp)
+    kernel = EventKernel(seq, params.alpha != 0, params.beta)
+    event_term = floored_log_sum(kernel.intensities(params.mu, params.alpha))
+    mark_term = floored_log_sum(mark_model.event_scores(params.gamma, seq))
+    return event_term + mark_term - kernel.compensator(params.mu, params.alpha)
 
 
 def penalized_objective(
@@ -275,47 +324,17 @@ def penalized_objective(
 
 
 def objective_gradient(
-    params: ModelParams,
-    seq: EventSequence,
-    mark_model,
-    l1_weight: float = 1.0,
-    R: np.ndarray | None = None,
+    params: ModelParams, seq: EventSequence, mark_model, l1_weight: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient of the penalized objective w.r.t. (mu, alpha, gamma).
 
-    Events whose clamped intensity sits at the floor contribute zero (the
-    floored log is locally constant).  The gamma component includes
-    ``l1_weight * sign(gamma)``, valid away from zeros; the optimizer handles
-    the l1 part by soft-thresholding instead and calls this with
-    ``l1_weight=0``.
+    All K^2 pairs are gathered, so every alpha entry is exact, also off the
+    mask.  The gamma component includes ``l1_weight * sign(gamma)``, valid
+    away from zeros; the optimizer soft-thresholds the l1 part instead.
     """
-    K, u, T = seq.num_locations, seq.locations, seq.horizon
-    if R is None:
-        R = excitation_matrix(seq.times, seq.locations, K, params.beta)
-    lam = _event_ground_intensities(params, seq, R)
-    inv_lam = np.where(lam > RATE_FLOOR, 1.0 / np.maximum(lam, RATE_FLOOR), 0.0)
-
-    onehot = np.zeros((len(seq), K))
-    if len(seq):
-        onehot[np.arange(len(seq)), u] = 1.0
-
-    g_mu = T - onehot.T @ inv_lam
-
-    if len(seq):
-        w = 1.0 - np.exp(-params.beta * (T - seq.times))
-        sum_w_by_loc = onehot.T @ w
-        event_part = (R * (params.beta * inv_lam)[:, None]).T @ onehot
-    else:
-        sum_w_by_loc = np.zeros(K)
-        event_part = np.zeros((K, K))
-    g_alpha = -event_part + sum_w_by_loc[:, None]
-
-    if mark_model.uses_gamma and len(seq):
-        scores = seq.marks @ params.gamma
-        inv_s = np.where(scores > RATE_FLOOR, 1.0 / np.maximum(scores, RATE_FLOOR), 0.0)
-        g_gamma = -(seq.marks.T @ inv_s)
-    else:
-        g_gamma = np.zeros_like(params.gamma)
-    g_gamma = g_gamma + l1_weight * np.sign(params.gamma)
-
-    return g_mu, g_alpha, g_gamma
+    K = seq.num_locations
+    kernel = EventKernel(seq, np.ones((K, K), dtype=bool), params.beta)
+    g_mu, g_alpha = kernel.gradients(kernel.intensities(params.mu, params.alpha))
+    gamma = params.gamma
+    g_gamma = linear_mark_gradient(seq.marks, gamma) if mark_model.uses_gamma else np.zeros_like(gamma)
+    return g_mu, g_alpha, g_gamma + l1_weight * np.sign(gamma)

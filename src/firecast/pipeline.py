@@ -661,30 +661,32 @@ def _stage(name: str, done: list):
     done.append(name)
 
 
+def simulation_config(params: ModelParams, cfg: dict, seed: int) -> simulation.SimConfig:
+    """The simulate stage's settings from its bundle keys; ``firecast simulate``
+    uses it too, so both draw the same events."""
+    magnitude_sampler = None
+    n_classes = int(cfg.get("magnitude_classes", 0))
+    if n_classes >= 2:
+        def magnitude_sampler(rng, marks, location):
+            # label tied to the first mark so a classifier has signal
+            return 1 + min(n_classes - 1, int(marks[0] * n_classes))
+
+    mark_sampler = simulation.uniform_mark_sampler
+    if cfg.get("mark_distribution", "linear") == "linear":
+        mark_sampler = simulation.linear_density_mark_sampler(params.gamma)
+    return simulation.SimConfig(
+        params=params, horizon=float(cfg["horizon"]), seed=seed,
+        mark_sampler=mark_sampler, magnitude_sampler=magnitude_sampler,
+    )
+
+
 def _bundle_simulate(cfg: dict, seed: int, wants_magnitudes: bool):
     params = (
         ModelParams.from_json(Path(cfg["params_file"]).read_text())
         if "params_file" in cfg
         else ModelParams.from_json(json.dumps(cfg["params"]))
     )
-    magnitude_sampler = None
-    n_classes = int(cfg.get("magnitude_classes", 0))
-    if wants_magnitudes and n_classes >= 2:
-        def magnitude_sampler(rng, marks, location):
-            # label tied to the first mark so a classifier has signal
-            return 1 + min(n_classes - 1, int(marks[0] * n_classes))
-
-    sim = simulation.SimConfig(
-        params=params,
-        horizon=float(cfg["horizon"]),
-        seed=seed,
-        mark_sampler=(
-            simulation.linear_density_mark_sampler(params.gamma)
-            if cfg.get("mark_distribution", "linear") == "linear"
-            else simulation.uniform_mark_sampler
-        ),
-        magnitude_sampler=magnitude_sampler,
-    )
+    sim = simulation_config(params, cfg if wants_magnitudes else {**cfg, "magnitude_classes": 0}, seed)
     return simulation.simulate(sim), params.mask
 
 

@@ -204,3 +204,20 @@ def test_cli_stages_match_run(tmp_path):
     for name in ("params.json", "fit_trace.csv", "detections.csv", "metrics.csv",
                  "conformal_sets.jsonl", "conformal_summary.csv"):
         assert (cli / name).read_bytes() == (run / name).read_bytes(), f"{name} differs"
+
+
+def test_simulate_matches_run_simulate_stage(tmp_path, params_file):
+    """``firecast simulate`` draws the same events as a run's simulate stage."""
+    bundle = {
+        "seed": 5,
+        "simulate": {"params_file": str(params_file), "horizon": 150.0},
+        "fit": {"grid_points": 1, "pgd_steps": 2, "beta_low": 1.0, "beta_high": 1.0},
+        "predict": {"screening": False},
+    }
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps(bundle))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+    events = tmp_path / "events.csv"
+    assert main(["simulate", "--params", str(params_file), "--horizon", "150", "--seed", "5",
+                 "--out", str(events)]) == 0
+    assert events.read_bytes() == (tmp_path / "run" / "events.csv").read_bytes()

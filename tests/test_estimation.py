@@ -4,6 +4,7 @@ import pytest
 from firecast import model
 from firecast.estimation import (
     FeasibleSet,
+    _FixedBetaProblem,
     FitConfig,
     NonFiniteGradientError,
     alternating_fit,
@@ -13,10 +14,11 @@ from firecast.estimation import (
     project,
     projected_gradient_descent,
 )
-from firecast.marks import LinearMarkModel
+from firecast.events import EventSequence
+from firecast.marks import LinearMarkModel, NonLinearMarkModel
 from firecast.model import ModelParams
 
-from oracles import random_instance
+from oracles import finite_difference_gradient, naive_log_likelihood, random_instance
 
 
 def make_feasible(K=2):
@@ -208,6 +210,91 @@ class TestPgdFit:
         _, seq = random_instance(rng)
         with pytest.raises(ValueError):
             pgd_fit(seq, LinearMarkModel(), 0.0, FitConfig())
+
+
+def kernel_case(name):
+    """A masked instance for the fixed-beta kernel: (params, seq)."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    K, n, p = {"partial": (5, 40, 2), "dead_location": (4, 30, 2), "empty": (3, 0, 2),
+               "single_cell": (1, 15, 1), "full": (3, 30, 3)}[name]
+    mask = rng.uniform(size=(K, K)) < 0.5
+    np.fill_diagonal(mask, True)
+    if name == "dead_location":
+        mask[:, 2] = False  # events at cell 2 have no allowed source
+    if name in ("single_cell", "full"):
+        mask[:] = True
+    times = np.sort(rng.uniform(0.0, 20.0, size=n))
+    if name == "partial":
+        times[3:6] = times[3]  # three tied timestamps
+    locations = rng.integers(0, K, size=n)
+    if name == "dead_location":
+        locations[::5] = 2
+    seq = EventSequence(times=times, locations=locations, marks=rng.uniform(0.1, 1.0, size=(n, p)),
+                        horizon=20.0, num_locations=K)
+    params = ModelParams(mu=rng.uniform(0.05, 0.3, size=K), alpha=np.where(mask, rng.uniform(0.0, 0.3, size=(K, K)), 0.0),
+                         beta=0.9, gamma=rng.uniform(0.2, 0.6, size=p), mask=mask)
+    return params, seq
+
+
+KERNEL_CASES = ("partial", "dead_location", "empty", "single_cell", "full")
+
+
+class TestFixedBetaKernel:
+    """The gathered (event, source) kernel against the naive oracle."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_objective_matches_naive_likelihood(self, case):
+        params, seq = kernel_case(case)
+        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.5, params.mask)
+        x = problem.flatten(params.mu, params.alpha, params.gamma)
+        naive = -naive_log_likelihood(params, seq, seq.marks @ params.gamma) + 0.5 * params.gamma.sum()
+        assert problem.objective(x) == pytest.approx(naive, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_gradient_matches_finite_differences_on_the_mask(self, case):
+        params, seq = kernel_case(case)
+        K = params.num_locations
+        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.0, params.mask)
+        x0 = problem.flatten(params.mu, params.alpha, params.gamma)
+
+        def naive_objective(x):
+            mu, alpha, gamma = problem.split(x)
+            trial = ModelParams(mu=mu, alpha=alpha, beta=params.beta, gamma=gamma, mask=params.mask)
+            return -naive_log_likelihood(trial, seq, seq.marks @ gamma)
+
+        on_mask = np.concatenate([np.ones(K, bool), params.mask.ravel(), np.ones(params.mark_dim, bool)])
+        analytic = problem.smooth_gradient(x0)[on_mask]
+        fd = finite_difference_gradient(naive_objective, x0)[on_mask]
+        assert np.all(np.abs(analytic - fd) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_gathers_one_pair_per_allowed_source(self, case):
+        params, seq = kernel_case(case)
+        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.0, params.mask)
+        assert len(problem.kernel.rows) == params.mask[:, seq.locations].sum()
+
+    def test_beta_profile_equals_penalized_objective(self):
+        params, seq = kernel_case("partial")
+        mm = LinearMarkModel()
+        problem = _FixedBetaProblem(seq, mm, 0.3, 1.0, params.mask)
+        f = problem.beta_profile(problem.flatten(params.mu, params.alpha, params.gamma))
+        for b in (0.05, 0.9, 3.0):
+            trial = ModelParams(mu=params.mu, alpha=params.alpha, beta=b, gamma=params.gamma, mask=params.mask)
+            assert f(b) == model.penalized_objective(trial, seq, mm, 1.0)
+
+    def test_gamma_free_mark_term_scored_once(self):
+        params, seq = kernel_case("partial")
+        calls = []
+
+        class CountingModel(NonLinearMarkModel):
+            def event_scores(self, gamma, seq):
+                calls.append(1)
+                return super().event_scores(gamma, seq)
+
+        problem = _FixedBetaProblem(seq, CountingModel(lambda m, t, k: 0.5), 0.3, 1.0, params.mask)
+        f = problem.beta_profile(problem.flatten(params.mu, params.alpha, params.gamma))
+        values = [f(b) for b in np.linspace(0.1, 2.0, 25)]
+        assert len(calls) == 1 and np.all(np.isfinite(values))
 
 
 class TestGridFit:

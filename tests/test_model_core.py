@@ -204,6 +204,18 @@ class TestLogLikelihood:
             slow = naive_log_likelihood(params, seq, scores)
             assert fast == pytest.approx(slow, rel=1e-10, abs=1e-10)
 
+    def test_exact_for_weights_off_the_mask(self):
+        # only alpha's nonzeros are gathered, whatever the mask says
+        rng = np.random.default_rng(12)
+        params, seq = random_instance(rng)
+        while len(seq) == 0 or params.mask.all():
+            params, seq = random_instance(rng)
+        alpha = np.where(params.mask, params.alpha, 0.05)
+        off = ModelParams(mu=params.mu, alpha=alpha, beta=params.beta, gamma=params.gamma, mask=params.mask)
+        fast = log_likelihood(off, seq, LinearMarkModel())
+        slow = naive_log_likelihood(off, seq, seq.marks @ params.gamma)
+        assert fast == pytest.approx(slow, rel=1e-10)
+
 
 class TestPenalizedObjective:
     def test_zero_gamma_is_negative_loglik(self):
