@@ -1,10 +1,12 @@
 """Mark models: how a feature vector scales the ground intensity.
 
-The linear model scores a mark vector as ``gamma @ m`` with the weights held
-in the point-process parameters.  The nonlinear model delegates to an
-arbitrary fitted scorer ``(marks, time, location) -> nonnegative score``;
-two simple scorers ship here (a per-event lookup table and a Gaussian KDE),
-anything fancier plugs in through the same callable contract.
+Each model scores a batch of rows in one ``scores`` call (``event_scores`` is
+one over a sequence's events, ``score`` a batch of one).  The linear model
+scores ``gamma @ m`` with the weights held in the point-process parameters;
+the nonlinear model delegates to a fitted scorer
+``(marks (N, p), times (N,), locations (N,)) -> (N,)`` whose scalar result is
+broadcast to all N rows.  Two scorers ship here (a per-event lookup table and
+a Gaussian KDE); anything fancier plugs in through the same callable contract.
 """
 
 from __future__ import annotations
@@ -20,45 +22,45 @@ class LinearMarkModel:
 
     uses_gamma = True
 
+    def scores(self, gamma: np.ndarray, marks: np.ndarray, times: np.ndarray, locations: np.ndarray) -> np.ndarray:
+        marks = np.asarray(marks, dtype=float)
+        if marks.shape[-1:] != gamma.shape:
+            raise ValueError(f"mark vector has length {marks.shape[-1:]}, expected {gamma.shape}")
+        return marks @ gamma
+
     def event_scores(self, gamma: np.ndarray, seq) -> np.ndarray:
-        return seq.marks @ gamma
+        return self.scores(gamma, seq.marks, seq.times, seq.locations)
 
     def score(self, gamma: np.ndarray, marks: np.ndarray, t: float, location: int) -> float:
-        marks = np.asarray(marks, dtype=float)
-        if marks.shape != gamma.shape:
-            raise ValueError(
-                f"mark vector has length {marks.shape}, expected {gamma.shape}"
-            )
-        return float(gamma @ marks)
+        return float(self.scores(gamma, np.reshape(marks, (1, -1)), np.array([t]), np.array([location]))[0])
 
 
 class NonLinearMarkModel:
-    """Mark score from a fitted deterministic scorer, independent of gamma."""
+    """Mark score from a fitted deterministic batch scorer, independent of gamma:
+    ``scorer(marks (N, p), times (N,), locations (N,)) -> (N,)`` or a scalar."""
 
     uses_gamma = False
 
     def __init__(self, scorer):
         self.scorer = scorer
 
+    def scores(self, gamma: np.ndarray, marks: np.ndarray, times: np.ndarray, locations: np.ndarray) -> np.ndarray:
+        out = self.scorer(np.asarray(marks, dtype=float), np.asarray(times, dtype=float), np.asarray(locations))
+        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(times)).copy()
+
     def event_scores(self, gamma: np.ndarray, seq) -> np.ndarray:
-        return np.array(
-            [
-                self.scorer(seq.marks[i], float(seq.times[i]), int(seq.locations[i]))
-                for i in range(len(seq))
-            ],
-            dtype=float,
-        )
+        return self.scores(gamma, seq.marks, seq.times, seq.locations)
 
     def score(self, gamma: np.ndarray, marks: np.ndarray, t: float, location: int) -> float:
-        return float(self.scorer(np.asarray(marks, dtype=float), t, location))
+        return float(self.scores(gamma, np.reshape(marks, (1, -1)), np.array([t]), np.array([location]))[0])
 
 
 def precomputed_scorer(times: np.ndarray, locations: np.ndarray, scores: np.ndarray, time_tol: float = 1e-9):
     """Scorer backed by per-event scores computed offline.
 
-    Lookup is by exact (time, location) match; querying a pair that was not
-    scored raises, since inventing a score would silently corrupt the
-    likelihood.
+    Lookup is by exact (time, location) match, row by row over a batch;
+    querying a pair that was not scored raises, since inventing a score
+    would silently corrupt the likelihood.
     """
     times = np.asarray(times, dtype=float)
     locations = np.asarray(locations, dtype=np.int64)
@@ -71,10 +73,13 @@ def precomputed_scorer(times: np.ndarray, locations: np.ndarray, scores: np.ndar
         table[(round(float(t) / time_tol), int(u))] = float(s)
 
     def scorer(marks, t, location):
-        key = (round(float(t) / time_tol), int(location))
-        if key not in table:
-            raise KeyError(f"no precomputed score for (t={t}, location={location})")
-        return table[key]
+        out = []
+        for ti, ui in zip(np.ravel(t), np.ravel(location)):
+            key = (round(float(ti) / time_tol), int(ui))
+            if key not in table:
+                raise KeyError(f"no precomputed score for (t={ti}, location={ui})")
+            out.append(table[key])
+        return np.array(out).reshape(np.shape(t))
 
     return scorer
 
@@ -89,8 +94,8 @@ def load_precomputed_scores(path: str | Path):
 def kde_scorer(train_marks: np.ndarray):
     """Gaussian kernel-density scorer fitted on training marks.
 
-    Bandwidth follows Scott's rule.  The returned scorer ignores time and
-    location and is deterministic given the training marks.
+    Bandwidth follows Scott's rule.  The scorer is deterministic, ignores time
+    and location, and evaluates the density once per distinct mark row.
     """
     train_marks = np.asarray(train_marks, dtype=float)
     if train_marks.ndim != 2 or train_marks.shape[0] < 2:
@@ -98,6 +103,7 @@ def kde_scorer(train_marks: np.ndarray):
     kde = gaussian_kde(train_marks.T)  # Scott's rule is the scipy default
 
     def scorer(marks, t, location):
-        return float(kde(np.asarray(marks, dtype=float).reshape(-1, 1))[0])
+        rows, inverse = np.unique(np.reshape(marks, (-1, kde.d)), axis=0, return_inverse=True)
+        return kde(rows.T)[inverse.ravel()].reshape(np.shape(marks)[:-1])
 
     return scorer

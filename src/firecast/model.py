@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .events import EventSequence, _frozen
-from .marks import LinearMarkModel
 
 RATE_FLOOR = 1e-12  # lower clamp for any rate fed to log or used as a density
 
@@ -216,9 +215,6 @@ def conditional_intensity(
     marks: np.ndarray,
 ) -> float:
     """Full intensity lambda(t, k, m), floored at ``RATE_FLOOR``."""
-    marks = np.asarray(marks, dtype=float)
-    if isinstance(mark_model, LinearMarkModel) and marks.shape != params.gamma.shape:
-        raise ValueError(f"mark vector has shape {marks.shape}, expected {params.gamma.shape}")
     ground = ground_intensity(params, seq, t, k)
     score = mark_model.score(params.gamma, marks, t, k)
     return max(float(ground * score), RATE_FLOOR)

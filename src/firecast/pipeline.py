@@ -414,10 +414,9 @@ def metrics_from_trace(trace: thresholding.DetectionTrace) -> MetricsReport:
 def daily_truths(seq: EventSequence, num_days: int) -> np.ndarray:
     """(num_days, K) matrix, +1 where day (d-1, d] saw an event, else -1."""
     truth = np.full((num_days, seq.num_locations), -1, dtype=np.int64)
-    for t, k in zip(seq.times, seq.locations):
-        day = max(1, math.ceil(t)) if t > 0 else 1
-        if day <= num_days:
-            truth[day - 1, int(k)] = 1
+    day = np.maximum(1, np.ceil(seq.times)).astype(np.int64)
+    keep = day <= num_days
+    truth[day[keep] - 1, seq.locations[keep]] = 1
     return truth
 
 
@@ -444,6 +443,8 @@ def risk_series(
 
     ``times`` defaults to day ends 1..floor(horizon); ``query_marks`` is a
     (K, p) matrix of mark vectors, defaulting to per-location training means.
+    The marks of the whole (time, location) grid are scored in one
+    ``mark_model.scores`` call.
     """
     if times is None:
         times = np.arange(1.0, math.floor(seq.horizon) + 1.0)
@@ -466,12 +467,9 @@ def risk_series(
             ei += 1
         ground[idx] = mu + excite * np.exp(-beta * (t - t_cur))
 
-    out = np.zeros_like(ground)
-    for k in range(K):
-        for idx, t in enumerate(times):
-            s = mark_model.score(params.gamma, query_marks[k], float(t), k)
-            out[idx, k] = max(ground[idx, k] * s, RATE_FLOOR)
-    return out
+    T = len(times)
+    S = mark_model.scores(params.gamma, np.tile(query_marks, (T, 1)), np.repeat(times, K), np.tile(np.arange(K), T))
+    return np.maximum(ground * S.reshape(T, K), RATE_FLOOR)
 
 
 def counterfactual_delta(

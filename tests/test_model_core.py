@@ -376,6 +376,47 @@ class TestMarkModels:
         assert scorer(q, 0.0, 0) >= 0.0
 
 
+class TestBatchScoring:
+    def _seq(self):
+        return EventSequence(
+            times=np.array([0.5, 1.5, 1.5, 4.0]),
+            locations=np.array([0, 2, 1, 2]),
+            marks=np.array([[0.2, 0.8], [0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]),
+            horizon=5.0,
+            num_locations=3,
+        )
+
+    @pytest.mark.parametrize(
+        "mm",
+        [
+            LinearMarkModel(),
+            NonLinearMarkModel(lambda m, t, k: 1.0),
+            NonLinearMarkModel(lambda m, t, k: 1 + t + 10 * k + m[:, 0]),
+            NonLinearMarkModel(kde_scorer(np.random.default_rng(3).uniform(size=(40, 2)))),
+            NonLinearMarkModel(
+                precomputed_scorer(np.array([0.5, 1.5, 1.5, 4.0]), np.array([0, 2, 1, 2]), np.array([0.1, 0.2, 0.3, 0.4]))
+            ),
+        ],
+        ids=["linear", "scalar", "time-location", "kde", "precomputed"],
+    )
+    def test_event_scores_equal_per_row_score(self, mm):
+        seq, gamma = self._seq(), np.array([0.6, 0.5])
+        got = mm.event_scores(gamma, seq)
+        rows = [mm.score(gamma, seq.marks[i], float(seq.times[i]), int(seq.locations[i])) for i in range(len(seq))]
+        assert got.shape == (len(seq),)
+        assert got == pytest.approx(rows, rel=1e-12)
+
+    def test_one_scorer_call_per_event_scores(self):
+        calls = []
+
+        def scorer(m, t, k):
+            calls.append(len(t))
+            return np.ones(len(t))
+
+        NonLinearMarkModel(scorer).event_scores(None, self._seq())
+        assert calls == [4]
+
+
 class TestKernelConfig:
     def test_partition_validation(self):
         from firecast.model import KernelConfig

@@ -5,7 +5,7 @@ import pytest
 
 from firecast import model
 from firecast.events import EventSequence
-from firecast.marks import LinearMarkModel
+from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import ModelParams
 from firecast.pipeline import (
     GridSpec,
@@ -214,6 +214,38 @@ class TestRiskSeries:
                 direct = model.conditional_intensity(params, seq, mm, float(t), k, qm[k])
                 assert series[t_idx, k] == pytest.approx(direct, rel=1e-10)
 
+    def _assert_matches_pointwise(self, params, seq, mm):
+        from firecast.pipeline import query_marks_by_location
+
+        qm = query_marks_by_location(seq)
+        series = risk_series(params, seq, mm)
+        assert series.shape == (12, 2)
+        for t_idx, t in enumerate(np.arange(1.0, 13.0)):
+            for k in range(2):
+                direct = model.conditional_intensity(params, seq, mm, float(t), k, qm[k])
+                assert series[t_idx, k] == pytest.approx(direct, rel=1e-10)
+
+    def test_kde_model_matches_pointwise_conditional_intensity(self):
+        params, seq = self._params_seq()
+        train = np.random.default_rng(5).uniform(size=(40, 2))
+        self._assert_matches_pointwise(params, seq, NonLinearMarkModel(kde_scorer(train)))
+
+    def test_time_and_location_scorer_matches_pointwise(self):
+        # distinct per (day, location), so a transposed or mis-tiled grid fails
+        params, seq = self._params_seq()
+        self._assert_matches_pointwise(params, seq, NonLinearMarkModel(lambda m, t, k: 1 + t + 10 * k))
+
+    def test_one_scorer_call_per_series(self):
+        params, seq = self._params_seq()
+        calls = []
+
+        def scorer(m, t, k):
+            calls.append(len(t))
+            return m.sum(axis=1)
+
+        series = risk_series(params, seq, NonLinearMarkModel(scorer))
+        assert calls == [series.size]
+
     def test_daily_truths_bucketing(self):
         _, seq = self._params_seq()
         truth = daily_truths(seq, 12)
@@ -221,6 +253,20 @@ class TestRiskSeries:
         assert truth[2, 0] == 1 and truth[2, 1] == 1  # both events at 2.5 -> day 3
         assert truth[7, 1] == 1      # 7.9 -> day 8
         assert (truth == 1).sum() == 4
+
+    def test_daily_truths_edges(self):
+        seq = EventSequence(
+            times=np.array([0.0, 1.0, 3.0, 3.5, 9.0]),
+            locations=np.array([1, 0, 1, 0, 1]),
+            marks=np.full((5, 2), 0.5),
+            horizon=10.0,
+            num_locations=2,
+        )
+        truth = daily_truths(seq, 3)
+        expected = np.full((3, 2), -1)
+        expected[0, 1] = expected[0, 0] = 1  # t=0 and t=1 both land in day 1
+        expected[2, 1] = 1  # t=3 closes day 3; t=3.5 and t=9 fall past num_days
+        assert np.array_equal(truth, expected)
 
     def test_counterfactual_is_difference(self):
         params, seq = self._params_seq()
