@@ -12,11 +12,17 @@ calibration scores at or below its score stays under 1 - alpha.
 Two calibration strategies ship: a split-conformal baseline (one model, one
 fixed calibration split) and a bootstrap ensemble with leave-one-out
 aggregation and a sliding calibration window that absorbs revealed test
-labels batch by batch.
+labels batch by batch.  Both apply the set rule per calibration-window batch
+over all labels at once (``build_sets``; ``build_set`` is a batch of one).
+The classifier's softmax folds over classes column by column (a max fold,
+then a left-fold sum), bit-identical to numpy's row reductions below 8
+classes; from 8 on numpy sums pairwise, so probabilities, and batched label
+scores against ``score``, can differ in the last bits.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -38,10 +44,12 @@ class ScoreParams:
             raise ValueError("lambda_reg and k_reg must be nonnegative")
 
 
-def check_probability_vector(p: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def check_probability_vector(p: np.ndarray, tol: float = 1e-9, ndim: int = 1) -> np.ndarray:
+    """``p`` as floats: ``ndim`` axes of finite, nonnegative rows summing to 1."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or np.any(p < -tol) or abs(p.sum() - 1.0) > tol:
-        raise ValueError("expected a nonnegative vector summing to 1")
+    valid = p.ndim == ndim and np.isfinite(p).all() and np.all(p >= -tol)
+    if not (valid and np.all(np.abs(p.sum(axis=-1) - 1.0) <= tol)):
+        raise ValueError("expected finite nonnegative vectors summing to 1")
     return p
 
 
@@ -64,12 +72,13 @@ def score(p: np.ndarray, c: int, u: float, sp: ScoreParams) -> float:
     return mass_above(p, c) + float(p[c]) * u + reg
 
 
-def scores_all_labels(p: np.ndarray, u: float, sp: ScoreParams) -> np.ndarray:
-    """Vectorized ``score`` over every label of one probability vector."""
+def scores_all_labels(p: np.ndarray, u, sp: ScoreParams) -> np.ndarray:
+    """``score`` of every label: of p (C,) with a scalar u, or of rows p (m, C) with u (m,)."""
     p = np.asarray(p, dtype=float)
-    greater = p[None, :] > p[:, None]          # greater[c, c'] = p(c') > p(c)
-    mass = greater @ p
-    rank = greater.sum(axis=1) + 1
+    u = np.asarray(u, dtype=float)[..., None]
+    greater = p[..., None, :] > p[..., :, None]    # greater[..., c, c'] = p(c') > p(c)
+    mass = (greater * p[..., None, :]).sum(axis=-1)
+    rank = greater.sum(axis=-1) + 1
     return mass + p * u + sp.lambda_reg * np.maximum(rank - sp.k_reg, 0)
 
 
@@ -121,36 +130,56 @@ class PredictionSet:
     class_labels: np.ndarray  # all label values, ascending
 
     def __contains__(self, label) -> bool:
-        return bool(np.isin(label, self.labels))
+        return label in self.labels.tolist()
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
 
-def build_set(
-    p: np.ndarray,
-    store: CalibrationStore,
-    alpha: float,
-    u: float,
-    sp: ScoreParams,
-    class_labels: np.ndarray | None = None,
-) -> PredictionSet:
-    """Prediction set rule: keep c while fraction(tau <= score(c)) < 1 - alpha."""
-    if not 0 < alpha < 1:
+def build_sets(
+    p: np.ndarray, u: np.ndarray, store: CalibrationStore, alphas, sp: ScoreParams, class_labels
+) -> tuple[dict, np.ndarray]:
+    """Prediction set rule: keep c while fraction(tau <= score(c)) < 1 - alpha, for
+    m rows p (m, C) with randomizers u (m,) against one store.  Returns
+    ``{alpha: [PredictionSet] * m}`` and the (m, C) label scores."""
+    if not all(0 < a < 1 for a in alphas):
         raise ValueError("alpha must be in (0, 1)")
-    p = check_probability_vector(p)
-    if class_labels is None:
-        class_labels = np.arange(len(p))
+    p = check_probability_vector(p, ndim=2)
+    class_labels = np.asarray(class_labels)
     label_scores = scores_all_labels(p, u, sp)
-    keep = store.fraction_leq(label_scores) < 1.0 - alpha
-    return PredictionSet(
-        labels=np.asarray(class_labels)[keep],
-        alpha=alpha,
-        threshold=store.quantile(alpha),
-        label_scores=label_scores,
-        class_labels=np.asarray(class_labels),
-    )
+    fraction = store.fraction_leq(label_scores)
+    sets = {}
+    for a in alphas:
+        threshold = store.quantile(a)
+        sets[a] = [
+            PredictionSet(class_labels[keep], a, threshold, row, class_labels)
+            for keep, row in zip(fraction < 1.0 - a, label_scores)
+        ]
+    return sets, label_scores
+
+
+def build_set(
+    p: np.ndarray, store: CalibrationStore, alpha: float, u: float, sp: ScoreParams, class_labels=None
+) -> PredictionSet:
+    """The set rule for one probability vector: a batch of one."""
+    p = check_probability_vector(p)
+    labels = np.arange(len(p)) if class_labels is None else class_labels
+    sets, _ = build_sets(p[None, :], np.array([u]), store, (alpha,), sp, labels)
+    return sets[alpha][0]
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row softmax of (n, C) logits, in place, folded over the C columns."""
+    cols = logits.T
+    top = functools.reduce(np.maximum, cols)
+    for col in cols:
+        col -= top
+    np.exp(logits, out=logits)
+    total = functools.reduce(np.add, cols)
+    for col in cols:
+        col /= total
+    return logits
 
 
 class LogisticClassifier:
@@ -168,24 +197,23 @@ class LogisticClassifier:
         self._x_mean = None
         self._x_std = None
 
-    def clone(self) -> "LogisticClassifier":
-        return LogisticClassifier(self.learning_rate, self.epochs, self.l2)
+    def _design(self, X: np.ndarray) -> np.ndarray:
+        """Standardized features plus an intercept column."""
+        return np.hstack([(X - self._x_mean) / self._x_std, np.ones((len(X), 1))])
 
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int, seed: int = 0):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=np.int64)
         n, d = X.shape
         self._x_mean = X.mean(axis=0)
-        self._x_std = np.where(X.std(axis=0) > 1e-12, X.std(axis=0), 1.0)
-        Z = np.hstack([(X - self._x_mean) / self._x_std, np.ones((n, 1))])
+        std = X.std(axis=0)
+        self._x_std = np.where(std > 1e-12, std, 1.0)
+        Z = self._design(X)
         W = np.zeros((d + 1, num_classes))
         onehot = np.zeros((n, num_classes))
         onehot[np.arange(n), y] = 1.0
         for _ in range(self.epochs):
-            logits = Z @ W
-            logits -= logits.max(axis=1, keepdims=True)
-            proba = np.exp(logits)
-            proba /= proba.sum(axis=1, keepdims=True)
+            proba = _softmax(Z @ W)
             grad = Z.T @ (proba - onehot) / n + self.l2 * W
             W -= self.learning_rate * grad
         self._weights = W
@@ -194,13 +222,7 @@ class LogisticClassifier:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self._weights is None:
             raise RuntimeError("classifier is not fitted")
-        X = np.asarray(X, dtype=float)
-        Z = np.hstack([(X - self._x_mean) / self._x_std, np.ones((len(X), 1))])
-        logits = Z @ self._weights
-        logits -= logits.max(axis=1, keepdims=True)
-        proba = np.exp(logits)
-        proba /= proba.sum(axis=1, keepdims=True)
-        return proba
+        return _softmax(self._design(np.asarray(X, dtype=float)) @ self._weights)
 
 
 @dataclass
@@ -219,20 +241,15 @@ class ConformalRun:
 def _encode_labels(train_y, test_y):
     class_labels = np.unique(np.asarray(train_y))
     if len(class_labels) < 2:
-        raise ValueError(
-            f"training labels are degenerate (single class {class_labels}); "
-            "cannot calibrate a classifier"
-        )
-    lookup = {v: i for i, v in enumerate(class_labels)}
-    y_train = np.array([lookup[v] for v in np.asarray(train_y)], dtype=np.int64)
+        raise ValueError(f"training labels are degenerate (single class {class_labels}); "
+                         "cannot calibrate a classifier")
     y_test = None
     if test_y is not None:
-        test_y = np.asarray(test_y)
         missing = set(np.unique(test_y)) - set(class_labels.tolist())
         if missing:
             raise ValueError(f"test labels {sorted(missing)} never appear in training data")
-        y_test = np.array([lookup[v] for v in test_y], dtype=np.int64)
-    return class_labels, y_train, y_test
+        y_test = np.searchsorted(class_labels, test_y)
+    return class_labels, np.searchsorted(class_labels, train_y), y_test
 
 
 def _renormalize(p: np.ndarray) -> np.ndarray:
@@ -260,9 +277,10 @@ def eraps(
     training point is scored under the aggregate of the models whose
     bootstrap excluded it (falling back to the full ensemble when none did);
     test points are scored under the aggregate of those leave-one-out
-    aggregates.  After every ``batch_size`` revealed test labels the oldest
-    calibration scores are replaced by the newly computed ones.  One store
-    serves every requested alpha.
+    aggregates.  Each batch of ``batch_size`` test points gets its sets for
+    all labels and alphas from one ``build_sets`` call on the current store;
+    then its labels are revealed (``test_y`` is required) and their scores
+    replace the oldest calibration scores.
 
     ``phi`` aggregates probability rows: a callable from an (m, C) array to
     a length-C vector, applied per training point over its out-of-bootstrap
@@ -279,9 +297,10 @@ def eraps(
         raise ValueError("need at least 10 training points")
     if not 1 <= batch_size <= max(n_test, 1):
         raise ValueError("batch_size must be in [1, number of test points]")
+    if test_y is None:
+        raise ValueError("ERAPS needs the revealed test labels (test_y) to slide its window")
     alphas = tuple(float(a) for a in alphas)
-    if classifier_factory is None:
-        classifier_factory = LogisticClassifier
+    classifier_factory = classifier_factory or LogisticClassifier
 
     class_labels, y_train, y_test = _encode_labels(train_y, test_y)
     C = len(class_labels)
@@ -298,8 +317,7 @@ def eraps(
         p_test[b] = clf.predict_proba(test_x)
 
     in_sample = np.zeros((num_bootstrap, n_train), dtype=bool)
-    for b in range(num_bootstrap):
-        in_sample[b, boot_indices[b]] = True
+    in_sample[np.arange(num_bootstrap)[:, None], boot_indices] = True
     out = (~in_sample).T.astype(float)             # (n_train, B)
     out_counts = out.sum(axis=1)
     fallbacks = int((out_counts == 0).sum())
@@ -336,25 +354,19 @@ def eraps(
             proba_test[j] = phi(per_train)
         proba_test = _renormalize(proba_test)
 
-    tau_init = np.array(
-        [score(loo_train[i], y_train[i], uniforms[i], score_params) for i in range(n_train)]
-    )
-    store = CalibrationStore(tau_init)
-
+    u_train, u_test = uniforms[:n_train], uniforms[n_train:]
+    tau_init = scores_all_labels(loo_train, u_train, score_params)
+    store = CalibrationStore(tau_init[np.arange(n_train), y_train])
     sets: dict[float, list[PredictionSet]] = {a: [] for a in alphas}
-    for j in range(n_test):
-        u_j = uniforms[n_train + j]
+    for start in range(0, n_test, batch_size):
+        batch = slice(start, start + batch_size)
+        batch_sets, label_scores = build_sets(
+            proba_test[batch], u_test[batch], store, alphas, score_params, class_labels
+        )
         for a in alphas:
-            sets[a].append(build_set(proba_test[j], store, a, u_j, score_params, class_labels))
-        if (j + 1) % batch_size == 0:
-            batch = range(j + 1 - batch_size, j + 1)
-            new_scores = np.array(
-                [
-                    score(proba_test[i], y_test[i], uniforms[n_train + i], score_params)
-                    for i in batch
-                ]
-            )
-            store = store.slide(new_scores)
+            sets[a].extend(batch_sets[a])
+        if len(label_scores) == batch_size:  # a trailing partial batch never slides
+            store = store.slide(label_scores[np.arange(batch_size), y_test[batch]])
 
     return _conformal_run("eraps", alphas, sets, test_y, class_labels, loo_fallbacks=fallbacks)
 
@@ -372,18 +384,17 @@ def sraps(
     seed: int = 0,
 ) -> ConformalRun:
     """Split-conformal baseline: one model, one fixed calibration split,
-    the same score and set rule, no sliding."""
+    the same score and set rule, no sliding; the whole test stream is one
+    ``build_sets`` batch."""
     if not 0 < split_fraction < 1:
         raise ValueError("split_fraction must be in (0, 1)")
     train_x = np.asarray(train_x, dtype=float)
     test_x = np.asarray(test_x, dtype=float)
     alphas = tuple(float(a) for a in alphas)
-    if classifier_factory is None:
-        classifier_factory = LogisticClassifier
+    classifier_factory = classifier_factory or LogisticClassifier
 
-    class_labels, y_train, y_test = _encode_labels(train_y, test_y)
-    C = len(class_labels)
-    n_train, n_test = len(train_x), len(test_x)
+    class_labels, y_train, _ = _encode_labels(train_y, test_y)
+    n_train = len(train_x)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_train)
     n_proper = max(1, int(math.floor(split_fraction * n_train)))
@@ -392,23 +403,14 @@ def sraps(
     proper, cal = perm[:n_proper], perm[n_proper:]
     if len(np.unique(y_train[proper])) < 2:
         raise ValueError("proper-training split is degenerate (single class)")
-    uniforms = rng.uniform(size=len(cal) + n_test)
+    uniforms = rng.uniform(size=len(cal) + len(test_x))
 
     clf = classifier_factory()
-    clf.fit(train_x[proper], y_train[proper], num_classes=C, seed=seed)
-    p_cal = clf.predict_proba(train_x[cal])
-    tau_cal = np.array(
-        [score(p_cal[i], y_train[cal[i]], uniforms[i], score_params) for i in range(len(cal))]
-    )
-    store = CalibrationStore(tau_cal)
-
+    clf.fit(train_x[proper], y_train[proper], num_classes=len(class_labels), seed=seed)
+    tau_cal = scores_all_labels(clf.predict_proba(train_x[cal]), uniforms[: len(cal)], score_params)
+    store = CalibrationStore(tau_cal[np.arange(len(cal)), y_train[cal]])
     proba_test = clf.predict_proba(test_x)
-    sets: dict[float, list[PredictionSet]] = {a: [] for a in alphas}
-    for j in range(n_test):
-        u_j = uniforms[len(cal) + j]
-        for a in alphas:
-            sets[a].append(build_set(proba_test[j], store, a, u_j, score_params, class_labels))
-
+    sets, _ = build_sets(proba_test, uniforms[len(cal):], store, alphas, score_params, class_labels)
     return _conformal_run("sraps", alphas, sets, test_y, class_labels)
 
 
@@ -427,10 +429,8 @@ def coverage_report(sets_by_alpha: dict, truths: np.ndarray | None, alphas=None)
         stream = sets_by_alpha[a]
         if truths is not None and len(stream) != len(truths):
             raise ValueError("prediction-set stream and truth stream are misaligned")
-        if truths is None or not len(stream):
-            coverage = float("nan")
-        else:
-            coverage = float(np.mean([truths[i] in stream[i] for i in range(len(stream))]))
+        hits = [] if truths is None else [t in s for t, s in zip(truths, stream)]
+        coverage = float(np.mean(hits)) if hits else float("nan")
         mean_size = float(np.mean([s.size for s in stream])) if len(stream) else 0.0
         rows.append({"alpha": float(a), "coverage": coverage, "mean_size": mean_size})
     return rows

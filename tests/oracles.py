@@ -127,3 +127,64 @@ def oracle_prediction_set_size(posterior_row: np.ndarray, alpha: float) -> int:
     order = np.sort(posterior_row)[::-1]
     cum = np.cumsum(order)
     return int(np.searchsorted(cum, 1.0 - alpha) + 1)
+
+
+def conformal_sets_oracle(cal_proba, cal_labels, test_proba, test_labels, uniforms, alphas,
+                          lambda_reg=1.0, k_reg=2, batch_size=None):
+    """Prediction sets one test point and one label at a time.
+
+    Calibration point i is scored under its true label with randomizer
+    ``uniforms[i]``, test point j with ``uniforms[len(cal_proba) + j]``.
+    Each test point keeps label c while the fraction of stored scores at or
+    below score(c) stays under 1 - alpha.  After every ``batch_size`` test
+    points (never when None) their true-label scores replace the oldest
+    stored ones.  Returns ``{alpha: [(labels, threshold, label_scores)]}``
+    with label indices, as plain Python values.
+    """
+
+    def score(p, c, u):
+        above = [float(q) for q in p if q > p[c]]
+        return sum(above) + float(p[c]) * u + lambda_reg * max(len(above) + 1 - k_reg, 0)
+
+    n_cal = len(cal_proba)
+    store = [score(p, c, u) for p, c, u in zip(cal_proba, cal_labels, uniforms)]
+    out = {a: [] for a in alphas}
+    for j, p in enumerate(test_proba):
+        u = float(uniforms[n_cal + j])
+        scores = [score(p, c, u) for c in range(len(p))]
+        for a in alphas:
+            n = len(store)
+            threshold = sorted(store)[min(n, math.ceil((1.0 - a) * (n + 1))) - 1]
+            labels = [c for c, s in enumerate(scores) if sum(t <= s for t in store) / n < 1.0 - a]
+            out[a].append((labels, threshold, scores))
+        if batch_size is not None and (j + 1) % batch_size == 0:
+            batch = range(j + 1 - batch_size, j + 1)
+            revealed = [score(test_proba[i], test_labels[i], float(uniforms[n_cal + i])) for i in batch]
+            store = store[batch_size:] + revealed
+    return out
+
+
+def logistic_regression_oracle(X, y, num_classes, X_eval, learning_rate=1.0, epochs=300, l2=1e-4):
+    """Multinomial logistic regression by full-batch gradient descent, with
+    row-wise max and sum reductions; returns the weights and the class
+    probabilities at ``X_eval``."""
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    mean = X.mean(axis=0)
+    std = np.where(X.std(axis=0) > 1e-12, X.std(axis=0), 1.0)
+    Z = np.hstack([(X - mean) / std, np.ones((n, 1))])
+    W = np.zeros((d + 1, num_classes))
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), y] = 1.0
+    for _ in range(epochs):
+        logits = Z @ W
+        logits -= logits.max(axis=1, keepdims=True)
+        proba = np.exp(logits)
+        proba /= proba.sum(axis=1, keepdims=True)
+        grad = Z.T @ (proba - onehot) / n + l2 * W
+        W -= learning_rate * grad
+    Z_eval = np.hstack([(X_eval - mean) / std, np.ones((len(X_eval), 1))])
+    logits = Z_eval @ W
+    logits -= logits.max(axis=1, keepdims=True)
+    proba = np.exp(logits)
+    return W, proba / proba.sum(axis=1, keepdims=True)

@@ -7,6 +7,8 @@ test suite, and not only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from firecast import conformal, estimation, marks, model, pipeline, simulation, thresholding
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -42,3 +44,21 @@ def test_install_patches_and_uninstall_restores():
     after = _snapshot()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_eraps_nests_one_fit_span_per_bootstrap_model():
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(60, 2)), np.arange(60) % 3
+    tracer = _load_tracing().Tracer()
+    tracer.iteration = 0
+    tracer.install()
+    try:
+        conformal.eraps(X[:40], y[:40], X[40:], y[40:], num_bootstrap=3, batch_size=5, alphas=[0.1])
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name_id]
+    eraps_spans = [i for i, name in enumerate(names) if name == "conformal.eraps"]
+    fit_spans = [i for i, name in enumerate(names) if name == "conformal.LogisticClassifier.fit"]
+    assert len(eraps_spans) == 1 and len(fit_spans) == 3
+    assert all(tracer.parent[i] == eraps_spans[0] for i in fit_spans)
+    assert tracer.iteration_metrics(0)["conformal.classifier_fits"] == 3

@@ -7,6 +7,8 @@ from firecast.conformal import (
     PredictionSet,
     ScoreParams,
     build_set,
+    build_sets,
+    check_probability_vector,
     coverage_report,
     eraps,
     mass_above,
@@ -16,7 +18,12 @@ from firecast.conformal import (
     sraps,
 )
 
-from oracles import gaussian_class_data, gaussian_true_posterior
+from oracles import (
+    conformal_sets_oracle,
+    gaussian_class_data,
+    gaussian_true_posterior,
+    logistic_regression_oracle,
+)
 
 P_532 = np.array([0.5, 0.3, 0.2])
 MEANS = np.array([[2.0, 0.0], [-1.0, 1.7], [-1.0, -1.7]])
@@ -343,3 +350,138 @@ class TestSlidingWindow:
                      alphas=[0.05, 0.1, 0.2], seed=6)
         for a, b in zip(solo.sets[0.1], trio.sets[0.1]):
             assert np.array_equal(a.labels, b.labels)
+
+
+class TestNonFiniteProbabilities:
+    @pytest.mark.parametrize("bad", [[np.nan] * 3, [np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]])
+    def test_rejected_one_by_one_and_in_a_batch(self, bad):
+        with pytest.raises(ValueError):
+            check_probability_vector(bad)
+        store = CalibrationStore(np.linspace(0.1, 1.0, 10))
+        with pytest.raises(ValueError):
+            build_set(np.array(bad), store, 0.1, 0.5, ScoreParams())
+        rows = np.array([[0.5, 0.3, 0.2], bad])
+        with pytest.raises(ValueError):
+            build_sets(rows, np.array([0.5, 0.5]), store, (0.1,), ScoreParams(), np.arange(3))
+
+
+class TestErapsNeedsRevealedLabels:
+    def test_missing_test_labels_rejected_up_front(self):
+        tx, ty, ex, _ = TestEraps()._data()
+        with pytest.raises(ValueError, match="revealed test labels"):
+            eraps(tx, ty, ex, None, num_bootstrap=3, batch_size=5, alphas=[0.1])
+
+
+class RowTableClassifier:
+    """Plug-in returning one of four fixed rows, chosen by the signs of the
+    first two features."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def fit(self, X, y, num_classes, seed=0):
+        return self
+
+    def predict_proba(self, X):
+        X = np.asarray(X, dtype=float)
+        return self.rows[(X[:, 0] > 0) + 2 * (X[:, 1] > 0)]
+
+
+# dyadic rows summing to exactly 1, so leave-one-out averaging is exact (below)
+ROW_3 = np.array([0.5, 0.375, 0.125])
+ROW_9 = np.array([30, 22, 18, 16, 14, 12, 8, 5, 3]) / 128.0
+ROWS_3 = np.array([[0.5, 0.375, 0.125], [0.25, 0.25, 0.5], [0.125, 0.75, 0.125], [0.0, 0.5, 0.5]])
+CLASSIFIERS = {
+    "fixed-3": (3, lambda: FixedClassifier(ROW_3)),
+    "fixed-9": (9, lambda: FixedClassifier(ROW_9)),
+    "table-3": (3, lambda: RowTableClassifier(ROWS_3)),
+}
+
+
+class TestBatchedSetsMatchPerPointOracle:
+    """``eraps``/``sraps`` against the per-point loop of ``conformal_sets_oracle``.
+
+    With 2 bootstrap models and 64 training points every leave-one-out weight
+    is 0, 1/2 or 1 and the test weights are multiples of 1/128, so each
+    aggregated probability row equals the classifier's row exactly and the
+    oracle can be fed the classifier's own rows.
+    """
+
+    ALPHAS = (0.05, 0.1, 0.2)
+    N_TRAIN, N_TEST, BATCH = 64, 47, 10   # 10 does not divide 47
+
+    def _data(self, C, seed):
+        rng = np.random.default_rng(seed)
+        n = self.N_TRAIN + self.N_TEST
+        X = rng.normal(size=(n, 2))
+        y = rng.integers(0, C, size=n)
+        y[:C] = np.arange(C)  # every class appears in training
+        return X[: self.N_TRAIN], y[: self.N_TRAIN], X[self.N_TRAIN:], y[self.N_TRAIN:]
+
+    def _compare(self, run, expected, C):
+        for a in self.ALPHAS:
+            assert len(run.sets[a]) == len(expected[a])
+            for got, (labels, threshold, scores) in zip(run.sets[a], expected[a]):
+                assert got.labels.tolist() == labels
+                assert got.threshold == threshold
+                if C < 8:
+                    assert got.label_scores.tolist() == scores
+                else:
+                    np.testing.assert_allclose(got.label_scores, scores, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(CLASSIFIERS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eraps(self, name, seed):
+        C, factory = CLASSIFIERS[name]
+        tx, ty, ex, ey = self._data(C, seed)
+        run = eraps(tx, ty, ex, ey, num_bootstrap=2, batch_size=self.BATCH, alphas=self.ALPHAS,
+                    classifier_factory=factory, seed=seed)
+        rng = np.random.default_rng(seed)
+        rng.integers(0, self.N_TRAIN, size=(2, self.N_TRAIN))  # the bootstrap draws
+        uniforms = rng.uniform(size=self.N_TRAIN + self.N_TEST)
+        clf = factory()
+        expected = conformal_sets_oracle(
+            clf.predict_proba(tx), ty, clf.predict_proba(ex), ey, uniforms, self.ALPHAS,
+            batch_size=self.BATCH,
+        )
+        self._compare(run, expected, C)
+
+    @pytest.mark.parametrize("name", sorted(CLASSIFIERS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sraps(self, name, seed):
+        C, factory = CLASSIFIERS[name]
+        tx, ty, ex, ey = self._data(C, seed)
+        run = sraps(tx, ty, ex, ey, split_fraction=0.5, alphas=self.ALPHAS,
+                    classifier_factory=factory, seed=seed)
+        rng = np.random.default_rng(seed)
+        cal = rng.permutation(self.N_TRAIN)[self.N_TRAIN // 2:]
+        uniforms = rng.uniform(size=len(cal) + self.N_TEST)
+        clf = factory()
+        expected = conformal_sets_oracle(
+            clf.predict_proba(tx[cal]), ty[cal], clf.predict_proba(ex), ey, uniforms, self.ALPHAS
+        )
+        self._compare(run, expected, C)
+
+    def test_sraps_with_varying_posteriors(self):
+        rng = np.random.default_rng(13)
+        X, y = gaussian_class_data(rng, 160, MEANS, sigma=1.0)
+        tx, ty, ex, ey = X[:100], y[:100], X[100:], y[100:]
+        run = sraps(tx, ty, ex, ey, split_fraction=0.5, alphas=self.ALPHAS,
+                    classifier_factory=TruePosteriorClassifier, seed=3)
+        rng2 = np.random.default_rng(3)
+        cal = rng2.permutation(100)[50:]
+        uniforms = rng2.uniform(size=len(cal) + len(ex))
+        clf = TruePosteriorClassifier()
+        expected = conformal_sets_oracle(
+            clf.predict_proba(tx[cal]), ty[cal], clf.predict_proba(ex), ey, uniforms, self.ALPHAS
+        )
+        self._compare(run, expected, 3)
+
+
+def test_logistic_weights_match_row_reduction_loop():
+    rng = np.random.default_rng(14)
+    X, y = gaussian_class_data(rng, 500, MEANS, sigma=1.1)
+    clf = LogisticClassifier().fit(X, y, num_classes=3)
+    weights, proba = logistic_regression_oracle(X, y, 3, X[:200])
+    assert np.array_equal(clf._weights, weights)
+    assert np.array_equal(clf.predict_proba(X[:200]), proba)
