@@ -30,9 +30,8 @@ from .estimation import (
     projected_gradient_descent,
 )
 from .events import EventSequence, load_events_csv, save_events_csv
-from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer, precomputed_scorer
+from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from .model import (
-    KernelConfig,
     ModelParams,
     RATE_FLOOR,
     conditional_intensity,

@@ -34,7 +34,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
-    mark_model = pipeline.build_mark_model(args.mark_model, seq, args.scores)
+    mark_model = pipeline.build_mark_model(args.mark_model, seq)
     config = estimation.FitConfig(
         beta_low=args.beta_low,
         beta_high=args.beta_high,
@@ -43,7 +43,8 @@ def cmd_fit(args) -> int:
         kappa=args.kappa,
         l1_weight=args.l1_weight,
     )
-    fit = pipeline.fit_stage(seq, mark_model, config, args.method)
+    feasible = estimation.FeasibleSet(mask=_load_params(args.support).mask) if args.support else None
+    fit = pipeline.fit_stage(seq, mark_model, config, args.method, feasible)
     fit.params.to_json(args.out)
     if args.trace:
         pipeline.write_fit_trace_csv(args.trace, fit.trace)
@@ -142,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
-    p.add_argument("--mark-model", choices=("linear", "kde", "precomputed"), default="linear")
-    p.add_argument("--scores", help="per-event score CSV for --mark-model precomputed")
+    p.add_argument("--mark-model", choices=("linear", "kde"), default="linear")
+    p.add_argument("--support", help="params JSON whose interaction mask the fit keeps (default: all pairs)")
     p.add_argument("--method", choices=("grid", "alternating"), default="grid")
     p.add_argument("--beta-low", type=float, default=0.01)
     p.add_argument("--beta-high", type=float, default=2.0)

@@ -5,11 +5,14 @@ convex in (mu, alpha, gamma); it is minimized by projected gradient descent
 with step sizes ``t_k = 1 / (kappa * (k + 1))`` and soft-thresholding for
 the l1 part of the gamma block.  ``beta`` itself is handled either by a
 one-dimensional grid search (``grid_fit``) or by alternating the convex
-solve with a golden-section line search (``alternating_fit``).  Each
-objective or gradient evaluation gathers only the (source, destination)
-pairs the interaction mask allows (:class:`model.EventKernel`), so it costs
-O(events x allowed sources), not O(n K^2): a neighbour mask is what makes
-state-scale fits cheap.
+solve with a golden-section line search (``alternating_fit``).  The solver
+works on the flat iterate ``[mu, alpha[src, dst], gamma]`` of length
+K + P + p, where ``src, dst`` are the P (source, destination) pairs the
+interaction mask allows: the sparsity constraint is structural, and each
+objective or gradient evaluation (:class:`model.EventKernel`) costs
+O(events x allowed sources), not O(n K^2).  A neighbour mask is what makes
+state-scale fits cheap; the dense K x K alpha is only built for each fitted
+result.
 
 All routines are deterministic: same inputs give bit-identical results.
 """
@@ -20,7 +23,7 @@ import dataclasses
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,28 +45,39 @@ class NonFiniteGradientError(RuntimeError):
 @dataclass(frozen=True)
 class FeasibleSet:
     """Convex constraint region: mu >= 0, beta >= 0, the interaction
-    sparsity mask, and radius-``BALL_RADIUS`` balls on mu, alpha and gamma."""
+    sparsity mask, and radius-``BALL_RADIUS`` balls on mu, alpha and gamma.
+    ``src, dst`` are the mask's allowed pairs in ``np.nonzero`` order."""
 
     mask: np.ndarray
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
+        src, dst = np.nonzero(self.mask)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
 
     @property
     def num_locations(self) -> int:
         return self.mask.shape[0]
 
+    def scatter(self, alpha_pairs: np.ndarray) -> np.ndarray:
+        """The dense K x K alpha with ``alpha_pairs`` on the allowed pairs."""
+        alpha = np.zeros(self.mask.shape)
+        alpha[self.src, self.dst] = alpha_pairs
+        return alpha
 
-def _project_blocks(mu: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, masked_out) -> None:
+
+def _project_blocks(mu: np.ndarray, alpha: np.ndarray, gamma: np.ndarray) -> None:
     """Project the parameter blocks onto the feasible set, in place.
 
-    mu is clamped to the nonnegative orthant and alpha has its masked
-    entries zeroed; each block is then scaled into its ball.  Each
-    composition is the exact projection for its intersection
-    (orthant-with-ball and subspace-with-ball, both centered at the origin).
+    mu is clamped to the nonnegative orthant, then each block is scaled into
+    its ball; alpha is already restricted to the mask.  Each composition is
+    the exact projection for its intersection (orthant-with-ball and
+    subspace-with-ball, both centered at the origin).
     """
     np.maximum(mu, 0.0, out=mu)
-    alpha[masked_out] = 0.0
     for block in (mu, alpha, gamma):
         nrm = float(np.linalg.norm(block))
         if nrm > BALL_RADIUS:
@@ -75,7 +89,8 @@ def project(raw: ModelParams, feasible: FeasibleSet) -> ModelParams:
     if raw.mu.shape != (feasible.num_locations,) or raw.alpha.shape != feasible.mask.shape:
         raise ValueError("parameter shapes do not match the feasible set")
     mu, alpha, gamma = raw.mu.copy(), raw.alpha.copy(), raw.gamma.copy()
-    _project_blocks(mu, alpha, gamma, ~feasible.mask)
+    alpha[~feasible.mask] = 0.0
+    _project_blocks(mu, alpha, gamma)
     return ModelParams(mu=mu, alpha=alpha, beta=max(raw.beta, 0.0), gamma=gamma, mask=feasible.mask)
 
 
@@ -204,19 +219,19 @@ class FitResult:
 
 class _FixedBetaProblem:
     """Penalized objective and smooth gradient at a fixed beta on a flat
-    parameter vector [mu, alpha.ravel(), gamma].
+    parameter vector [mu, alpha[src, dst], gamma] over the feasible set's
+    allowed pairs.
 
-    The kernel gathers the pairs of ``support`` (the feasible mask);
-    projection zeroes alpha off the mask, so the gradient's off-mask entries
-    never reach an iterate.  A gamma-free mark term is scored once.  The
-    intensities of the latest argument are cached by identity: the descent
-    loop evaluates objective and gradient at the same accepted iterate.
+    A gamma-free mark term is scored once.  The intensities of the latest
+    argument are cached by identity: the descent loop evaluates objective
+    and gradient at the same accepted iterate.
     """
 
-    def __init__(self, seq: EventSequence, mark_model, beta: float, l1_weight: float, support: np.ndarray):
-        self.kernel = model.EventKernel(seq, support, beta)
+    def __init__(self, seq: EventSequence, mark_model, beta: float, l1_weight: float, feasible: FeasibleSet):
+        self.feasible = feasible
+        self.kernel = model.EventKernel(seq, feasible.src, feasible.dst, beta)
         self.l1_weight = float(l1_weight)
-        self.K, self.p = seq.num_locations, seq.mark_dim
+        self.K, self.P, self.p = seq.num_locations, len(feasible.src), seq.mark_dim
         self.marks = np.ascontiguousarray(seq.marks)
         self.uses_gamma = mark_model.uses_gamma
         if not self.uses_gamma:
@@ -224,11 +239,13 @@ class _FixedBetaProblem:
         self._cache_key = self._cache_lam = None
 
     def split(self, x: np.ndarray):
-        K = self.K
-        return x[:K], x[K : K + K * K].reshape(K, K), x[K + K * K :]
+        """(mu, alpha on the pairs, gamma) views of ``x``."""
+        K, P = self.K, self.P
+        return x[:K], x[K : K + P], x[K + P :]
 
     def flatten(self, mu, alpha, gamma) -> np.ndarray:
-        return np.concatenate([mu, alpha.ravel(), gamma])
+        """The flat vector of (mu, dense K x K alpha, gamma)."""
+        return np.concatenate([mu, alpha[self.feasible.src, self.feasible.dst], gamma])
 
     def _event_intensities(self, x, mu, alpha):
         if self._cache_key is not x:
@@ -265,7 +282,7 @@ class _FixedBetaProblem:
         mu, alpha, gamma = self.split(x)
         g_mu, g_alpha = self.kernel.gradients(self._event_intensities(x, mu, alpha))
         g_gamma = model.linear_mark_gradient(self.marks, gamma) if self.uses_gamma else np.zeros(self.p)
-        return self.flatten(g_mu, g_alpha, g_gamma)
+        return np.concatenate([g_mu, g_alpha, g_gamma])
 
 
 def default_feasible_set(seq: EventSequence, mask: np.ndarray | None = None) -> FeasibleSet:
@@ -276,12 +293,13 @@ def default_feasible_set(seq: EventSequence, mask: np.ndarray | None = None) -> 
 
 
 def default_init(seq: EventSequence, feasible: FeasibleSet, beta: float) -> ModelParams:
-    """Starting point: event-rate baseline, no interaction, flat mark weights."""
+    """Starting point: event-rate baseline, no interaction, flat mark weights,
+    projected onto the feasible set (a zero alpha already is)."""
     K, p = seq.num_locations, seq.mark_dim
     mu = np.full(K, len(seq) / (K * seq.horizon))
     gamma = np.full(p, 1.0 / math.sqrt(p)) if p else np.zeros(0)
-    raw = ModelParams(mu=mu, alpha=np.zeros((K, K)), beta=beta, gamma=gamma, mask=feasible.mask)
-    return project(raw, feasible)
+    _project_blocks(mu, np.zeros(0), gamma)
+    return ModelParams(mu=mu, alpha=np.zeros((K, K)), beta=beta, gamma=gamma, mask=feasible.mask)
 
 
 def pgd_fit(
@@ -299,13 +317,12 @@ def pgd_fit(
         feasible = default_feasible_set(seq)
     if init is None:
         init = default_init(seq, feasible, beta)
-    problem = _FixedBetaProblem(seq, mark_model, beta, config.l1_weight, feasible.mask)
-    K = problem.K
-    masked_out = ~feasible.mask.ravel()
+    problem = _FixedBetaProblem(seq, mark_model, beta, config.l1_weight, feasible)
+    g0 = problem.K + problem.P  # gamma's offset in the flat vector
 
     def project_flat(x):
         out = x.copy()
-        _project_blocks(out[:K], out[K : K + K * K], out[K + K * K :], masked_out)
+        _project_blocks(*problem.split(out))
         return out
 
     def prox_flat(x, t):
@@ -313,7 +330,7 @@ def pgd_fit(
         if config.l1_weight == 0:
             return x
         out = x.copy()
-        out[K + K * K :] = soft_threshold(x[K + K * K :], t * config.l1_weight)
+        out[g0:] = soft_threshold(x[g0:], t * config.l1_weight)
         return out
 
     x0 = problem.flatten(init.mu, init.alpha, init.gamma)
@@ -328,7 +345,7 @@ def pgd_fit(
         backtracking=config.backtracking,
     )
     mu, alpha, gamma = problem.split(x)
-    params = ModelParams(mu=mu, alpha=alpha, beta=beta, gamma=gamma, mask=feasible.mask)
+    params = ModelParams(mu=mu, alpha=feasible.scatter(alpha), beta=beta, gamma=gamma, mask=feasible.mask)
     return PgdResult(params=params, trace=trace)
 
 
@@ -425,7 +442,7 @@ def alternating_fit(
     beta = float(config.beta_init)
     params = init if init is not None else default_init(seq, feasible, beta)
     # one set of index arrays (and one gamma-free mark term) for every line search
-    line_problem = _FixedBetaProblem(seq, mark_model, beta, config.l1_weight, feasible.mask)
+    line_problem = _FixedBetaProblem(seq, mark_model, beta, config.l1_weight, feasible)
     outer_trace = []
     trace = np.zeros(0)
     outer_done = 0

@@ -5,13 +5,11 @@ one over a sequence's events, ``score`` a batch of one).  The linear model
 scores ``gamma @ m`` with the weights held in the point-process parameters;
 the nonlinear model delegates to a fitted scorer
 ``(marks (N, p), times (N,), locations (N,)) -> (N,)`` whose scalar result is
-broadcast to all N rows.  Two scorers ship here (a per-event lookup table and
-a Gaussian KDE); anything fancier plugs in through the same callable contract.
+broadcast to all N rows.  One scorer ships here (a Gaussian KDE); anything
+fancier plugs in through the same callable contract.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 from scipy.stats import gaussian_kde
@@ -53,42 +51,6 @@ class NonLinearMarkModel:
 
     def score(self, gamma: np.ndarray, marks: np.ndarray, t: float, location: int) -> float:
         return float(self.scores(gamma, np.reshape(marks, (1, -1)), np.array([t]), np.array([location]))[0])
-
-
-def precomputed_scorer(times: np.ndarray, locations: np.ndarray, scores: np.ndarray, time_tol: float = 1e-9):
-    """Scorer backed by per-event scores computed offline.
-
-    Lookup is by exact (time, location) match, row by row over a batch;
-    querying a pair that was not scored raises, since inventing a score
-    would silently corrupt the likelihood.
-    """
-    times = np.asarray(times, dtype=float)
-    locations = np.asarray(locations, dtype=np.int64)
-    scores = np.asarray(scores, dtype=float)
-    if not (len(times) == len(locations) == len(scores)):
-        raise ValueError("times, locations, scores must have equal length")
-
-    table = {}
-    for t, u, s in zip(times, locations, scores):
-        table[(round(float(t) / time_tol), int(u))] = float(s)
-
-    def scorer(marks, t, location):
-        out = []
-        for ti, ui in zip(np.ravel(t), np.ravel(location)):
-            key = (round(float(ti) / time_tol), int(ui))
-            if key not in table:
-                raise KeyError(f"no precomputed score for (t={ti}, location={ui})")
-            out.append(table[key])
-        return np.array(out).reshape(np.shape(t))
-
-    return scorer
-
-
-def load_precomputed_scores(path: str | Path):
-    """Load a ``time,location,score`` CSV into a precomputed scorer."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    return precomputed_scorer(data["time"], data["location"].astype(np.int64), data["score"])
 
 
 def kde_scorer(train_marks: np.ndarray):

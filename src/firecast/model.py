@@ -14,8 +14,12 @@ form
 
 whose integral term this module also exposes separately (the compensator of
 the location-summed ground process).  :class:`EventKernel` evaluates the
-event intensities and their gradient over the (source, destination) pairs
-a mask allows, in O(events x allowed sources) rather than O(n K^2).
+event intensities and their gradient over a list of allowed (source,
+destination) pairs, in O(events x allowed sources) rather than O(n K^2):
+each (event, source) value comes from a decayed-count recursion over that
+source's own events, never from a dense n x K history matrix
+(:func:`excitation_matrix` stays as the reference it is tested against).
+``params.json`` stores alpha on the mask's pairs only.
 Intensities passed to ``log`` are floored at ``RATE_FLOOR`` so the objective
 stays finite on the whole feasible set, where negative interaction weights
 can drive the raw value to zero or below.
@@ -92,12 +96,14 @@ class ModelParams:
         return self
 
     def to_json(self, path: str | Path | None = None) -> str:
+        """JSON with alpha as values on the mask's (src, dst) pairs."""
+        src, dst = np.nonzero(self.mask)
         payload = {
             "mu": self.mu.tolist(),
-            "alpha": self.alpha.tolist(),
+            "alpha": self.alpha[src, dst].tolist(),
             "beta": self.beta,
             "gamma": self.gamma.tolist(),
-            "mask": self.mask.tolist(),
+            "support": {"src": src.tolist(), "dst": dst.tolist()},
         }
         text = json.dumps(payload, sort_keys=True)
         if path is not None:
@@ -106,53 +112,29 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "ModelParams":
+        """Read the pair form written by ``to_json``, or dense K x K ``alpha``
+        and ``mask`` lists."""
         text = str(source)
         if not text.lstrip().startswith("{"):
             text = Path(source).read_text()
         payload = json.loads(text)
-        return cls(
-            mu=np.array(payload["mu"], dtype=float),
-            alpha=np.array(payload["alpha"], dtype=float),
-            beta=float(payload["beta"]),
-            gamma=np.array(payload["gamma"], dtype=float),
-            mask=np.array(payload["mask"], dtype=bool),
-        )
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Spatial-interaction settings: which cell pairs may interact and how
-    mark indices split into static and dynamic groups."""
-
-    neighbor_radius: float        # degrees; farther centroids get mask=False
-    cell_size: float              # degrees, grid side length
-    static_indices: tuple[int, ...] = ()
-    dynamic_indices: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.neighbor_radius <= 0:
-            raise ValueError("neighbor_radius must be positive")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        both = sorted(self.static_indices + self.dynamic_indices)
-        if both and both != list(range(len(both))):
-            raise ValueError("static/dynamic indices must partition 0..p-1")
-
-    def build_mask(self, centroids: np.ndarray) -> np.ndarray:
-        return mask_from_centroids(centroids, self.neighbor_radius)
-
-    def split_gamma(self, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mark weights split into (static, dynamic) groups for reporting."""
-        gamma = np.asarray(gamma, dtype=float)
-        return gamma[list(self.static_indices)], gamma[list(self.dynamic_indices)]
+        mu, gamma = np.array(payload["mu"], dtype=float), np.array(payload["gamma"], dtype=float)
+        if "support" in payload:
+            pairs = tuple(np.array(payload["support"][key], dtype=np.intp) for key in ("src", "dst"))
+            alpha, mask = np.zeros((len(mu), len(mu))), np.zeros((len(mu), len(mu)), dtype=bool)
+            alpha[pairs] = payload["alpha"]
+            mask[pairs] = True
+        else:
+            alpha, mask = np.array(payload["alpha"], dtype=float), np.array(payload["mask"], dtype=bool)
+        return cls(mu=mu, alpha=alpha, beta=float(payload["beta"]), gamma=gamma, mask=mask)
 
 
 def mask_from_centroids(centroids: np.ndarray, neighbor_radius: float) -> np.ndarray:
     """Allow interaction between cells whose centroids are within the radius."""
     centroids = np.asarray(centroids, dtype=float)
-    diff = centroids[:, None, :] - centroids[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    return dist <= neighbor_radius
+    dx = centroids[:, None, 0] - centroids[None, :, 0]
+    dy = centroids[:, None, 1] - centroids[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy) <= neighbor_radius
 
 
 def mask_from_index_distance(num_locations: int, tau: int) -> np.ndarray:
@@ -164,7 +146,8 @@ def mask_from_index_distance(num_locations: int, tau: int) -> np.ndarray:
 def excitation_matrix(
     times: np.ndarray, locations: np.ndarray, num_locations: int, beta: float
 ) -> np.ndarray:
-    """Per-event decayed history counts by source location.
+    """Per-event decayed history counts by source location, as a dense n x K
+    matrix: the reference for :class:`EventKernel`'s pair values.
 
     Returns R with ``R[i, a] = sum_{j: t_j < t_i, u_j = a} exp(-beta (t_i - t_j))``.
     Events sharing a timestamp see the same (strictly earlier) history.
@@ -234,50 +217,84 @@ def integrated_ground_intensity(params: ModelParams, seq: EventSequence, t: floa
 
 class EventKernel:
     """Ground intensities at the events of one sequence, and their gradient,
-    as bincounts over gathered (event, source) pairs.
+    as bincounts over (event, pair) entries.
 
-    ``support`` (K x K bool) names the pairs (a, k) whose weight
-    ``alpha[a, k]`` may be nonzero; event i at location k = u_i gets one
-    pair per allowed source a, valued ``R[i, a]`` (see
-    :func:`excitation_matrix`).  The index arrays depend only on the
-    sequence and the support; ``with_beta`` shares them.
+    ``src, dst`` are the allowed (source, destination) pairs, sorted as
+    ``np.nonzero`` returns them; ``alpha`` is passed as the vector of its
+    values on those pairs.  Event i at location k = u_i gets one entry per
+    pair with destination k, sources ascending, valued
+    ``sum_{j: t_j < t_i, u_j = src} exp(-beta (t_i - t_j))``.  That value is
+    the decayed count at the source's last strictly earlier event (found by
+    one searchsorted on integer (source, time-rank) keys, so tied times see
+    the same history), decayed on to t_i; the decayed counts follow one
+    recursion per source, run rank by rank across all sources.  Everything
+    but the values depends only on the sequence and the pairs; ``with_beta``
+    shares it.
     """
 
-    def __init__(self, seq: EventSequence, support: np.ndarray, beta: float):
+    def __init__(self, seq: EventSequence, src: np.ndarray, dst: np.ndarray, beta: float):
         self.seq = seq
-        self.rows, self.srcs = np.nonzero(np.asarray(support, dtype=bool)[:, seq.locations].T)
-        self.aidx = self.srcs * seq.num_locations + seq.locations[self.rows]
-        self._gather(beta)
+        n, K, locs = len(seq), seq.num_locations, seq.locations
+        self.src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
+        # each event's pairs through a by-destination index (stable: sources stay ascending)
+        by_dst = np.argsort(dst, kind="stable")
+        deg = np.bincount(dst, minlength=K)
+        counts = deg[locs]
+        self.rows = np.repeat(np.arange(n), counts)
+        offset = (np.cumsum(deg) - deg)[locs] - (np.cumsum(counts) - counts)
+        self.pairs = by_dst[np.repeat(offset, counts) + np.arange(len(self.rows))]
+        # the events grouped by source, times ascending within a source
+        order = np.argsort(locs, kind="stable")
+        src_times, src_locs = seq.times[order], locs[order]
+        self.gaps = np.where(np.diff(src_locs) == 0, np.diff(src_times), 0.0)  # 0 across sources
+        per_src = np.bincount(locs, minlength=K)
+        first = np.cumsum(per_src) - per_src
+        # positions of every source's second, third, ... event: one recursion step each
+        self.chain = [first[per_src > r] + r for r in range(1, per_src.max(initial=0))]
+        time_rank = np.unique(seq.times, return_inverse=True)[1].ravel()
+        entry_src = self.src[self.pairs]
+        keys = src_locs * (n + 1) + time_rank[order]
+        last = np.searchsorted(keys, entry_src * (n + 1) + time_rank[self.rows]) - 1
+        none = last < first[entry_src]  # the source has no strictly earlier event
+        self.last = np.where(none, 0, last + 1)  # into [0, decayed counts...]
+        self.lag = np.where(none, 0.0, seq.times[self.rows] - src_times[last])
+        self._values(beta)
 
-    def _gather(self, beta: float) -> None:
+    def _values(self, beta: float) -> None:
         seq = self.seq
         self.beta = float(beta)
-        R = excitation_matrix(seq.times, seq.locations, seq.num_locations, self.beta)
-        self.vals = R[self.rows, self.srcs]
+        decay = np.exp(-self.beta * self.gaps)
+        decayed = np.ones(len(seq))  # at each source's events, that source's own decayed count
+        for at in self.chain:
+            decayed[at] += decayed[at - 1] * decay[at - 1]
+        self.vals = np.multiply(self.lag, -self.beta)
+        np.exp(self.vals, out=self.vals)
+        self.vals *= np.concatenate(([0.0], decayed))[self.last]
         w = 1.0 - np.exp(-self.beta * (seq.horizon - seq.times))
         self.sum_w = np.bincount(seq.locations, w, minlength=seq.num_locations)
 
     def with_beta(self, beta: float) -> "EventKernel":
         """The same pairs at another decay."""
         other = copy.copy(self)
-        other._gather(beta)
+        other._values(beta)
         return other
 
     def intensities(self, mu: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        excite = np.bincount(self.rows, self.vals * alpha.take(self.aidx), minlength=len(self.seq))
+        excite = np.bincount(self.rows, self.vals * alpha.take(self.pairs), minlength=len(self.seq))
         return mu[self.seq.locations] + self.beta * excite
 
     def compensator(self, mu: np.ndarray, alpha: np.ndarray) -> float:
-        return self.seq.horizon * mu.sum() + float(alpha.sum(axis=1) @ self.sum_w)
+        row_sums = np.bincount(self.src, alpha, minlength=self.seq.num_locations)
+        return self.seq.horizon * mu.sum() + float(row_sums @ self.sum_w)
 
     def gradients(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, alpha) gradient of ``compensator - sum_i log lam_i``; events at
-        the floor add nothing, alpha entries off the support only compensator."""
-        K = self.seq.num_locations
+        """(mu, alpha-on-pairs) gradient of ``compensator - sum_i log lam_i``;
+        events at the floor add nothing."""
         inv_lam = inverse_above_floor(lam)
-        g_mu = self.seq.horizon - np.bincount(self.seq.locations, inv_lam, minlength=K)
-        event_part = np.bincount(self.aidx, self.vals * (self.beta * inv_lam)[self.rows], minlength=K * K)
-        return g_mu, self.sum_w[:, None] - event_part.reshape(K, K)
+        g_mu = self.seq.horizon - np.bincount(self.seq.locations, inv_lam, minlength=self.seq.num_locations)
+        event_part = np.bincount(self.pairs, self.vals * (self.beta * inv_lam)[self.rows], minlength=len(self.src))
+        return g_mu, self.sum_w[self.src] - event_part
 
 
 def inverse_above_floor(x: np.ndarray) -> np.ndarray:
@@ -295,17 +312,19 @@ def linear_mark_gradient(marks: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 
 def log_likelihood(params: ModelParams, seq: EventSequence, mark_model) -> float:
-    """Exact log-likelihood of the sequence (for any alpha: the kernel gathers
-    its nonzeros); log arguments floored at RATE_FLOOR."""
+    """Exact log-likelihood of the sequence (for any alpha: the kernel runs
+    on its nonzeros); log arguments floored at RATE_FLOOR."""
     for arr in (params.mu, params.alpha, params.gamma):
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite parameter")
     if not np.isfinite(params.beta):
         raise ValueError("non-finite beta")
-    kernel = EventKernel(seq, params.alpha != 0, params.beta)
-    event_term = floored_log_sum(kernel.intensities(params.mu, params.alpha))
+    src, dst = np.nonzero(params.alpha != 0)
+    kernel = EventKernel(seq, src, dst, params.beta)
+    alpha = params.alpha[src, dst]
+    event_term = floored_log_sum(kernel.intensities(params.mu, alpha))
     mark_term = floored_log_sum(mark_model.event_scores(params.gamma, seq))
-    return event_term + mark_term - kernel.compensator(params.mu, params.alpha)
+    return event_term + mark_term - kernel.compensator(params.mu, alpha)
 
 
 def penalized_objective(
@@ -324,13 +343,13 @@ def objective_gradient(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient of the penalized objective w.r.t. (mu, alpha, gamma).
 
-    All K^2 pairs are gathered, so every alpha entry is exact, also off the
-    mask.  The gamma component includes ``l1_weight * sign(gamma)``, valid
+    The kernel runs on all K^2 pairs, so every alpha entry is exact, also
+    off the mask.  The gamma component includes ``l1_weight * sign(gamma)``, valid
     away from zeros; the optimizer soft-thresholds the l1 part instead.
     """
     K = seq.num_locations
-    kernel = EventKernel(seq, np.ones((K, K), dtype=bool), params.beta)
-    g_mu, g_alpha = kernel.gradients(kernel.intensities(params.mu, params.alpha))
+    kernel = EventKernel(seq, *np.divmod(np.arange(K * K), K), params.beta)
+    g_mu, g_alpha = kernel.gradients(kernel.intensities(params.mu, params.alpha.ravel()))
     gamma = params.gamma
     g_gamma = linear_mark_gradient(seq.marks, gamma) if mark_model.uses_gamma else np.zeros_like(gamma)
-    return g_mu, g_alpha, g_gamma + l1_weight * np.sign(gamma)
+    return g_mu, g_alpha.reshape(K, K), g_gamma + l1_weight * np.sign(gamma)

@@ -30,7 +30,7 @@ from . import __version__
 from . import conformal as conformal_mod
 from . import estimation, model, simulation, thresholding
 from .events import EventSequence, save_events_csv
-from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer, load_precomputed_scores
+from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from .model import ModelParams, RATE_FLOOR
 
 
@@ -573,17 +573,12 @@ def _sha256(path: Path) -> str:
 # pipeline stages, shared by run_end_to_end and the CLI subcommands
 
 
-def build_mark_model(spec: str, seq: EventSequence, scores=None):
-    """Mark model by name: ``linear``, ``kde`` (fitted on ``seq``'s marks), or
-    ``precomputed`` (per-event scores read from the CSV at ``scores``)."""
+def build_mark_model(spec: str, seq: EventSequence):
+    """Mark model by name: ``linear`` or ``kde`` (fitted on ``seq``'s marks)."""
     if spec == "linear":
         return LinearMarkModel()
     if spec == "kde":
         return NonLinearMarkModel(kde_scorer(seq.marks))
-    if spec == "precomputed":
-        if not scores:
-            raise ValueError("mark model 'precomputed' needs a per-event scores file (--scores)")
-        return NonLinearMarkModel(load_precomputed_scores(scores))
     raise ValueError(f"unknown mark model {spec!r}")
 
 

@@ -136,24 +136,34 @@ def test_failures_exit_nonzero(tmp_path, capsys):
     assert "firecast fit" in capsys.readouterr().err
 
 
-def test_fit_with_precomputed_scores(tmp_path, params_file):
-    events = tmp_path / "events.csv"
-    main(["simulate", "--params", str(params_file), "--horizon", "120",
-          "--seed", "4", "--out", str(events)])
-    seq = load_events_csv(events, horizon=120.0, num_locations=2)
-    scores = tmp_path / "scores.csv"
-    with open(scores, "w") as fh:
-        fh.write("time,location,score\n")
-        for i in range(len(seq)):
-            fh.write(f"{float(seq.times[i])!r},{int(seq.locations[i])},0.8\n")
-    fitted = tmp_path / "fitted.json"
-    assert main([
-        "fit", "--events", str(events), "--horizon", "120", "--locations", "2",
-        "--mark-model", "precomputed", "--scores", str(scores),
-        "--grid-points", "1", "--pgd-steps", "30", "--beta-low", "1.0",
-        "--beta-high", "1.0", "--out", str(fitted),
-    ]) == 0
-    assert fitted.exists()
+def test_fit_support_reproduces_a_masked_run(tmp_path):
+    """``fit --support <run>/params.json`` re-fits a masked run's events.csv
+    under the run's mask and reproduces its params.json byte for byte."""
+    bundle = {
+        "seed": 3,
+        "simulate": {
+            "params": {
+                "mu": [0.3, 0.25, 0.3],
+                "alpha": [[0.25, 0.1, 0.0], [0.1, 0.2, 0.1], [0.0, 0.1, 0.2]],
+                "beta": 1.0,
+                "gamma": [0.7071067811865475, 0.7071067811865475],
+                "mask": [[True, True, False], [True, True, True], [False, True, True]],
+            },
+            "horizon": 100.0,
+        },
+        "fit": {"grid_points": 2, "pgd_steps": 20, "beta_low": 0.5, "beta_high": 1.5},
+        "predict": {"screening": False},
+    }
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps(bundle))
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(run)]) == 0
+    fit = ["fit", "--events", str(run / "events.csv"), "--horizon", "100", "--locations", "3",
+           "--grid-points", "2", "--pgd-steps", "20", "--beta-low", "0.5", "--beta-high", "1.5"]
+    assert main([*fit, "--support", str(run / "params.json"), "--out", str(tmp_path / "masked.json")]) == 0
+    assert (tmp_path / "masked.json").read_bytes() == (run / "params.json").read_bytes()
+    assert main([*fit, "--out", str(tmp_path / "full.json")]) == 0
+    assert (tmp_path / "full.json").read_bytes() != (run / "params.json").read_bytes()
 
 
 def test_cli_stages_match_run(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from firecast import model
+from firecast import estimation, model
 from firecast.estimation import (
     FeasibleSet,
     _FixedBetaProblem,
@@ -211,6 +211,20 @@ class TestPgdFit:
         with pytest.raises(ValueError):
             pgd_fit(seq, LinearMarkModel(), 0.0, FitConfig())
 
+    def test_iterate_holds_alpha_on_the_mask_only(self, monkeypatch):
+        params, seq = kernel_case("partial")
+        lengths = []
+        solver = estimation.projected_gradient_descent
+
+        def spy(x0, *args, **kwargs):
+            lengths.append(len(x0))
+            return solver(x0, *args, **kwargs)
+
+        monkeypatch.setattr(estimation, "projected_gradient_descent", spy)
+        res = pgd_fit(seq, LinearMarkModel(), 0.9, FitConfig(pgd_steps=2), FeasibleSet(params.mask))
+        assert lengths == [params.num_locations + params.mask.sum() + params.mark_dim]
+        assert np.all(res.params.alpha[~params.mask] == 0.0)
+
 
 def kernel_case(name):
     """A masked instance for the fixed-beta kernel: (params, seq)."""
@@ -245,7 +259,7 @@ class TestFixedBetaKernel:
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_objective_matches_naive_likelihood(self, case):
         params, seq = kernel_case(case)
-        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.5, params.mask)
+        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.5, FeasibleSet(params.mask))
         x = problem.flatten(params.mu, params.alpha, params.gamma)
         naive = -naive_log_likelihood(params, seq, seq.marks @ params.gamma) + 0.5 * params.gamma.sum()
         assert problem.objective(x) == pytest.approx(naive, rel=1e-12, abs=1e-12)
@@ -253,30 +267,30 @@ class TestFixedBetaKernel:
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_gradient_matches_finite_differences_on_the_mask(self, case):
         params, seq = kernel_case(case)
-        K = params.num_locations
-        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.0, params.mask)
+        feasible = FeasibleSet(params.mask)
+        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.0, feasible)
         x0 = problem.flatten(params.mu, params.alpha, params.gamma)
 
         def naive_objective(x):
             mu, alpha, gamma = problem.split(x)
-            trial = ModelParams(mu=mu, alpha=alpha, beta=params.beta, gamma=gamma, mask=params.mask)
+            trial = ModelParams(mu=mu, alpha=feasible.scatter(alpha), beta=params.beta, gamma=gamma, mask=params.mask)
             return -naive_log_likelihood(trial, seq, seq.marks @ gamma)
 
-        on_mask = np.concatenate([np.ones(K, bool), params.mask.ravel(), np.ones(params.mark_dim, bool)])
-        analytic = problem.smooth_gradient(x0)[on_mask]
-        fd = finite_difference_gradient(naive_objective, x0)[on_mask]
+        # the flat vector holds alpha on the mask only
+        analytic = problem.smooth_gradient(x0)
+        fd = finite_difference_gradient(naive_objective, x0)
         assert np.all(np.abs(analytic - fd) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_gathers_one_pair_per_allowed_source(self, case):
         params, seq = kernel_case(case)
-        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.0, params.mask)
+        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.0, FeasibleSet(params.mask))
         assert len(problem.kernel.rows) == params.mask[:, seq.locations].sum()
 
     def test_beta_profile_equals_penalized_objective(self):
         params, seq = kernel_case("partial")
         mm = LinearMarkModel()
-        problem = _FixedBetaProblem(seq, mm, 0.3, 1.0, params.mask)
+        problem = _FixedBetaProblem(seq, mm, 0.3, 1.0, FeasibleSet(params.mask))
         f = problem.beta_profile(problem.flatten(params.mu, params.alpha, params.gamma))
         for b in (0.05, 0.9, 3.0):
             trial = ModelParams(mu=params.mu, alpha=params.alpha, beta=b, gamma=params.gamma, mask=params.mask)
@@ -291,7 +305,7 @@ class TestFixedBetaKernel:
                 calls.append(1)
                 return super().event_scores(gamma, seq)
 
-        problem = _FixedBetaProblem(seq, CountingModel(lambda m, t, k: 0.5), 0.3, 1.0, params.mask)
+        problem = _FixedBetaProblem(seq, CountingModel(lambda m, t, k: 0.5), 0.3, 1.0, FeasibleSet(params.mask))
         f = problem.beta_profile(problem.flatten(params.mu, params.alpha, params.gamma))
         values = [f(b) for b in np.linspace(0.1, 2.0, 25)]
         assert len(calls) == 1 and np.all(np.isfinite(values))

@@ -1,12 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from firecast.events import EventSequence, load_events_csv, save_events_csv
-from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer, precomputed_scorer
+from firecast.pipeline import GridSpec
+from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import (
     RATE_FLOOR,
+    EventKernel,
     ModelParams,
     conditional_intensity,
     excitation_matrix,
@@ -297,6 +300,27 @@ class TestExcitation:
         assert np.allclose(R[1], [0.0, 0.0])  # simultaneous event excluded
         assert np.allclose(R[2], [math.exp(-1.0), math.exp(-1.0)])
 
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 3.0])
+    @pytest.mark.parametrize("case", ["ties", "silent_source", "empty", "full"])
+    def test_kernel_pairs_equal_reference_gather(self, case, beta):
+        K = 4
+        times = np.array([0.5, 1.0, 1.0, 1.0, 2.5, 2.5, 4.0, 6.0, 6.0, 7.5])
+        locs = np.array([0, 1, 1, 2, 0, 1, 1, 2, 0, 0])  # ties across and within sources; cell 3 silent
+        mask = np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
+        if case == "empty":
+            times, locs = times[:0], locs[:0]
+        if case == "full":
+            mask[:] = True
+        seq = EventSequence(times=times, locations=locs, marks=np.ones((len(times), 1)), horizon=8.0, num_locations=K)
+        src, dst = np.nonzero(mask)
+        kernel = EventKernel(seq, src, dst, beta)
+        rows, srcs = np.nonzero(mask[:, locs].T)  # (event, allowed source), sources ascending
+        assert np.array_equal(kernel.rows, rows)
+        assert np.array_equal(src[kernel.pairs], srcs) and np.array_equal(dst[kernel.pairs], locs[rows])
+        reference = excitation_matrix(times, locs, K, beta)[rows, srcs]
+        assert np.all(np.abs(kernel.vals - reference) <= 1e-12 * np.abs(reference))
+        assert np.array_equal(kernel.vals == 0, reference == 0)
+
     def test_integrated_ground_intensity_matches_quadrature(self):
         rng = np.random.default_rng(41)
         params, seq = random_instance(rng)
@@ -305,6 +329,14 @@ class TestExcitation:
 
 
 class TestMasks:
+    def test_centroid_mask_equals_broadcast_formula_on_the_state_box(self):
+        # the README's 0.24-degree California box with a 0.96-degree radius
+        centroids = GridSpec(lat_min=32.0, lon_min=-124.0, lat_max=42.0, lon_max=-114.0, cell_size=0.24).centroids()
+        diff = centroids[:, None, :] - centroids[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        assert np.sum(np.abs(dist - 0.96) < 1e-9) > 0  # pairs that rounding puts on either side
+        assert np.array_equal(mask_from_centroids(centroids, 0.96), dist <= 0.96)
+
     def test_centroid_mask(self):
         centroids = np.array([[0.0, 0.0], [0.0, 0.3], [0.0, 1.0]])
         mask = mask_from_centroids(centroids, 0.5)
@@ -329,6 +361,28 @@ class TestSerialization:
         assert back.beta == params.beta
         assert np.array_equal(back.gamma, params.gamma)
         assert np.array_equal(back.mask, params.mask)
+        assert np.array_equal(np.signbit(back.alpha), np.signbit(params.alpha))
+
+    def test_dense_json_form_still_loads(self):
+        rng = np.random.default_rng(4)
+        params, _ = random_instance(rng)
+        dense = {"mu": params.mu.tolist(), "alpha": params.alpha.tolist(), "beta": params.beta,
+                 "gamma": params.gamma.tolist(), "mask": params.mask.tolist()}
+        back = ModelParams.from_json(json.dumps(dense))
+        assert back.to_json() == params.to_json()
+        assert np.array_equal(back.alpha, params.alpha) and np.array_equal(back.mask, params.mask)
+
+    def test_state_grid_params_json_is_small(self, tmp_path):
+        # the state-ingest truth: 0.24-degree cells of the California box, 0.96-degree mask
+        grid = GridSpec(lat_min=32.0, lon_min=-124.0, lat_max=42.0, lon_max=-114.0, cell_size=0.24)
+        mask = mask_from_centroids(grid.centroids(), 0.96)
+        truth = ModelParams(mu=np.full(grid.num_cells, 0.012), alpha=np.where(mask, 0.003, 0.0),
+                            beta=1.0, gamma=np.array([0.5, 0.3, 0.7]), mask=mask)
+        path = tmp_path / "params.json"
+        truth.to_json(path)
+        assert path.stat().st_size < 3_000_000
+        back = ModelParams.from_json(path)
+        assert np.array_equal(back.alpha, truth.alpha) and np.array_equal(back.mask, truth.mask)
 
     def test_events_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -360,13 +414,6 @@ class TestSerialization:
 
 
 class TestMarkModels:
-    def test_precomputed_scorer_lookup(self):
-        scorer = precomputed_scorer(np.array([1.0, 2.0]), np.array([0, 1]), np.array([0.3, 0.9]))
-        assert scorer(None, 1.0, 0) == 0.3
-        assert scorer(None, 2.0, 1) == 0.9
-        with pytest.raises(KeyError):
-            scorer(None, 3.0, 0)
-
     def test_kde_scorer_deterministic_and_nonnegative(self):
         rng = np.random.default_rng(17)
         train = rng.uniform(size=(50, 2))
@@ -393,11 +440,8 @@ class TestBatchScoring:
             NonLinearMarkModel(lambda m, t, k: 1.0),
             NonLinearMarkModel(lambda m, t, k: 1 + t + 10 * k + m[:, 0]),
             NonLinearMarkModel(kde_scorer(np.random.default_rng(3).uniform(size=(40, 2)))),
-            NonLinearMarkModel(
-                precomputed_scorer(np.array([0.5, 1.5, 1.5, 4.0]), np.array([0, 2, 1, 2]), np.array([0.1, 0.2, 0.3, 0.4]))
-            ),
         ],
-        ids=["linear", "scalar", "time-location", "kde", "precomputed"],
+        ids=["linear", "scalar", "time-location", "kde"],
     )
     def test_event_scores_equal_per_row_score(self, mm):
         seq, gamma = self._seq(), np.array([0.6, 0.5])
@@ -415,28 +459,6 @@ class TestBatchScoring:
 
         NonLinearMarkModel(scorer).event_scores(None, self._seq())
         assert calls == [4]
-
-
-class TestKernelConfig:
-    def test_partition_validation(self):
-        from firecast.model import KernelConfig
-
-        with pytest.raises(ValueError):
-            KernelConfig(neighbor_radius=1.0, cell_size=0.24,
-                         static_indices=(0, 2), dynamic_indices=(3,))
-        cfg = KernelConfig(neighbor_radius=0.96, cell_size=0.24,
-                           static_indices=(0, 1), dynamic_indices=(2, 3))
-        static, dynamic = cfg.split_gamma(np.array([0.1, 0.2, 0.3, 0.4]))
-        assert static.tolist() == [0.1, 0.2]
-        assert dynamic.tolist() == [0.3, 0.4]
-
-    def test_build_mask_uses_radius(self):
-        from firecast.model import KernelConfig
-
-        cfg = KernelConfig(neighbor_radius=0.5, cell_size=0.24)
-        centroids = np.array([[0.0, 0.0], [0.0, 0.3], [0.0, 2.0]])
-        mask = cfg.build_mask(centroids)
-        assert mask[0, 1] and not mask[0, 2]
 
 
 def test_construction_does_not_freeze_caller_arrays():

@@ -419,8 +419,9 @@ class TestRunVariants:
         params = json.loads((tmp_path / "ing" / "params.json").read_text())
         assert len(params["mu"]) == 4  # 2x2 grid
         # neighbor mask excluded the diagonal-opposite pairs
-        mask = np.array(params["mask"])
-        assert not mask[0, 3] and not mask[3, 0]
+        pairs = set(zip(params["support"]["src"], params["support"]["dst"]))
+        assert len(params["alpha"]) == len(pairs) == 12
+        assert (0, 3) not in pairs and (3, 0) not in pairs
 
 
 def test_perfect_predictor_gives_all_ones_histogram():
