@@ -94,15 +94,14 @@ def save_events_csv(seq: EventSequence, path: str | Path) -> None:
     header = ["time", "location"] + [f"m_{j}" for j in range(p)]
     if seq.magnitudes is not None:
         header.append("magnitude")
+    columns = [map(repr, seq.times.tolist()), map(str, seq.locations.tolist())]
+    columns += [map(repr, col) for col in seq.marks.T.tolist()]
+    if seq.magnitudes is not None:
+        columns.append(map(str, seq.magnitudes.tolist()))
+    # csv.writer's dialect: comma-separated, \r\n-terminated; no field here needs quoting
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(seq)):
-            row = [repr(float(seq.times[i])), int(seq.locations[i])]
-            row += [repr(float(v)) for v in seq.marks[i]]
-            if seq.magnitudes is not None:
-                row.append(int(seq.magnitudes[i]))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(f"{','.join(row)}\r\n" for row in zip(*columns)))
 
 
 def load_events_csv(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -388,17 +389,15 @@ def f1_metrics(predictions: np.ndarray, truths: np.ndarray) -> MetricsReport:
     truths = np.asarray(truths)
     if predictions.shape != truths.shape or predictions.ndim != 2:
         raise ValueError("predictions and truths must be aligned (steps, locations) arrays")
-    K = predictions.shape[1]
-    precision = np.zeros(K)
-    recall = np.zeros(K)
-    f1 = np.zeros(K)
-    for k in range(K):
-        V = int((predictions[:, k] == 1).sum())
-        U = int((truths[:, k] == 1).sum())
-        hits = int(((predictions[:, k] == 1) & (truths[:, k] == 1)).sum())
-        precision[k] = hits / V if V else 1.0
-        recall[k] = hits / U if U else 1.0
-        f1[k] = 2 * precision[k] * recall[k] / (precision[k] + recall[k]) if precision[k] + recall[k] > 0 else 0.0
+    predicted, fired = predictions == 1, truths == 1
+    V = predicted.sum(axis=0)
+    U = fired.sum(axis=0)
+    hits = (predicted & fired).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(V > 0, hits / V, 1.0)
+        recall = np.where(U > 0, hits / U, 1.0)
+        both = precision + recall
+        f1 = np.where(both > 0, 2 * precision * recall / both, 0.0)
     counts, edges = np.histogram(f1, bins=10, range=(0.0, 1.0))
     return MetricsReport(precision=precision, recall=recall, f1=f1, hist_counts=counts, hist_edges=edges)
 
@@ -499,39 +498,46 @@ def write_fit_trace_csv(path, trace: np.ndarray) -> None:
 
 
 def write_detections_csv(path, trace: thresholding.DetectionTrace, times=None) -> None:
+    """One ``time,location,risk,threshold,prediction,truth`` row per cell,
+    day-major; each day's rows are joined from strings formatted once per
+    column (labels must be -1 or 1)."""
     T, K = trace.risk.shape
     if times is None:
         times = np.arange(1, T + 1)
+    labels = np.stack([trace.prediction, trace.truth])
+    if not np.all((labels == 1) | (labels == -1)):
+        raise ValueError("predictions and truths must be -1 or 1")
+    # tail index: 2 * (prediction == 1) + (truth == 1)
+    tails = (",-1,-1\n", ",-1,1\n", ",1,-1\n", ",1,1\n")
+    tail_index = 2 * (trace.prediction == 1) + (trace.truth == 1)
+    locations = [f",{k}," for k in range(K)]
+    risk = np.asarray(trace.risk, dtype=float)
+    threshold = np.asarray(trace.threshold, dtype=float)
     with open(path, "w", newline="") as fh:
         fh.write("time,location,risk,threshold,prediction,truth\n")
         for t in range(T):
-            for k in range(K):
-                fh.write(
-                    f"{float(times[t])!r},{k},{float(trace.risk[t, k])!r},"
-                    f"{float(trace.threshold[t, k])!r},{int(trace.prediction[t, k])},"
-                    f"{int(trace.truth[t, k])}\n"
-                )
+            parts = zip(
+                itertools.repeat(repr(float(times[t]))),
+                locations,
+                map(repr, risk[t].tolist()),
+                itertools.repeat(","),
+                map(repr, threshold[t].tolist()),
+                map(tails.__getitem__, tail_index[t].tolist()),
+            )
+            fh.write("".join(itertools.chain.from_iterable(parts)))
 
 
 def read_detections_csv(path) -> thresholding.DetectionTrace:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
+    data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    times, rows = np.unique(data["time"], return_inverse=True)
     locs = data["location"].astype(int)
-    times = np.unique(data["time"])
-    K = locs.max() + 1
-    T = len(times)
-    order = {t: i for i, t in enumerate(times)}
-    risk = np.zeros((T, K))
-    thr = np.zeros((T, K))
-    pred = np.zeros((T, K), dtype=np.int64)
-    truth = np.zeros((T, K), dtype=np.int64)
-    for row in data:
-        i = order[row["time"]]
-        k = int(row["location"])
-        risk[i, k] = row["risk"]
-        thr[i, k] = row["threshold"]
-        pred[i, k] = int(row["prediction"])
-        truth[i, k] = int(row["truth"])
+    shape = (len(times), locs.max() + 1)
+    risk, thr = np.zeros(shape), np.zeros(shape)
+    pred, truth = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    risk[rows, locs] = data["risk"]
+    thr[rows, locs] = data["threshold"]
+    pred[rows, locs] = data["prediction"].astype(np.int64)
+    truth[rows, locs] = data["truth"].astype(np.int64)
     return thresholding.DetectionTrace(risk=risk, threshold=thr, prediction=pred, truth=truth)
 
 

@@ -7,6 +7,12 @@ arrival.  Candidates are proposed from that bound and accepted with
 probability (current total intensity) / bound; accepted events pick their
 location proportionally to the per-location intensity.  Negative
 interaction weights would break the bound and are rejected up front.
+
+The location and mark-coordinate draws are inverse-CDF draws, the same
+arithmetic ``Generator.choice(n, p=p)`` performs internally (cumulative sum
+normalized by its last entry, one ``random()``, a right-sided search), so
+they consume the same random stream and pick the same index without
+choice's per-call argument checks.
 """
 
 from __future__ import annotations
@@ -19,6 +25,17 @@ from . import estimation, model
 from .events import EventSequence
 from .marks import LinearMarkModel
 from .model import ModelParams
+
+
+def _draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """Index drawn with the probabilities whose normalized cumulative sum is ``cdf``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def uniform_mark_sampler(rng: np.random.Generator, location: int, dim: int) -> np.ndarray:
@@ -35,13 +52,13 @@ def linear_density_mark_sampler(gamma: np.ndarray):
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0) or gamma.sum() <= 0:
         raise ValueError("linear mark density needs nonnegative weights with positive sum")
-    probs = gamma / gamma.sum()
+    cdf = _cdf(gamma / gamma.sum())
 
     def sampler(rng: np.random.Generator, location: int, dim: int) -> np.ndarray:
         if dim != len(gamma):
             raise ValueError("mark dimension mismatch")
         m = rng.uniform(size=dim)
-        l = rng.choice(dim, p=probs)
+        l = _draw_index(rng, cdf)
         m[l] = np.sqrt(rng.uniform())
         return m
 
@@ -96,7 +113,7 @@ def simulate(config: SimConfig) -> EventSequence:
         rates = mu + excite
         total = float(rates.sum())
         if rng.uniform() * bound <= total:
-            k = int(rng.choice(K, p=rates / total))
+            k = _draw_index(rng, _cdf(rates / total))
             m = np.asarray(config.mark_sampler(rng, k, p), dtype=float)
             times.append(t)
             locs.append(k)

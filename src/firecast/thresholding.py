@@ -15,6 +15,10 @@ positives before they are emitted, to cap false alarms:
 
 Screening filters the output stream only; the threshold feedback runs on
 the detector's own raw predictions.
+
+Locations never interact, so the detector steps all of them together: one
+loop over the T steps on K-vectors runs the gate and the updates, and the
+screening rules are applied as vector masks over the same steps.
 """
 
 from __future__ import annotations
@@ -112,14 +116,14 @@ class ScreeningState:
         T, K = truth.shape
         if window_length is None:
             window_length = float(T)
-        counts = (truth == 1).sum(axis=0)
-        gaps = np.full(K, np.inf)
-        for k in range(K):
-            fire_steps = np.flatnonzero(truth[:, k] == 1)
-            if len(fire_steps) >= 2:
-                gaps[k] = float(np.diff(fire_steps).mean())
-            elif len(fire_steps) == 1:
-                gaps[k] = window_length
+        fires = truth == 1
+        counts = fires.sum(axis=0)
+        # mean gap between consecutive fire steps = (last - first) / (count - 1)
+        steps = np.arange(T)[:, None]
+        first = np.where(fires, steps, T).min(axis=0, initial=T)
+        last = np.where(fires, steps, -1).max(axis=0, initial=-1)
+        spread = (last - first) / np.maximum(counts - 1, 1)
+        gaps = np.where(counts >= 2, spread, np.where(counts == 1, window_length, np.inf))
         return cls(fire_count=counts, avg_gap=gaps)
 
     def copy(self) -> "ScreeningState":
@@ -130,17 +134,6 @@ class ScreeningState:
             last_positive=self.last_positive.copy(),
         )
 
-    def allows(self, k: int, t: float) -> bool:
-        if self.fire_count[k] < 1:
-            return False
-        if self.detections[k] >= self.fire_count[k]:
-            return False
-        return t - self.last_positive[k] >= self.avg_gap[k]
-
-    def record(self, k: int, t: float) -> None:
-        self.detections[k] += 1
-        self.last_positive[k] = t
-
 
 @dataclass(frozen=True)
 class DetectionTrace:
@@ -150,45 +143,6 @@ class DetectionTrace:
     threshold: np.ndarray   # (T, K)
     prediction: np.ndarray  # (T, K), values in {-1, 1}
     truth: np.ndarray       # (T, K), values in {-1, 1}
-
-
-def _detect_one(lam, truth, tau_min, tau_max, eta, delta, a1, a2, allow, record):
-    """Threshold dynamics for one location; truth is revealed step by step."""
-    T = len(lam)
-    thresholds = np.zeros(T)
-    emitted = np.zeros(T, dtype=np.int64)
-
-    def proj(x):
-        return min(max(x, tau_min), tau_max)
-
-    def emit(t, raw):
-        if raw == 1 and not allow(t):
-            emitted[t] = -1
-            return
-        emitted[t] = raw
-        if raw == 1:
-            record(t)
-
-    tau = tau_min
-    thresholds[0] = tau
-    raw = 1 if lam[0] > tau else -1
-    emit(0, raw)
-    if raw != truth[0]:
-        tau = max(proj(tau + eta * raw), lam[0] / a1)
-    for t in range(1, T):
-        thresholds[t] = tau
-        increase = abs((lam[t] - lam[t - 1]) / lam[t - 1])
-        raw = -1
-        if increase >= delta and lam[t] > tau:
-            raw = 1
-            if raw != truth[t]:
-                tau = max(proj(thresholds[t - 1] + eta * raw), lam[t - 1] / a1)
-                thresholds[t] = tau
-        if lam[t] <= lam[t - 1] / a2:
-            tau = lam[t]
-            thresholds[t] = tau
-        emit(t, raw)
-    return thresholds, emitted
 
 
 def detect(
@@ -202,6 +156,10 @@ def detect(
     ``truth`` has entries in {-1, 1} and is consumed one step behind the
     predictions (feedback).  ``screening=None`` disables the veto rules.
     The caller's screening state is not mutated.
+
+    All locations advance together: one loop over the T steps runs the
+    dynamics on K-vectors, and a second applies the screening rules to the
+    raw predictions as vector masks.
     """
     risk = np.asarray(risk, dtype=float)
     truth = np.asarray(truth)
@@ -216,27 +174,42 @@ def detect(
     T, K = risk.shape
     if config.num_locations != K:
         raise ValueError("config has wrong number of locations")
-    state = screening.copy() if screening is not None else None
+    tau_min, eta, delta, a2 = config.tau_min, config.eta, config.delta, config.a2
 
-    thresholds = np.zeros((T, K))
-    predictions = np.zeros((T, K), dtype=np.int64)
-    for k in range(K):
-        if state is None:
-            allow = lambda t: True
-            record = lambda t: None
-        else:
-            allow = lambda t, k=k: state.allows(k, t)
-            record = lambda t, k=k: state.record(k, t)
-        thresholds[:, k], predictions[:, k] = _detect_one(
-            risk[:, k],
-            truth[:, k],
-            float(config.tau_min[k]),
-            float(config.tau_max[k]),
-            float(config.eta[k]),
-            float(config.delta[k]),
-            float(config.a1[k]),
-            float(config.a2[k]),
-            allow,
-            record,
-        )
+    def raised(base, prev):
+        """False-alarm update: clamp into [tau_min, tau_max], floor at prev / a1."""
+        return np.maximum(np.clip(base, tau_min, config.tau_max), prev / config.a1)
+
+    thresholds = np.empty((T, K))
+    raw = np.empty((T, K), dtype=np.int64)
+    # first step: no slope gate, and a miss lowers the threshold as well
+    thresholds[0] = tau_min
+    raw[0] = np.where(risk[0] > tau_min, 1, -1)
+    tau = np.where(raw[0] != truth[0], raised(tau_min + eta * raw[0], risk[0]), tau_min)
+    for t in range(1, T):
+        lam, prev = risk[t], risk[t - 1]
+        fire = (np.abs((lam - prev) / prev) >= delta) & (lam > tau)
+        tau = np.where(fire & (truth[t] != 1), raised(thresholds[t - 1] + eta, prev), tau)
+        tau = np.where(lam <= prev / a2, lam, tau)
+        thresholds[t] = tau
+        raw[t] = np.where(fire, 1, -1)
+    predictions = raw if screening is None else _screen(raw, screening.copy())
     return DetectionTrace(risk=risk, threshold=thresholds, prediction=predictions, truth=truth)
+
+
+def _screen(raw: np.ndarray, state: ScreeningState) -> np.ndarray:
+    """Veto the raw positives that break a screening rule, step by step;
+    ``state``'s counters advance with every emitted positive."""
+    emitted = raw.copy()
+    for t in range(len(raw)):
+        positive = raw[t] == 1
+        allowed = (
+            positive
+            & (state.fire_count >= 1)
+            & (state.detections < state.fire_count)
+            & (t - state.last_positive >= state.avg_gap)
+        )
+        emitted[t, positive & ~allowed] = -1
+        state.detections += allowed
+        state.last_positive[allowed] = t
+    return emitted

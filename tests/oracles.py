@@ -7,6 +7,7 @@ done by quadrature, and gradients by central finite differences.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -188,3 +189,165 @@ def logistic_regression_oracle(X, y, num_classes, X_eval, learning_rate=1.0, epo
     logits -= logits.max(axis=1, keepdims=True)
     proba = np.exp(logits)
     return W, proba / proba.sum(axis=1, keepdims=True)
+
+
+def detect_oracle(risk, truth, config, screening=None):
+    """The dynamic-threshold detector one location at a time, with the
+    screening rules checked per emitted positive; returns (thresholds,
+    predictions).  The caller's screening state is not mutated."""
+    risk = np.asarray(risk, dtype=float)
+    T, K = risk.shape
+    if screening is not None:
+        detections = screening.detections.copy()
+        last_positive = screening.last_positive.copy()
+    thresholds = np.zeros((T, K))
+    predictions = np.zeros((T, K), dtype=np.int64)
+    for k in range(K):
+        lam, y = risk[:, k], truth[:, k]
+        tau_min, tau_max = float(config.tau_min[k]), float(config.tau_max[k])
+        eta, delta = float(config.eta[k]), float(config.delta[k])
+        a1, a2 = float(config.a1[k]), float(config.a2[k])
+
+        def proj(x):
+            return min(max(x, tau_min), tau_max)
+
+        def emit(t, raw):
+            if raw == 1 and screening is not None:
+                if (
+                    screening.fire_count[k] < 1
+                    or detections[k] >= screening.fire_count[k]
+                    or not t - last_positive[k] >= screening.avg_gap[k]
+                ):
+                    predictions[t, k] = -1
+                    return
+                detections[k] += 1
+                last_positive[k] = t
+            predictions[t, k] = raw
+
+        tau = tau_min
+        thresholds[0, k] = tau
+        raw = 1 if lam[0] > tau else -1
+        emit(0, raw)
+        if raw != y[0]:
+            tau = max(proj(tau + eta * raw), lam[0] / a1)
+        for t in range(1, T):
+            thresholds[t, k] = tau
+            increase = abs((lam[t] - lam[t - 1]) / lam[t - 1])
+            raw = -1
+            if increase >= delta and lam[t] > tau:
+                raw = 1
+                if raw != y[t]:
+                    tau = max(proj(thresholds[t - 1, k] + eta * raw), lam[t - 1] / a1)
+                    thresholds[t, k] = tau
+            if lam[t] <= lam[t - 1] / a2:
+                tau = lam[t]
+                thresholds[t, k] = tau
+            emit(t, raw)
+    return thresholds, predictions
+
+
+def screening_gaps_oracle(truth, window_length=None):
+    """Per-location mean gap between validation fires, one column at a time."""
+    T, K = truth.shape
+    if window_length is None:
+        window_length = float(T)
+    gaps = np.full(K, np.inf)
+    for k in range(K):
+        fire_steps = np.flatnonzero(truth[:, k] == 1)
+        if len(fire_steps) >= 2:
+            gaps[k] = float(np.diff(fire_steps).mean())
+        elif len(fire_steps) == 1:
+            gaps[k] = window_length
+    return gaps
+
+
+def f1_oracle(predictions, truths):
+    """Per-location (precision, recall, F1) one column at a time, 0/0 -> 1."""
+    K = predictions.shape[1]
+    precision, recall, f1 = np.zeros(K), np.zeros(K), np.zeros(K)
+    for k in range(K):
+        V = int((predictions[:, k] == 1).sum())
+        U = int((truths[:, k] == 1).sum())
+        hits = int(((predictions[:, k] == 1) & (truths[:, k] == 1)).sum())
+        precision[k] = hits / V if V else 1.0
+        recall[k] = hits / U if U else 1.0
+        f1[k] = 2 * precision[k] * recall[k] / (precision[k] + recall[k]) if precision[k] + recall[k] > 0 else 0.0
+    return precision, recall, f1
+
+
+def write_detections_csv_oracle(path, trace, times=None):
+    """The detections CSV formatted one cell at a time."""
+    T, K = trace.risk.shape
+    if times is None:
+        times = np.arange(1, T + 1)
+    with open(path, "w", newline="") as fh:
+        fh.write("time,location,risk,threshold,prediction,truth\n")
+        for t in range(T):
+            for k in range(K):
+                fh.write(
+                    f"{float(times[t])!r},{k},{float(trace.risk[t, k])!r},"
+                    f"{float(trace.threshold[t, k])!r},{int(trace.prediction[t, k])},"
+                    f"{int(trace.truth[t, k])}\n"
+                )
+
+
+def save_events_csv_oracle(seq, path):
+    """The canonical event CSV written row by row through ``csv.writer``."""
+    header = ["time", "location"] + [f"m_{j}" for j in range(seq.mark_dim)]
+    if seq.magnitudes is not None:
+        header.append("magnitude")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(len(seq)):
+            row = [repr(float(seq.times[i])), int(seq.locations[i])]
+            row += [repr(float(v)) for v in seq.marks[i]]
+            if seq.magnitudes is not None:
+                row.append(int(seq.magnitudes[i]))
+            writer.writerow(row)
+
+
+def linear_density_sampler_with_choice(gamma):
+    """The linear-density mark sampler drawing its coordinate with ``Generator.choice``."""
+    probs = np.asarray(gamma, dtype=float) / np.sum(gamma)
+
+    def sampler(rng, location, dim):
+        m = rng.uniform(size=dim)
+        l = rng.choice(dim, p=probs)
+        m[l] = np.sqrt(rng.uniform())
+        return m
+
+    return sampler
+
+
+def simulate_with_choice(config):
+    """Ogata thinning with each accepted event's location drawn by
+    ``Generator.choice``; returns (times, locations, marks, magnitudes)."""
+    params = config.params
+    rng = np.random.default_rng(config.seed)
+    K = params.num_locations
+    p = config.mark_dim if config.mark_dim is not None else params.mark_dim
+    mu, alpha, beta = params.mu, params.alpha, params.beta
+    times, locs, marks, mags = [], [], [], []
+    excite = np.zeros(K)
+    t = 0.0
+    bound = float(mu.sum() + excite.sum())
+    while bound > 0.0:
+        t_cand = t + rng.exponential(1.0 / bound)
+        if t_cand > config.horizon:
+            break
+        excite = excite * np.exp(-beta * (t_cand - t))
+        t = t_cand
+        rates = mu + excite
+        total = float(rates.sum())
+        if rng.uniform() * bound <= total:
+            k = int(rng.choice(K, p=rates / total))
+            m = np.asarray(config.mark_sampler(rng, k, p), dtype=float)
+            times.append(t)
+            locs.append(k)
+            marks.append(m)
+            if config.magnitude_sampler is not None:
+                mags.append(int(config.magnitude_sampler(rng, m, k)))
+            excite = excite + beta * alpha[k, :]
+        bound = float(mu.sum() + excite.sum())
+    return np.array(times), np.array(locs), np.array(marks).reshape(len(times), p), np.array(mags)

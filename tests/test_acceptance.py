@@ -143,6 +143,7 @@ def test_criterion_03_pgd_rate_bound_on_known_quadratic():
     announce(3, f"error^2 <= M^2/(kappa^2 (k+1)) for all k <= 1e4 ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_04_parameter_recovery():
     start = time.perf_counter()
     truth = desk_scale_truth()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from firecast import model
-from firecast.events import EventSequence
+from firecast.events import EventSequence, save_events_csv
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
-from firecast.model import ModelParams
+from firecast.model import RATE_FLOOR, ModelParams
 from firecast.pipeline import (
     GridSpec,
     MarkStats,
@@ -21,8 +21,11 @@ from firecast.pipeline import (
     risk_series,
     run_end_to_end,
     write_detections_csv,
+    write_metrics_csv,
 )
 from firecast.thresholding import DetectionTrace
+
+from oracles import f1_oracle, save_events_csv_oracle, write_detections_csv_oracle
 
 
 class TestGridSpec:
@@ -183,6 +186,26 @@ class TestMetrics:
                 assert np.all((0 <= arr) & (arr <= 1))
             assert rep.hist_counts.sum() == 4
 
+    def test_columns_match_per_location_loop(self, tmp_path):
+        rng = np.random.default_rng(9)
+        for trial in range(20):
+            T, K = int(rng.integers(2, 30)), int(rng.integers(4, 10))
+            pred = np.where(rng.uniform(size=(T, K)) < rng.uniform(0, 0.4, size=K), 1, -1)
+            truth = np.where(rng.uniform(size=(T, K)) < rng.uniform(0, 0.4, size=K), 1, -1)
+            truth[:, 0] = pred[:, 0] = -1  # no fire, no alarm
+            truth[:, 1] = -1
+            truth[int(rng.integers(T)), 1] = 1  # one fire
+            pred[:, 2] = -1  # fires, no alarm
+            rep = f1_metrics(pred, truth)
+            precision, recall, f1 = f1_oracle(pred, truth)
+            assert rep.precision.tobytes() == precision.tobytes()
+            assert rep.recall.tobytes() == recall.tobytes()
+            assert rep.f1.tobytes() == f1.tobytes()
+            oracle = rep.__class__(precision, recall, f1, rep.hist_counts, rep.hist_edges)
+            write_metrics_csv(tmp_path / "a.csv", rep)
+            write_metrics_csv(tmp_path / "b.csv", oracle)
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
 
 class TestRiskSeries:
     def _params_seq(self):
@@ -291,6 +314,76 @@ class TestDetectionsCsv:
         assert np.array_equal(back.threshold, thr)
         assert np.array_equal(back.prediction, pred)
         assert np.array_equal(back.truth, truth)
+
+    def test_reads_rows_in_any_order(self, tmp_path):
+        rng = np.random.default_rng(4)
+        T, K = 5, 3
+        times = np.array([0.5, 1.25, 2.0, 7.5, 10.0])
+        risk, thr = np.exp(rng.normal(size=(T, K))), np.exp(rng.normal(size=(T, K)))
+        pred = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
+        truth = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
+        rows = [
+            f"{float(times[t])!r},{k},{float(risk[t, k])!r},{float(thr[t, k])!r},{pred[t, k]},{truth[t, k]}\n"
+            for t in range(T)
+            for k in range(K)
+        ]
+        path = tmp_path / "det.csv"
+        path.write_text("time,location,risk,threshold,prediction,truth\n" + "".join(rng.permutation(rows)))
+        back = read_detections_csv(path)
+        assert np.array_equal(back.risk, risk)
+        assert np.array_equal(back.threshold, thr)
+        assert np.array_equal(back.prediction, pred)
+        assert np.array_equal(back.truth, truth)
+
+    def test_bytes_match_per_cell_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        T, K = 6, 7
+        risk = np.exp(rng.normal(size=(T, K)) * 5)
+        thr = np.exp(rng.normal(size=(T, K)) * 5)
+        risk[0, :5] = [1e-16, 1e16, 5e-324, RATE_FLOOR, 1.0]
+        thr[1, :4] = [5e-324, RATE_FLOOR, 1e16, 0.1 + 0.2]
+        pred = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
+        truth = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
+        trace = DetectionTrace(risk=risk, threshold=thr, prediction=pred, truth=truth)
+        for times in (None, np.array([0.1, 0.5, 1.0, 1e-7, 2.75, 1e16])):
+            write_detections_csv(tmp_path / "a.csv", trace, times)
+            write_detections_csv_oracle(tmp_path / "b.csv", trace, times)
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        # integer risk is written as floats, as the per-cell writer does
+        ints = DetectionTrace(risk=np.ones((T, K), dtype=np.int64) * 3, threshold=thr, prediction=pred, truth=truth)
+        write_detections_csv(tmp_path / "a.csv", ints)
+        write_detections_csv_oracle(tmp_path / "b.csv", ints)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_rejects_labels_other_than_plus_minus_one(self, tmp_path):
+        trace = DetectionTrace(
+            risk=np.ones((2, 2)), threshold=np.ones((2, 2)), prediction=np.zeros((2, 2)), truth=np.ones((2, 2))
+        )
+        with pytest.raises(ValueError):
+            write_detections_csv(tmp_path / "a.csv", trace)
+
+
+class TestEventsCsv:
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    @pytest.mark.parametrize("with_magnitudes", [False, True])
+    def test_bytes_match_csv_writer(self, tmp_path, p, with_magnitudes):
+        rng = np.random.default_rng(p)
+        n = 25
+        marks = rng.uniform(size=(n, p))
+        if p:
+            marks[0, 0], marks[1, -1] = 5e-324, 1.0
+        seq = EventSequence(
+            times=np.concatenate([[0.0, 1e-16], np.sort(rng.uniform(0, 50, size=n - 2))]),
+            locations=rng.integers(0, 12, size=n),
+            marks=marks,
+            horizon=50.0,
+            num_locations=12,
+            magnitudes=rng.integers(0, 4, size=n) if with_magnitudes else None,
+        )
+        for s in (seq, EventSequence(times=[], locations=[], marks=np.zeros((0, p)), horizon=1.0, num_locations=1)):
+            save_events_csv(s, tmp_path / "a.csv")
+            save_events_csv_oracle(s, tmp_path / "b.csv")
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def small_bundle(with_conformal=True):

@@ -6,10 +6,14 @@ from firecast.estimation import FitConfig
 from firecast.model import ModelParams, integrated_ground_intensity
 from firecast.simulation import (
     SimConfig,
+    _cdf,
+    _draw_index,
     linear_density_mark_sampler,
     recovery_experiment,
     simulate,
 )
+
+from oracles import linear_density_sampler_with_choice, simulate_with_choice
 
 
 def poisson_params(mu=0.5, K=1):
@@ -136,3 +140,54 @@ class TestRecoveryExperiment:
         fit = grid_fit(seq, LinearMarkModel(), cfg, FeasibleSet(mask=params.mask), init=params)
         errs = parameter_errors(params, fit.params)
         assert errs["total"] <= 1e-12
+
+
+class TestInverseCdfDraws:
+    @pytest.mark.parametrize("K", [1, 3, 400, 1764])
+    def test_draw_equals_generator_choice(self, K):
+        for seed in range(20):
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            rates = mine.uniform(size=K) ** 3
+            theirs.uniform(size=K)
+            rates[mine.uniform(size=K) < 0.3] = 0.0  # zero-probability locations
+            theirs.uniform(size=K)
+            rates[-1] += 1e-3
+            p = rates / float(rates.sum())
+            for _ in range(50):
+                assert _draw_index(mine, _cdf(p)) == int(theirs.choice(K, p=p))
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+    def test_mark_sampler_equals_choice_sampler(self):
+        gamma = np.array([0.2, 0.0, 0.7, 0.1])
+        ours, theirs = linear_density_mark_sampler(gamma), linear_density_sampler_with_choice(gamma)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(200):
+            assert ours(a, 0, 4).tobytes() == theirs(b, 0, 4).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_simulate_equals_choice_simulator(self):
+        K = 30
+        rng = np.random.default_rng(0)
+        mask = rng.uniform(size=(K, K)) < 0.2
+        params = ModelParams(
+            mu=rng.uniform(0.01, 0.05, size=K),
+            alpha=np.where(mask, 0.02, 0.0),
+            beta=0.7,
+            gamma=np.array([0.3, 0.5]),
+            mask=mask,
+        )
+        for seed in range(3):
+            cfg = SimConfig(
+                params=params,
+                horizon=100.0,
+                seed=seed,
+                mark_sampler=linear_density_mark_sampler(params.gamma),
+                magnitude_sampler=lambda r, m, k: int(r.integers(3)),
+            )
+            seq = simulate(cfg)
+            times, locs, marks, mags = simulate_with_choice(cfg)
+            assert len(seq) > 50
+            assert seq.times.tobytes() == times.tobytes()
+            assert np.array_equal(seq.locations, locs)
+            assert seq.marks.tobytes() == marks.tobytes()
+            assert np.array_equal(seq.magnitudes, mags)

@@ -8,6 +8,7 @@ from firecast.thresholding import (
     project_threshold,
 )
 
+from oracles import detect_oracle, screening_gaps_oracle
 from reference_threshold import reference_dynamic_threshold
 
 
@@ -240,3 +241,105 @@ class TestScreening:
         screening = ScreeningState(fire_count=np.array([5]), avg_gap=np.array([1.0]))
         detect(risk, truth, cfg, screening)
         assert screening.detections[0] == 0
+
+
+def reference_columns(risk, truth, cfg):
+    """reference_dynamic_threshold run on every column; (thresholds, predictions)."""
+    cols = [
+        reference_dynamic_threshold(
+            risk[:, k], truth[:, k], *(float(getattr(cfg, f)[k]) for f in ("tau_min", "tau_max", "eta", "delta", "a1", "a2"))
+        )
+        for k in range(risk.shape[1])
+    ]
+    return np.stack([c[0] for c in cols], axis=1), np.stack([c[1] for c in cols], axis=1)
+
+
+def heterogeneous_case(seed=0, T=60):
+    """K=6 columns with different knobs: delta 0 and inf, a1 != a2, a column
+    that collapses (resets) often, and exact ties lam[t] == carried tau and
+    lam[t] == lam[t-1]/a2 planted by construction."""
+    rng = np.random.default_rng(seed)
+    risk, truth = random_series(rng, steps=T, K=6)
+    risk[::7, 3] *= 0.3  # column 3 collapses every week
+    cfg = ThresholdConfig(
+        tau_min=risk[0] / np.array([1.8, 1.0, 1.5, 1.8, 1.2, 1.8]),  # column 1: lam[0] == tau_min
+        tau_max=risk[0] * 1.8,
+        eta=np.array([0.05, 0.02, 0.1, 0.05, 0.0, 0.03]),
+        delta=np.array([0.0, 0.05, np.inf, 0.05, 0.0, 0.2]),
+        a1=np.array([1.1, 1.3, 1.1, 1.05, 1.2, 1.1]),
+        a2=np.array([1.1, 1.05, 1.1, 1.5, 1.2, 1.3]),
+    )
+    for k, ties in ((0, (5, 17, 33)), (4, (9, 26)), (5, (12, 40))):
+        for t in ties:
+            # the threshold carried into step t is the final one of step t-1
+            tau, _ = reference_columns(risk[:t], truth[:t], cfg)
+            risk[t, k] = tau[t - 1, k]
+    for k, t in ((1, 21), (2, 8), (3, 30), (4, 44)):
+        risk[t, k] = risk[t - 1, k] / cfg.a2[k]
+    return risk, truth, cfg
+
+
+class TestDetectAcrossLocations:
+    def test_columns_match_reference_bit_for_bit(self):
+        for seed in range(5):
+            risk, truth, cfg = heterogeneous_case(seed)
+            trace = detect(risk, truth, cfg)
+            ref_tau, ref_pred = reference_columns(risk, truth, cfg)
+            assert np.array_equal(trace.threshold, ref_tau)
+            assert np.array_equal(trace.prediction, ref_pred)
+
+    def test_planted_ties_are_exercised(self):
+        risk, truth, cfg = heterogeneous_case(0)
+        trace = detect(risk, truth, cfg)
+        carried = np.vstack([trace.threshold[:1], trace.threshold[:-1]])
+        assert (risk[1:] == carried[1:]).sum() >= 7
+        assert (risk[1:] == risk[:-1] / cfg.a2).sum() >= 4
+        resets = risk[1:] <= risk[:-1] / cfg.a2
+        assert resets[:, 3].sum() >= 5
+        assert np.all(trace.prediction[1:, 2] == -1)  # infinite slope gate
+
+    def test_screened_columns_match_per_location_oracle(self):
+        for seed in range(5):
+            risk, truth, cfg = heterogeneous_case(seed)
+            risk[5::5] *= 3.0  # regular spikes: raw positives every 5 steps
+            screening = ScreeningState(
+                fire_count=np.array([0, 2, 50, 50, 50, 3]),  # none; cap hit; gap ties
+                avg_gap=np.array([np.inf, 1.0, 5.0, 10.0, 5.0, 0.0]),
+                detections=np.array([0, 0, 0, 0, 1, 2]),
+                last_positive=np.array([-np.inf, -np.inf, -np.inf, -np.inf, 0.0, 3.0]),
+            )
+            before = (screening.detections.copy(), screening.last_positive.copy())
+            trace = detect(risk, truth, cfg, screening)
+            ref_tau, ref_pred = detect_oracle(risk, truth, cfg, screening)
+            assert np.array_equal(trace.threshold, ref_tau)
+            assert np.array_equal(trace.prediction, ref_pred)
+            assert np.array_equal(screening.detections, before[0])
+            assert np.array_equal(screening.last_positive, before[1])
+            # screening only vetoes: thresholds follow the raw predictions
+            assert np.array_equal(trace.threshold, detect(risk, truth, cfg).threshold)
+            assert np.all(trace.prediction[:, 0] == -1)
+            assert (trace.prediction[:, 1] == 1).sum() == 2
+            assert (trace.prediction[:, 5] == 1).sum() <= 1
+            # rule 3 passes on the tie t - last_positive == avg_gap
+            for k, start in ((3, []), (4, [0.0])):
+                gaps = np.diff(np.concatenate([start, np.flatnonzero(trace.prediction[:, k] == 1)]))
+                assert len(gaps) >= 2 and gaps.min() == screening.avg_gap[k]
+
+
+class TestFromValidation:
+    def test_gaps_match_per_column_loop(self):
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            T, K = int(rng.integers(2, 40)), int(rng.integers(2, 12))
+            rate = rng.uniform(0.0, 0.5, size=K)
+            truth = np.where(rng.uniform(size=(T, K)) < rate, 1, -1)
+            truth[:, 0] = -1  # no fire
+            truth[:, 1] = -1
+            truth[int(rng.integers(T)), 1] = 1  # one fire
+            window = None if trial % 2 else float(rng.uniform(1.0, 50.0))
+            st = ScreeningState.from_validation(truth, window)
+            assert np.array_equal(st.fire_count, (truth == 1).sum(axis=0))
+            assert st.avg_gap.tobytes() == screening_gaps_oracle(truth, window).tobytes()
+        assert ((truth == 1).sum(axis=0) >= 2).any()
+        empty = np.zeros((0, 3), dtype=np.int64)
+        assert np.array_equal(ScreeningState.from_validation(empty).avg_gap, screening_gaps_oracle(empty))
