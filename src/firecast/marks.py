@@ -6,13 +6,13 @@ scores ``gamma @ m`` with the weights held in the point-process parameters;
 the nonlinear model delegates to a fitted scorer
 ``(marks (N, p), times (N,), locations (N,)) -> (N,)`` whose scalar result is
 broadcast to all N rows.  One scorer ships here (a Gaussian KDE); anything
-fancier plugs in through the same callable contract.
+fancier plugs in through the same callable contract.  ``kde_scorer`` imports
+``scipy.stats`` when it is called, so a run with linear marks never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 
 class LinearMarkModel:
@@ -62,6 +62,8 @@ def kde_scorer(train_marks: np.ndarray):
     train_marks = np.asarray(train_marks, dtype=float)
     if train_marks.ndim != 2 or train_marks.shape[0] < 2:
         raise ValueError("need a (n, p) mark matrix with n >= 2")
+    from scipy.stats import gaussian_kde  # about 1 s of import: only KDE runs pay it
+
     kde = gaussian_kde(train_marks.T)  # Scott's rule is the scipy default
 
     def scorer(marks, t, location):

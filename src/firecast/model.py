@@ -40,6 +40,7 @@ RATE_FLOOR = 1e-12  # lower clamp for any rate fed to log or used as a density
 
 BALL_RADIUS = 1.0  # l2 radius bounding mu, alpha (Frobenius) and gamma
 NORM_TOL = 1e-9  # slack on ball-constraint checks
+MASK_BLOCK_ROWS = 64  # rows per block in mask_from_centroids: two 64 x K float temporaries
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,27 @@ class ModelParams:
 
 
 def mask_from_centroids(centroids: np.ndarray, neighbor_radius: float) -> np.ndarray:
-    """Allow interaction between cells whose centroids are within the radius."""
+    """Allow interaction between cells whose centroids are within the radius.
+
+    Evaluates ``sqrt(dx*dx + dy*dy) <= neighbor_radius`` in blocks of
+    ``MASK_BLOCK_ROWS`` rows, in place, so the float temporaries take about
+    1 KB per cell rather than 40 bytes per pair; the operations and their
+    order are the broadcast formula's, so pairs within an ulp of the radius
+    land on the same side.
+    """
     centroids = np.asarray(centroids, dtype=float)
-    dx = centroids[:, None, 0] - centroids[None, :, 0]
-    dy = centroids[:, None, 1] - centroids[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy) <= neighbor_radius
+    x, y = centroids[:, 0], centroids[:, 1]
+    mask = np.empty((len(centroids), len(centroids)), dtype=bool)
+    for r0 in range(0, len(centroids), MASK_BLOCK_ROWS):
+        rows = slice(r0, r0 + MASK_BLOCK_ROWS)
+        dx = np.subtract.outer(x[rows], x)
+        dy = np.subtract.outer(y[rows], y)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        np.less_equal(dx, neighbor_radius, out=mask[rows])
+    return mask
 
 
 def mask_from_index_distance(num_locations: int, tau: int) -> np.ndarray:

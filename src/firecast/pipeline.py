@@ -5,7 +5,9 @@ square grid, default 0.24-degree cells) or precomputed cell ids.  Continuous
 mark columns are imputed per location with a degree-5 spline over time
 (linear below six observed points, then constant fill), standardized, and
 min-max scaled to [0, 1]; scaling statistics are fitted once on training
-data and can be frozen for later files.
+data and can be frozen for later files.  ``scipy.interpolate`` is imported
+only when a location needs the spline, so ingesting a file without missing
+marks does not load scipy.
 
 The chain runs through one function per stage: ``build_mark_model``,
 ``fit_stage``, ``predict_stage`` and ``conformal_stage``.  ``run_end_to_end``
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import InterpolatedUnivariateSpline
 
 from . import __version__
 from . import conformal as conformal_mod
@@ -230,6 +231,8 @@ def impute_series(times: np.ndarray, values: np.ndarray, degree: int = 5) -> np.
     elif len(t_obs) <= degree:
         values[missing] = np.interp(times[missing], t_obs, v_obs)
     else:
+        from scipy.interpolate import InterpolatedUnivariateSpline
+
         spline = InterpolatedUnivariateSpline(t_obs, v_obs, k=degree, ext=3)
         values[missing] = spline(times[missing])
     return values
@@ -497,6 +500,9 @@ def write_fit_trace_csv(path, trace: np.ndarray) -> None:
             fh.write(f"{i},{float(v)!r}\n")
 
 
+DETECTIONS_HEADER = "time,location,risk,threshold,prediction,truth"
+
+
 def write_detections_csv(path, trace: thresholding.DetectionTrace, times=None) -> None:
     """One ``time,location,risk,threshold,prediction,truth`` row per cell,
     day-major; each day's rows are joined from strings formatted once per
@@ -514,7 +520,7 @@ def write_detections_csv(path, trace: thresholding.DetectionTrace, times=None) -
     risk = np.asarray(trace.risk, dtype=float)
     threshold = np.asarray(trace.threshold, dtype=float)
     with open(path, "w", newline="") as fh:
-        fh.write("time,location,risk,threshold,prediction,truth\n")
+        fh.write(DETECTIONS_HEADER + "\n")
         for t in range(T):
             parts = zip(
                 itertools.repeat(repr(float(times[t]))),
@@ -528,16 +534,23 @@ def write_detections_csv(path, trace: thresholding.DetectionTrace, times=None) -
 
 
 def read_detections_csv(path) -> thresholding.DetectionTrace:
-    data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    times, rows = np.unique(data["time"], return_inverse=True)
-    locs = data["location"].astype(int)
+    """Read what :func:`write_detections_csv` wrote; rows may come in any order,
+    columns must come in the writer's order."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != DETECTIONS_HEADER:
+            raise ValueError(f"{path}: header {header!r}, expected {DETECTIONS_HEADER!r}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    time, location, risk_col, thr_col, pred_col, truth_col = data.T
+    times, rows = np.unique(time, return_inverse=True)
+    locs = location.astype(int)
     shape = (len(times), locs.max() + 1)
     risk, thr = np.zeros(shape), np.zeros(shape)
     pred, truth = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
-    risk[rows, locs] = data["risk"]
-    thr[rows, locs] = data["threshold"]
-    pred[rows, locs] = data["prediction"].astype(np.int64)
-    truth[rows, locs] = data["truth"].astype(np.int64)
+    risk[rows, locs] = risk_col
+    thr[rows, locs] = thr_col
+    pred[rows, locs] = pred_col.astype(np.int64)
+    truth[rows, locs] = truth_col.astype(np.int64)
     return thresholding.DetectionTrace(risk=risk, threshold=thr, prediction=pred, truth=truth)
 
 
@@ -552,16 +565,15 @@ def write_metrics_csv(path, report: MetricsReport) -> None:
 
 
 def write_conformal_sets_jsonl(path, run: conformal_mod.ConformalRun) -> None:
+    """One ``{"alpha": a, "index": i, "set": [labels]}`` line per alpha and test
+    point, byte for byte what ``json.dumps(..., sort_keys=True)`` writes."""
     with open(path, "w") as fh:
         for a in run.alphas:
-            for i, pset in enumerate(run.sets[a]):
-                fh.write(
-                    json.dumps(
-                        {"index": i, "alpha": a, "set": [int(v) for v in pset.labels]},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            head = f'{{"alpha": {float(a)!r}, "index": '
+            fh.write("".join(
+                f'{head}{i}, "set": [{", ".join(map(str, map(int, pset.labels.tolist())))}]}}\n'
+                for i, pset in enumerate(run.sets[a])
+            ))
 
 
 def write_conformal_summary_csv(path, run: conformal_mod.ConformalRun) -> None:

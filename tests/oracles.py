@@ -8,6 +8,7 @@ done by quadrature, and gradients by central finite differences.
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -289,6 +290,36 @@ def write_detections_csv_oracle(path, trace, times=None):
                     f"{float(trace.threshold[t, k])!r},{int(trace.prediction[t, k])},"
                     f"{int(trace.truth[t, k])}\n"
                 )
+
+
+def read_detections_csv_oracle(path):
+    """The detections CSV parsed by column name with ``np.genfromtxt``, as
+    (risk, threshold, prediction, truth) arrays."""
+    data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    times, rows = np.unique(data["time"], return_inverse=True)
+    locs = data["location"].astype(int)
+    shape = (len(times), locs.max() + 1)
+    out = [np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)]
+    for arr, name in zip(out, ("risk", "threshold", "prediction", "truth")):
+        arr[rows, locs] = data[name]
+    return out
+
+
+def write_conformal_sets_jsonl_oracle(path, run):
+    """The conformal-sets stream written one ``json.dumps`` per row."""
+    with open(path, "w") as fh:
+        for a in run.alphas:
+            for i, pset in enumerate(run.sets[a]):
+                row = {"index": i, "alpha": a, "set": [int(v) for v in pset.labels]}
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def centroid_mask_oracle(centroids, neighbor_radius):
+    """Centroid-distance mask from full K x K broadcast arrays."""
+    centroids = np.asarray(centroids, dtype=float)
+    dx = centroids[:, None, 0] - centroids[None, :, 0]
+    dy = centroids[:, None, 1] - centroids[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy) <= neighbor_radius
 
 
 def save_events_csv_oracle(seq, path):

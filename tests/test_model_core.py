@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from firecast.events import EventSequence, load_events_csv, save_events_csv
 from firecast.pipeline import GridSpec
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import (
+    MASK_BLOCK_ROWS,
     RATE_FLOOR,
     EventKernel,
     ModelParams,
@@ -23,6 +25,7 @@ from firecast.model import (
 )
 
 from oracles import (
+    centroid_mask_oracle,
     finite_difference_gradient,
     naive_log_likelihood,
     quadrature_compensator,
@@ -336,6 +339,32 @@ class TestMasks:
         dist = np.sqrt((diff**2).sum(axis=2))
         assert np.sum(np.abs(dist - 0.96) < 1e-9) > 0  # pairs that rounding puts on either side
         assert np.array_equal(mask_from_centroids(centroids, 0.96), dist <= 0.96)
+
+    @pytest.mark.parametrize("K", [0, 1, MASK_BLOCK_ROWS - 1, MASK_BLOCK_ROWS, MASK_BLOCK_ROWS + 1])
+    def test_row_blocks_equal_broadcast_formula(self, K):
+        rng = np.random.default_rng(K)
+        # lattice points 0.24 apart put distances within ulps of 0.96 and 0.72
+        lattice = rng.integers(0, 12, size=(K, 2)) * 0.24 + np.array([32.0, -124.0])
+        for centroids in (lattice, rng.uniform(0.0, 3.0, size=(K, 2))):
+            # radii equal to computed distances: a formula off by one ulp flips those pairs
+            ties = np.sqrt(((centroids[:7] - centroids[-7:][::-1]) ** 2).sum(axis=1)).tolist()
+            for radius in [0.0, 0.72, 0.96, 1.5, 10.0] + ties:
+                mask = mask_from_centroids(centroids, radius)
+                assert mask.shape == (K, K) and mask.dtype == bool
+                assert np.array_equal(mask, centroid_mask_oracle(centroids, radius))
+
+    def test_state_box_mask_peaks_below_25_mb(self):
+        centroids = GridSpec(lat_min=32.0, lon_min=-124.0, lat_max=42.0, lon_max=-114.0, cell_size=0.24).centroids()
+        assert len(centroids) == 1764 > MASK_BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            mask = mask_from_centroids(centroids, 0.96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the broadcast formula holds five 1764 x 1764 float arrays, about 100 MB at its peak
+        assert peak < 25e6
+        assert np.array_equal(mask, centroid_mask_oracle(centroids, 0.96))
 
     def test_centroid_mask(self):
         centroids = np.array([[0.0, 0.0], [0.0, 0.3], [0.0, 1.0]])

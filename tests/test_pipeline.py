@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from firecast import model
+from firecast.conformal import ConformalRun, PredictionSet
 from firecast.events import EventSequence, save_events_csv
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import RATE_FLOOR, ModelParams
@@ -20,12 +21,19 @@ from firecast.pipeline import (
     read_detections_csv,
     risk_series,
     run_end_to_end,
+    write_conformal_sets_jsonl,
     write_detections_csv,
     write_metrics_csv,
 )
 from firecast.thresholding import DetectionTrace
 
-from oracles import f1_oracle, save_events_csv_oracle, write_detections_csv_oracle
+from oracles import (
+    f1_oracle,
+    read_detections_csv_oracle,
+    save_events_csv_oracle,
+    write_conformal_sets_jsonl_oracle,
+    write_detections_csv_oracle,
+)
 
 
 class TestGridSpec:
@@ -355,12 +363,77 @@ class TestDetectionsCsv:
         write_detections_csv_oracle(tmp_path / "b.csv", ints)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_one_row_file(self, tmp_path):
+        path = tmp_path / "det.csv"
+        path.write_text("time,location,risk,threshold,prediction,truth\n3.0,0,0.25,1e-12,1,-1\n")
+        back = read_detections_csv(path)
+        assert back.risk.shape == (1, 1)
+        assert back.risk[0, 0] == 0.25 and back.threshold[0, 0] == RATE_FLOOR
+        assert back.prediction[0, 0] == 1 and back.truth[0, 0] == -1
+        assert back.prediction.dtype == back.truth.dtype == np.int64
+
+    def test_rejects_columns_in_another_order(self, tmp_path):
+        path = tmp_path / "det.csv"
+        path.write_text("time,location,threshold,risk,prediction,truth\n3.0,0,0.25,1e-12,1,-1\n")
+        with pytest.raises(ValueError, match="header"):
+            read_detections_csv(path)
+
+    def test_bits_match_genfromtxt_reader(self, tmp_path):
+        rng = np.random.default_rng(6)
+        T, K = 5, 4
+        risk = np.exp(rng.normal(size=(T, K)) * 5)
+        thr = np.exp(rng.normal(size=(T, K)) * 5)
+        risk[0] = [5e-324, 1e16, RATE_FLOOR, 0.1 + 0.2]
+        thr[2] = [RATE_FLOOR, 5e-324, 1e-16, 1e16]
+        pred = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
+        truth = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
+        times = np.array([0.5, 1.0, 1e-7, 2.75, 1e16])
+        path = tmp_path / "det.csv"
+        write_detections_csv(path, DetectionTrace(risk=risk, threshold=thr, prediction=pred, truth=truth), times)
+        back = read_detections_csv(path)
+        expected = read_detections_csv_oracle(path)
+        for got, want in zip((back.risk, back.threshold, back.prediction, back.truth), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        # rows come back in time order
+        order = np.argsort(times)
+        assert back.risk.tobytes() == risk[order].tobytes()
+        assert back.threshold.tobytes() == thr[order].tobytes()
+
     def test_rejects_labels_other_than_plus_minus_one(self, tmp_path):
         trace = DetectionTrace(
             risk=np.ones((2, 2)), threshold=np.ones((2, 2)), prediction=np.zeros((2, 2)), truth=np.ones((2, 2))
         )
         with pytest.raises(ValueError):
             write_detections_csv(tmp_path / "a.csv", trace)
+
+
+class TestConformalSetsJsonl:
+    def test_bytes_match_json_dumps_writer(self, tmp_path):
+        rng = np.random.default_rng(7)
+        classes = np.array([0, 1, 2, 3])
+        alphas = (0.05, 0.1, 1e-05, 0.2, 1 / 3)
+        sets = {}
+        for a in alphas:
+            sets[a] = [
+                PredictionSet(labels=np.sort(rng.choice(classes, size=size, replace=False)), alpha=a,
+                              threshold=0.5, label_scores=np.zeros(4), class_labels=classes)
+                for size in [0, 1, 4, 2, 3, 0] + list(rng.integers(0, 5, size=20))
+            ]
+        # labels may come out of np.unique as floats; both writers print them as ints
+        sets[0.2][1] = PredictionSet(labels=np.array([1.0, 3.0]), alpha=0.2, threshold=0.5,
+                                     label_scores=np.zeros(4), class_labels=classes.astype(float))
+        empty = ConformalRun(method="sraps", alphas=(0.1,), sets={0.1: []}, coverage={}, mean_size={},
+                             class_labels=classes)
+        full = ConformalRun(method="eraps", alphas=alphas, sets=sets, coverage={}, mean_size={},
+                            class_labels=classes)
+        for run in (empty, full):
+            write_conformal_sets_jsonl(tmp_path / "a.jsonl", run)
+            write_conformal_sets_jsonl_oracle(tmp_path / "b.jsonl", run)
+            got = (tmp_path / "a.jsonl").read_bytes()
+            assert got == (tmp_path / "b.jsonl").read_bytes()
+        assert b'{"alpha": 1e-05, "index": 0, "set": []}\n' in got
+        assert got.count(b"\n") == len(alphas) * 26
 
 
 class TestEventsCsv:
