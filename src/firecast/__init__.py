@@ -53,10 +53,4 @@ from .pipeline import (
     run_end_to_end,
 )
 from .simulation import RecoveryReport, SimConfig, recovery_experiment, simulate
-from .thresholding import (
-    DetectionTrace,
-    ScreeningState,
-    ThresholdConfig,
-    detect,
-    project_threshold,
-)
+from .thresholding import DetectionTrace, ScreeningState, ThresholdConfig, detect

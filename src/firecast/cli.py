@@ -20,12 +20,8 @@ from .events import load_events_csv, save_events_csv
 from .model import ModelParams
 
 
-def _load_params(path) -> ModelParams:
-    return ModelParams.from_json(Path(path).read_text())
-
-
 def cmd_simulate(args) -> int:
-    params = _load_params(args.params)
+    params = ModelParams.from_json(args.params)
     seq = simulation.simulate(pipeline.simulation_config(params, {"horizon": args.horizon}, args.seed))
     save_events_csv(seq, args.out)
     print(f"wrote {len(seq)} events to {args.out}")
@@ -43,7 +39,7 @@ def cmd_fit(args) -> int:
         kappa=args.kappa,
         l1_weight=args.l1_weight,
     )
-    feasible = estimation.FeasibleSet(mask=_load_params(args.support).mask) if args.support else None
+    feasible = estimation.FeasibleSet(mask=ModelParams.from_json(args.support).mask) if args.support else None
     fit = pipeline.fit_stage(seq, mark_model, config, args.method, feasible)
     fit.params.to_json(args.out)
     if args.trace:
@@ -53,7 +49,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    params = _load_params(args.params)
+    params = ModelParams.from_json(args.params)
     seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
     mark_model = pipeline.build_mark_model(args.mark_model, seq)
     trace = pipeline.predict_stage(
@@ -66,7 +62,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.counterfactual:
-        params = _load_params(args.params)
+        params = ModelParams.from_json(args.params)
         seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
         marks_a = np.array([float(v) for v in args.marks_a.split(",")])
         marks_b = np.array([float(v) for v in args.marks_b.split(",")])
@@ -77,7 +73,7 @@ def cmd_eval(args) -> int:
         print(json.dumps(out, sort_keys=True))
         return 0
     trace = pipeline.read_detections_csv(args.detections)
-    report = pipeline.metrics_from_trace(trace)
+    report = pipeline.f1_metrics(trace.prediction, trace.truth)
     pipeline.write_metrics_csv(args.out, report)
     print(f"mean F1 {report.f1.mean():.4f} over {len(report.f1)} locations -> {args.out}")
     return 0
@@ -146,12 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mark-model", choices=("linear", "kde"), default="linear")
     p.add_argument("--support", help="params JSON whose interaction mask the fit keeps (default: all pairs)")
     p.add_argument("--method", choices=("grid", "alternating"), default="grid")
-    p.add_argument("--beta-low", type=float, default=0.01)
-    p.add_argument("--beta-high", type=float, default=2.0)
-    p.add_argument("--grid-points", type=int, default=8)
-    p.add_argument("--pgd-steps", type=int, default=500)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--l1-weight", type=float, default=1.0)
+    p.add_argument("--beta-low", type=float, default=estimation.FitConfig.beta_low)
+    p.add_argument("--beta-high", type=float, default=estimation.FitConfig.beta_high)
+    p.add_argument("--grid-points", type=int, default=estimation.FitConfig.grid_points)
+    p.add_argument("--pgd-steps", type=int, default=estimation.FitConfig.pgd_steps)
+    p.add_argument("--kappa", type=float, default=estimation.FitConfig.kappa)
+    p.add_argument("--l1-weight", type=float, default=estimation.FitConfig.l1_weight)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
     p.set_defaults(func=cmd_fit)

@@ -189,10 +189,11 @@ class LogisticClassifier:
     standardized features, fixed step count.
     """
 
-    def __init__(self, learning_rate: float = 1.0, epochs: int = 300, l2: float = 1e-4):
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.l2 = l2
+    LEARNING_RATE = 1.0
+    EPOCHS = 300
+    L2 = 1e-4
+
+    def __init__(self):
         self._weights = None
         self._x_mean = None
         self._x_std = None
@@ -212,10 +213,10 @@ class LogisticClassifier:
         W = np.zeros((d + 1, num_classes))
         onehot = np.zeros((n, num_classes))
         onehot[np.arange(n), y] = 1.0
-        for _ in range(self.epochs):
+        for _ in range(self.EPOCHS):
             proba = _softmax(Z @ W)
-            grad = Z.T @ (proba - onehot) / n + self.l2 * W
-            W -= self.learning_rate * grad
+            grad = Z.T @ (proba - onehot) / n + self.L2 * W
+            W -= self.LEARNING_RATE * grad
         self._weights = W
         return self
 
@@ -268,7 +269,6 @@ def eraps(
     alphas,
     score_params: ScoreParams = ScoreParams(),
     classifier_factory=None,
-    phi=None,
     seed: int = 0,
 ) -> ConformalRun:
     """Bootstrap leave-one-out ensemble prediction sets with a sliding window.
@@ -277,16 +277,11 @@ def eraps(
     training point is scored under the aggregate of the models whose
     bootstrap excluded it (falling back to the full ensemble when none did);
     test points are scored under the aggregate of those leave-one-out
-    aggregates.  Each batch of ``batch_size`` test points gets its sets for
-    all labels and alphas from one ``build_sets`` call on the current store;
-    then its labels are revealed (``test_y`` is required) and their scores
-    replace the oldest calibration scores.
-
-    ``phi`` aggregates probability rows: a callable from an (m, C) array to
-    a length-C vector, applied per training point over its out-of-bootstrap
-    models and again across training points at each test feature.  The
-    default (None) is the elementwise mean, which runs on a fast vectorized
-    path; custom aggregators take the literal, much slower route.
+    aggregates.  Both aggregates are renormalized elementwise means.  Each
+    batch of ``batch_size`` test points gets its sets for all labels and
+    alphas from one ``build_sets`` call on the current store; then its
+    labels are revealed (``test_y`` is required) and their scores replace
+    the oldest calibration scores.
     """
     train_x = np.asarray(train_x, dtype=float)
     test_x = np.asarray(test_x, dtype=float)
@@ -331,28 +326,10 @@ def eraps(
         out_counts[:, None] > 0, out / np.maximum(out_counts[:, None], 1.0), 1.0 / num_bootstrap
     )
 
-    if phi is None:
-        loo_train = _renormalize(np.einsum("ib,bic->ic", weights, p_train))
-        # test-point probabilities: mean of the per-training-point LOO ensembles
-        w_bar = weights.mean(axis=0)
-        proba_test = _renormalize(np.einsum("b,bjc->jc", w_bar, p_test))
-    else:
-        out_models = [np.flatnonzero(out[i]) for i in range(n_train)]
-        loo_train = np.zeros((n_train, C))
-        for i in range(n_train):
-            rows = p_train[out_models[i], i, :] if len(out_models[i]) else p_train[:, i, :]
-            loo_train[i] = phi(rows)
-        loo_train = _renormalize(loo_train)
-        proba_test = np.zeros((n_test, C))
-        for j in range(n_test):
-            per_train = np.array(
-                [
-                    phi(p_test[out_models[i], j, :] if len(out_models[i]) else p_test[:, j, :])
-                    for i in range(n_train)
-                ]
-            )
-            proba_test[j] = phi(per_train)
-        proba_test = _renormalize(proba_test)
+    loo_train = _renormalize(np.einsum("ib,bic->ic", weights, p_train))
+    # test-point probabilities: mean of the per-training-point LOO ensembles
+    w_bar = weights.mean(axis=0)
+    proba_test = _renormalize(np.einsum("b,bjc->jc", w_bar, p_test))
 
     u_train, u_test = uniforms[:n_train], uniforms[n_train:]
     tau_init = scores_all_labels(loo_train, u_train, score_params)

@@ -8,20 +8,19 @@ one-dimensional grid search (``grid_fit``) or by alternating the convex
 solve with a golden-section line search (``alternating_fit``).  The solver
 works on the flat iterate ``[mu, alpha[src, dst], gamma]`` of length
 K + P + p, where ``src, dst`` are the P (source, destination) pairs the
-interaction mask allows: the sparsity constraint is structural, and each
-objective or gradient evaluation (:class:`model.EventKernel`) costs
+interaction mask allows: the sparsity constraint is structural.  The
+objective and its gradient are :class:`model.Objective` over those pairs,
+the same code ``model.penalized_objective`` runs; each evaluation costs
 O(events x allowed sources), not O(n K^2).  A neighbour mask is what makes
 state-scale fits cheap; the dense K x K alpha is only built for each fitted
-result.
+result.  The solver always backtracks.
 
 All routines are deterministic: same inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ from .events import EventSequence
 from .model import BALL_RADIUS, ModelParams
 
 LINE_SCAN_POINTS = 25  # coarse scan resolution of the beta line search
+MAX_HALVINGS = 40  # backtracking halvings per step before the last trial is accepted
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -67,6 +67,11 @@ class FeasibleSet:
         alpha = np.zeros(self.mask.shape)
         alpha[self.src, self.dst] = alpha_pairs
         return alpha
+
+    def flatten(self, params: ModelParams) -> np.ndarray:
+        """The flat iterate ``[mu, alpha[src, dst], gamma]`` of ``params``;
+        the inverse of :meth:`scatter` on alpha."""
+        return np.concatenate([params.mu, params.alpha[self.src, self.dst], params.gamma])
 
 
 def _project_blocks(mu: np.ndarray, alpha: np.ndarray, gamma: np.ndarray) -> None:
@@ -107,7 +112,6 @@ def projected_gradient_descent(
     objective_fn=None,
     prox_fn=None,
     backtracking: bool = False,
-    max_halvings: int = 40,
     callback=None,
 ):
     """Generic projected (proximal) gradient loop with 1/(kappa (k+1)) steps.
@@ -116,8 +120,9 @@ def projected_gradient_descent(
     iterate, starting from the projected initial point).  With
     ``backtracking`` the trial step starts at the nominal rule, capped at
     twice the previously accepted step so the halving search stays short,
-    and is halved until the objective stops increasing; the trace is then
-    nonincreasing.  Without backtracking the rule is applied exactly.
+    and is halved (at most ``MAX_HALVINGS`` times) until the objective stops
+    increasing; the trace is then nonincreasing.  Without backtracking the
+    rule is applied exactly.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -148,7 +153,7 @@ def projected_gradient_descent(
             if backtracking:
                 f_prev = trace[-1]
                 halvings = 0
-                while f_new > f_prev and halvings < max_halvings:
+                while f_new > f_prev and halvings < MAX_HALVINGS:
                     t_k *= 0.5
                     x_new = step_to(t_k)
                     f_new = float(objective_fn(x_new))
@@ -167,7 +172,8 @@ class FitConfig:
 
     ``kappa`` is the step-size scale from the 1/(kappa (k+1)) rule; the true
     strong-monotonicity constant of the likelihood is unknown, so the default
-    of 1.0 relies on ``backtracking`` to tame the early steps.
+    of 1.0 relies on the solver's backtracking (always on) to tame the early
+    steps.
     """
 
     beta_low: float = 0.01
@@ -176,7 +182,6 @@ class FitConfig:
     pgd_steps: int = 500          # k_max per convex solve
     kappa: float = 1.0
     l1_weight: float = 1.0
-    backtracking: bool = True
     eps_beta: float = 0.01        # alternating-loop stopping tolerance
     max_outer: int = 10
     beta_init: float = 1.0
@@ -213,83 +218,12 @@ class FitResult:
     selected_index: int | None = None
     outer_iterations: int | None = None
     outer_trace: np.ndarray | None = None
-    total_steps: int = 0
-    wall_time: float = 0.0         # diagnostic only, never serialized
 
 
-class _FixedBetaProblem:
-    """Penalized objective and smooth gradient at a fixed beta on a flat
-    parameter vector [mu, alpha[src, dst], gamma] over the feasible set's
-    allowed pairs.
-
-    A gamma-free mark term is scored once.  The intensities of the latest
-    argument are cached by identity: the descent loop evaluates objective
-    and gradient at the same accepted iterate.
-    """
-
-    def __init__(self, seq: EventSequence, mark_model, beta: float, l1_weight: float, feasible: FeasibleSet):
-        self.feasible = feasible
-        self.kernel = model.EventKernel(seq, feasible.src, feasible.dst, beta)
-        self.l1_weight = float(l1_weight)
-        self.K, self.P, self.p = seq.num_locations, len(feasible.src), seq.mark_dim
-        self.marks = np.ascontiguousarray(seq.marks)
-        self.uses_gamma = mark_model.uses_gamma
-        if not self.uses_gamma:
-            self.const_mark_term = model.floored_log_sum(mark_model.event_scores(np.zeros(self.p), seq))
-        self._cache_key = self._cache_lam = None
-
-    def split(self, x: np.ndarray):
-        """(mu, alpha on the pairs, gamma) views of ``x``."""
-        K, P = self.K, self.P
-        return x[:K], x[K : K + P], x[K + P :]
-
-    def flatten(self, mu, alpha, gamma) -> np.ndarray:
-        """The flat vector of (mu, dense K x K alpha, gamma)."""
-        return np.concatenate([mu, alpha[self.feasible.src, self.feasible.dst], gamma])
-
-    def _event_intensities(self, x, mu, alpha):
-        if self._cache_key is not x:
-            self._cache_key = x
-            self._cache_lam = self.kernel.intensities(mu, alpha)
-        return self._cache_lam
-
-    def _mark_term(self, gamma) -> float:
-        return model.floored_log_sum(self.marks @ gamma) if self.uses_gamma else self.const_mark_term
-
-    def _value(self, kernel, lam, mu, alpha, gamma, mark_term: float) -> float:
-        comp = kernel.compensator(mu, alpha)
-        event_term = model.floored_log_sum(lam)
-        return -(event_term + mark_term - comp) + self.l1_weight * float(np.abs(gamma).sum())
-
-    def objective(self, x: np.ndarray) -> float:
-        mu, alpha, gamma = self.split(x)
-        lam = self._event_intensities(x, mu, alpha)
-        return self._value(self.kernel, lam, mu, alpha, gamma, self._mark_term(gamma))
-
-    def beta_profile(self, x: np.ndarray):
-        """The objective at ``x`` as a function of beta, for the line search:
-        the mark term and the index arrays are computed once."""
-        mu, alpha, gamma = self.split(x)
-        mark_term = self._mark_term(gamma)
-
-        def f(beta: float) -> float:
-            kernel = self.kernel.with_beta(beta)
-            return self._value(kernel, kernel.intensities(mu, alpha), mu, alpha, gamma, mark_term)
-
-        return f
-
-    def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
-        mu, alpha, gamma = self.split(x)
-        g_mu, g_alpha = self.kernel.gradients(self._event_intensities(x, mu, alpha))
-        g_gamma = model.linear_mark_gradient(self.marks, gamma) if self.uses_gamma else np.zeros(self.p)
-        return np.concatenate([g_mu, g_alpha, g_gamma])
-
-
-def default_feasible_set(seq: EventSequence, mask: np.ndarray | None = None) -> FeasibleSet:
+def default_feasible_set(seq: EventSequence) -> FeasibleSet:
+    """Every (source, destination) pair allowed."""
     K = seq.num_locations
-    if mask is None:
-        mask = np.ones((K, K), dtype=bool)
-    return FeasibleSet(mask=mask)
+    return FeasibleSet(mask=np.ones((K, K), dtype=bool))
 
 
 def default_init(seq: EventSequence, feasible: FeasibleSet, beta: float) -> ModelParams:
@@ -317,12 +251,12 @@ def pgd_fit(
         feasible = default_feasible_set(seq)
     if init is None:
         init = default_init(seq, feasible, beta)
-    problem = _FixedBetaProblem(seq, mark_model, beta, config.l1_weight, feasible)
-    g0 = problem.K + problem.P  # gamma's offset in the flat vector
+    objective = model.Objective(seq, mark_model, feasible.src, feasible.dst, beta, config.l1_weight)
+    g0 = objective.K + objective.P  # gamma's offset in the flat vector
 
     def project_flat(x):
         out = x.copy()
-        _project_blocks(*problem.split(out))
+        _project_blocks(*objective.split(out))
         return out
 
     def prox_flat(x, t):
@@ -333,18 +267,17 @@ def pgd_fit(
         out[g0:] = soft_threshold(x[g0:], t * config.l1_weight)
         return out
 
-    x0 = problem.flatten(init.mu, init.alpha, init.gamma)
     x, trace = projected_gradient_descent(
-        x0,
-        grad_fn=problem.smooth_gradient,
+        feasible.flatten(init),
+        grad_fn=objective.smooth_gradient,
         project_fn=project_flat,
         steps=config.pgd_steps,
         kappa=config.kappa,
-        objective_fn=problem.objective,
+        objective_fn=objective.value,
         prox_fn=prox_flat,
-        backtracking=config.backtracking,
+        backtracking=True,
     )
-    mu, alpha, gamma = problem.split(x)
+    mu, alpha, gamma = objective.split(x)
     params = ModelParams(mu=mu, alpha=feasible.scatter(alpha), beta=beta, gamma=gamma, mask=feasible.mask)
     return PgdResult(params=params, trace=trace)
 
@@ -362,7 +295,6 @@ def grid_fit(
     for j = 0..J; ties go to the smallest j.  Individual grid points may
     fail (non-finite gradients); the fit fails only if all of them do.
     """
-    start = time.perf_counter()
     if feasible is None:
         feasible = default_feasible_set(seq)
     J = config.grid_points
@@ -392,8 +324,6 @@ def grid_fit(
         grid_betas=betas,
         grid_objectives=objectives,
         selected_index=j_star,
-        total_steps=(J + 1) * config.pgd_steps,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -432,26 +362,24 @@ def alternating_fit(
     means no bracket, in which case the scan point is used and a warning is
     emitted.  Stops when consecutive beta estimates differ by at most
     ``eps_beta``.  The convex solve warm-starts from the previous iterate
-    with backtracking forced on, so the objective never increases across
-    outer iterations.
+    and backtracks, so the objective never increases across outer
+    iterations.
     """
-    start = time.perf_counter()
     if feasible is None:
         feasible = default_feasible_set(seq)
-    inner = dataclasses.replace(config, backtracking=True)
     beta = float(config.beta_init)
     params = init if init is not None else default_init(seq, feasible, beta)
     # one set of index arrays (and one gamma-free mark term) for every line search
-    line_problem = _FixedBetaProblem(seq, mark_model, beta, config.l1_weight, feasible)
+    line_objective = model.Objective(seq, mark_model, feasible.src, feasible.dst, beta, config.l1_weight)
     outer_trace = []
     trace = np.zeros(0)
     outer_done = 0
     for outer in range(1, config.max_outer + 1):
-        res = pgd_fit(seq, mark_model, beta, inner, feasible, init=params)
+        res = pgd_fit(seq, mark_model, beta, config, feasible, init=params)
         params = res.params
         trace = res.trace
 
-        f_beta = line_problem.beta_profile(line_problem.flatten(params.mu, params.alpha, params.gamma))
+        f_beta = line_objective.beta_profile(feasible.flatten(params))
 
         hi = max(2.0**outer, config.beta_low * 2.0)
         scan = np.linspace(config.beta_low, hi, LINE_SCAN_POINTS)
@@ -485,6 +413,4 @@ def alternating_fit(
         trace=trace,
         outer_iterations=outer_done,
         outer_trace=np.asarray(outer_trace),
-        total_steps=outer_done * config.pgd_steps,
-        wall_time=time.perf_counter() - start,
     )

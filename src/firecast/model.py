@@ -20,9 +20,16 @@ each (event, source) value comes from a decayed-count recursion over that
 source's own events, never from a dense n x K history matrix
 (:func:`excitation_matrix` stays as the reference it is tested against).
 ``params.json`` stores alpha on the mask's pairs only.
-Intensities passed to ``log`` are floored at ``RATE_FLOOR`` so the objective
-stays finite on the whole feasible set, where negative interaction weights
-can drive the raw value to zero or below.
+
+:class:`Objective` is the one implementation of the estimation objective
+(negative log-likelihood plus an l1 penalty on gamma) and its gradient, on
+a flat ``[mu, alpha[src, dst], gamma]`` vector at a fixed beta: the solver
+in :mod:`firecast.estimation` runs it on the mask's pairs, and
+``penalized_objective``, ``log_likelihood`` and ``objective_gradient`` are
+short calls into it.  It alone takes logs of intensities and mark scores,
+floored at ``RATE_FLOOR`` so the objective stays finite on the whole
+feasible set, where negative interaction weights can drive the raw value to
+zero or below.
 """
 
 from __future__ import annotations
@@ -328,31 +335,92 @@ def linear_mark_gradient(marks: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return -(marks.T @ inverse_above_floor(marks @ gamma))
 
 
-def log_likelihood(params: ModelParams, seq: EventSequence, mark_model) -> float:
-    """Exact log-likelihood of the sequence (for any alpha: the kernel runs
-    on its nonzeros); log arguments floored at RATE_FLOOR."""
+class Objective:
+    """The estimation objective at a fixed beta: negative log-likelihood plus
+    ``l1_weight * ||gamma||_1``, and its smooth gradient, on the flat vector
+    ``[mu, alpha[src, dst], gamma]`` over the given (source, destination)
+    pairs; log arguments are floored at ``RATE_FLOOR``.
+
+    A gamma-free mark term is scored once.  The intensities of the latest
+    argument are cached by identity: the descent loop evaluates objective
+    and gradient at the same accepted iterate.
+    """
+
+    def __init__(self, seq: EventSequence, mark_model, src: np.ndarray, dst: np.ndarray, beta: float,
+                 l1_weight: float):
+        self.kernel = EventKernel(seq, src, dst, beta)
+        self.l1_weight = float(l1_weight)
+        self.K, self.P = seq.num_locations, len(self.kernel.src)
+        self.marks = seq.marks
+        self.uses_gamma = mark_model.uses_gamma
+        if not self.uses_gamma:
+            self.const_mark_term = floored_log_sum(mark_model.event_scores(np.zeros(seq.mark_dim), seq))
+        self._cache_key = self._cache_lam = None
+
+    def split(self, x: np.ndarray):
+        """(mu, alpha on the pairs, gamma) views of ``x``."""
+        K, P = self.K, self.P
+        return x[:K], x[K : K + P], x[K + P :]
+
+    def _event_intensities(self, x, mu, alpha):
+        if self._cache_key is not x:
+            self._cache_key = x
+            self._cache_lam = self.kernel.intensities(mu, alpha)
+        return self._cache_lam
+
+    def _mark_term(self, gamma) -> float:
+        return floored_log_sum(self.marks @ gamma) if self.uses_gamma else self.const_mark_term
+
+    def _value(self, kernel, lam, mu, alpha, gamma, mark_term: float) -> float:
+        comp = kernel.compensator(mu, alpha)
+        event_term = floored_log_sum(lam)
+        return -(event_term + mark_term - comp) + self.l1_weight * float(np.abs(gamma).sum())
+
+    def value(self, x: np.ndarray) -> float:
+        mu, alpha, gamma = self.split(x)
+        lam = self._event_intensities(x, mu, alpha)
+        return self._value(self.kernel, lam, mu, alpha, gamma, self._mark_term(gamma))
+
+    def beta_profile(self, x: np.ndarray):
+        """The objective at ``x`` as a function of beta, for the line search:
+        the mark term and the index arrays are computed once."""
+        mu, alpha, gamma = self.split(x)
+        mark_term = self._mark_term(gamma)
+
+        def f(beta: float) -> float:
+            kernel = self.kernel.with_beta(beta)
+            return self._value(kernel, kernel.intensities(mu, alpha), mu, alpha, gamma, mark_term)
+
+        return f
+
+    def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient of everything but the l1 term, flat like ``x``."""
+        mu, alpha, gamma = self.split(x)
+        g_mu, g_alpha = self.kernel.gradients(self._event_intensities(x, mu, alpha))
+        g_gamma = linear_mark_gradient(self.marks, gamma) if self.uses_gamma else np.zeros(len(gamma))
+        return np.concatenate([g_mu, g_alpha, g_gamma])
+
+
+def penalized_objective(
+    params: ModelParams, seq: EventSequence, mark_model, l1_weight: float = 1.0
+) -> float:
+    """Estimation objective: negative log-likelihood plus l1 penalty on gamma,
+    for any alpha (the :class:`Objective` runs on its nonzeros)."""
+    if l1_weight < 0:
+        raise ValueError("l1_weight must be nonnegative")
     for arr in (params.mu, params.alpha, params.gamma):
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite parameter")
     if not np.isfinite(params.beta):
         raise ValueError("non-finite beta")
     src, dst = np.nonzero(params.alpha != 0)
-    kernel = EventKernel(seq, src, dst, params.beta)
-    alpha = params.alpha[src, dst]
-    event_term = floored_log_sum(kernel.intensities(params.mu, alpha))
-    mark_term = floored_log_sum(mark_model.event_scores(params.gamma, seq))
-    return event_term + mark_term - kernel.compensator(params.mu, alpha)
+    objective = Objective(seq, mark_model, src, dst, params.beta, l1_weight)
+    return objective.value(np.concatenate([params.mu, params.alpha[src, dst], params.gamma]))
 
 
-def penalized_objective(
-    params: ModelParams, seq: EventSequence, mark_model, l1_weight: float = 1.0
-) -> float:
-    """Estimation objective: negative log-likelihood plus l1 penalty on gamma."""
-    if l1_weight < 0:
-        raise ValueError("l1_weight must be nonnegative")
-    return -log_likelihood(params, seq, mark_model) + l1_weight * float(
-        np.abs(params.gamma).sum()
-    )
+def log_likelihood(params: ModelParams, seq: EventSequence, mark_model) -> float:
+    """Exact log-likelihood of the sequence: the unpenalized objective, negated."""
+    return -penalized_objective(params, seq, mark_model, 0.0)
 
 
 def objective_gradient(
@@ -360,13 +428,13 @@ def objective_gradient(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient of the penalized objective w.r.t. (mu, alpha, gamma).
 
-    The kernel runs on all K^2 pairs, so every alpha entry is exact, also
-    off the mask.  The gamma component includes ``l1_weight * sign(gamma)``, valid
-    away from zeros; the optimizer soft-thresholds the l1 part instead.
+    The :class:`Objective` runs on all K^2 pairs, so every alpha entry is
+    exact, also off the mask.  The gamma component includes
+    ``l1_weight * sign(gamma)``, valid away from zeros; the optimizer
+    soft-thresholds the l1 part instead.
     """
     K = seq.num_locations
-    kernel = EventKernel(seq, *np.divmod(np.arange(K * K), K), params.beta)
-    g_mu, g_alpha = kernel.gradients(kernel.intensities(params.mu, params.alpha.ravel()))
-    gamma = params.gamma
-    g_gamma = linear_mark_gradient(seq.marks, gamma) if mark_model.uses_gamma else np.zeros_like(gamma)
-    return g_mu, g_alpha.reshape(K, K), g_gamma + l1_weight * np.sign(gamma)
+    objective = Objective(seq, mark_model, *np.divmod(np.arange(K * K), K), params.beta, l1_weight)
+    x = np.concatenate([params.mu, params.alpha.ravel(), params.gamma])
+    g_mu, g_alpha, g_gamma = objective.split(objective.smooth_gradient(x))
+    return g_mu, g_alpha.reshape(K, K), g_gamma + l1_weight * np.sign(params.gamma)

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -405,10 +405,6 @@ def f1_metrics(predictions: np.ndarray, truths: np.ndarray) -> MetricsReport:
     return MetricsReport(precision=precision, recall=recall, f1=f1, hist_counts=counts, hist_edges=edges)
 
 
-def metrics_from_trace(trace: thresholding.DetectionTrace) -> MetricsReport:
-    return f1_metrics(trace.prediction, trace.truth)
-
-
 # ---------------------------------------------------------------------------
 # risk series and day-level truths
 
@@ -603,9 +599,11 @@ def build_mark_model(spec: str, seq: EventSequence):
 def fit_stage(
     seq: EventSequence, mark_model, config: estimation.FitConfig, method: str, feasible=None
 ) -> estimation.FitResult:
-    """Constrained MLE: ``alternating`` beta search, anything else the beta grid."""
-    fit = estimation.alternating_fit if method == "alternating" else estimation.grid_fit
-    return fit(seq, mark_model, config, feasible)
+    """Constrained MLE: the beta ``grid`` or the ``alternating`` beta search."""
+    fits = {"grid": estimation.grid_fit, "alternating": estimation.alternating_fit}
+    if method not in fits:
+        raise ValueError(f"unknown fit method {method!r}; expected 'grid' or 'alternating'")
+    return fits[method](seq, mark_model, config, feasible)
 
 
 def predict_stage(
@@ -627,7 +625,9 @@ def conformal_stage(
     num_bootstrap: int, batch_size: int, split_fraction: float, seed: int,
 ) -> conformal_mod.ConformalRun:
     """Magnitude prediction sets: the first ``n_train`` events train, the rest
-    form the test stream; ``eraps`` or else ``sraps``."""
+    form the test stream; ``method`` is ``eraps`` or ``sraps``."""
+    if method not in ("eraps", "sraps"):
+        raise ValueError(f"unknown conformal method {method!r}; expected 'eraps' or 'sraps'")
     if seq.magnitudes is None:
         raise ValueError("conformal stage needs magnitude labels in the data")
     if not 10 <= n_train < len(seq):
@@ -660,6 +660,32 @@ STAGE_ARTIFACTS = {
 }
 
 
+# the keys each bundle section may hold (None: the top level), and the stage
+# that reads them and tags their errors
+BUNDLE_KEYS = {
+    None: ("data", {"seed", "simulate", "ingest", "fit", "predict", "conformal"}),
+    "simulate": ("data", {"params", "params_file", "horizon", "magnitude_classes", "mark_distribution"}),
+    "ingest": ("data", {"csv", "grid", "neighbor_radius", "horizon", "spline_degree", "categorical_columns"}),
+    "fit": ("fit", {"method", "mark_model"} | {f.name for f in fields(estimation.FitConfig)}),
+    "predict": ("predict", {"delta", "a1", "a2", "screening"}),
+    "conformal": ("conformal", {"method", "train_fraction", "alphas", "lambda_reg", "k_reg",
+                                "num_bootstrap", "batch_size", "split_fraction"}),
+}
+
+
+def _check_bundle_keys(bundle: dict) -> None:
+    """Reject a key that no stage reads, so a typo fails instead of running
+    on defaults."""
+    for section, (stage, known) in BUNDLE_KEYS.items():
+        cfg = bundle if section is None else bundle.get(section, {})
+        where = "the bundle" if section is None else f"section {section!r}"
+        if not isinstance(cfg, dict):
+            raise PipelineError(stage, f"{where} must be a JSON object")
+        unknown = sorted(set(cfg) - known)
+        if unknown:
+            raise PipelineError(stage, f"unknown keys {unknown} in {where}; expected some of {sorted(known)}")
+
+
 @contextmanager
 def _stage(name: str, done: list):
     """Tag any failure inside the block with ``name``; on success append it to ``done``."""
@@ -682,8 +708,11 @@ def simulation_config(params: ModelParams, cfg: dict, seed: int) -> simulation.S
             # label tied to the first mark so a classifier has signal
             return 1 + min(n_classes - 1, int(marks[0] * n_classes))
 
+    distribution = cfg.get("mark_distribution", "linear")
+    if distribution not in ("linear", "uniform"):
+        raise ValueError(f"unknown mark_distribution {distribution!r}; expected 'linear' or 'uniform'")
     mark_sampler = simulation.uniform_mark_sampler
-    if cfg.get("mark_distribution", "linear") == "linear":
+    if distribution == "linear":
         mark_sampler = simulation.linear_density_mark_sampler(params.gamma)
     return simulation.SimConfig(
         params=params, horizon=float(cfg["horizon"]), seed=seed,
@@ -693,7 +722,7 @@ def simulation_config(params: ModelParams, cfg: dict, seed: int) -> simulation.S
 
 def _bundle_simulate(cfg: dict, seed: int, wants_magnitudes: bool):
     params = (
-        ModelParams.from_json(Path(cfg["params_file"]).read_text())
+        ModelParams.from_json(cfg["params_file"])
         if "params_file" in cfg
         else ModelParams.from_json(json.dumps(cfg["params"]))
     )
@@ -724,8 +753,10 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
     in ``out_dir`` with fixed names; the manifest records the seed, package
     version, config hash, and artifact digests, and two runs with the same
     bundle are byte-identical.  A failing stage raises ``PipelineError``
-    tagged with its name; artifacts of earlier stages stay on disk.
+    tagged with its name; artifacts of earlier stages stay on disk.  A key no
+    stage reads fails before any stage runs (``_check_bundle_keys``).
     """
+    _check_bundle_keys(bundle)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = int(bundle.get("seed", 0))
@@ -761,7 +792,7 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
         write_detections_csv(out / "detections.csv", trace)
 
     with _stage("eval", stages):
-        write_metrics_csv(out / "metrics.csv", metrics_from_trace(trace))
+        write_metrics_csv(out / "metrics.csv", f1_metrics(trace.prediction, trace.truth))
 
     if "conformal" in bundle:
         with _stage("conformal", stages):

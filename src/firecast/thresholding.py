@@ -86,11 +86,6 @@ class ThresholdConfig:
         )
 
 
-def project_threshold(x: float, config: ThresholdConfig, k: int) -> float:
-    """Closest point of [tau_min_k, tau_max_k] to x, i.e. a clamp."""
-    return float(min(max(x, config.tau_min[k]), config.tau_max[k]))
-
-
 @dataclass
 class ScreeningState:
     """Validation statistics plus running detection counters for the rules."""
@@ -109,13 +104,11 @@ class ScreeningState:
             self.last_positive = np.full(len(self.fire_count), -np.inf)
 
     @classmethod
-    def from_validation(cls, truth: np.ndarray, window_length: float | None = None) -> "ScreeningState":
+    def from_validation(cls, truth: np.ndarray) -> "ScreeningState":
         """Build the per-location statistics from a (T, K) validation truth
-        matrix with entries in {-1, 1}; a single fire gets gap = window length."""
+        matrix with entries in {-1, 1}; a single fire gets gap = T."""
         truth = np.asarray(truth)
         T, K = truth.shape
-        if window_length is None:
-            window_length = float(T)
         fires = truth == 1
         counts = fires.sum(axis=0)
         # mean gap between consecutive fire steps = (last - first) / (count - 1)
@@ -123,7 +116,7 @@ class ScreeningState:
         first = np.where(fires, steps, T).min(axis=0, initial=T)
         last = np.where(fires, steps, -1).max(axis=0, initial=-1)
         spread = (last - first) / np.maximum(counts - 1, 1)
-        gaps = np.where(counts >= 2, spread, np.where(counts == 1, window_length, np.inf))
+        gaps = np.where(counts >= 2, spread, np.where(counts == 1, float(T), np.inf))
         return cls(fire_count=counts, avg_gap=gaps)
 
     def copy(self) -> "ScreeningState":

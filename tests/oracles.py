@@ -105,6 +105,37 @@ def random_instance(rng: np.random.Generator, allow_negative_alpha: bool = False
     return params, seq
 
 
+def kernel_case(name: str, negative_alpha: bool = False):
+    """A masked instance for the fixed-beta kernel: (params, seq).  With
+    ``negative_alpha`` about half the allowed weights flip sign."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    K, n, p = {"partial": (5, 40, 2), "dead_location": (4, 30, 2), "empty": (3, 0, 2),
+               "single_cell": (1, 15, 1), "full": (3, 30, 3)}[name]
+    mask = rng.uniform(size=(K, K)) < 0.5
+    np.fill_diagonal(mask, True)
+    if name == "dead_location":
+        mask[:, 2] = False  # events at cell 2 have no allowed source
+    if name in ("single_cell", "full"):
+        mask[:] = True
+    times = np.sort(rng.uniform(0.0, 20.0, size=n))
+    if name == "partial":
+        times[3:6] = times[3]  # three tied timestamps
+    locations = rng.integers(0, K, size=n)
+    if name == "dead_location":
+        locations[::5] = 2
+    seq = EventSequence(times=times, locations=locations, marks=rng.uniform(0.1, 1.0, size=(n, p)),
+                        horizon=20.0, num_locations=K)
+    params = ModelParams(mu=rng.uniform(0.05, 0.3, size=K), alpha=np.where(mask, rng.uniform(0.0, 0.3, size=(K, K)), 0.0),
+                         beta=0.9, gamma=rng.uniform(0.2, 0.6, size=p), mask=mask)
+    if negative_alpha:
+        signs = np.where(rng.uniform(size=(K, K)) < 0.5, -1.0, 1.0)
+        params = ModelParams(mu=params.mu, alpha=signs * params.alpha, beta=params.beta, gamma=params.gamma, mask=mask)
+    return params, seq
+
+
+KERNEL_CASES = ("partial", "dead_location", "empty", "single_cell", "full")
+
+
 def gaussian_class_data(rng: np.random.Generator, n: int, means: np.ndarray, sigma: float = 1.0):
     """Equal-prior Gaussian mixture classification data with known posterior."""
     means = np.asarray(means, dtype=float)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from firecast.cli import main
+from firecast.cli import build_parser, main
+from firecast.estimation import FitConfig
 from firecast.events import load_events_csv
 
 
@@ -231,3 +232,12 @@ def test_simulate_matches_run_simulate_stage(tmp_path, params_file):
     assert main(["simulate", "--params", str(params_file), "--horizon", "150", "--seed", "5",
                  "--out", str(events)]) == 0
     assert events.read_bytes() == (tmp_path / "run" / "events.csv").read_bytes()
+
+
+def test_fit_flag_defaults_are_fit_config_defaults():
+    args = build_parser().parse_args(
+        ["fit", "--events", "e.csv", "--horizon", "1", "--locations", "1", "--out", "p.json"]
+    )
+    defaults = FitConfig()
+    for name in ("beta_low", "beta_high", "grid_points", "pgd_steps", "kappa", "l1_weight"):
+        assert getattr(args, name) == getattr(defaults, name)

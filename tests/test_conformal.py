@@ -307,19 +307,6 @@ class TestCoverageReport:
             coverage_report(sets, np.array([0, 1]))
 
 
-class TestCustomAggregator:
-    def test_median_phi_runs_and_differs_from_mean(self):
-        rng = np.random.default_rng(12)
-        X, y = gaussian_class_data(rng, 40, MEANS, sigma=1.0)
-        tx, ty, ex, ey = X[:25], y[:25], X[25:], y[25:]
-        common = dict(num_bootstrap=6, batch_size=5, alphas=[0.1], seed=2)
-        mean_run = eraps(tx, ty, ex, ey, **common)
-        median_run = eraps(tx, ty, ex, ey, phi=lambda rows: np.median(rows, axis=0), **common)
-        assert len(median_run.sets[0.1]) == len(mean_run.sets[0.1])
-        for s in median_run.sets[0.1]:
-            assert 0 <= s.size <= 3
-
-
 class TestSlidingWindow:
     def test_revealed_labels_feed_later_sets(self):
         rng = np.random.default_rng(21)

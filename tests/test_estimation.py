@@ -4,7 +4,6 @@ import pytest
 from firecast import estimation, model
 from firecast.estimation import (
     FeasibleSet,
-    _FixedBetaProblem,
     FitConfig,
     NonFiniteGradientError,
     alternating_fit,
@@ -14,11 +13,10 @@ from firecast.estimation import (
     project,
     projected_gradient_descent,
 )
-from firecast.events import EventSequence
 from firecast.marks import LinearMarkModel, NonLinearMarkModel
 from firecast.model import ModelParams
 
-from oracles import finite_difference_gradient, naive_log_likelihood, random_instance
+from oracles import KERNEL_CASES, finite_difference_gradient, kernel_case, naive_log_likelihood, random_instance
 
 
 def make_feasible(K=2):
@@ -193,7 +191,7 @@ class TestPgdFit:
         params, seq = random_instance(rng)
         if len(seq) == 0:
             seq = random_instance(np.random.default_rng(5))[1]
-        config = FitConfig(pgd_steps=60, backtracking=True)
+        config = FitConfig(pgd_steps=60)
         res = pgd_fit(seq, LinearMarkModel(), 0.8, config)
         assert np.all(np.diff(res.trace) <= 1e-9)
 
@@ -226,50 +224,28 @@ class TestPgdFit:
         assert np.all(res.params.alpha[~params.mask] == 0.0)
 
 
-def kernel_case(name):
-    """A masked instance for the fixed-beta kernel: (params, seq)."""
-    rng = np.random.default_rng(sum(map(ord, name)))
-    K, n, p = {"partial": (5, 40, 2), "dead_location": (4, 30, 2), "empty": (3, 0, 2),
-               "single_cell": (1, 15, 1), "full": (3, 30, 3)}[name]
-    mask = rng.uniform(size=(K, K)) < 0.5
-    np.fill_diagonal(mask, True)
-    if name == "dead_location":
-        mask[:, 2] = False  # events at cell 2 have no allowed source
-    if name in ("single_cell", "full"):
-        mask[:] = True
-    times = np.sort(rng.uniform(0.0, 20.0, size=n))
-    if name == "partial":
-        times[3:6] = times[3]  # three tied timestamps
-    locations = rng.integers(0, K, size=n)
-    if name == "dead_location":
-        locations[::5] = 2
-    seq = EventSequence(times=times, locations=locations, marks=rng.uniform(0.1, 1.0, size=(n, p)),
-                        horizon=20.0, num_locations=K)
-    params = ModelParams(mu=rng.uniform(0.05, 0.3, size=K), alpha=np.where(mask, rng.uniform(0.0, 0.3, size=(K, K)), 0.0),
-                         beta=0.9, gamma=rng.uniform(0.2, 0.6, size=p), mask=mask)
-    return params, seq
-
-
-KERNEL_CASES = ("partial", "dead_location", "empty", "single_cell", "full")
+def mask_objective(seq, mark_model, beta, l1_weight, feasible):
+    return model.Objective(seq, mark_model, feasible.src, feasible.dst, beta, l1_weight)
 
 
 class TestFixedBetaKernel:
-    """The gathered (event, source) kernel against the naive oracle."""
+    """``model.Objective`` on the mask's pairs, the solver's objective,
+    against the naive oracle."""
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_objective_matches_naive_likelihood(self, case):
         params, seq = kernel_case(case)
-        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.5, FeasibleSet(params.mask))
-        x = problem.flatten(params.mu, params.alpha, params.gamma)
+        feasible = FeasibleSet(params.mask)
+        problem = mask_objective(seq, LinearMarkModel(), params.beta, 0.5, feasible)
         naive = -naive_log_likelihood(params, seq, seq.marks @ params.gamma) + 0.5 * params.gamma.sum()
-        assert problem.objective(x) == pytest.approx(naive, rel=1e-12, abs=1e-12)
+        assert problem.value(feasible.flatten(params)) == pytest.approx(naive, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_gradient_matches_finite_differences_on_the_mask(self, case):
         params, seq = kernel_case(case)
         feasible = FeasibleSet(params.mask)
-        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.0, feasible)
-        x0 = problem.flatten(params.mu, params.alpha, params.gamma)
+        problem = mask_objective(seq, LinearMarkModel(), params.beta, 0.0, feasible)
+        x0 = feasible.flatten(params)
 
         def naive_objective(x):
             mu, alpha, gamma = problem.split(x)
@@ -284,14 +260,14 @@ class TestFixedBetaKernel:
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_gathers_one_pair_per_allowed_source(self, case):
         params, seq = kernel_case(case)
-        problem = _FixedBetaProblem(seq, LinearMarkModel(), params.beta, 0.0, FeasibleSet(params.mask))
+        problem = mask_objective(seq, LinearMarkModel(), params.beta, 0.0, FeasibleSet(params.mask))
         assert len(problem.kernel.rows) == params.mask[:, seq.locations].sum()
 
     def test_beta_profile_equals_penalized_objective(self):
         params, seq = kernel_case("partial")
         mm = LinearMarkModel()
-        problem = _FixedBetaProblem(seq, mm, 0.3, 1.0, FeasibleSet(params.mask))
-        f = problem.beta_profile(problem.flatten(params.mu, params.alpha, params.gamma))
+        feasible = FeasibleSet(params.mask)
+        f = mask_objective(seq, mm, 0.3, 1.0, feasible).beta_profile(feasible.flatten(params))
         for b in (0.05, 0.9, 3.0):
             trial = ModelParams(mu=params.mu, alpha=params.alpha, beta=b, gamma=params.gamma, mask=params.mask)
             assert f(b) == model.penalized_objective(trial, seq, mm, 1.0)
@@ -305,8 +281,9 @@ class TestFixedBetaKernel:
                 calls.append(1)
                 return super().event_scores(gamma, seq)
 
-        problem = _FixedBetaProblem(seq, CountingModel(lambda m, t, k: 0.5), 0.3, 1.0, FeasibleSet(params.mask))
-        f = problem.beta_profile(problem.flatten(params.mu, params.alpha, params.gamma))
+        feasible = FeasibleSet(params.mask)
+        problem = mask_objective(seq, CountingModel(lambda m, t, k: 0.5), 0.3, 1.0, feasible)
+        f = problem.beta_profile(feasible.flatten(params))
         values = [f(b) for b in np.linspace(0.1, 2.0, 25)]
         assert len(calls) == 1 and np.all(np.isfinite(values))
 

@@ -13,6 +13,7 @@ from firecast.model import (
     RATE_FLOOR,
     EventKernel,
     ModelParams,
+    Objective,
     conditional_intensity,
     excitation_matrix,
     ground_intensity,
@@ -25,8 +26,10 @@ from firecast.model import (
 )
 
 from oracles import (
+    KERNEL_CASES,
     centroid_mask_oracle,
     finite_difference_gradient,
+    kernel_case,
     naive_log_likelihood,
     quadrature_compensator,
     random_instance,
@@ -251,6 +254,49 @@ class TestPenalizedObjective:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             penalized_objective(single_cell_params(), one_event_seq(), LinearMarkModel(), -0.5)
+
+
+MARK_MODELS = {"linear": LinearMarkModel(), "gamma_free": NonLinearMarkModel(lambda m, t, k: 0.3 + m[:, 0])}
+
+
+def flat(params, src, dst):
+    return np.concatenate([params.mu, params.alpha[src, dst], params.gamma])
+
+
+class TestOneObjective:
+    """``penalized_objective``, ``log_likelihood`` and ``objective_gradient``
+    are calls into ``Objective``, the solver's objective, to the last bit."""
+
+    @pytest.mark.parametrize("marks", sorted(MARK_MODELS))
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_penalized_objective_is_objective_value(self, case, marks):
+        params, seq = kernel_case(case, negative_alpha=True)
+        mm = MARK_MODELS[marks]
+        src, dst = np.nonzero(params.alpha != 0)
+        value = Objective(seq, mm, src, dst, params.beta, 0.7).value(flat(params, src, dst))
+        assert penalized_objective(params, seq, mm, 0.7) == value
+        # zero weights on further pairs change no bit: the solver's value on the mask
+        src, dst = np.nonzero(params.mask)
+        assert Objective(seq, mm, src, dst, params.beta, 0.7).value(flat(params, src, dst)) == value
+
+    @pytest.mark.parametrize("marks", sorted(MARK_MODELS))
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_log_likelihood_is_negated_unpenalized_objective(self, case, marks):
+        params, seq = kernel_case(case, negative_alpha=True)
+        mm = MARK_MODELS[marks]
+        assert log_likelihood(params, seq, mm) == -penalized_objective(params, seq, mm, 0.0)
+
+    @pytest.mark.parametrize("marks", sorted(MARK_MODELS))
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_objective_gradient_on_the_mask_is_smooth_gradient(self, case, marks):
+        params, seq = kernel_case(case, negative_alpha=True)
+        mm = MARK_MODELS[marks]
+        src, dst = np.nonzero(params.mask)
+        objective = Objective(seq, mm, src, dst, params.beta, 0.7)
+        g_mu, g_alpha, g_gamma = objective.split(objective.smooth_gradient(flat(params, src, dst)))
+        full_mu, full_alpha, full_gamma = objective_gradient(params, seq, mm, 0.7)
+        assert np.array_equal(full_mu, g_mu) and np.array_equal(full_alpha[src, dst], g_alpha)
+        assert np.array_equal(full_gamma, g_gamma + 0.7 * np.sign(params.gamma))
 
 
 class TestCompensatorProperty:

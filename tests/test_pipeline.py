@@ -515,6 +515,40 @@ class TestRunEndToEnd:
             run_end_to_end(bad, tmp_path / "y")
 
 
+class TestBundleChecks:
+    @pytest.mark.parametrize("section, key, stage", [
+        (None, "conformall", "data"),
+        ("simulate", "horizn", "data"),
+        ("ingest", "neighbour_radius", "data"),
+        ("fit", "pgd_step", "fit"),
+        ("predict", "screenning", "predict"),
+        ("conformal", "alpha", "conformal"),
+    ])
+    def test_unknown_key_fails_before_any_stage(self, tmp_path, section, key, stage):
+        bundle = small_bundle()
+        if section == "ingest":
+            bundle["ingest"] = {"csv": "incidents.csv"}
+        (bundle if section is None else bundle[section])[key] = 1
+        with pytest.raises(PipelineError, match=rf"^\[{stage}\] unknown keys \['{key}'\]"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        if section is not None:
+            bundle[section] = [key]
+            with pytest.raises(PipelineError, match=rf"^\[{stage}\] section '{section}' must be a JSON object"):
+                run_end_to_end(bundle, tmp_path / "run")
+
+    @pytest.mark.parametrize("section, key, value, stage", [
+        ("simulate", "mark_distribution", "Linear", "data"),
+        ("fit", "method", "Grid", "fit"),
+        ("conformal", "method", "rapss", "conformal"),
+    ])
+    def test_unknown_choice_fails_its_stage(self, tmp_path, section, key, value, stage):
+        bundle = small_bundle()
+        bundle[section][key] = value
+        with pytest.raises(PipelineError, match=rf"^\[{stage}\] unknown .*'{value}'"):
+            run_end_to_end(bundle, tmp_path / "run")
+
+
 class TestGridRowCol:
     def test_rowcol_round_trip(self):
         grid = GridSpec(lat_min=0, lon_min=0, lat_max=1.2, lon_max=1.2, cell_size=0.4,

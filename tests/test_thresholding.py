@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from firecast.thresholding import (
-    ScreeningState,
-    ThresholdConfig,
-    detect,
-    project_threshold,
-)
+from firecast.thresholding import ScreeningState, ThresholdConfig, detect
 
 from oracles import detect_oracle, screening_gaps_oracle
 from reference_threshold import reference_dynamic_threshold
@@ -21,21 +16,6 @@ def random_series(rng, steps=50, K=1):
     base = np.exp(rng.normal(0.0, 0.4, size=(steps, K)))
     truth = np.where(rng.uniform(size=(steps, K)) < 0.15, 1, -1)
     return base, truth
-
-
-class TestProjectThreshold:
-    def test_clamp(self):
-        cfg = ThresholdConfig(
-            tau_min=np.array([1.0]),
-            tau_max=np.array([2.0]),
-            eta=np.array([0.1]),
-            delta=np.array([0.05]),
-            a1=np.array([1.1]),
-            a2=np.array([1.1]),
-        )
-        assert project_threshold(1.5, cfg, 0) == 1.5
-        assert project_threshold(0.5, cfg, 0) == 1.0
-        assert project_threshold(3.0, cfg, 0) == 2.0
 
 
 class TestThresholdConfig:
@@ -336,10 +316,9 @@ class TestFromValidation:
             truth[:, 0] = -1  # no fire
             truth[:, 1] = -1
             truth[int(rng.integers(T)), 1] = 1  # one fire
-            window = None if trial % 2 else float(rng.uniform(1.0, 50.0))
-            st = ScreeningState.from_validation(truth, window)
+            st = ScreeningState.from_validation(truth)
             assert np.array_equal(st.fire_count, (truth == 1).sum(axis=0))
-            assert st.avg_gap.tobytes() == screening_gaps_oracle(truth, window).tobytes()
+            assert st.avg_gap.tobytes() == screening_gaps_oracle(truth).tobytes()
         assert ((truth == 1).sum(axis=0) >= 2).any()
         empty = np.zeros((0, 3), dtype=np.int64)
         assert np.array_equal(ScreeningState.from_validation(empty).avg_gap, screening_gaps_oracle(empty))
