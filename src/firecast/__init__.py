@@ -13,9 +13,6 @@ from .conformal import (
     build_set,
     coverage_report,
     eraps,
-    mass_above,
-    rank_of,
-    score,
     sraps,
 )
 from .estimation import (
@@ -34,8 +31,6 @@ from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from .model import (
     ModelParams,
     RATE_FLOOR,
-    conditional_intensity,
-    ground_intensity,
     integrated_ground_intensity,
     log_likelihood,
     mask_from_centroids,

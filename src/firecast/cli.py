@@ -61,11 +61,15 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    needed = ("params", "events", "horizon", "locations", "time", "location", "marks_a", "marks_b")
+    needed = needed if args.counterfactual else ("detections",)
+    missing = ["--" + name.replace("_", "-") for name in needed if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"missing {' '.join(missing)}")
     if args.counterfactual:
         params = ModelParams.from_json(args.params)
         seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
-        marks_a = np.array([float(v) for v in args.marks_a.split(",")])
-        marks_b = np.array([float(v) for v in args.marks_b.split(",")])
+        marks_a, marks_b = (np.array([float(v) for v in m.split(",")]) for m in (args.marks_a, args.marks_b))
         out = pipeline.counterfactual_delta(
             params, seq, pipeline.build_mark_model("linear", seq), args.time, args.location,
             marks_a, marks_b,

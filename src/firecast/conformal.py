@@ -6,8 +6,9 @@ The non-conformity score of a label c under a probability vector p is
 
 where mass_above sums the probabilities strictly greater than p(c), rank is
 one plus the count of strictly greater entries, and U is a per-example
-uniform randomizer.  A label enters the prediction set when the fraction of
-calibration scores at or below its score stays under 1 - alpha.
+uniform randomizer; ``scores_all_labels`` computes it for every label at
+once.  A label enters the prediction set when the fraction of calibration
+scores at or below its score stays under 1 - alpha.
 
 Two calibration strategies ship: a split-conformal baseline (one model, one
 fixed calibration split) and a bootstrap ensemble with leave-one-out
@@ -16,8 +17,8 @@ labels batch by batch.  Both apply the set rule per calibration-window batch
 over all labels at once (``build_sets``; ``build_set`` is a batch of one).
 The classifier's softmax folds over classes column by column (a max fold,
 then a left-fold sum), bit-identical to numpy's row reductions below 8
-classes; from 8 on numpy sums pairwise, so probabilities, and batched label
-scores against ``score``, can differ in the last bits.
+classes; from 8 on numpy sums pairwise, so probabilities can differ from a
+row-reduction softmax in the last bits.
 """
 
 from __future__ import annotations
@@ -53,27 +54,8 @@ def check_probability_vector(p: np.ndarray, tol: float = 1e-9, ndim: int = 1) ->
     return p
 
 
-def mass_above(p: np.ndarray, c: int) -> float:
-    """Total probability of labels strictly more likely than c."""
-    p = np.asarray(p, dtype=float)
-    return float(p[p > p[c]].sum())
-
-
-def rank_of(p: np.ndarray, c: int) -> int:
-    """1 + number of labels strictly more likely than c (ties share a rank)."""
-    p = np.asarray(p, dtype=float)
-    return int((p > p[c]).sum()) + 1
-
-
-def score(p: np.ndarray, c: int, u: float, sp: ScoreParams) -> float:
-    """Non-conformity of label c with randomizer u in [0, 1]."""
-    p = np.asarray(p, dtype=float)
-    reg = sp.lambda_reg * max(rank_of(p, c) - sp.k_reg, 0)
-    return mass_above(p, c) + float(p[c]) * u + reg
-
-
 def scores_all_labels(p: np.ndarray, u, sp: ScoreParams) -> np.ndarray:
-    """``score`` of every label: of p (C,) with a scalar u, or of rows p (m, C) with u (m,)."""
+    """The score of every label: of p (C,) with a scalar u, or of rows p (m, C) with u (m,)."""
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)[..., None]
     greater = p[..., None, :] > p[..., :, None]    # greater[..., c, c'] = p(c') > p(c)

@@ -211,7 +211,7 @@ class PgdResult:
 @dataclass
 class FitResult:
     params: ModelParams
-    objective: float               # penalized objective, recomputed from scratch
+    objective: float               # penalized objective: the solver's last accepted value
     trace: np.ndarray              # selected run's per-iteration objective
     grid_betas: np.ndarray | None = None
     grid_objectives: np.ndarray | None = None
@@ -312,7 +312,7 @@ def grid_fit(
             errors.append(f"beta={beta:.6g}: {exc}")
             continue
         results.append(res)
-        objectives[j] = model.penalized_objective(res.params, seq, mark_model, config.l1_weight)
+        objectives[j] = res.trace[-1]
     if all(r is None for r in results):
         raise RuntimeError("all grid points failed: " + "; ".join(errors))
     j_star = int(np.argmin(objectives))
@@ -363,7 +363,7 @@ def alternating_fit(
     emitted.  Stops when consecutive beta estimates differ by at most
     ``eps_beta``.  The convex solve warm-starts from the previous iterate
     and backtracks, so the objective never increases across outer
-    iterations.
+    iterations; the result's objective is the last outer value.
     """
     if feasible is None:
         feasible = default_feasible_set(seq)
@@ -409,7 +409,7 @@ def alternating_fit(
     )
     return FitResult(
         params=params,
-        objective=model.penalized_objective(params, seq, mark_model, config.l1_weight),
+        objective=float(outer_trace[-1]),
         trace=trace,
         outer_iterations=outer_done,
         outer_trace=np.asarray(outer_trace),

@@ -6,8 +6,10 @@ The conditional intensity factors into a ground process and a mark score,
     lambda_g(t, k)  = mu_k + sum_{j: t_j < t} alpha[u_j, k] * beta * exp(-beta (t - t_j)),
 
 with ``f`` either linear in the marks or an arbitrary fitted scorer (see
-:mod:`firecast.marks`).  The log-likelihood over ``[0, T]`` has the closed
-form
+:mod:`firecast.marks`).  ``pipeline.risk_series`` is the one evaluation of
+lambda at query times, for the predict stage and counterfactuals alike; this
+module holds the parameters, the likelihood and the estimation objective.
+The log-likelihood over ``[0, T]`` has the closed form
 
     sum_i log lambda_g(t_i, u_i) + sum_i log f(m_i | t_i, u_i)
       - T * sum_k mu_k - sum_i (sum_k alpha[u_i, k]) * (1 - exp(-beta (T - t_i))),
@@ -128,10 +130,17 @@ class ModelParams:
         payload = json.loads(text)
         mu, gamma = np.array(payload["mu"], dtype=float), np.array(payload["gamma"], dtype=float)
         if "support" in payload:
-            pairs = tuple(np.array(payload["support"][key], dtype=np.intp) for key in ("src", "dst"))
-            alpha, mask = np.zeros((len(mu), len(mu))), np.zeros((len(mu), len(mu)), dtype=bool)
-            alpha[pairs] = payload["alpha"]
-            mask[pairs] = True
+            K, values = len(mu), np.array(payload["alpha"], dtype=float)
+            src, dst = (np.array(payload["support"][key], dtype=np.intp) for key in ("src", "dst"))
+            if not len(src) == len(dst) == len(values):
+                raise ValueError(f"support has {len(src)} src, {len(dst)} dst and {len(values)} alpha entries")
+            if np.any((src < 0) | (src >= K) | (dst < 0) | (dst >= K)):
+                raise ValueError(f"support indices must lie in [0, {K})")
+            if len(np.unique(src * K + dst)) < len(src):
+                raise ValueError("support repeats a (src, dst) pair")
+            alpha, mask = np.zeros((K, K)), np.zeros((K, K), dtype=bool)
+            alpha[src, dst] = values
+            mask[src, dst] = True
         else:
             alpha, mask = np.array(payload["alpha"], dtype=float), np.array(payload["mask"], dtype=bool)
         return cls(mu=mu, alpha=alpha, beta=float(payload["beta"]), gamma=gamma, mask=mask)
@@ -193,38 +202,6 @@ def excitation_matrix(
         t_prev = times[i]
         i = j
     return R
-
-
-def _check_query(seq: EventSequence, t: float, k: int) -> None:
-    if not 0 <= t <= seq.horizon:
-        raise ValueError(f"query time {t} outside [0, {seq.horizon}]")
-    if not 0 <= k < seq.num_locations:
-        raise ValueError(f"location {k} outside [0, {seq.num_locations})")
-
-
-def ground_intensity(params: ModelParams, seq: EventSequence, t: float, k: int) -> float:
-    """Mark-free intensity at (t, k); uses only events strictly before t."""
-    _check_query(seq, t, k)
-    hist = seq.times < t
-    if not np.any(hist):
-        return float(params.mu[k])
-    dt = t - seq.times[hist]
-    contrib = params.alpha[seq.locations[hist], k] * params.beta * np.exp(-params.beta * dt)
-    return float(params.mu[k] + contrib.sum())
-
-
-def conditional_intensity(
-    params: ModelParams,
-    seq: EventSequence,
-    mark_model,
-    t: float,
-    k: int,
-    marks: np.ndarray,
-) -> float:
-    """Full intensity lambda(t, k, m), floored at ``RATE_FLOOR``."""
-    ground = ground_intensity(params, seq, t, k)
-    score = mark_model.score(params.gamma, marks, t, k)
-    return max(float(ground * score), RATE_FLOOR)
 
 
 def integrated_ground_intensity(params: ModelParams, seq: EventSequence, t: float) -> float:

@@ -479,9 +479,18 @@ def counterfactual_delta(
     marks_a: np.ndarray,
     marks_b: np.ndarray,
 ) -> dict:
-    """Risk change when the external condition switches from A to B."""
-    lam_a = model.conditional_intensity(params, seq, mark_model, t, k, marks_a)
-    lam_b = model.conditional_intensity(params, seq, mark_model, t, k, marks_b)
+    """Risk change at (t, k) when the external condition switches from A to
+    B: the predict stage's ``risk_series`` at time t, every location
+    queried under each mark vector, so a query costs O(n K)."""
+    K = seq.num_locations
+    if not 0 <= t <= seq.horizon:
+        raise ValueError(f"query time {t} outside [0, {seq.horizon}]")
+    if not 0 <= k < K:
+        raise ValueError(f"location {k} outside [0, {K})")
+    lam_a, lam_b = (
+        float(risk_series(params, seq, mark_model, times=[t], query_marks=np.tile(marks, (K, 1)))[0, k])
+        for marks in (marks_a, marks_b)
+    )
     return {"lambda_a": lam_a, "lambda_b": lam_b, "delta": lam_b - lam_a}
 
 
@@ -731,6 +740,8 @@ def _bundle_simulate(cfg: dict, seed: int, wants_magnitudes: bool):
 
 
 def _bundle_ingest(cfg: dict, notes: list):
+    if "neighbor_radius" in cfg and "grid" not in cfg:
+        raise ValueError("neighbor_radius needs a grid: cell ids carry no centroids to measure")
     grid = GridSpec.from_dict(cfg["grid"]) if "grid" in cfg else None
     prep = PreprocessConfig(
         spline_degree=int(cfg.get("spline_degree", 5)),
@@ -740,7 +751,7 @@ def _bundle_ingest(cfg: dict, notes: list):
     seq = result.sequence
     notes.extend(result.messages)
     mask = np.ones((seq.num_locations, seq.num_locations), dtype=bool)
-    if grid is not None and "neighbor_radius" in cfg:
+    if "neighbor_radius" in cfg:
         mask = model.mask_from_centroids(grid.centroids(), float(cfg["neighbor_radius"]))
     return seq, mask
 

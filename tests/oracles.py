@@ -162,6 +162,13 @@ def oracle_prediction_set_size(posterior_row: np.ndarray, alpha: float) -> int:
     return int(np.searchsorted(cum, 1.0 - alpha) + 1)
 
 
+def naive_label_score(p, c, u, lambda_reg=1.0, k_reg=2):
+    """Non-conformity of label c: the probability above it, its own
+    probability times u, and the rank regularizer, from a Python list."""
+    above = [float(q) for q in p if q > p[c]]
+    return sum(above) + float(p[c]) * u + lambda_reg * max(len(above) + 1 - k_reg, 0)
+
+
 def conformal_sets_oracle(cal_proba, cal_labels, test_proba, test_labels, uniforms, alphas,
                           lambda_reg=1.0, k_reg=2, batch_size=None):
     """Prediction sets one test point and one label at a time.
@@ -176,8 +183,7 @@ def conformal_sets_oracle(cal_proba, cal_labels, test_proba, test_labels, unifor
     """
 
     def score(p, c, u):
-        above = [float(q) for q in p if q > p[c]]
-        return sum(above) + float(p[c]) * u + lambda_reg * max(len(above) + 1 - k_reg, 0)
+        return naive_label_score(p, c, u, lambda_reg, k_reg)
 
     n_cal = len(cal_proba)
     store = [score(p, c, u) for p, c, u in zip(cal_proba, cal_labels, uniforms)]

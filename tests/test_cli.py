@@ -69,6 +69,34 @@ def test_eval_counterfactual(tmp_path, params_file, capsys):
     assert out["delta"] == pytest.approx(out["lambda_b"] - out["lambda_a"])
 
 
+def test_eval_names_missing_flags(capsys):
+    assert main(["eval"]) == 1
+    assert capsys.readouterr().err.strip() == "firecast eval: [eval] missing --detections"
+    assert main(["eval", "--counterfactual"]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "firecast eval: [eval] missing --params --events --horizon --locations --time --location "
+        "--marks-a --marks-b"
+    )
+
+
+@pytest.mark.parametrize("time, location, message", [
+    ("-1", "0", "query time -1.0 outside [0, 80.0]"),
+    ("80.5", "0", "query time 80.5 outside [0, 80.0]"),
+    ("40", "2", "location 2 outside [0, 2)"),
+    ("40", "-1", "location -1 outside [0, 2)"),
+])
+def test_eval_counterfactual_rejects_out_of_range_queries(tmp_path, params_file, capsys, time, location, message):
+    events = tmp_path / "events.csv"
+    main(["simulate", "--params", str(params_file), "--horizon", "80", "--out", str(events)])
+    capsys.readouterr()
+    assert main([
+        "eval", "--counterfactual", "--params", str(params_file),
+        "--events", str(events), "--horizon", "80", "--locations", "2",
+        f"--time={time}", f"--location={location}", "--marks-a", "0.1,0.1", "--marks-b", "0.9,0.9",
+    ]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast eval: [eval] {message}"
+
+
 def test_conformal_command(tmp_path, capsys):
     rng = np.random.default_rng(0)
     path = tmp_path / "labeled.csv"

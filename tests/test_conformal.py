@@ -11,9 +11,6 @@ from firecast.conformal import (
     check_probability_vector,
     coverage_report,
     eraps,
-    mass_above,
-    rank_of,
-    score,
     scores_all_labels,
     sraps,
 )
@@ -23,34 +20,51 @@ from oracles import (
     gaussian_class_data,
     gaussian_true_posterior,
     logistic_regression_oracle,
+    naive_label_score,
 )
 
 P_532 = np.array([0.5, 0.3, 0.2])
 MEANS = np.array([[2.0, 0.0], [-1.0, 1.7], [-1.0, -1.7]])
 
 
+NO_REG = ScoreParams(lambda_reg=0.0, k_reg=0)
+
+
+def mass_above(p):
+    """Each label's probability mass above it: its score with u = 0 and no regularizer."""
+    return scores_all_labels(p, 0.0, NO_REG)
+
+
+def rank_of(p):
+    """Each label's rank: the integer part of its score with u = 0 and a unit
+    regularizer from rank 0, since the mass above a label is below 1."""
+    return np.floor(scores_all_labels(p, 0.0, ScoreParams(lambda_reg=1.0, k_reg=0)))
+
+
 class TestScorePieces:
+    """``scores_all_labels``, the one score implementation, by hand and
+    against the per-label oracle."""
+
     def test_mass_above_hand_values(self):
-        assert mass_above(P_532, 0) == 0.0
-        assert mass_above(P_532, 2) == pytest.approx(0.8)
+        assert mass_above(P_532)[0] == 0.0
+        assert mass_above(P_532)[2] == pytest.approx(0.8)
         uniform = np.full(4, 0.25)
-        assert mass_above(uniform, 2) == 0.0
+        assert mass_above(uniform)[2] == 0.0
 
     def test_rank_hand_values(self):
-        assert rank_of(P_532, 0) == 1
-        assert rank_of(P_532, 2) == 3
-        assert rank_of(np.full(4, 0.25), 1) == 1  # ties share the top rank
+        assert rank_of(P_532)[0] == 1
+        assert rank_of(P_532)[2] == 3
+        assert rank_of(np.full(4, 0.25))[1] == 1  # ties share the top rank
 
     def test_score_hand_value(self):
         sp = ScoreParams(lambda_reg=1.0, k_reg=2)
-        assert score(P_532, 0, 0.4, sp) == pytest.approx(0.0 + 0.5 * 0.4 + 0.0)
+        assert scores_all_labels(P_532, 0.4, sp)[0] == pytest.approx(0.0 + 0.5 * 0.4 + 0.0)
 
     def test_score_regularizer_switches(self):
-        no_reg = ScoreParams(lambda_reg=0.0, k_reg=0)
         also_no_reg = ScoreParams(lambda_reg=0.0, k_reg=3)
-        assert score(P_532, 2, 0.7, no_reg) == score(P_532, 2, 0.7, also_no_reg)
+        assert scores_all_labels(P_532, 0.7, NO_REG)[2] == scores_all_labels(P_532, 0.7, also_no_reg)[2]
         sp = ScoreParams(lambda_reg=1.0, k_reg=2)
-        assert score(P_532, 2, 0.0, sp) == pytest.approx(mass_above(P_532, 2) + 1.0)
+        assert scores_all_labels(P_532, 0.0, sp)[2] == pytest.approx(mass_above(P_532)[2] + 1.0)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -60,7 +74,7 @@ class TestScorePieces:
             u = float(rng.uniform())
             batch = scores_all_labels(p, u, sp)
             for c in range(5):
-                assert batch[c] == pytest.approx(score(p, c, u, sp))
+                assert batch[c] == pytest.approx(naive_label_score(p, c, u, sp.lambda_reg, sp.k_reg))
 
     def test_monotonicity_of_deterministic_parts(self):
         rng = np.random.default_rng(1)
@@ -69,8 +83,8 @@ class TestScorePieces:
             c1, c2 = rng.choice(6, size=2, replace=False)
             if p[c1] <= p[c2]:
                 c1, c2 = c2, c1
-            assert mass_above(p, c1) <= mass_above(p, c2)
-            assert rank_of(p, c1) <= rank_of(p, c2)
+            assert mass_above(p)[c1] <= mass_above(p)[c2]
+            assert rank_of(p)[c1] <= rank_of(p)[c2]
 
 
 class TestCalibrationStore:
@@ -253,7 +267,7 @@ class TestSraps:
         uniforms = rng2.uniform(size=len(cal) + len(ex))
         sp = ScoreParams()
         tau = np.array(
-            [score(row, int(np.searchsorted(np.unique(ty), ty[i])), uniforms[j], sp)
+            [naive_label_score(row, int(np.searchsorted(np.unique(ty), ty[i])), uniforms[j], sp.lambda_reg, sp.k_reg)
              for j, i in enumerate(cal)]
         )
         store = CalibrationStore(tau)

@@ -13,7 +13,7 @@ from firecast.estimation import (
     project,
     projected_gradient_descent,
 )
-from firecast.marks import LinearMarkModel, NonLinearMarkModel
+from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import ModelParams
 
 from oracles import KERNEL_CASES, finite_difference_gradient, kernel_case, naive_log_likelihood, random_instance
@@ -306,10 +306,9 @@ class TestGridFit:
         fit = grid_fit(seq, LinearMarkModel(), config)
         assert fit.objective == np.min(fit.grid_objectives)
         assert fit.selected_index == int(np.argmin(fit.grid_objectives))
-        assert fit.objective == pytest.approx(
-            model.penalized_objective(fit.params, seq, LinearMarkModel(), config.l1_weight),
-            abs=1e-9 * max(1, abs(fit.objective)),
-        )
+        rescored = model.penalized_objective(fit.params, seq, LinearMarkModel(), config.l1_weight)
+        assert fit.objective == pytest.approx(rescored, abs=1e-9 * max(1, abs(fit.objective)))
+        assert fit.objective == rescored  # the solver's last value, bit for bit
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
@@ -322,6 +321,21 @@ class TestGridFit:
         assert np.array_equal(a.params.gamma, b.params.gamma)
         assert a.params.beta == b.params.beta
         assert np.array_equal(a.trace, b.trace)
+
+
+@pytest.mark.parametrize("method", [grid_fit, alternating_fit])
+@pytest.mark.parametrize("marks", ["linear", "kde"])
+def test_fit_objective_is_the_penalized_objective(method, marks):
+    # FitResult.objective comes from the solver's trace, not a rescoring
+    params, seq = kernel_case("partial")
+    mm = LinearMarkModel() if marks == "linear" else NonLinearMarkModel(kde_scorer(seq.marks))
+    config = FitConfig(grid_points=3, pgd_steps=25, max_outer=3, eps_beta=1e-3, l1_weight=0.5)
+    fit = method(seq, mm, config, FeasibleSet(params.mask))
+    assert fit.objective == model.penalized_objective(fit.params, seq, mm, config.l1_weight)
+    if method is grid_fit:
+        for beta, value in zip(fit.grid_betas, fit.grid_objectives):
+            res = pgd_fit(seq, mm, float(beta), config, FeasibleSet(params.mask))
+            assert value == model.penalized_objective(res.params, seq, mm, config.l1_weight)
 
 
 class TestAlternatingFit:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from firecast.events import EventSequence, load_events_csv, save_events_csv
-from firecast.pipeline import GridSpec
+from firecast.pipeline import GridSpec, counterfactual_delta, risk_series
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import (
     MASK_BLOCK_ROWS,
@@ -14,9 +14,7 @@ from firecast.model import (
     EventKernel,
     ModelParams,
     Objective,
-    conditional_intensity,
     excitation_matrix,
-    ground_intensity,
     integrated_ground_intensity,
     log_likelihood,
     mask_from_centroids,
@@ -30,6 +28,7 @@ from oracles import (
     centroid_mask_oracle,
     finite_difference_gradient,
     kernel_case,
+    naive_ground_intensity,
     naive_log_likelihood,
     quadrature_compensator,
     random_instance,
@@ -66,27 +65,37 @@ def empty_seq(K=1, p=1, horizon=10.0):
     )
 
 
+UNIT_MARKS = NonLinearMarkModel(lambda m, t, k: 1.0)
+
+
+def risk_at(params, seq, t, k, mark_model=UNIT_MARKS, marks=None):
+    """``risk_series`` at one time and location; the unit mark score leaves
+    the ground intensity."""
+    query_marks = None if marks is None else np.tile(marks, (seq.num_locations, 1))
+    return float(risk_series(params, seq, mark_model, times=[t], query_marks=query_marks)[0, k])
+
+
 class TestGroundIntensity:
     def test_no_history_is_baseline(self):
         params = single_cell_params(mu=0.3)
-        assert ground_intensity(params, empty_seq(), 5.0, 0) == pytest.approx(0.3)
+        assert risk_at(params, empty_seq(), 5.0, 0) == pytest.approx(0.3)
 
     def test_one_event_hand_value(self):
         # mu + alpha * beta * exp(-beta * (t - t1)) at t=2, t1=1
         expected = 0.1 + 0.5 * 1.0 * math.exp(-1.0)
         params = single_cell_params()
-        got = ground_intensity(params, one_event_seq(), 2.0, 0)
+        got = risk_at(params, one_event_seq(), 2.0, 0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.28394, abs=5e-6)
 
     def test_zero_decay_reduces_to_baseline(self):
         params = single_cell_params(mu=0.1, alpha=0.5, beta=0.0)
-        assert ground_intensity(params, one_event_seq(), 2.0, 0) == pytest.approx(0.1)
+        assert risk_at(params, one_event_seq(), 2.0, 0) == pytest.approx(0.1)
 
     def test_history_is_strictly_exclusive(self):
         # querying exactly at an event time must not count that event
         params = single_cell_params()
-        assert ground_intensity(params, one_event_seq(t=1.0), 1.0, 0) == pytest.approx(0.1)
+        assert risk_at(params, one_event_seq(t=1.0), 1.0, 0) == pytest.approx(0.1)
 
     def test_monotone_history_effect(self):
         rng = np.random.default_rng(5)
@@ -96,7 +105,8 @@ class TestGroundIntensity:
                 continue
             t = float(rng.uniform(0, seq.horizon))
             k = int(rng.integers(0, seq.num_locations))
-            base = ground_intensity(params, seq, t, k)
+            base = risk_at(params, seq, t, k)
+            assert base == pytest.approx(naive_ground_intensity(params, seq, t, k), rel=1e-12)
             extra_t = float(rng.uniform(0, t)) if t > 0 else 0.0
             extra_u = int(rng.integers(0, seq.num_locations))
             if not params.mask[extra_u, k]:
@@ -106,43 +116,40 @@ class TestGroundIntensity:
             locs = np.insert(seq.locations, np.searchsorted(seq.times, extra_t), extra_u)
             marks = np.insert(seq.marks, np.searchsorted(seq.times, extra_t), 0.5, axis=0)
             bigger = EventSequence(times, locs, marks, seq.horizon, seq.num_locations)
-            assert ground_intensity(params, bigger, t, k) >= base - 1e-12
+            assert risk_at(params, bigger, t, k) >= base - 1e-12
 
     def test_domain_errors(self):
+        # the per-query range checks live in counterfactual_delta
         params = single_cell_params()
         seq = one_event_seq()
-        with pytest.raises(ValueError):
-            ground_intensity(params, seq, -0.1, 0)
-        with pytest.raises(ValueError):
-            ground_intensity(params, seq, 11.0, 0)
-        with pytest.raises(ValueError):
-            ground_intensity(params, seq, 2.0, 1)
+        for t, k in ((-0.1, 0), (11.0, 0), (2.0, 1)):
+            with pytest.raises(ValueError):
+                counterfactual_delta(params, seq, LinearMarkModel(), t, k, [0.5], [0.5])
 
 
 class TestConditionalIntensity:
     def test_zero_mark_weights_clamp(self):
         params = single_cell_params(gamma=(0.0,))
-        got = conditional_intensity(params, one_event_seq(), LinearMarkModel(), 2.0, 0, [0.7])
+        got = risk_at(params, one_event_seq(), 2.0, 0, LinearMarkModel(), [0.7])
         assert got == RATE_FLOOR
 
     def test_product_of_factors(self):
         params = single_cell_params()
         ground = 0.1 + 0.5 * math.exp(-1.0)
-        got = conditional_intensity(params, one_event_seq(), LinearMarkModel(), 2.0, 0, [0.5])
+        got = risk_at(params, one_event_seq(), 2.0, 0, LinearMarkModel(), [0.5])
         assert got == pytest.approx(0.5 * ground, rel=1e-12)
         assert got == pytest.approx(0.14197, abs=5e-6)
 
     def test_unit_nonlinear_scorer_matches_ground(self):
         params = single_cell_params()
-        mm = NonLinearMarkModel(lambda m, t, k: 1.0)
         seq = one_event_seq()
-        got = conditional_intensity(params, seq, mm, 2.0, 0, [0.3])
-        assert got == pytest.approx(ground_intensity(params, seq, 2.0, 0), rel=1e-12)
+        got = risk_at(params, seq, 2.0, 0, marks=[0.3])
+        assert got == pytest.approx(naive_ground_intensity(params, seq, 2.0, 0), rel=1e-12)
 
     def test_mark_length_mismatch(self):
         params = single_cell_params()
         with pytest.raises(ValueError):
-            conditional_intensity(params, one_event_seq(), LinearMarkModel(), 2.0, 0, [0.5, 0.5])
+            risk_at(params, one_event_seq(), 2.0, 0, LinearMarkModel(), [0.5, 0.5])
 
 
 class TestLogLikelihood:
@@ -446,6 +453,26 @@ class TestSerialization:
         back = ModelParams.from_json(json.dumps(dense))
         assert back.to_json() == params.to_json()
         assert np.array_equal(back.alpha, params.alpha) and np.array_equal(back.mask, params.mask)
+
+    @staticmethod
+    def pair_json(src, dst, alpha):
+        return json.dumps({"mu": [0.1, 0.2], "alpha": alpha, "beta": 1.0, "gamma": [0.5],
+                           "support": {"src": src, "dst": dst}})
+
+    def test_support_index_out_of_range_fails(self):
+        # -1 would otherwise wrap around to cell 1
+        with pytest.raises(ValueError, match=r"support indices must lie in \[0, 2\)"):
+            ModelParams.from_json(self.pair_json([-1], [0], [0.3]))
+        with pytest.raises(ValueError, match=r"support indices must lie in \[0, 2\)"):
+            ModelParams.from_json(self.pair_json([0], [2], [0.3]))
+
+    def test_repeated_support_pair_fails(self):
+        with pytest.raises(ValueError, match=r"support repeats a \(src, dst\) pair"):
+            ModelParams.from_json(self.pair_json([0, 1, 0], [1, 1, 1], [0.3, 0.2, 0.1]))
+
+    def test_alpha_length_must_match_support(self):
+        with pytest.raises(ValueError, match="support has 2 src, 2 dst and 1 alpha entries"):
+            ModelParams.from_json(self.pair_json([0, 1], [1, 1], [0.3]))
 
     def test_state_grid_params_json_is_small(self, tmp_path):
         # the state-ingest truth: 0.24-degree cells of the California box, 0.96-degree mask

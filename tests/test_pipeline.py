@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from firecast import model
 from firecast.conformal import ConformalRun, PredictionSet
 from firecast.events import EventSequence, save_events_csv
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
@@ -18,6 +17,7 @@ from firecast.pipeline import (
     f1_metrics,
     impute_series,
     ingest,
+    query_marks_by_location,
     read_detections_csv,
     risk_series,
     run_end_to_end,
@@ -29,6 +29,7 @@ from firecast.thresholding import DetectionTrace
 
 from oracles import (
     f1_oracle,
+    naive_ground_intensity,
     read_detections_csv_oracle,
     save_events_csv_oracle,
     write_conformal_sets_jsonl_oracle,
@@ -233,30 +234,22 @@ class TestRiskSeries:
         )
         return params, seq
 
-    def test_matches_pointwise_conditional_intensity(self):
-        params, seq = self._params_seq()
-        mm = LinearMarkModel()
-        from firecast.pipeline import query_marks_by_location
-
-        qm = query_marks_by_location(seq)
-        series = risk_series(params, seq, mm)
-        for t_idx, t in enumerate(np.arange(1.0, 13.0)):
-            for k in range(2):
-                direct = model.conditional_intensity(params, seq, mm, float(t), k, qm[k])
-                assert series[t_idx, k] == pytest.approx(direct, rel=1e-10)
-
     def _assert_matches_pointwise(self, params, seq, mm):
-        from firecast.pipeline import query_marks_by_location
-
+        # the oracle's event-by-event ground intensity times the per-point mark score
         qm = query_marks_by_location(seq)
         series = risk_series(params, seq, mm)
         assert series.shape == (12, 2)
         for t_idx, t in enumerate(np.arange(1.0, 13.0)):
             for k in range(2):
-                direct = model.conditional_intensity(params, seq, mm, float(t), k, qm[k])
+                ground = naive_ground_intensity(params, seq, float(t), k)
+                direct = max(ground * mm.score(params.gamma, qm[k], float(t), k), RATE_FLOOR)
                 assert series[t_idx, k] == pytest.approx(direct, rel=1e-10)
 
-    def test_kde_model_matches_pointwise_conditional_intensity(self):
+    def test_matches_pointwise_intensity(self):
+        params, seq = self._params_seq()
+        self._assert_matches_pointwise(params, seq, LinearMarkModel())
+
+    def test_kde_model_matches_pointwise_intensity(self):
         params, seq = self._params_seq()
         train = np.random.default_rng(5).uniform(size=(40, 2))
         self._assert_matches_pointwise(params, seq, NonLinearMarkModel(kde_scorer(train)))
@@ -305,6 +298,17 @@ class TestRiskSeries:
         out = counterfactual_delta(params, seq, mm, 5.0, 0, [0.1, 0.1], [0.9, 0.9])
         assert out["delta"] == pytest.approx(out["lambda_b"] - out["lambda_a"])
         assert out["delta"] > 0
+
+    def test_counterfactual_at_day_end_is_the_forecast(self):
+        # with a location's default query marks the counterfactual is the predict stage's risk
+        params, seq = self._params_seq()
+        mm = LinearMarkModel()
+        qm = query_marks_by_location(seq)
+        series = risk_series(params, seq, mm)
+        for t_idx, t in enumerate(np.arange(1.0, 13.0)):
+            for k in range(2):
+                out = counterfactual_delta(params, seq, mm, float(t), k, qm[k], qm[1 - k])
+                assert out["lambda_a"] == series[t_idx, k]
 
 
 class TestDetectionsCsv:
@@ -622,6 +626,16 @@ class TestRunVariants:
         pairs = set(zip(params["support"]["src"], params["support"]["dst"]))
         assert len(params["alpha"]) == len(pairs) == 12
         assert (0, 3) not in pairs and (3, 0) not in pairs
+
+    def test_neighbor_radius_without_grid_fails(self, tmp_path):
+        # cell ids carry no centroids, so a radius cannot build a mask
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,location,temp\n" + "".join(f"{0.5 + i},{i % 3},{20.0 + i}\n" for i in range(30)))
+        bundle = {"seed": 3, "ingest": {"csv": str(raw), "horizon": 31.0, "neighbor_radius": 0.0},
+                  "fit": {"grid_points": 1, "pgd_steps": 5}}
+        with pytest.raises(PipelineError, match=r"^\[data\] neighbor_radius needs a grid"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run" / "params.json").exists()
 
 
 def test_perfect_predictor_gives_all_ones_histogram():
