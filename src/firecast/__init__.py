@@ -31,10 +31,8 @@ from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from .model import (
     ModelParams,
     RATE_FLOOR,
-    integrated_ground_intensity,
     log_likelihood,
     mask_from_centroids,
-    mask_from_index_distance,
     objective_gradient,
     penalized_objective,
 )
@@ -47,5 +45,5 @@ from .pipeline import (
     risk_series,
     run_end_to_end,
 )
-from .simulation import RecoveryReport, SimConfig, recovery_experiment, simulate
+from .simulation import SimConfig, simulate
 from .thresholding import DetectionTrace, ScreeningState, ThresholdConfig, detect

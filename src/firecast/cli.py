@@ -39,7 +39,7 @@ def cmd_fit(args) -> int:
         kappa=args.kappa,
         l1_weight=args.l1_weight,
     )
-    feasible = estimation.FeasibleSet(mask=ModelParams.from_json(args.support).mask) if args.support else None
+    feasible = estimation.FeasibleSet.of(ModelParams.from_json(args.support)) if args.support else None
     fit = pipeline.fit_stage(seq, mark_model, config, args.method, feasible)
     fit.params.to_json(args.out)
     if args.trace:
@@ -71,7 +71,7 @@ def cmd_eval(args) -> int:
         seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
         marks_a, marks_b = (np.array([float(v) for v in m.split(",")]) for m in (args.marks_a, args.marks_b))
         out = pipeline.counterfactual_delta(
-            params, seq, pipeline.build_mark_model("linear", seq), args.time, args.location,
+            params, seq, pipeline.build_mark_model(args.mark_model, seq), args.time, args.location,
             marks_a, marks_b,
         )
         print(json.dumps(out, sort_keys=True))
@@ -181,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--location", type=int)
     p.add_argument("--marks-a")
     p.add_argument("--marks-b")
+    p.add_argument("--mark-model", choices=("linear", "kde"), default="linear")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("conformal", help="magnitude prediction sets")

@@ -12,8 +12,8 @@ interaction mask allows: the sparsity constraint is structural.  The
 objective and its gradient are :class:`model.Objective` over those pairs,
 the same code ``model.penalized_objective`` runs; each evaluation costs
 O(events x allowed sources), not O(n K^2).  A neighbour mask is what makes
-state-scale fits cheap; the dense K x K alpha is only built for each fitted
-result.  The solver always backtracks.
+state-scale fits cheap; initial points, warm starts and fitted results stay
+on those pairs.  The solver always backtracks.
 
 All routines are deterministic: same inputs give bit-identical results.
 """
@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
-from .events import EventSequence
+from .events import EventSequence, _frozen
 from .model import BALL_RADIUS, ModelParams
 
 LINE_SCAN_POINTS = 25  # coarse scan resolution of the beta line search
@@ -42,61 +42,60 @@ class NonFiniteGradientError(RuntimeError):
         super().__init__(message or f"non-finite gradient at step {step}")
 
 
-@dataclass(frozen=True)
 class FeasibleSet:
-    """Convex constraint region: mu >= 0, beta >= 0, the interaction
-    sparsity mask, and radius-``BALL_RADIUS`` balls on mu, alpha and gamma.
-    ``src, dst`` are the mask's allowed pairs in ``np.nonzero`` order."""
+    """Convex constraint region: mu >= 0, beta >= 0, the allowed pairs
+    ``src, dst`` (``np.nonzero`` order of a K x K ``mask``, or a params'
+    support by :meth:`of`), and radius-``BALL_RADIUS`` balls on mu, alpha, gamma."""
 
-    mask: np.ndarray
-    src: np.ndarray = field(init=False, repr=False, compare=False)
-    dst: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, mask: np.ndarray):
+        mask = np.asarray(mask, dtype=bool)
+        self.src, self.dst = (_frozen(index) for index in np.nonzero(mask))
+        self.num_locations = mask.shape[0]
 
-    def __post_init__(self):
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
-        src, dst = np.nonzero(self.mask)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-
-    @property
-    def num_locations(self) -> int:
-        return self.mask.shape[0]
-
-    def scatter(self, alpha_pairs: np.ndarray) -> np.ndarray:
-        """The dense K x K alpha with ``alpha_pairs`` on the allowed pairs."""
-        alpha = np.zeros(self.mask.shape)
-        alpha[self.src, self.dst] = alpha_pairs
-        return alpha
+    @classmethod
+    def of(cls, params: ModelParams) -> "FeasibleSet":
+        """The region whose allowed pairs are ``params``' support."""
+        feasible = object.__new__(cls)
+        feasible.src, feasible.dst, feasible.num_locations = params.src, params.dst, params.num_locations
+        return feasible
 
     def flatten(self, params: ModelParams) -> np.ndarray:
-        """The flat iterate ``[mu, alpha[src, dst], gamma]`` of ``params``;
-        the inverse of :meth:`scatter` on alpha."""
-        return np.concatenate([params.mu, params.alpha[self.src, self.dst], params.gamma])
+        """The flat iterate ``[mu, alpha[src, dst], gamma]`` of ``params``."""
+        return np.concatenate([params.mu, params.alpha_on(self.src, self.dst), params.gamma])
+
+    def split(self, x: np.ndarray):
+        """(mu, alpha on the pairs, gamma) views of a flat iterate."""
+        K, P = self.num_locations, len(self.src)
+        return x[:K], x[K : K + P], x[K + P :]
+
+    def params(self, x: np.ndarray, beta: float) -> ModelParams:
+        """The params of a flat iterate: the inverse of :meth:`flatten` on
+        the allowed pairs."""
+        mu, alpha, gamma = self.split(x)
+        return ModelParams.from_pairs(mu, self.src, self.dst, alpha, beta, gamma)
 
 
-def _project_blocks(mu: np.ndarray, alpha: np.ndarray, gamma: np.ndarray) -> None:
-    """Project the parameter blocks onto the feasible set, in place.
+def project(raw: ModelParams, feasible: FeasibleSet) -> ModelParams:
+    """Exact Euclidean projection onto the feasible set, beta clamped at
+    zero: alpha gathered on the allowed pairs, then the solver's projection."""
+    if raw.mu.shape != (feasible.num_locations,):
+        raise ValueError("parameter shapes do not match the feasible set")
+    return feasible.params(_project_flat(feasible.flatten(raw), feasible), max(raw.beta, 0.0))
 
-    mu is clamped to the nonnegative orthant, then each block is scaled into
-    its ball; alpha is already restricted to the mask.  Each composition is
-    the exact projection for its intersection (orthant-with-ball and
-    subspace-with-ball, both centered at the origin).
-    """
+
+def _project_flat(x: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
+    """Projection of a flat iterate ``[mu, alpha[src, dst], gamma]``, as a
+    new vector: mu clamped to the nonnegative orthant, then each block scaled
+    into its ball, the exact projection for orthant-with-ball and (alpha on
+    the pairs) subspace-with-ball, both centered at the origin."""
+    out = x.copy()
+    mu, alpha, gamma = feasible.split(out)
     np.maximum(mu, 0.0, out=mu)
     for block in (mu, alpha, gamma):
         nrm = float(np.linalg.norm(block))
         if nrm > BALL_RADIUS:
             block *= BALL_RADIUS / nrm
-
-
-def project(raw: ModelParams, feasible: FeasibleSet) -> ModelParams:
-    """Exact Euclidean projection onto the feasible set; beta is clamped at zero."""
-    if raw.mu.shape != (feasible.num_locations,) or raw.alpha.shape != feasible.mask.shape:
-        raise ValueError("parameter shapes do not match the feasible set")
-    mu, alpha, gamma = raw.mu.copy(), raw.alpha.copy(), raw.gamma.copy()
-    alpha[~feasible.mask] = 0.0
-    _project_blocks(mu, alpha, gamma)
-    return ModelParams(mu=mu, alpha=alpha, beta=max(raw.beta, 0.0), gamma=gamma, mask=feasible.mask)
+    return out
 
 
 def soft_threshold(x: np.ndarray, amount: float) -> np.ndarray:
@@ -232,8 +231,7 @@ def default_init(seq: EventSequence, feasible: FeasibleSet, beta: float) -> Mode
     K, p = seq.num_locations, seq.mark_dim
     mu = np.full(K, len(seq) / (K * seq.horizon))
     gamma = np.full(p, 1.0 / math.sqrt(p)) if p else np.zeros(0)
-    _project_blocks(mu, np.zeros(0), gamma)
-    return ModelParams(mu=mu, alpha=np.zeros((K, K)), beta=beta, gamma=gamma, mask=feasible.mask)
+    return feasible.params(_project_flat(np.concatenate([mu, np.zeros(len(feasible.src)), gamma]), feasible), beta)
 
 
 def pgd_fit(
@@ -254,11 +252,6 @@ def pgd_fit(
     objective = model.Objective(seq, mark_model, feasible.src, feasible.dst, beta, config.l1_weight)
     g0 = objective.K + objective.P  # gamma's offset in the flat vector
 
-    def project_flat(x):
-        out = x.copy()
-        _project_blocks(*objective.split(out))
-        return out
-
     def prox_flat(x, t):
         # l1 part of the objective enters through soft-thresholding on gamma
         if config.l1_weight == 0:
@@ -270,16 +263,14 @@ def pgd_fit(
     x, trace = projected_gradient_descent(
         feasible.flatten(init),
         grad_fn=objective.smooth_gradient,
-        project_fn=project_flat,
+        project_fn=lambda x: _project_flat(x, feasible),
         steps=config.pgd_steps,
         kappa=config.kappa,
         objective_fn=objective.value,
         prox_fn=prox_flat,
         backtracking=True,
     )
-    mu, alpha, gamma = objective.split(x)
-    params = ModelParams(mu=mu, alpha=feasible.scatter(alpha), beta=beta, gamma=gamma, mask=feasible.mask)
-    return PgdResult(params=params, trace=trace)
+    return PgdResult(params=feasible.params(x, beta), trace=trace)
 
 
 def grid_fit(
@@ -404,9 +395,7 @@ def alternating_fit(
         beta = beta_new
         if delta_beta <= config.eps_beta:
             break
-    params = ModelParams(
-        mu=params.mu, alpha=params.alpha, beta=beta, gamma=params.gamma, mask=params.mask
-    )
+    params = ModelParams.from_pairs(params.mu, params.src, params.dst, params.alpha_values, beta, params.gamma)
     return FitResult(
         params=params,
         objective=float(outer_trace[-1]),

@@ -14,14 +14,15 @@ The log-likelihood over ``[0, T]`` has the closed form
     sum_i log lambda_g(t_i, u_i) + sum_i log f(m_i | t_i, u_i)
       - T * sum_k mu_k - sum_i (sum_k alpha[u_i, k]) * (1 - exp(-beta (T - t_i))),
 
-whose integral term this module also exposes separately (the compensator of
-the location-summed ground process).  :class:`EventKernel` evaluates the
+whose integral term is the compensator of the location-summed ground
+process (:meth:`EventKernel.compensator`).  :class:`EventKernel` evaluates the
 event intensities and their gradient over a list of allowed (source,
 destination) pairs, in O(events x allowed sources) rather than O(n K^2):
 each (event, source) value comes from a decayed-count recursion over that
 source's own events, never from a dense n x K history matrix
 (:func:`excitation_matrix` stays as the reference it is tested against).
-``params.json`` stores alpha on the mask's pairs only.
+:class:`ModelParams` holds alpha on the same kind of pairs, and so does
+``params.json``; no K x K array is built on the fit, predict or I/O paths.
 
 :class:`Objective` is the one implementation of the estimation objective
 (negative log-likelihood plus an l1 penalty on gamma) and its gradient, on
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,29 +50,66 @@ RATE_FLOOR = 1e-12  # lower clamp for any rate fed to log or used as a density
 BALL_RADIUS = 1.0  # l2 radius bounding mu, alpha (Frobenius) and gamma
 NORM_TOL = 1e-9  # slack on ball-constraint checks
 MASK_BLOCK_ROWS = 64  # rows per block in mask_from_centroids: two 64 x K float temporaries
+JSON_BLOCK = 4096  # array entries per json.dumps call in ModelParams.to_json
 
 
-@dataclass(frozen=True)
 class ModelParams:
-    """Parameters (mu, alpha, beta, gamma) plus the interaction sparsity mask.
+    """Parameters (mu, alpha, beta, gamma), with alpha held on its support.
 
-    Feasibility: mu >= 0 elementwise, beta >= 0, ||mu||_2 <= 1,
-    ||alpha||_F <= 1, ||gamma||_2 <= 1, and alpha must vanish wherever the
-    mask is false.
+    ``alpha[i, j]``, the influence of cell i on cell j, is stored as
+    ``alpha_values`` on the allowed (source, destination) pairs ``src, dst``
+    in ``np.nonzero`` order: the support is the interaction mask, so alpha
+    vanishes off it by construction.  The dense form ``ModelParams(mu=,
+    alpha=, beta=, gamma=, mask=)`` is converted once; library code uses
+    :meth:`from_pairs`.  The dense ``alpha`` and ``mask`` properties cost
+    O(K^2) on each access.
+
+    Feasibility (``validate``): mu >= 0 elementwise, beta >= 0,
+    ||mu||_2 <= 1, ||alpha||_F <= 1 and ||gamma||_2 <= 1.
     """
 
-    mu: np.ndarray       # (K,)
-    alpha: np.ndarray    # (K, K); alpha[i, j] = influence of cell i on cell j
-    beta: float
-    gamma: np.ndarray    # (p,)
-    mask: np.ndarray     # (K, K) bool
+    def __init__(self, mu, alpha, beta, gamma, mask):
+        mu = np.asarray(mu, dtype=float)
+        alpha, mask = np.asarray(alpha, dtype=float), np.asarray(mask, dtype=bool)
+        K = len(mu)
+        if alpha.shape != (K, K) or mask.shape != (K, K):
+            raise ValueError("alpha and mask must be K x K")
+        src, dst = np.nonzero(mask)
+        values = alpha[src, dst]
+        if np.count_nonzero(alpha) > np.count_nonzero(values):
+            raise ValueError("alpha must be zero where the mask is false")
+        self._set(mu, src, dst, values, beta, gamma)
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", _frozen(np.asarray(self.mu, dtype=float)))
-        object.__setattr__(self, "alpha", _frozen(np.asarray(self.alpha, dtype=float)))
-        object.__setattr__(self, "gamma", _frozen(np.asarray(self.gamma, dtype=float)))
-        object.__setattr__(self, "mask", _frozen(np.asarray(self.mask, dtype=bool)))
-        object.__setattr__(self, "beta", float(self.beta))
+    def _set(self, mu, src, dst, values, beta, gamma) -> None:
+        gamma = np.asarray(gamma, dtype=float)
+        for name, value in (("mu", mu), ("src", src), ("dst", dst), ("alpha_values", values), ("gamma", gamma)):
+            object.__setattr__(self, name, _frozen(value))
+        object.__setattr__(self, "beta", float(beta))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModelParams is immutable; cannot set {name!r}")
+
+    @classmethod
+    def from_pairs(cls, mu, src, dst, alpha_values, beta, gamma) -> "ModelParams":
+        """Params with alpha given by its values on (src, dst) pairs, which
+        become the support; pairs may come in any order but not repeat."""
+        mu = np.asarray(mu, dtype=float)
+        K = len(mu)
+        src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+        values = np.asarray(alpha_values, dtype=float)
+        if not len(src) == len(dst) == len(values):
+            raise ValueError(f"support has {len(src)} src, {len(dst)} dst and {len(values)} alpha entries")
+        if np.any((src < 0) | (src >= K) | (dst < 0) | (dst >= K)):
+            raise ValueError(f"support indices must lie in [0, {K})")
+        keys = src * K + dst
+        if np.any(np.diff(keys) <= 0):
+            order = np.argsort(keys, kind="stable")
+            if np.any(np.diff(keys[order]) == 0):
+                raise ValueError("support repeats a (src, dst) pair")
+            src, dst, values = src[order], dst[order], values[order]
+        params = object.__new__(cls)
+        params._set(mu, src, dst, values, beta, gamma)
+        return params
 
     @property
     def num_locations(self) -> int:
@@ -82,11 +119,38 @@ class ModelParams:
     def mark_dim(self) -> int:
         return len(self.gamma)
 
-    def validate(self) -> "ModelParams":
+    @property
+    def alpha(self) -> np.ndarray:
+        """Dense K x K alpha, built (read-only) on each access."""
+        return self._dense(self.alpha_values, float)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Dense K x K support, built (read-only) on each access."""
+        return self._dense(True, bool)
+
+    def _dense(self, values, dtype) -> np.ndarray:
+        out = np.zeros((self.num_locations,) * 2, dtype=dtype)
+        out[self.src, self.dst] = values
+        out.setflags(write=False)
+        return out
+
+    def alpha_on(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """alpha's values on the given pairs; zero where a pair is off the support."""
         K = self.num_locations
-        if self.alpha.shape != (K, K) or self.mask.shape != (K, K):
-            raise ValueError("alpha and mask must be K x K")
-        for name, arr in (("mu", self.mu), ("alpha", self.alpha), ("gamma", self.gamma)):
+        keys = self.src * K + self.dst
+        wanted = np.asarray(src, dtype=np.intp) * K + np.asarray(dst, dtype=np.intp)
+        if len(keys) == 0:
+            return np.zeros(len(wanted))
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, self.alpha_values[at], 0.0)
+
+    def row_starts(self) -> np.ndarray:
+        """Offsets of each source's pairs: source k's are ``[starts[k], starts[k + 1])``."""
+        return np.searchsorted(self.src, np.arange(self.num_locations + 1))
+
+    def validate(self) -> "ModelParams":
+        for name, arr in (("mu", self.mu), ("alpha", self.alpha_values), ("gamma", self.gamma)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
         if not np.isfinite(self.beta):
@@ -97,25 +161,20 @@ class ModelParams:
             raise ValueError("mu must be nonnegative")
         if np.linalg.norm(self.mu) > BALL_RADIUS + NORM_TOL:
             raise ValueError("||mu||_2 must be <= 1")
-        if np.linalg.norm(self.alpha) > BALL_RADIUS + NORM_TOL:
+        if np.linalg.norm(self.alpha_values) > BALL_RADIUS + NORM_TOL:
             raise ValueError("||alpha||_F must be <= 1")
         if np.linalg.norm(self.gamma) > BALL_RADIUS + NORM_TOL:
             raise ValueError("||gamma||_2 must be <= 1")
-        if np.any(self.alpha[~self.mask] != 0.0):
-            raise ValueError("alpha must be zero where the mask is false")
         return self
 
     def to_json(self, path: str | Path | None = None) -> str:
-        """JSON with alpha as values on the mask's (src, dst) pairs."""
-        src, dst = np.nonzero(self.mask)
-        payload = {
-            "mu": self.mu.tolist(),
-            "alpha": self.alpha[src, dst].tolist(),
-            "beta": self.beta,
-            "gamma": self.gamma.tolist(),
-            "support": {"src": src.tolist(), "dst": dst.tolist()},
-        }
-        text = json.dumps(payload, sort_keys=True)
+        """JSON with alpha as values on the support's (src, dst) pairs, as
+        ``json.dumps(..., sort_keys=True)`` writes it, arrays in blocks."""
+        text = (
+            f'{{"alpha": {_json_array(self.alpha_values)}, "beta": {json.dumps(self.beta)}, '
+            f'"gamma": {_json_array(self.gamma)}, "mu": {_json_array(self.mu)}, '
+            f'"support": {{"dst": {_json_array(self.dst)}, "src": {_json_array(self.src)}}}}}'
+        )
         if path is not None:
             Path(path).write_text(text + "\n")
         return text
@@ -125,25 +184,19 @@ class ModelParams:
         """Read the pair form written by ``to_json``, or dense K x K ``alpha``
         and ``mask`` lists."""
         text = str(source)
-        if not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
-        payload = json.loads(text)
-        mu, gamma = np.array(payload["mu"], dtype=float), np.array(payload["gamma"], dtype=float)
+        payload = json.loads(text if text.lstrip().startswith("{") else Path(source).read_text())
+        # popped from the payload, the support's lists are freed once they are arrays
+        mu, beta, gamma, alpha = (payload.pop(key) for key in ("mu", "beta", "gamma", "alpha"))
         if "support" in payload:
-            K, values = len(mu), np.array(payload["alpha"], dtype=float)
-            src, dst = (np.array(payload["support"][key], dtype=np.intp) for key in ("src", "dst"))
-            if not len(src) == len(dst) == len(values):
-                raise ValueError(f"support has {len(src)} src, {len(dst)} dst and {len(values)} alpha entries")
-            if np.any((src < 0) | (src >= K) | (dst < 0) | (dst >= K)):
-                raise ValueError(f"support indices must lie in [0, {K})")
-            if len(np.unique(src * K + dst)) < len(src):
-                raise ValueError("support repeats a (src, dst) pair")
-            alpha, mask = np.zeros((K, K)), np.zeros((K, K), dtype=bool)
-            alpha[src, dst] = values
-            mask[src, dst] = True
-        else:
-            alpha, mask = np.array(payload["alpha"], dtype=float), np.array(payload["mask"], dtype=bool)
-        return cls(mu=mu, alpha=alpha, beta=float(payload["beta"]), gamma=gamma, mask=mask)
+            support = payload.pop("support")
+            return cls.from_pairs(mu, support.pop("src"), support.pop("dst"), alpha, float(beta), gamma)
+        return cls(mu=mu, alpha=alpha, beta=float(beta), gamma=gamma, mask=payload["mask"])
+
+
+def _json_array(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())``, encoded ``JSON_BLOCK`` entries at a time."""
+    blocks = (json.dumps(values[i : i + JSON_BLOCK].tolist())[1:-1] for i in range(0, len(values), JSON_BLOCK))
+    return "[" + ", ".join(blocks) + "]"
 
 
 def mask_from_centroids(centroids: np.ndarray, neighbor_radius: float) -> np.ndarray:
@@ -168,12 +221,6 @@ def mask_from_centroids(centroids: np.ndarray, neighbor_radius: float) -> np.nda
         np.sqrt(dx, out=dx)
         np.less_equal(dx, neighbor_radius, out=mask[rows])
     return mask
-
-
-def mask_from_index_distance(num_locations: int, tau: int) -> np.ndarray:
-    """Allow interaction between cells whose ids differ by less than ``tau``."""
-    idx = np.arange(num_locations)
-    return np.abs(idx[:, None] - idx[None, :]) < tau
 
 
 def excitation_matrix(
@@ -204,18 +251,6 @@ def excitation_matrix(
     return R
 
 
-def integrated_ground_intensity(params: ModelParams, seq: EventSequence, t: float) -> float:
-    """Compensator sum_k int_0^t lambda_g(tau, k) dtau in closed form."""
-    if not 0 <= t <= seq.horizon:
-        raise ValueError(f"upper limit {t} outside [0, {seq.horizon}]")
-    total = t * params.mu.sum()
-    hist = seq.times < t
-    if np.any(hist):
-        row_sums = params.alpha.sum(axis=1)[seq.locations[hist]]
-        total += (row_sums * (1.0 - np.exp(-params.beta * (t - seq.times[hist])))).sum()
-    return float(total)
-
-
 class EventKernel:
     """Ground intensities at the events of one sequence, and their gradient,
     as bincounts over (event, pair) entries.
@@ -228,9 +263,10 @@ class EventKernel:
     the decayed count at the source's last strictly earlier event (found by
     one searchsorted on integer (source, time-rank) keys, so tied times see
     the same history), decayed on to t_i; the decayed counts follow one
-    recursion per source, run rank by rank across all sources.  Everything
-    but the values depends only on the sequence and the pairs; ``with_beta``
-    shares it.
+    recursion per source, run rank by rank across all sources.  Entries
+    whose source has no strictly earlier event are worth 0 and left out;
+    indices are int32 (``take`` gathers them faster than fancy indexing).
+    All but the values depends only on the sequence and pairs: ``with_beta`` shares it.
     """
 
     def __init__(self, seq: EventSequence, src: np.ndarray, dst: np.ndarray, beta: float):
@@ -242,9 +278,9 @@ class EventKernel:
         by_dst = np.argsort(dst, kind="stable")
         deg = np.bincount(dst, minlength=K)
         counts = deg[locs]
-        self.rows = np.repeat(np.arange(n), counts)
+        rows = np.repeat(np.arange(n, dtype=np.int32), counts)
         offset = (np.cumsum(deg) - deg)[locs] - (np.cumsum(counts) - counts)
-        self.pairs = by_dst[np.repeat(offset, counts) + np.arange(len(self.rows))]
+        pairs = by_dst.astype(np.int32)[np.repeat(offset, counts) + np.arange(len(rows))]
         # the events grouped by source, times ascending within a source
         order = np.argsort(locs, kind="stable")
         src_times, src_locs = seq.times[order], locs[order]
@@ -254,12 +290,20 @@ class EventKernel:
         # positions of every source's second, third, ... event: one recursion step each
         self.chain = [first[per_src > r] + r for r in range(1, per_src.max(initial=0))]
         time_rank = np.unique(seq.times, return_inverse=True)[1].ravel()
-        entry_src = self.src[self.pairs]
+        entry_src = self.src.astype(np.int32)[pairs]
         keys = src_locs * (n + 1) + time_rank[order]
-        last = np.searchsorted(keys, entry_src * (n + 1) + time_rank[self.rows]) - 1
-        none = last < first[entry_src]  # the source has no strictly earlier event
-        self.last = np.where(none, 0, last + 1)  # into [0, decayed counts...]
-        self.lag = np.where(none, 0.0, seq.times[self.rows] - src_times[last])
+        query = np.multiply(entry_src, n + 1, dtype=np.int64)
+        query += time_rank[rows]
+        last = np.searchsorted(keys, query)
+        last -= 1
+        # keep the entries whose source has a strictly earlier event: the others are worth 0
+        kept = last >= first[entry_src]
+        del query, entry_src  # the build's peak memory is a few entry-length arrays
+        self.rows, self.pairs = rows[kept], pairs[kept]
+        self.last = last[kept].astype(np.int32)  # into the decayed counts
+        del rows, pairs, last, kept
+        self.lag = seq.times[self.rows]
+        self.lag -= src_times[self.last]
         self._values(beta)
 
     def _values(self, beta: float) -> None:
@@ -271,7 +315,7 @@ class EventKernel:
             decayed[at] += decayed[at - 1] * decay[at - 1]
         self.vals = np.multiply(self.lag, -self.beta)
         np.exp(self.vals, out=self.vals)
-        self.vals *= np.concatenate(([0.0], decayed))[self.last]
+        self.vals *= decayed[self.last]
         w = 1.0 - np.exp(-self.beta * (seq.horizon - seq.times))
         self.sum_w = np.bincount(seq.locations, w, minlength=seq.num_locations)
 
@@ -294,7 +338,7 @@ class EventKernel:
         events at the floor add nothing."""
         inv_lam = inverse_above_floor(lam)
         g_mu = self.seq.horizon - np.bincount(self.seq.locations, inv_lam, minlength=self.seq.num_locations)
-        event_part = np.bincount(self.pairs, self.vals * (self.beta * inv_lam)[self.rows], minlength=len(self.src))
+        event_part = np.bincount(self.pairs, self.vals * (self.beta * inv_lam).take(self.rows), minlength=len(self.src))
         return g_mu, self.sum_w[self.src] - event_part
 
 
@@ -381,18 +425,18 @@ class Objective:
 def penalized_objective(
     params: ModelParams, seq: EventSequence, mark_model, l1_weight: float = 1.0
 ) -> float:
-    """Estimation objective: negative log-likelihood plus l1 penalty on gamma,
-    for any alpha (the :class:`Objective` runs on its nonzeros)."""
+    """Estimation objective: negative log-likelihood plus l1 penalty on gamma;
+    the :class:`Objective` runs on alpha's nonzero pairs."""
     if l1_weight < 0:
         raise ValueError("l1_weight must be nonnegative")
-    for arr in (params.mu, params.alpha, params.gamma):
+    for arr in (params.mu, params.alpha_values, params.gamma):
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite parameter")
     if not np.isfinite(params.beta):
         raise ValueError("non-finite beta")
-    src, dst = np.nonzero(params.alpha != 0)
-    objective = Objective(seq, mark_model, src, dst, params.beta, l1_weight)
-    return objective.value(np.concatenate([params.mu, params.alpha[src, dst], params.gamma]))
+    nonzero = params.alpha_values != 0
+    objective = Objective(seq, mark_model, params.src[nonzero], params.dst[nonzero], params.beta, l1_weight)
+    return objective.value(np.concatenate([params.mu, params.alpha_values[nonzero], params.gamma]))
 
 
 def log_likelihood(params: ModelParams, seq: EventSequence, mark_model) -> float:
@@ -406,12 +450,13 @@ def objective_gradient(
     """Gradient of the penalized objective w.r.t. (mu, alpha, gamma).
 
     The :class:`Objective` runs on all K^2 pairs, so every alpha entry is
-    exact, also off the mask.  The gamma component includes
+    exact, also off the support.  The gamma component includes
     ``l1_weight * sign(gamma)``, valid away from zeros; the optimizer
     soft-thresholds the l1 part instead.
     """
     K = seq.num_locations
-    objective = Objective(seq, mark_model, *np.divmod(np.arange(K * K), K), params.beta, l1_weight)
-    x = np.concatenate([params.mu, params.alpha.ravel(), params.gamma])
+    src, dst = np.divmod(np.arange(K * K), K)
+    objective = Objective(seq, mark_model, src, dst, params.beta, l1_weight)
+    x = np.concatenate([params.mu, params.alpha_on(src, dst), params.gamma])
     g_mu, g_alpha, g_gamma = objective.split(objective.smooth_gradient(x))
     return g_mu, g_alpha.reshape(K, K), g_gamma + l1_weight * np.sign(params.gamma)

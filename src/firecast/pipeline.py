@@ -450,7 +450,9 @@ def risk_series(
     if query_marks is None:
         query_marks = query_marks_by_location(seq)
     K = seq.num_locations
-    mu, alpha, beta = params.mu, params.alpha, params.beta
+    mu, beta = params.mu, params.beta
+    # an event at k adds beta * alpha[k, dst] over k's pairs, the rest 0
+    starts, dst, jumps = params.row_starts(), params.dst, beta * params.alpha_values
 
     ground = np.zeros((len(times), K))
     excite = np.zeros(K)
@@ -460,7 +462,8 @@ def risk_series(
     for idx, t in enumerate(times):
         while ei < len(ev_times) and ev_times[ei] < t:
             excite *= np.exp(-beta * (ev_times[ei] - t_cur))
-            excite += beta * alpha[ev_locs[ei], :]
+            row = slice(starts[ev_locs[ei]], starts[ev_locs[ei] + 1])
+            excite[dst[row]] += jumps[row]
             t_cur = ev_times[ei]
             ei += 1
         ground[idx] = mu + excite * np.exp(-beta * (t - t_cur))
@@ -736,7 +739,7 @@ def _bundle_simulate(cfg: dict, seed: int, wants_magnitudes: bool):
         else ModelParams.from_json(json.dumps(cfg["params"]))
     )
     sim = simulation_config(params, cfg if wants_magnitudes else {**cfg, "magnitude_classes": 0}, seed)
-    return simulation.simulate(sim), params.mask
+    return simulation.simulate(sim), estimation.FeasibleSet.of(params)
 
 
 def _bundle_ingest(cfg: dict, notes: list):
@@ -753,7 +756,7 @@ def _bundle_ingest(cfg: dict, notes: list):
     mask = np.ones((seq.num_locations, seq.num_locations), dtype=bool)
     if "neighbor_radius" in cfg:
         mask = model.mask_from_centroids(grid.centroids(), float(cfg["neighbor_radius"]))
-    return seq, mask
+    return seq, estimation.FeasibleSet(mask)
 
 
 def run_end_to_end(bundle: dict, out_dir) -> dict:
@@ -777,9 +780,9 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
 
     with _stage("data", stages):
         if "simulate" in bundle:
-            seq, mask = _bundle_simulate(bundle["simulate"], seed, "conformal" in bundle)
+            seq, feasible = _bundle_simulate(bundle["simulate"], seed, "conformal" in bundle)
         elif "ingest" in bundle:
-            seq, mask = _bundle_ingest(bundle["ingest"], notes)
+            seq, feasible = _bundle_ingest(bundle["ingest"], notes)
         else:
             raise ValueError("bundle needs a 'simulate' or 'ingest' stage")
         save_events_csv(seq, out / "events.csv")
@@ -788,9 +791,7 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
         cfg = dict(bundle.get("fit", {}))
         method = cfg.pop("method", "grid")
         mark_model = build_mark_model(cfg.pop("mark_model", "linear"), seq)
-        fit = fit_stage(
-            seq, mark_model, estimation.FitConfig(**cfg), method, estimation.FeasibleSet(mask=mask)
-        )
+        fit = fit_stage(seq, mark_model, estimation.FitConfig(**cfg), method, feasible)
         fit.params.to_json(out / "params.json")
         write_fit_trace_csv(out / "fit_trace.csv", fit.trace)
 

@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimation, model
 from .events import EventSequence
-from .marks import LinearMarkModel
 from .model import ModelParams
 
 
@@ -84,7 +82,7 @@ class SimConfig:
 def simulate(config: SimConfig) -> EventSequence:
     """Draw one trajectory on [0, horizon] by thinning; deterministic per seed."""
     params = config.params.validate()
-    if np.any(params.alpha < 0):
+    if np.any(params.alpha_values < 0):
         raise ValueError(
             "thinning needs an upper-bounding intensity: negative interaction "
             "weights are not supported for simulation"
@@ -92,7 +90,9 @@ def simulate(config: SimConfig) -> EventSequence:
     rng = np.random.default_rng(config.seed)
     K = params.num_locations
     p = config.mark_dim if config.mark_dim is not None else params.mark_dim
-    mu, alpha, beta, T = params.mu, params.alpha, params.beta, config.horizon
+    mu, beta, T = params.mu, params.beta, config.horizon
+    # source k's row of alpha: beta * alpha[k, dst] over its pairs, the rest 0
+    starts, dst, jumps = params.row_starts(), params.dst, beta * params.alpha_values
 
     times: list[float] = []
     locs: list[int] = []
@@ -120,7 +120,8 @@ def simulate(config: SimConfig) -> EventSequence:
             marks.append(m)
             if config.magnitude_sampler is not None:
                 mags.append(int(config.magnitude_sampler(rng, m, k)))
-            excite = excite + beta * alpha[k, :]
+            row = slice(starts[k], starts[k + 1])
+            excite[dst[row]] += jumps[row]
         bound = float(mu.sum() + excite.sum())
 
     return EventSequence(
@@ -133,30 +134,19 @@ def simulate(config: SimConfig) -> EventSequence:
     )
 
 
-@dataclass
-class RecoveryReport:
-    """Parameter-recovery errors of a simulate-then-fit round trip."""
-
-    fit: estimation.FitResult
-    n_events: int
-    mu_error: float
-    alpha_error: float
-    gamma_error: float
-    beta_error: float
-    total_error: float
-    relative_error: float
-
-
 def parameter_errors(true_params: ModelParams, fitted: ModelParams) -> dict[str, float]:
+    """l2 errors per block; alpha's over the union of the two supports."""
     mu_err = float(np.linalg.norm(fitted.mu - true_params.mu))
-    alpha_err = float(np.linalg.norm(fitted.alpha - true_params.alpha))
+    K = fitted.num_locations
+    src, dst = np.divmod(np.union1d(fitted.src * K + fitted.dst, true_params.src * K + true_params.dst), K)
+    alpha_err = float(np.linalg.norm(fitted.alpha_on(src, dst) - true_params.alpha_on(src, dst)))
     gamma_err = float(np.linalg.norm(fitted.gamma - true_params.gamma))
     beta_err = abs(fitted.beta - true_params.beta)
     total = float(np.sqrt(mu_err**2 + alpha_err**2 + gamma_err**2 + beta_err**2))
     scale = float(
         np.sqrt(
             np.linalg.norm(true_params.mu) ** 2
-            + np.linalg.norm(true_params.alpha) ** 2
+            + np.linalg.norm(true_params.alpha_values) ** 2
             + np.linalg.norm(true_params.gamma) ** 2
             + true_params.beta**2
         )
@@ -169,28 +159,3 @@ def parameter_errors(true_params: ModelParams, fitted: ModelParams) -> dict[str,
         "total": total,
         "relative": total / scale if scale > 0 else float("inf"),
     }
-
-
-def recovery_experiment(
-    true_params: ModelParams,
-    sim_config: SimConfig,
-    fit_config: estimation.FitConfig,
-    mark_model=None,
-) -> RecoveryReport:
-    """Simulate from known parameters, refit with grid_fit, report l2 errors."""
-    seq = simulate(sim_config)
-    if mark_model is None:
-        mark_model = LinearMarkModel()
-    feasible = estimation.FeasibleSet(mask=true_params.mask)
-    fit = estimation.grid_fit(seq, mark_model, fit_config, feasible=feasible)
-    errs = parameter_errors(true_params, fit.params)
-    return RecoveryReport(
-        fit=fit,
-        n_events=len(seq),
-        mu_error=errs["mu"],
-        alpha_error=errs["alpha"],
-        gamma_error=errs["gamma"],
-        beta_error=errs["beta"],
-        total_error=errs["total"],
-        relative_error=errs["relative"],
-    )

@@ -10,23 +10,86 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
+from firecast import estimation
 from firecast.events import EventSequence
+from firecast.marks import LinearMarkModel
 from firecast.model import ModelParams
+from firecast.simulation import SimConfig, parameter_errors, simulate
 
 
 def naive_ground_intensity(params: ModelParams, seq: EventSequence, t: float, k: int) -> float:
     lam = float(params.mu[k])
+    alpha = params.alpha  # built on each access: once per call
     for j in range(len(seq)):
         if seq.times[j] < t:
             lam += (
-                params.alpha[int(seq.locations[j]), k]
+                alpha[int(seq.locations[j]), k]
                 * params.beta
                 * math.exp(-params.beta * (t - seq.times[j]))
             )
     return lam
+
+
+def integrated_ground_intensity(params: ModelParams, seq: EventSequence, t: float) -> float:
+    """Compensator sum_k int_0^t lambda_g(tau, k) dtau in closed form."""
+    if not 0 <= t <= seq.horizon:
+        raise ValueError(f"upper limit {t} outside [0, {seq.horizon}]")
+    total = t * params.mu.sum()
+    hist = seq.times < t
+    if np.any(hist):
+        row_sums = params.alpha.sum(axis=1)[seq.locations[hist]]
+        total += (row_sums * (1.0 - np.exp(-params.beta * (t - seq.times[hist])))).sum()
+    return float(total)
+
+
+def mask_from_index_distance(num_locations: int, tau: int) -> np.ndarray:
+    """Allow interaction between cells whose ids differ by less than ``tau``."""
+    idx = np.arange(num_locations)
+    return np.abs(idx[:, None] - idx[None, :]) < tau
+
+
+@dataclass
+class RecoveryReport:
+    """Parameter-recovery errors of a simulate-then-fit round trip."""
+
+    fit: estimation.FitResult
+    n_events: int
+    mu_error: float
+    alpha_error: float
+    gamma_error: float
+    beta_error: float
+    total_error: float
+    relative_error: float
+
+
+def recovery_experiment(
+    true_params: ModelParams,
+    sim_config: SimConfig,
+    fit_config: estimation.FitConfig,
+    mark_model=None,
+) -> RecoveryReport:
+    """Simulate from known parameters, refit with grid_fit, report l2 errors."""
+    seq = simulate(sim_config)
+    if mark_model is None:
+        mark_model = LinearMarkModel()
+    feasible = estimation.FeasibleSet.of(true_params)
+    fit = estimation.grid_fit(seq, mark_model, fit_config, feasible=feasible)
+    errs = parameter_errors(true_params, fit.params)
+    return RecoveryReport(
+        fit=fit,
+        n_events=len(seq),
+        mu_error=errs["mu"],
+        alpha_error=errs["alpha"],
+        gamma_error=errs["gamma"],
+        beta_error=errs["beta"],
+        total_error=errs["total"],
+        relative_error=errs["relative"],
+    )
 
 
 def quadrature_compensator(params: ModelParams, seq: EventSequence, nodes_per_piece: int = 40) -> float:
@@ -34,6 +97,7 @@ def quadrature_compensator(params: ModelParams, seq: EventSequence, nodes_per_pi
     between event times where the intensity is smooth."""
     edges = np.unique(np.concatenate([[0.0], seq.times, [seq.horizon]]))
     x, w = np.polynomial.legendre.leggauss(nodes_per_piece)
+    params = SimpleNamespace(mu=params.mu, alpha=params.alpha, beta=params.beta)  # dense alpha built once
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:
@@ -54,8 +118,9 @@ def naive_log_likelihood(params: ModelParams, seq: EventSequence, gamma_scores: 
         ll += math.log(max(lam, floor))
         ll += math.log(max(float(gamma_scores[i]), floor))
     ll -= seq.horizon * float(params.mu.sum())
+    alpha = params.alpha
     for i in range(len(seq)):
-        row = float(params.alpha[int(seq.locations[i])].sum())
+        row = float(alpha[int(seq.locations[i])].sum())
         ll -= row * (1.0 - math.exp(-params.beta * (seq.horizon - seq.times[i])))
     return ll
 

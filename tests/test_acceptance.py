@@ -19,23 +19,20 @@ from firecast.estimation import (
     projected_gradient_descent,
 )
 from firecast.marks import LinearMarkModel
-from firecast.model import ModelParams, mask_from_index_distance, penalized_objective
+from firecast.model import ModelParams, penalized_objective
 from firecast.pipeline import run_end_to_end
-from firecast.simulation import (
-    SimConfig,
-    linear_density_mark_sampler,
-    recovery_experiment,
-    simulate,
-)
+from firecast.simulation import SimConfig, linear_density_mark_sampler, simulate
 from firecast.thresholding import ScreeningState, ThresholdConfig, detect
 
 from oracles import (
     finite_difference_gradient,
     gaussian_class_data,
     gaussian_true_posterior,
+    mask_from_index_distance,
     oracle_prediction_set_size,
     quadrature_compensator,
     random_instance,
+    recovery_experiment,
 )
 from reference_threshold import reference_dynamic_threshold
 
@@ -92,12 +89,13 @@ def test_criterion_02_gradient_check():
         K, p = params.num_locations, params.mark_dim
 
         def unpack(x):
+            # every alpha entry is perturbed, so the support is all pairs
             return ModelParams(
                 mu=x[:K],
                 alpha=x[K : K + K * K].reshape(K, K),
                 beta=params.beta,
                 gamma=x[K + K * K :],
-                mask=params.mask,
+                mask=np.ones((K, K), dtype=bool),
             )
 
         x0 = np.concatenate([params.mu, params.alpha.ravel(), params.gamma])

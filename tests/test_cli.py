@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from firecast import pipeline
 from firecast.cli import build_parser, main
 from firecast.estimation import FitConfig
 from firecast.events import load_events_csv
+from firecast.model import ModelParams
 
 
 @pytest.fixture
@@ -67,6 +69,28 @@ def test_eval_counterfactual(tmp_path, params_file, capsys):
     ]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["delta"] == pytest.approx(out["lambda_b"] - out["lambda_a"])
+
+
+def test_eval_counterfactual_scores_marks_like_predict(tmp_path, params_file, capsys):
+    # at a day end, condition A set to the predict stage's query marks gives its risk cell
+    events = tmp_path / "events.csv"
+    main(["simulate", "--params", str(params_file), "--horizon", "80", "--out", str(events)])
+    seq = load_events_csv(events, horizon=80.0, num_locations=2)
+    params = ModelParams.from_json(params_file)
+    marks = ",".join(repr(float(v)) for v in pipeline.query_marks_by_location(seq)[1])
+    lam = {}
+    for mark_model in ("linear", "kde"):
+        capsys.readouterr()
+        assert main([
+            "eval", "--counterfactual", "--params", str(params_file), "--events", str(events),
+            "--horizon", "80", "--locations", "2", "--time", "40", "--location", "1",
+            "--marks-a", marks, "--marks-b", "0.9,0.9", "--mark-model", mark_model,
+        ]) == 0
+        lam[mark_model] = json.loads(capsys.readouterr().out)["lambda_a"]
+        risk = pipeline.risk_series(params, seq, pipeline.build_mark_model(mark_model, seq))
+        # not bit-equal for kde: gaussian_kde sums a batch of 2 and of 160 points differently
+        assert lam[mark_model] == pytest.approx(risk[39, 1], rel=1e-12)
+    assert lam["kde"] != pytest.approx(lam["linear"], rel=1e-3)
 
 
 def test_eval_names_missing_flags(capsys):

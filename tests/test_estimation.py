@@ -30,7 +30,7 @@ def random_feasible_params(rng, feasible, p=2):
         alpha=rng.uniform(-1, 1, size=(K, K)),
         beta=float(rng.uniform(0, 2)),
         gamma=rng.uniform(-1, 1, size=p),
-        mask=feasible.mask,
+        mask=np.ones((K, K), dtype=bool),
     )
     return project(raw, feasible)
 
@@ -53,7 +53,7 @@ class TestProject:
             alpha=np.zeros((2, 2)),
             beta=1.0,
             gamma=np.zeros(1),
-            mask=feasible.mask,
+            mask=np.ones((2, 2), dtype=bool),
         )
         out = project(raw, feasible)
         assert np.allclose(out.mu, [0.0, 1.0])
@@ -66,7 +66,7 @@ class TestProject:
             alpha=np.array([[0.5, 0.9], [0.9, 0.5]]),
             beta=-2.0,
             gamma=np.zeros(1),
-            mask=mask,
+            mask=np.ones((2, 2), dtype=bool),  # raw weights on every pair
         )
         out = project(raw, feasible)
         assert out.alpha[0, 1] == 0.0 and out.alpha[1, 0] == 0.0
@@ -83,7 +83,7 @@ class TestProject:
                 alpha=rng.normal(size=(2, 2)) * 3,
                 beta=float(rng.normal()),
                 gamma=rng.normal(size=2) * 3,
-                mask=feasible.mask,
+                mask=np.ones((2, 2), dtype=bool),
             )
             proj = project(raw, feasible)
             y = random_feasible_params(rng, feasible)
@@ -248,9 +248,8 @@ class TestFixedBetaKernel:
         x0 = feasible.flatten(params)
 
         def naive_objective(x):
-            mu, alpha, gamma = problem.split(x)
-            trial = ModelParams(mu=mu, alpha=feasible.scatter(alpha), beta=params.beta, gamma=gamma, mask=params.mask)
-            return -naive_log_likelihood(trial, seq, seq.marks @ gamma)
+            trial = feasible.params(x, params.beta)
+            return -naive_log_likelihood(trial, seq, seq.marks @ trial.gamma)
 
         # the flat vector holds alpha on the mask only
         analytic = problem.smooth_gradient(x0)
@@ -261,7 +260,13 @@ class TestFixedBetaKernel:
     def test_gathers_one_pair_per_allowed_source(self, case):
         params, seq = kernel_case(case)
         problem = mask_objective(seq, LinearMarkModel(), params.beta, 0.0, FeasibleSet(params.mask))
-        assert len(problem.kernel.rows) == params.mask[:, seq.locations].sum()
+        # (event, allowed source) entries whose source has a strictly earlier event
+        earlier = seq.times[None, :] < seq.times[:, None]  # [i, j]: t_j < t_i
+        has_history = np.zeros((len(seq), seq.num_locations), dtype=bool)
+        for i, j in zip(*np.nonzero(earlier)):
+            has_history[i, seq.locations[j]] = True
+        expected = (params.mask[:, seq.locations].T & has_history).sum()
+        assert len(problem.kernel.rows) == expected
 
     def test_beta_profile_equals_penalized_objective(self):
         params, seq = kernel_case("partial")
@@ -411,6 +416,6 @@ def test_projection_output_always_feasible():
             alpha=rng.normal(size=(3, 3)) * 10,
             beta=float(rng.normal() * 5),
             gamma=rng.normal(size=4) * 10,
-            mask=mask,
+            mask=np.ones((3, 3), dtype=bool),  # raw weights on every pair
         )
         project(raw, feasible).validate()

@@ -9,16 +9,16 @@ from firecast.events import EventSequence, load_events_csv, save_events_csv
 from firecast.pipeline import GridSpec, counterfactual_delta, risk_series
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import (
+    JSON_BLOCK,
     MASK_BLOCK_ROWS,
     RATE_FLOOR,
     EventKernel,
     ModelParams,
     Objective,
     excitation_matrix,
-    integrated_ground_intensity,
+    inverse_above_floor,
     log_likelihood,
     mask_from_centroids,
-    mask_from_index_distance,
     objective_gradient,
     penalized_objective,
 )
@@ -27,7 +27,9 @@ from oracles import (
     KERNEL_CASES,
     centroid_mask_oracle,
     finite_difference_gradient,
+    integrated_ground_intensity,
     kernel_case,
+    mask_from_index_distance,
     naive_ground_intensity,
     naive_log_likelihood,
     quadrature_compensator,
@@ -220,17 +222,19 @@ class TestLogLikelihood:
             slow = naive_log_likelihood(params, seq, scores)
             assert fast == pytest.approx(slow, rel=1e-10, abs=1e-10)
 
-    def test_exact_for_weights_off_the_mask(self):
-        # only alpha's nonzeros are gathered, whatever the mask says
+    def test_constructor_rejects_weights_off_the_mask(self):
+        # the support is the mask: a weight off it has nowhere to live
         rng = np.random.default_rng(12)
         params, seq = random_instance(rng)
-        while len(seq) == 0 or params.mask.all():
+        while params.mask.all():
             params, seq = random_instance(rng)
-        alpha = np.where(params.mask, params.alpha, 0.05)
-        off = ModelParams(mu=params.mu, alpha=alpha, beta=params.beta, gamma=params.gamma, mask=params.mask)
-        fast = log_likelihood(off, seq, LinearMarkModel())
-        slow = naive_log_likelihood(off, seq, seq.marks @ params.gamma)
-        assert fast == pytest.approx(slow, rel=1e-10)
+        for off_value in (0.05, -0.05, np.nan):
+            alpha = np.where(params.mask, params.alpha, off_value)
+            with pytest.raises(ValueError, match="alpha must be zero where the mask is false"):
+                ModelParams(mu=params.mu, alpha=alpha, beta=params.beta, gamma=params.gamma, mask=params.mask)
+        # an explicit zero off the mask is fine
+        same = ModelParams(mu=params.mu, alpha=params.alpha, beta=params.beta, gamma=params.gamma, mask=params.mask)
+        assert np.array_equal(same.alpha_values, params.alpha_values)
 
 
 class TestPenalizedObjective:
@@ -330,12 +334,13 @@ class TestGradient:
             K, p = params.num_locations, params.mark_dim
 
             def unpack(x):
+                # every alpha entry is perturbed, so the support is all pairs
                 return ModelParams(
                     mu=x[:K],
                     alpha=x[K : K + K * K].reshape(K, K),
                     beta=params.beta,
                     gamma=x[K + K * K :],
-                    mask=params.mask,
+                    mask=np.ones((K, K), dtype=bool),
                 )
 
             x0 = np.concatenate([params.mu, params.alpha.ravel(), params.gamma])
@@ -359,29 +364,78 @@ class TestExcitation:
     @pytest.mark.parametrize("beta", [0.05, 1.0, 3.0])
     @pytest.mark.parametrize("case", ["ties", "silent_source", "empty", "full"])
     def test_kernel_pairs_equal_reference_gather(self, case, beta):
-        K = 4
-        times = np.array([0.5, 1.0, 1.0, 1.0, 2.5, 2.5, 4.0, 6.0, 6.0, 7.5])
-        locs = np.array([0, 1, 1, 2, 0, 1, 1, 2, 0, 0])  # ties across and within sources; cell 3 silent
-        mask = np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
-        if case == "empty":
-            times, locs = times[:0], locs[:0]
-        if case == "full":
-            mask[:] = True
-        seq = EventSequence(times=times, locations=locs, marks=np.ones((len(times), 1)), horizon=8.0, num_locations=K)
+        seq, mask = kernel_layout_case(case)
+        times, locs = seq.times, seq.locations
         src, dst = np.nonzero(mask)
         kernel = EventKernel(seq, src, dst, beta)
         rows, srcs = np.nonzero(mask[:, locs].T)  # (event, allowed source), sources ascending
-        assert np.array_equal(kernel.rows, rows)
-        assert np.array_equal(src[kernel.pairs], srcs) and np.array_equal(dst[kernel.pairs], locs[rows])
-        reference = excitation_matrix(times, locs, K, beta)[rows, srcs]
-        assert np.all(np.abs(kernel.vals - reference) <= 1e-12 * np.abs(reference))
-        assert np.array_equal(kernel.vals == 0, reference == 0)
+        # the kernel keeps the entries whose source has a strictly earlier event
+        kept = np.array([np.any((locs == s) & (times < times[i])) for i, s in zip(rows, srcs)], dtype=bool)
+        assert np.array_equal(kernel.rows, rows[kept])
+        assert np.array_equal(src[kernel.pairs], srcs[kept]) and np.array_equal(dst[kernel.pairs], locs[rows[kept]])
+        reference = excitation_matrix(times, locs, seq.num_locations, beta)[rows, srcs]
+        assert np.all(np.abs(kernel.vals - reference[kept]) <= 1e-12 * np.abs(reference[kept]))
+        assert np.all(reference[~kept] == 0) and np.all(reference[kept] > 0)
+        assert kernel.rows.dtype == kernel.pairs.dtype == kernel.last.dtype == np.int32
+
+    @pytest.mark.parametrize("case", ["ties", "silent_source", "full"])
+    def test_dropped_entries_change_no_bit(self, case):
+        # every (event, allowed source) entry, the ones without history worth 0
+        seq, mask = kernel_layout_case(case)
+        K, locs = seq.num_locations, seq.locations
+        src, dst = np.nonzero(mask)
+        kernel = EventKernel(seq, src, dst, 0.8)
+        rows, srcs = np.nonzero(mask[:, locs].T)
+        pair_of = np.full((K, K), -1)
+        pair_of[src, dst] = np.arange(len(src))
+        pairs = pair_of[srcs, locs[rows]]
+        vals = np.zeros(len(rows))
+        vals[np.searchsorted(rows * K + srcs, kernel.rows * K + src[kernel.pairs])] = kernel.vals
+        rng = np.random.default_rng(len(case))
+        for alpha in (rng.uniform(0.0, 0.5, len(src)), rng.uniform(-0.5, 0.5, len(src))):
+            mu = rng.uniform(0.1, 0.3, K)
+            lam = kernel.intensities(mu, alpha)
+            full = mu[locs] + kernel.beta * np.bincount(rows, vals * alpha.take(pairs), minlength=len(seq))
+            assert lam.tobytes() == full.tobytes()
+            event_part = np.bincount(pairs, vals * (kernel.beta * inverse_above_floor(lam))[rows], minlength=len(src))
+            assert kernel.gradients(lam)[1].tobytes() == (kernel.sum_w[src] - event_part).tobytes()
+
+    def test_kernel_retains_under_32_bytes_per_entry_on_the_state_box(self):
+        grid = GridSpec(lat_min=32.0, lon_min=-124.0, lat_max=42.0, lon_max=-114.0, cell_size=0.24)
+        src, dst = np.nonzero(mask_from_centroids(grid.centroids(), 0.96))
+        rng = np.random.default_rng(20)
+        n, K = 20_000, grid.num_cells
+        seq = EventSequence(times=np.sort(rng.uniform(0.0, 365.0, n)), locations=rng.integers(0, K, n),
+                            marks=np.full((n, 1), 0.5), horizon=365.0, num_locations=K)
+        tracemalloc.start()
+        try:
+            kernel = EventKernel(seq, src, dst, 1.0)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(kernel.rows) > 500_000
+        # int32 rows, pairs and last plus float lag and vals make 28 bytes;
+        # five 8-byte arrays over every entry made more than 40
+        assert retained / len(kernel.rows) < 32
 
     def test_integrated_ground_intensity_matches_quadrature(self):
         rng = np.random.default_rng(41)
         params, seq = random_instance(rng)
         full = integrated_ground_intensity(params, seq, seq.horizon)
         assert full == pytest.approx(quadrature_compensator(params, seq), rel=1e-5, abs=1e-8)
+
+
+def kernel_layout_case(case):
+    """(seq, mask) on 4 cells: ties across and within sources, cell 3 silent."""
+    times = np.array([0.5, 1.0, 1.0, 1.0, 2.5, 2.5, 4.0, 6.0, 6.0, 7.5])
+    locs = np.array([0, 1, 1, 2, 0, 1, 1, 2, 0, 0])
+    mask = np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
+    if case == "empty":
+        times, locs = times[:0], locs[:0]
+    if case == "full":
+        mask[:] = True
+    seq = EventSequence(times=times, locations=locs, marks=np.ones((len(times), 1)), horizon=8.0, num_locations=4)
+    return seq, mask
 
 
 class TestMasks:
@@ -485,6 +539,26 @@ class TestSerialization:
         assert path.stat().st_size < 3_000_000
         back = ModelParams.from_json(path)
         assert np.array_equal(back.alpha, truth.alpha) and np.array_equal(back.mask, truth.mask)
+
+    @pytest.mark.parametrize("K", [0, 1, 5, 80])
+    def test_to_json_is_the_sorted_keys_dump(self, K):
+        # blocks of JSON_BLOCK entries join to the one-call text; K=80 holds more than one block
+        rng = np.random.default_rng(K)
+        mask = rng.uniform(size=(K, K)) < 0.7
+        alpha = np.where(mask, rng.normal(size=(K, K)) * 1e-3, 0.0)
+        params = ModelParams(mu=rng.uniform(size=K) / 100, alpha=alpha, beta=0.3, gamma=[0.1, -0.2], mask=mask)
+        assert len(params.alpha_values) > JSON_BLOCK or K < 80
+        payload = {"mu": params.mu.tolist(), "alpha": params.alpha_values.tolist(), "beta": params.beta,
+                   "gamma": params.gamma.tolist(),
+                   "support": {"src": params.src.tolist(), "dst": params.dst.tolist()}}
+        assert params.to_json() == json.dumps(payload, sort_keys=True)
+
+    def test_from_pairs_sorts_the_support(self):
+        params = ModelParams.from_pairs([0.1, 0.2], [1, 0, 0], [0, 1, 0], [0.3, 0.2, 0.1], 1.0, [0.5])
+        assert params.src.tolist() == [0, 0, 1] and params.dst.tolist() == [0, 1, 0]
+        assert params.alpha_values.tolist() == [0.1, 0.2, 0.3]
+        assert np.array_equal(params.alpha, [[0.1, 0.2], [0.3, 0.0]])
+        assert np.array_equal(params.mask, [[True, True], [True, False]])
 
     def test_events_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)

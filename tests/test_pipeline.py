@@ -648,7 +648,8 @@ def test_perfect_predictor_gives_all_ones_histogram():
 
 def test_run_end_to_end_recovers_generating_parameters(tmp_path):
     # simulate -> fit through the orchestrator lands near the truth
-    from firecast.model import ModelParams, mask_from_index_distance
+    from firecast.model import ModelParams
+    from oracles import mask_from_index_distance
     from firecast.simulation import parameter_errors
 
     K, p = 4, 3

@@ -3,17 +3,21 @@ import pytest
 from scipy import stats
 
 from firecast.estimation import FitConfig
-from firecast.model import ModelParams, integrated_ground_intensity
+from firecast.model import ModelParams
 from firecast.simulation import (
     SimConfig,
     _cdf,
     _draw_index,
     linear_density_mark_sampler,
-    recovery_experiment,
     simulate,
 )
 
-from oracles import linear_density_sampler_with_choice, simulate_with_choice
+from oracles import (
+    integrated_ground_intensity,
+    linear_density_sampler_with_choice,
+    recovery_experiment,
+    simulate_with_choice,
+)
 
 
 def poisson_params(mu=0.5, K=1):
@@ -137,7 +141,7 @@ class TestRecoveryExperiment:
         from firecast.simulation import parameter_errors, simulate
 
         seq = simulate(sim)
-        fit = grid_fit(seq, LinearMarkModel(), cfg, FeasibleSet(mask=params.mask), init=params)
+        fit = grid_fit(seq, LinearMarkModel(), cfg, FeasibleSet.of(params), init=params)
         errs = parameter_errors(params, fit.params)
         assert errs["total"] <= 1e-12
 
