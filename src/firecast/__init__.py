@@ -8,10 +8,8 @@ from .conformal import (
     CalibrationStore,
     ConformalRun,
     LogisticClassifier,
-    PredictionSet,
     ScoreParams,
     build_set,
-    coverage_report,
     eraps,
     sraps,
 )
@@ -39,7 +37,6 @@ from .model import (
 from .pipeline import (
     GridSpec,
     MetricsReport,
-    PreprocessConfig,
     f1_metrics,
     ingest,
     risk_series,

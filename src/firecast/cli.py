@@ -89,7 +89,7 @@ def cmd_conformal(args) -> int:
         seq,
         n_train=args.train_size,
         method=args.method,
-        alphas=tuple(float(a) for a in args.alphas.split(",")),
+        alphas=args.alphas,
         score_params=conformal_mod.ScoreParams(lambda_reg=args.lambda_reg, k_reg=args.k_reg),
         num_bootstrap=args.num_bootstrap,
         batch_size=args.batch_size,
@@ -105,10 +105,8 @@ def cmd_conformal(args) -> int:
 
 def cmd_gridify(args) -> int:
     grid = pipeline.GridSpec.from_dict(json.loads(Path(args.grid).read_text()))
-    prep = pipeline.PreprocessConfig(
-        categorical_columns=tuple(args.categorical.split(",")) if args.categorical else ()
-    )
-    result = pipeline.ingest(args.raw, grid, prep, horizon=args.horizon)
+    categorical = tuple(args.categorical.split(",")) if args.categorical else ()
+    result = pipeline.ingest(args.raw, grid, categorical, horizon=args.horizon)
     save_events_csv(result.sequence, args.out)
     for msg in result.messages:
         print(msg)
@@ -125,7 +123,12 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    predict, conformal = pipeline.PREDICT_DEFAULTS, pipeline.CONFORMAL_DEFAULTS
     parser = argparse.ArgumentParser(
         prog="firecast",
         description="Event-risk prediction with mutually exciting point processes",
@@ -162,9 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
     p.add_argument("--mark-model", choices=("linear", "kde"), default="linear")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--a1", type=float, default=1.1)
-    p.add_argument("--a2", type=float, default=1.1)
+    p.add_argument("--delta", type=float, default=predict["delta"])
+    p.add_argument("--a1", type=float, default=predict["a1"])
+    p.add_argument("--a2", type=float, default=predict["a2"])
     p.add_argument("--no-screening", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
@@ -189,13 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
     p.add_argument("--train-size", type=int, required=True)
-    p.add_argument("--method", choices=("eraps", "sraps"), default="eraps")
-    p.add_argument("--num-bootstrap", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--split-fraction", type=float, default=0.5)
-    p.add_argument("--alphas", default="0.05,0.1,0.2")
-    p.add_argument("--lambda-reg", type=float, default=1.0)
-    p.add_argument("--k-reg", type=int, default=2)
+    p.add_argument("--method", choices=("eraps", "sraps"), default=conformal["method"])
+    p.add_argument("--num-bootstrap", type=int, default=conformal["num_bootstrap"])
+    p.add_argument("--batch-size", type=int, default=conformal["batch_size"])
+    p.add_argument("--split-fraction", type=float, default=conformal["split_fraction"])
+    p.add_argument("--alphas", type=_floats, default=conformal["alphas"], help="comma-separated")
+    p.add_argument("--lambda-reg", type=float, default=conformal["lambda_reg"])
+    p.add_argument("--k-reg", type=int, default=conformal["k_reg"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sets", default="conformal_sets.jsonl")
     p.add_argument("--summary", default="conformal_summary.csv")

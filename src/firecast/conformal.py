@@ -14,7 +14,9 @@ Two calibration strategies ship: a split-conformal baseline (one model, one
 fixed calibration split) and a bootstrap ensemble with leave-one-out
 aggregation and a sliding calibration window that absorbs revealed test
 labels batch by batch.  Both apply the set rule per calibration-window batch
-over all labels at once (``build_sets``; ``build_set`` is a batch of one).
+over all labels at once: ``build_sets`` gives each alpha an (m, C) bool
+membership matrix, which a run stacks into ``sets[alpha]``, one (n_test, C)
+matrix; ``build_set`` returns the label indices kept for one probability vector.
 The classifier's softmax folds over classes column by column (a max fold,
 then a left-fold sum), bit-identical to numpy's row reductions below 8
 classes; from 8 on numpy sums pairwise, so probabilities can differ from a
@@ -85,14 +87,6 @@ class CalibrationStore:
         counts = np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="right")
         return counts / len(self.scores)
 
-    def quantile(self, alpha: float) -> float:
-        """Diagnostic threshold: ceil((1 - alpha)(N + 1))-th order statistic."""
-        n = len(self.scores)
-        if n == 0:
-            raise RuntimeError("calibration store is empty")
-        idx = min(n, math.ceil((1.0 - alpha) * (n + 1)))
-        return float(self._sorted[idx - 1])
-
     def slide(self, new_scores: np.ndarray) -> "CalibrationStore":
         """Drop the oldest len(new_scores) entries and append the new ones."""
         new_scores = np.asarray(new_scores, dtype=float)
@@ -101,54 +95,26 @@ class CalibrationStore:
         return CalibrationStore(np.concatenate([self.scores[len(new_scores):], new_scores]))
 
 
-@dataclass(frozen=True)
-class PredictionSet:
-    """Labels kept for one test point at one alpha, plus score diagnostics."""
-
-    labels: np.ndarray        # included label values, ascending
-    alpha: float
-    threshold: float          # order-statistic quantile of the store
-    label_scores: np.ndarray  # score per class, aligned with class_labels
-    class_labels: np.ndarray  # all label values, ascending
-
-    def __contains__(self, label) -> bool:
-        return label in self.labels.tolist()
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-
 def build_sets(
-    p: np.ndarray, u: np.ndarray, store: CalibrationStore, alphas, sp: ScoreParams, class_labels
+    p: np.ndarray, u: np.ndarray, store: CalibrationStore, alphas, sp: ScoreParams
 ) -> tuple[dict, np.ndarray]:
     """Prediction set rule: keep c while fraction(tau <= score(c)) < 1 - alpha, for
     m rows p (m, C) with randomizers u (m,) against one store.  Returns
-    ``{alpha: [PredictionSet] * m}`` and the (m, C) label scores."""
+    ``{alpha: keep}``, each an (m, C) bool membership matrix over p's
+    columns, and the (m, C) label scores."""
     if not all(0 < a < 1 for a in alphas):
         raise ValueError("alpha must be in (0, 1)")
     p = check_probability_vector(p, ndim=2)
-    class_labels = np.asarray(class_labels)
     label_scores = scores_all_labels(p, u, sp)
     fraction = store.fraction_leq(label_scores)
-    sets = {}
-    for a in alphas:
-        threshold = store.quantile(a)
-        sets[a] = [
-            PredictionSet(class_labels[keep], a, threshold, row, class_labels)
-            for keep, row in zip(fraction < 1.0 - a, label_scores)
-        ]
-    return sets, label_scores
+    return {a: fraction < 1.0 - a for a in alphas}, label_scores
 
 
-def build_set(
-    p: np.ndarray, store: CalibrationStore, alpha: float, u: float, sp: ScoreParams, class_labels=None
-) -> PredictionSet:
-    """The set rule for one probability vector: a batch of one."""
+def build_set(p: np.ndarray, store: CalibrationStore, alpha: float, u: float, sp: ScoreParams) -> np.ndarray:
+    """The label indices the set rule keeps for one probability vector: a batch of one."""
     p = check_probability_vector(p)
-    labels = np.arange(len(p)) if class_labels is None else class_labels
-    sets, _ = build_sets(p[None, :], np.array([u]), store, (alpha,), sp, labels)
-    return sets[alpha][0]
+    sets, _ = build_sets(p[None, :], np.array([u]), store, (alpha,), sp)
+    return np.flatnonzero(sets[alpha][0])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -210,11 +176,11 @@ class LogisticClassifier:
 
 @dataclass
 class ConformalRun:
-    """Prediction-set stream plus its coverage report."""
+    """Prediction-set stream plus its coverage and mean set size per alpha."""
 
     method: str
     alphas: tuple[float, ...]
-    sets: dict                       # alpha -> list[PredictionSet]
+    sets: dict                       # alpha -> (n_test, C) bool matrix over class_labels
     coverage: dict                   # alpha -> float (nan if truths unknown)
     mean_size: dict                  # alpha -> float
     class_labels: np.ndarray
@@ -316,18 +282,16 @@ def eraps(
     u_train, u_test = uniforms[:n_train], uniforms[n_train:]
     tau_init = scores_all_labels(loo_train, u_train, score_params)
     store = CalibrationStore(tau_init[np.arange(n_train), y_train])
-    sets: dict[float, list[PredictionSet]] = {a: [] for a in alphas}
+    sets = {a: np.zeros((n_test, C), dtype=bool) for a in alphas}
     for start in range(0, n_test, batch_size):
         batch = slice(start, start + batch_size)
-        batch_sets, label_scores = build_sets(
-            proba_test[batch], u_test[batch], store, alphas, score_params, class_labels
-        )
+        batch_sets, label_scores = build_sets(proba_test[batch], u_test[batch], store, alphas, score_params)
         for a in alphas:
-            sets[a].extend(batch_sets[a])
+            sets[a][batch] = batch_sets[a]
         if len(label_scores) == batch_size:  # a trailing partial batch never slides
             store = store.slide(label_scores[np.arange(batch_size), y_test[batch]])
 
-    return _conformal_run("eraps", alphas, sets, test_y, class_labels, loo_fallbacks=fallbacks)
+    return _conformal_run("eraps", alphas, sets, y_test, class_labels, loo_fallbacks=fallbacks)
 
 
 def sraps(
@@ -352,7 +316,7 @@ def sraps(
     alphas = tuple(float(a) for a in alphas)
     classifier_factory = classifier_factory or LogisticClassifier
 
-    class_labels, y_train, _ = _encode_labels(train_y, test_y)
+    class_labels, y_train, y_test = _encode_labels(train_y, test_y)
     n_train = len(train_x)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_train)
@@ -369,40 +333,17 @@ def sraps(
     tau_cal = scores_all_labels(clf.predict_proba(train_x[cal]), uniforms[: len(cal)], score_params)
     store = CalibrationStore(tau_cal[np.arange(len(cal)), y_train[cal]])
     proba_test = clf.predict_proba(test_x)
-    sets, _ = build_sets(proba_test, uniforms[len(cal):], store, alphas, score_params, class_labels)
-    return _conformal_run("sraps", alphas, sets, test_y, class_labels)
+    sets, _ = build_sets(proba_test, uniforms[len(cal):], store, alphas, score_params)
+    return _conformal_run("sraps", alphas, sets, y_test, class_labels)
 
 
-def coverage_report(sets_by_alpha: dict, truths: np.ndarray | None, alphas=None):
-    """Marginal coverage and mean set size per alpha.
-
-    Returns a list of ``{"alpha", "coverage", "mean_size"}`` rows, in the
-    order of ``alphas`` (default: sorted).  Coverage is nan when ``truths``
-    is None (labels not revealed) or a stream is empty.
-    """
-    truths = None if truths is None else np.asarray(truths)
-    if alphas is None:
-        alphas = sorted(sets_by_alpha)
-    rows = []
+def _conformal_run(method, alphas, sets, y_test, class_labels, loo_fallbacks=0) -> ConformalRun:
+    """The run with each alpha's marginal coverage of the encoded test labels
+    ``y_test`` (nan when they are unknown or the stream is empty) and mean set
+    size (0.0 for an empty stream)."""
+    coverage, mean_size = {}, {}
     for a in alphas:
-        stream = sets_by_alpha[a]
-        if truths is not None and len(stream) != len(truths):
-            raise ValueError("prediction-set stream and truth stream are misaligned")
-        hits = [] if truths is None else [t in s for t, s in zip(truths, stream)]
-        coverage = float(np.mean(hits)) if hits else float("nan")
-        mean_size = float(np.mean([s.size for s in stream])) if len(stream) else 0.0
-        rows.append({"alpha": float(a), "coverage": coverage, "mean_size": mean_size})
-    return rows
-
-
-def _conformal_run(method, alphas, sets, truths, class_labels, loo_fallbacks=0) -> ConformalRun:
-    rows = coverage_report(sets, truths, alphas)
-    return ConformalRun(
-        method=method,
-        alphas=alphas,
-        sets=sets,
-        coverage={a: row["coverage"] for a, row in zip(alphas, rows)},
-        mean_size={a: row["mean_size"] for a, row in zip(alphas, rows)},
-        class_labels=class_labels,
-        loo_fallbacks=loo_fallbacks,
-    )
+        keep, m = sets[a], len(sets[a])
+        coverage[a] = float(keep[np.arange(m), y_test].mean()) if y_test is not None and m else float("nan")
+        mean_size[a] = float(keep.sum(axis=1).mean()) if m else 0.0
+    return ConformalRun(method, alphas, sets, coverage, mean_size, class_labels, loo_fallbacks)

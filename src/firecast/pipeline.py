@@ -147,14 +147,7 @@ class GridSpec:
 # preprocessing
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    spline_degree: int = 5
-    categorical_columns: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.spline_degree < 1:
-            raise ValueError("spline_degree must be >= 1")
+SPLINE_DEGREE = 5
 
 
 @dataclass
@@ -204,12 +197,10 @@ class MarkStats:
         )
 
 
-def impute_series(times: np.ndarray, values: np.ndarray, degree: int = 5) -> np.ndarray:
-    """Fill NaNs in a time series by spline interpolation over observed points.
-
-    Falls back to linear interpolation below degree+1 observed points and to
-    a constant below two.  Duplicate timestamps are averaged before fitting.
-    """
+def impute_series(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Fill NaNs in a time series by a degree-``SPLINE_DEGREE`` spline through
+    the observed points, by linear interpolation below SPLINE_DEGREE + 1 of them
+    and by a constant below two.  Duplicate timestamps are averaged before fitting."""
     values = np.asarray(values, dtype=float).copy()
     observed = ~np.isnan(values)
     if observed.all():
@@ -228,12 +219,12 @@ def impute_series(times: np.ndarray, values: np.ndarray, degree: int = 5) -> np.
     missing = ~observed
     if len(t_obs) == 1:
         values[missing] = v_obs[0]
-    elif len(t_obs) <= degree:
+    elif len(t_obs) <= SPLINE_DEGREE:
         values[missing] = np.interp(times[missing], t_obs, v_obs)
     else:
         from scipy.interpolate import InterpolatedUnivariateSpline
 
-        spline = InterpolatedUnivariateSpline(t_obs, v_obs, k=degree, ext=3)
+        spline = InterpolatedUnivariateSpline(t_obs, v_obs, k=SPLINE_DEGREE, ext=3)
         values[missing] = spline(times[missing])
     return values
 
@@ -263,7 +254,7 @@ def _read_raw_csv(path):
 def ingest(
     csv_path,
     grid: GridSpec | None = None,
-    prep: PreprocessConfig = PreprocessConfig(),
+    categorical_columns: tuple[str, ...] = (),
     horizon: float | None = None,
     stats: MarkStats | None = None,
 ) -> IngestResult:
@@ -271,8 +262,8 @@ def ingest(
 
     The file needs a ``time`` column plus either ``location`` (cell ids) or
     ``lat``/``lon`` (mapped through ``grid``).  Every remaining column except
-    ``magnitude`` is a mark; columns listed in ``prep.categorical_columns``
-    are one-hot encoded, the rest are imputed and rescaled.  Events outside
+    ``magnitude`` is a mark; columns listed in ``categorical_columns`` are
+    one-hot encoded, the rest are imputed and rescaled.  Events outside
     the grid are dropped and counted.  Pass ``stats`` to reuse scaling
     statistics fitted on training data.
     """
@@ -310,7 +301,7 @@ def ingest(
                 mags.append(int(row[cols["magnitude"]]))
             for name in mark_cols:
                 raw = row[cols[name]].strip()
-                if name in prep.categorical_columns:
+                if name in categorical_columns:
                     raw_marks[name].append(raw)
                 else:
                     raw_marks[name].append(float(raw) if raw else np.nan)
@@ -330,7 +321,7 @@ def ingest(
     out_cols: list[str] = []
     out_vals: list[np.ndarray] = []
     for name in mark_cols:
-        if name in prep.categorical_columns:
+        if name in categorical_columns:
             column = [raw_marks[name][i] for i in order]
             if name not in categories:
                 categories[name] = sorted(set(column))
@@ -341,7 +332,7 @@ def ingest(
             col = np.asarray(raw_marks[name], dtype=float)[order]
             for k in np.unique(locs_arr):
                 sel = locs_arr == k
-                col[sel] = impute_series(times_arr[sel], col[sel], prep.spline_degree)
+                col[sel] = impute_series(times_arr[sel], col[sel])
             if np.isnan(col).any():  # locations with zero observed values
                 fill = np.nanmean(col) if not np.isnan(col).all() else 0.0
                 col = np.where(np.isnan(col), fill, col)
@@ -574,13 +565,15 @@ def write_metrics_csv(path, report: MetricsReport) -> None:
 
 def write_conformal_sets_jsonl(path, run: conformal_mod.ConformalRun) -> None:
     """One ``{"alpha": a, "index": i, "set": [labels]}`` line per alpha and test
-    point, byte for byte what ``json.dumps(..., sort_keys=True)`` writes."""
+    point, byte for byte what ``json.dumps(..., sort_keys=True)`` writes; row i
+    of ``run.sets[a]`` selects the point's labels from ``run.class_labels``."""
+    labels = [str(int(c)) for c in run.class_labels.tolist()]
     with open(path, "w") as fh:
         for a in run.alphas:
             head = f'{{"alpha": {float(a)!r}, "index": '
             fh.write("".join(
-                f'{head}{i}, "set": [{", ".join(map(str, map(int, pset.labels.tolist())))}]}}\n'
-                for i, pset in enumerate(run.sets[a])
+                f'{head}{i}, "set": [{", ".join(itertools.compress(labels, keep))}]}}\n'
+                for i, keep in enumerate(run.sets[a].tolist())
             ))
 
 
@@ -660,6 +653,15 @@ def conformal_stage(
     )
 
 
+# the predict and conformal settings' defaults, for run bundles and CLI flags alike
+PREDICT_DEFAULTS = {"delta": 0.05, "a1": 1.1, "a2": 1.1, "screening": True}
+CONFORMAL_DEFAULTS = {
+    "method": "eraps", "train_fraction": 0.6, "alphas": (0.1,), "num_bootstrap": 10, "batch_size": 10,
+    "split_fraction": 0.5, "lambda_reg": conformal_mod.ScoreParams.lambda_reg,
+    "k_reg": conformal_mod.ScoreParams.k_reg,
+}
+
+
 # ---------------------------------------------------------------------------
 # end-to-end orchestration
 
@@ -677,11 +679,10 @@ STAGE_ARTIFACTS = {
 BUNDLE_KEYS = {
     None: ("data", {"seed", "simulate", "ingest", "fit", "predict", "conformal"}),
     "simulate": ("data", {"params", "params_file", "horizon", "magnitude_classes", "mark_distribution"}),
-    "ingest": ("data", {"csv", "grid", "neighbor_radius", "horizon", "spline_degree", "categorical_columns"}),
+    "ingest": ("data", {"csv", "grid", "neighbor_radius", "horizon", "categorical_columns"}),
     "fit": ("fit", {"method", "mark_model"} | {f.name for f in fields(estimation.FitConfig)}),
-    "predict": ("predict", {"delta", "a1", "a2", "screening"}),
-    "conformal": ("conformal", {"method", "train_fraction", "alphas", "lambda_reg", "k_reg",
-                                "num_bootstrap", "batch_size", "split_fraction"}),
+    "predict": ("predict", set(PREDICT_DEFAULTS)),
+    "conformal": ("conformal", set(CONFORMAL_DEFAULTS)),
 }
 
 
@@ -746,11 +747,7 @@ def _bundle_ingest(cfg: dict, notes: list):
     if "neighbor_radius" in cfg and "grid" not in cfg:
         raise ValueError("neighbor_radius needs a grid: cell ids carry no centroids to measure")
     grid = GridSpec.from_dict(cfg["grid"]) if "grid" in cfg else None
-    prep = PreprocessConfig(
-        spline_degree=int(cfg.get("spline_degree", 5)),
-        categorical_columns=tuple(cfg.get("categorical_columns", ())),
-    )
-    result = ingest(cfg["csv"], grid, prep, horizon=cfg.get("horizon"))
+    result = ingest(cfg["csv"], grid, tuple(cfg.get("categorical_columns", ())), horizon=cfg.get("horizon"))
     seq = result.sequence
     notes.extend(result.messages)
     mask = np.ones((seq.num_locations, seq.num_locations), dtype=bool)
@@ -796,10 +793,10 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
         write_fit_trace_csv(out / "fit_trace.csv", fit.trace)
 
     with _stage("predict", stages):
-        cfg = bundle.get("predict", {})
+        cfg = {**PREDICT_DEFAULTS, **bundle.get("predict", {})}
         trace = predict_stage(
-            fit.params, seq, mark_model, float(cfg.get("delta", 0.05)), float(cfg.get("a1", 1.1)),
-            float(cfg.get("a2", 1.1)), cfg.get("screening", True),
+            fit.params, seq, mark_model, float(cfg["delta"]), float(cfg["a1"]), float(cfg["a2"]),
+            cfg["screening"],
         )
         write_detections_csv(out / "detections.csv", trace)
 
@@ -808,18 +805,16 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
 
     if "conformal" in bundle:
         with _stage("conformal", stages):
-            cfg = bundle["conformal"]
+            cfg = {**CONFORMAL_DEFAULTS, **bundle["conformal"]}
             run = conformal_stage(
                 seq,
-                n_train=max(10, int(float(cfg.get("train_fraction", 0.6)) * len(seq))),
-                method=cfg.get("method", "eraps"),
-                alphas=tuple(float(a) for a in cfg.get("alphas", (0.1,))),
-                score_params=conformal_mod.ScoreParams(
-                    lambda_reg=float(cfg.get("lambda_reg", 1.0)), k_reg=int(cfg.get("k_reg", 2))
-                ),
-                num_bootstrap=int(cfg.get("num_bootstrap", 10)),
-                batch_size=int(cfg.get("batch_size", 10)),
-                split_fraction=float(cfg.get("split_fraction", 0.5)),
+                n_train=max(10, int(float(cfg["train_fraction"]) * len(seq))),
+                method=cfg["method"],
+                alphas=tuple(float(a) for a in cfg["alphas"]),
+                score_params=conformal_mod.ScoreParams(float(cfg["lambda_reg"]), int(cfg["k_reg"])),
+                num_bootstrap=int(cfg["num_bootstrap"]),
+                batch_size=int(cfg["batch_size"]),
+                split_fraction=float(cfg["split_fraction"]),
                 seed=seed,
             )
             write_conformal_sets_jsonl(out / "conformal_sets.jsonl", run)

@@ -243,8 +243,8 @@ def conformal_sets_oracle(cal_proba, cal_labels, test_proba, test_labels, unifor
     Each test point keeps label c while the fraction of stored scores at or
     below score(c) stays under 1 - alpha.  After every ``batch_size`` test
     points (never when None) their true-label scores replace the oldest
-    stored ones.  Returns ``{alpha: [(labels, threshold, label_scores)]}``
-    with label indices, as plain Python values.
+    stored ones.  Returns ``{alpha: [labels]}``, each a list of label
+    indices.
     """
 
     def score(p, c, u):
@@ -258,9 +258,7 @@ def conformal_sets_oracle(cal_proba, cal_labels, test_proba, test_labels, unifor
         scores = [score(p, c, u) for c in range(len(p))]
         for a in alphas:
             n = len(store)
-            threshold = sorted(store)[min(n, math.ceil((1.0 - a) * (n + 1))) - 1]
-            labels = [c for c, s in enumerate(scores) if sum(t <= s for t in store) / n < 1.0 - a]
-            out[a].append((labels, threshold, scores))
+            out[a].append([c for c, s in enumerate(scores) if sum(t <= s for t in store) / n < 1.0 - a])
         if batch_size is not None and (j + 1) % batch_size == 0:
             batch = range(j + 1 - batch_size, j + 1)
             revealed = [score(test_proba[i], test_labels[i], float(uniforms[n_cal + i])) for i in batch]
@@ -411,8 +409,8 @@ def write_conformal_sets_jsonl_oracle(path, run):
     """The conformal-sets stream written one ``json.dumps`` per row."""
     with open(path, "w") as fh:
         for a in run.alphas:
-            for i, pset in enumerate(run.sets[a]):
-                row = {"index": i, "alpha": a, "set": [int(v) for v in pset.labels]}
+            for i, keep in enumerate(run.sets[a]):
+                row = {"index": i, "alpha": a, "set": [int(v) for v in run.class_labels[keep]]}
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 

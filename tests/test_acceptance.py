@@ -292,9 +292,8 @@ def test_criterion_08_eraps_coverage(eraps_runs):
 def test_criterion_09_set_properties(eraps_runs):
     # nestedness in alpha, exact, on every test point of criterion 8's runs
     for run in eraps_runs:
-        for tight, mid, loose in zip(run.sets[0.2], run.sets[0.1], run.sets[0.05]):
-            t, m, l = (set(s.labels.tolist()) for s in (tight, mid, loose))
-            assert t <= m <= l
+        tight, mid, loose = run.sets[0.2], run.sets[0.1], run.sets[0.05]
+        assert np.all(tight <= mid) and np.all(mid <= loose)
 
     # consistent classifier: mean set size within one label of the oracle size
     class TruePosterior:

@@ -269,6 +269,60 @@ def test_cli_stages_match_run(tmp_path):
         assert (cli / name).read_bytes() == (run / name).read_bytes(), f"{name} differs"
 
 
+def test_conformal_defaults_match_a_bundle_without_optional_keys(tmp_path, monkeypatch):
+    """``firecast conformal`` given only its required flags writes what a run's
+    conformal stage writes from an empty ``conformal`` section."""
+    bundle = {
+        "simulate": {
+            "params": {
+                "mu": [0.35, 0.3],
+                "alpha": [[0.25, 0.1], [0.1, 0.2]],
+                "beta": 1.0,
+                "gamma": [0.7071067811865475, 0.7071067811865475],
+                "mask": [[True, True], [True, True]],
+            },
+            "horizon": 120.0,
+            "magnitude_classes": 3,
+        },
+        "fit": {"grid_points": 1, "pgd_steps": 2, "beta_low": 1.0, "beta_high": 1.0},
+        "conformal": {},
+    }
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps(bundle))
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(run)]) == 0
+    n = len(load_events_csv(run / "events.csv", horizon=120.0, num_locations=2))
+    cli = tmp_path / "cli"
+    cli.mkdir()
+    monkeypatch.chdir(cli)
+    assert main(["conformal", "--data", str(run / "events.csv"), "--horizon", "120", "--locations", "2",
+                 "--train-size", str(max(10, int(0.6 * n)))]) == 0
+    for name in ("conformal_sets.jsonl", "conformal_summary.csv"):
+        assert (cli / name).read_bytes() == (run / name).read_bytes(), f"{name} differs"
+
+
+def test_predict_and_conformal_flag_defaults_are_the_stage_defaults():
+    parser = build_parser()
+    predict = parser.parse_args(
+        ["predict", "--params", "p.json", "--events", "e.csv", "--horizon", "1", "--locations", "1", "--out", "d.csv"]
+    )
+    assert {name: getattr(predict, name) for name in ("delta", "a1", "a2")} == {
+        name: pipeline.PREDICT_DEFAULTS[name] for name in ("delta", "a1", "a2")
+    }
+    assert predict.no_screening is not pipeline.PREDICT_DEFAULTS["screening"]
+    conformal = parser.parse_args(
+        ["conformal", "--data", "e.csv", "--horizon", "1", "--locations", "1", "--train-size", "10"]
+    )
+    names = ("method", "alphas", "lambda_reg", "k_reg", "num_bootstrap", "batch_size", "split_fraction")
+    assert {name: getattr(conformal, name) for name in names} == {
+        name: pipeline.CONFORMAL_DEFAULTS[name] for name in names
+    }
+    assert parser.parse_args(
+        ["conformal", "--data", "e.csv", "--horizon", "1", "--locations", "1", "--train-size", "10",
+         "--alphas", "0.05,0.1"]
+    ).alphas == (0.05, 0.1)
+
+
 def test_simulate_matches_run_simulate_stage(tmp_path, params_file):
     """``firecast simulate`` draws the same events as a run's simulate stage."""
     bundle = {

@@ -4,12 +4,11 @@ import pytest
 from firecast.conformal import (
     CalibrationStore,
     LogisticClassifier,
-    PredictionSet,
     ScoreParams,
+    _conformal_run,
     build_set,
     build_sets,
     check_probability_vector,
-    coverage_report,
     eraps,
     scores_all_labels,
     sraps,
@@ -88,11 +87,10 @@ class TestScorePieces:
 
 
 class TestCalibrationStore:
-    def test_fraction_and_quantile(self):
+    def test_fraction_leq(self):
         store = CalibrationStore(np.arange(0.1, 1.05, 0.1))
         assert store.fraction_leq(0.35) == pytest.approx(0.3)
-        # ceil((1-0.5)*11) = 6th order statistic
-        assert store.quantile(0.5) == pytest.approx(0.6)
+        assert store.fraction_leq(np.array([0.0, 0.6, 2.0])).tolist() == pytest.approx([0.0, 0.6, 1.0])
 
     def test_slide_drops_oldest(self):
         store = CalibrationStore(np.array([1.0, 2.0, 3.0, 4.0]))
@@ -113,9 +111,9 @@ class TestBuildSet:
         sp = ScoreParams(lambda_reg=0.0, k_reg=0)
         p = np.array([0.65, 0.35])
         # with u=1: score(c=0) = 0.65, score(c=1) = 0.65 + 0.35 = 1.0
-        pset = build_set(p, store, alpha=0.3, u=1.0, sp=sp)
-        assert 0 in pset.labels  # fraction(<=0.65) = 0.6 < 0.7
-        assert 1 not in pset.labels  # fraction(<=1.0) = 1.0 >= 0.7
+        labels = build_set(p, store, alpha=0.3, u=1.0, sp=sp)
+        assert 0 in labels  # fraction(<=0.65) = 0.6 < 0.7
+        assert 1 not in labels  # fraction(<=1.0) = 1.0 >= 0.7
 
     def test_alpha_limits(self):
         # one large stored score keeps every label's fraction strictly below 1
@@ -123,9 +121,9 @@ class TestBuildSet:
         sp = ScoreParams()
         p = np.array([0.7, 0.2, 0.1])
         tiny = build_set(p, store, alpha=1e-9, u=0.5, sp=sp)
-        assert tiny.size == 3  # every score undercuts the top stored one
+        assert len(tiny) == 3  # every score undercuts the top stored one
         huge = build_set(p, store, alpha=1 - 1e-9, u=0.5, sp=sp)
-        assert huge.size == 0
+        assert len(huge) == 0
 
     def test_nestedness_in_alpha(self):
         rng = np.random.default_rng(2)
@@ -134,8 +132,8 @@ class TestBuildSet:
         for _ in range(25):
             p = rng.dirichlet(np.ones(4))
             u = float(rng.uniform())
-            loose = set(build_set(p, store, 0.05, u, sp).labels.tolist())
-            tight = set(build_set(p, store, 0.2, u, sp).labels.tolist())
+            loose = set(build_set(p, store, 0.05, u, sp).tolist())
+            tight = set(build_set(p, store, 0.2, u, sp).tolist())
             assert tight <= loose
 
     def test_rejects_bad_inputs(self):
@@ -216,13 +214,12 @@ class TestEraps:
             if run.loo_fallbacks > 0:
                 break
         assert run.loo_fallbacks > 0
-        assert len(run.sets[0.1]) == 10
+        assert run.sets[0.1].shape == (10, 3)
 
     def test_nested_sets_across_alpha(self):
         tx, ty, ex, ey = self._data(seed=4, n_train=80, n_test=60)
         run = eraps(tx, ty, ex, ey, num_bootstrap=8, batch_size=10, alphas=[0.05, 0.2], seed=1)
-        for s_loose, s_tight in zip(run.sets[0.05], run.sets[0.2]):
-            assert set(s_tight.labels.tolist()) <= set(s_loose.labels.tolist())
+        assert np.all(run.sets[0.2] <= run.sets[0.05])
 
     def test_reasonable_coverage_single_seed(self):
         tx, ty, ex, ey = self._data(seed=5, n_train=300, n_test=300, sigma=1.2)
@@ -241,8 +238,7 @@ class TestEraps:
         tx, ty, ex, ey = self._data(seed=6)
         a = eraps(tx, ty, ex, ey, num_bootstrap=5, batch_size=10, alphas=[0.1], seed=3)
         b = eraps(tx, ty, ex, ey, num_bootstrap=5, batch_size=10, alphas=[0.1], seed=3)
-        for sa, sb in zip(a.sets[0.1], b.sets[0.1]):
-            assert np.array_equal(sa.labels, sb.labels)
+        assert np.array_equal(a.sets[0.1], b.sets[0.1])
 
 
 class TestSraps:
@@ -273,8 +269,8 @@ class TestSraps:
         store = CalibrationStore(tau)
         for a in (0.1, 0.3):
             for j in range(len(ex)):
-                expected = build_set(row, store, a, uniforms[len(cal) + j], sp, np.unique(ty))
-                assert np.array_equal(run.sets[a][j].labels, expected.labels)
+                expected = build_set(row, store, a, uniforms[len(cal) + j], sp)
+                assert np.array_equal(np.flatnonzero(run.sets[a][j]), expected)
 
     def test_coverage_on_exchangeable_data(self):
         rng = np.random.default_rng(8)
@@ -292,33 +288,30 @@ class TestSraps:
 
 
 class TestCoverageReport:
-    def _manual_set(self, labels, alpha=0.1):
-        return PredictionSet(
-            labels=np.asarray(labels),
-            alpha=alpha,
-            threshold=0.0,
-            label_scores=np.zeros(3),
-            class_labels=np.arange(3),
-        )
+    """Coverage and mean set size of hand-made membership matrices."""
+
+    def _run(self, sets, y_test):
+        return _conformal_run("sraps", tuple(sets), sets, y_test, np.array([1, 2, 3]))
 
     def test_full_and_empty(self):
-        full = {0.1: [self._manual_set([0, 1, 2]) for _ in range(5)]}
-        rows = coverage_report(full, np.array([0, 1, 2, 0, 1]))
-        assert rows[0]["coverage"] == 1.0 and rows[0]["mean_size"] == 3.0
-        empty = {0.1: [self._manual_set([]) for _ in range(5)]}
-        rows = coverage_report(empty, np.array([0, 1, 2, 0, 1]))
-        assert rows[0]["coverage"] == 0.0 and rows[0]["mean_size"] == 0.0
+        y = np.array([0, 1, 2, 0, 1])
+        run = self._run({0.1: np.ones((5, 3), dtype=bool)}, y)
+        assert run.coverage[0.1] == 1.0 and run.mean_size[0.1] == 3.0
+        run = self._run({0.1: np.zeros((5, 3), dtype=bool)}, y)
+        assert run.coverage[0.1] == 0.0 and run.mean_size[0.1] == 0.0
 
     def test_hand_stream(self):
-        sets = {0.2: [self._manual_set([0]), self._manual_set([1]),
-                      self._manual_set([0, 1]), self._manual_set([2])]}
-        rows = coverage_report(sets, np.array([0, 1, 1, 0]))
-        assert rows[0]["coverage"] == 0.75
+        sets = {0.2: np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool),
+                0.1: np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1]], dtype=bool)}
+        run = self._run(sets, np.array([0, 1, 1, 0]))
+        assert run.coverage == {0.2: 0.75, 0.1: 1.0}
+        assert run.mean_size == {0.2: 1.25, 0.1: 1.75}
 
-    def test_misaligned_streams_rejected(self):
-        sets = {0.1: [self._manual_set([0])]}
-        with pytest.raises(ValueError):
-            coverage_report(sets, np.array([0, 1]))
+    def test_unknown_labels_and_empty_stream(self):
+        run = self._run({0.1: np.ones((4, 3), dtype=bool)}, None)
+        assert np.isnan(run.coverage[0.1]) and run.mean_size[0.1] == 3.0
+        run = self._run({0.1: np.zeros((0, 3), dtype=bool)}, np.zeros(0, dtype=np.int64))
+        assert np.isnan(run.coverage[0.1]) and run.mean_size[0.1] == 0.0
 
 
 class TestSlidingWindow:
@@ -331,14 +324,8 @@ class TestSlidingWindow:
         flipped = ey.copy()
         flipped[:10] = np.where(flipped[:10] == 0, 1, 0)  # corrupt first batch
         other = eraps(tx, ty, ex, flipped, **kwargs)
-        first_batch_same = all(
-            np.array_equal(a.labels, b.labels)
-            for a, b in zip(base.sets[0.1][:10], other.sets[0.1][:10])
-        )
-        later_differ = any(
-            not np.array_equal(a.labels, b.labels)
-            for a, b in zip(base.sets[0.1][10:], other.sets[0.1][10:])
-        )
+        first_batch_same = np.array_equal(base.sets[0.1][:10], other.sets[0.1][:10])
+        later_differ = not np.array_equal(base.sets[0.1][10:], other.sets[0.1][10:])
         assert first_batch_same  # labels are revealed only after the batch
         assert later_differ      # ...and then they move the calibration window
 
@@ -349,8 +336,7 @@ class TestSlidingWindow:
         solo = eraps(tx, ty, ex, ey, num_bootstrap=6, batch_size=8, alphas=[0.1], seed=6)
         trio = eraps(tx, ty, ex, ey, num_bootstrap=6, batch_size=8,
                      alphas=[0.05, 0.1, 0.2], seed=6)
-        for a, b in zip(solo.sets[0.1], trio.sets[0.1]):
-            assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(solo.sets[0.1], trio.sets[0.1])
 
 
 class TestNonFiniteProbabilities:
@@ -363,7 +349,7 @@ class TestNonFiniteProbabilities:
             build_set(np.array(bad), store, 0.1, 0.5, ScoreParams())
         rows = np.array([[0.5, 0.3, 0.2], bad])
         with pytest.raises(ValueError):
-            build_sets(rows, np.array([0.5, 0.5]), store, (0.1,), ScoreParams(), np.arange(3))
+            build_sets(rows, np.array([0.5, 0.5]), store, (0.1,), ScoreParams())
 
 
 class TestErapsNeedsRevealedLabels:
@@ -419,16 +405,9 @@ class TestBatchedSetsMatchPerPointOracle:
         y[:C] = np.arange(C)  # every class appears in training
         return X[: self.N_TRAIN], y[: self.N_TRAIN], X[self.N_TRAIN:], y[self.N_TRAIN:]
 
-    def _compare(self, run, expected, C):
+    def _compare(self, run, expected):
         for a in self.ALPHAS:
-            assert len(run.sets[a]) == len(expected[a])
-            for got, (labels, threshold, scores) in zip(run.sets[a], expected[a]):
-                assert got.labels.tolist() == labels
-                assert got.threshold == threshold
-                if C < 8:
-                    assert got.label_scores.tolist() == scores
-                else:
-                    np.testing.assert_allclose(got.label_scores, scores, rtol=1e-12, atol=0)
+            assert [np.flatnonzero(keep).tolist() for keep in run.sets[a]] == expected[a]
 
     @pytest.mark.parametrize("name", sorted(CLASSIFIERS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -445,7 +424,7 @@ class TestBatchedSetsMatchPerPointOracle:
             clf.predict_proba(tx), ty, clf.predict_proba(ex), ey, uniforms, self.ALPHAS,
             batch_size=self.BATCH,
         )
-        self._compare(run, expected, C)
+        self._compare(run, expected)
 
     @pytest.mark.parametrize("name", sorted(CLASSIFIERS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -461,7 +440,7 @@ class TestBatchedSetsMatchPerPointOracle:
         expected = conformal_sets_oracle(
             clf.predict_proba(tx[cal]), ty[cal], clf.predict_proba(ex), ey, uniforms, self.ALPHAS
         )
-        self._compare(run, expected, C)
+        self._compare(run, expected)
 
     def test_sraps_with_varying_posteriors(self):
         rng = np.random.default_rng(13)
@@ -476,7 +455,7 @@ class TestBatchedSetsMatchPerPointOracle:
         expected = conformal_sets_oracle(
             clf.predict_proba(tx[cal]), ty[cal], clf.predict_proba(ex), ey, uniforms, self.ALPHAS
         )
-        self._compare(run, expected, 3)
+        self._compare(run, expected)
 
 
 def test_logistic_weights_match_row_reduction_loop():

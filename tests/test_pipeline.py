@@ -3,15 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from firecast.conformal import ConformalRun, PredictionSet
-from firecast.events import EventSequence, save_events_csv
+from firecast.conformal import ConformalRun
+from firecast.events import EventSequence, load_events_csv, save_events_csv
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import RATE_FLOOR, ModelParams
 from firecast.pipeline import (
     GridSpec,
     MarkStats,
     PipelineError,
-    PreprocessConfig,
     counterfactual_delta,
     daily_truths,
     f1_metrics,
@@ -71,7 +70,7 @@ class TestImputation:
         holes = rng.uniform(size=len(t)) < 0.10
         holes[[0, -1]] = False  # keep the support ends observed
         values = np.where(holes, np.nan, signal)
-        filled = impute_series(t, values, degree=5)
+        filled = impute_series(t, values)
         assert np.max(np.abs(filled[holes] - signal[holes])) < 0.05
         # observed entries never change
         assert np.array_equal(filled[~holes], signal[~holes])
@@ -79,7 +78,7 @@ class TestImputation:
     def test_linear_fallback_below_six_points(self):
         t = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         v = np.array([0.0, np.nan, 2.0, np.nan, 4.0])
-        filled = impute_series(t, v, degree=5)
+        filled = impute_series(t, v)
         assert filled[1] == pytest.approx(1.0)
         assert filled[3] == pytest.approx(3.0)
 
@@ -133,7 +132,7 @@ class TestIngest:
         path = tmp_path / "ev.csv"
         write_csv(path, "time,location,season,magnitude",
                   [(1.0, 0, "summer", 2), (2.0, 0, "winter", 1), (3.0, 0, "summer", 3)])
-        res = ingest(path, prep=PreprocessConfig(categorical_columns=("season",)), horizon=5.0)
+        res = ingest(path, categorical_columns=("season",), horizon=5.0)
         assert res.stats.columns == ["season=summer", "season=winter"]
         assert set(np.unique(res.sequence.marks)) <= {0.0, 1.0}
         assert res.sequence.magnitudes.tolist() == [2, 1, 3]
@@ -415,28 +414,25 @@ class TestDetectionsCsv:
 class TestConformalSetsJsonl:
     def test_bytes_match_json_dumps_writer(self, tmp_path):
         rng = np.random.default_rng(7)
-        classes = np.array([0, 1, 2, 3])
+        classes = np.array([1, 2, 3, 5])
         alphas = (0.05, 0.1, 1e-05, 0.2, 1 / 3)
-        sets = {}
-        for a in alphas:
-            sets[a] = [
-                PredictionSet(labels=np.sort(rng.choice(classes, size=size, replace=False)), alpha=a,
-                              threshold=0.5, label_scores=np.zeros(4), class_labels=classes)
-                for size in [0, 1, 4, 2, 3, 0] + list(rng.integers(0, 5, size=20))
-            ]
-        # labels may come out of np.unique as floats; both writers print them as ints
-        sets[0.2][1] = PredictionSet(labels=np.array([1.0, 3.0]), alpha=0.2, threshold=0.5,
-                                     label_scores=np.zeros(4), class_labels=classes.astype(float))
-        empty = ConformalRun(method="sraps", alphas=(0.1,), sets={0.1: []}, coverage={}, mean_size={},
-                             class_labels=classes)
+        sets = {a: rng.uniform(size=(26, 4)) < rng.uniform() for a in alphas}
+        sets[1e-05][0] = False
+        sets[0.1][1] = True
+        empty = ConformalRun(method="sraps", alphas=(0.1,), sets={0.1: np.zeros((0, 4), dtype=bool)},
+                             coverage={}, mean_size={}, class_labels=classes)
         full = ConformalRun(method="eraps", alphas=alphas, sets=sets, coverage={}, mean_size={},
                             class_labels=classes)
-        for run in (empty, full):
+        # labels may come out of np.unique as floats; both writers print them as ints
+        floats = ConformalRun(method="eraps", alphas=alphas, sets=sets, coverage={}, mean_size={},
+                              class_labels=classes.astype(float))
+        for run in (empty, floats, full):
             write_conformal_sets_jsonl(tmp_path / "a.jsonl", run)
             write_conformal_sets_jsonl_oracle(tmp_path / "b.jsonl", run)
             got = (tmp_path / "a.jsonl").read_bytes()
             assert got == (tmp_path / "b.jsonl").read_bytes()
         assert b'{"alpha": 1e-05, "index": 0, "set": []}\n' in got
+        assert b'{"alpha": 0.1, "index": 1, "set": [1, 2, 3, 5]}\n' in got
         assert got.count(b"\n") == len(alphas) * 26
 
 
@@ -510,6 +506,30 @@ class TestRunEndToEnd:
         for name in sorted(p.name for p in a.iterdir()):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("method", ["eraps", "sraps"])
+    def test_conformal_summary_agrees_with_the_sets(self, tmp_path, method):
+        # the summary's coverage and mean size are what conformal_sets.jsonl
+        # gives against the test stream's magnitudes in events.csv
+        bundle = small_bundle()
+        bundle["conformal"]["method"] = method
+        out = tmp_path / "run"
+        run_end_to_end(bundle, out)
+        magnitudes = load_events_csv(out / "events.csv", horizon=150.0, num_locations=2).magnitudes
+        truths = magnitudes[max(10, int(0.6 * len(magnitudes))):].tolist()
+        streams = {}
+        for line in (out / "conformal_sets.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            stream = streams.setdefault(row["alpha"], [])
+            assert row["index"] == len(stream)
+            stream.append(row["set"])
+        summary = [line.split(",") for line in (out / "conformal_summary.csv").read_text().splitlines()[1:]]
+        assert [(float(alpha), name) for alpha, _, _, name in summary] == [(0.1, method), (0.2, method)]
+        for alpha, coverage, mean_size, _ in summary:
+            stream = streams[float(alpha)]
+            assert len(stream) == len(truths) > 0
+            assert float(coverage) == np.mean([t in labels for t, labels in zip(truths, stream)])
+            assert float(mean_size) == np.mean([len(labels) for labels in stream])
+
     def test_stage_tagged_errors(self, tmp_path):
         with pytest.raises(PipelineError, match=r"\[data\]"):
             run_end_to_end({"seed": 1}, tmp_path / "x")
@@ -524,6 +544,7 @@ class TestBundleChecks:
         (None, "conformall", "data"),
         ("simulate", "horizn", "data"),
         ("ingest", "neighbour_radius", "data"),
+        ("ingest", "spline_degree", "data"),  # a constant since the spline degree became fixed
         ("fit", "pgd_step", "fit"),
         ("predict", "screenning", "predict"),
         ("conformal", "alpha", "conformal"),
