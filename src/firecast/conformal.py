@@ -133,7 +133,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class LogisticClassifier:
     """Multinomial logistic regression trained by full-batch gradient descent.
 
-    Deterministic given the training data and seed: zero-initialized weights,
+    Deterministic given the training data: zero-initialized weights,
     standardized features, fixed step count.
     """
 
@@ -150,7 +150,7 @@ class LogisticClassifier:
         """Standardized features plus an intercept column."""
         return np.hstack([(X - self._x_mean) / self._x_std, np.ones((len(X), 1))])
 
-    def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int, seed: int = 0):
+    def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=np.int64)
         n, d = X.shape
@@ -181,7 +181,7 @@ class ConformalRun:
     method: str
     alphas: tuple[float, ...]
     sets: dict                       # alpha -> (n_test, C) bool matrix over class_labels
-    coverage: dict                   # alpha -> float (nan if truths unknown)
+    coverage: dict                   # alpha -> float (nan for an empty test stream)
     mean_size: dict                  # alpha -> float
     class_labels: np.ndarray
     loo_fallbacks: int = 0
@@ -192,13 +192,10 @@ def _encode_labels(train_y, test_y):
     if len(class_labels) < 2:
         raise ValueError(f"training labels are degenerate (single class {class_labels}); "
                          "cannot calibrate a classifier")
-    y_test = None
-    if test_y is not None:
-        missing = set(np.unique(test_y)) - set(class_labels.tolist())
-        if missing:
-            raise ValueError(f"test labels {sorted(missing)} never appear in training data")
-        y_test = np.searchsorted(class_labels, test_y)
-    return class_labels, np.searchsorted(class_labels, train_y), y_test
+    missing = set(np.unique(test_y)) - set(class_labels.tolist())
+    if missing:
+        raise ValueError(f"test labels {sorted(missing)} never appear in training data")
+    return class_labels, np.searchsorted(class_labels, train_y), np.searchsorted(class_labels, test_y)
 
 
 def _renormalize(p: np.ndarray) -> np.ndarray:
@@ -255,7 +252,7 @@ def eraps(
     p_test = np.zeros((num_bootstrap, n_test, C))
     for b in range(num_bootstrap):
         clf = classifier_factory()
-        clf.fit(train_x[boot_indices[b]], y_train[boot_indices[b]], num_classes=C, seed=seed + b)
+        clf.fit(train_x[boot_indices[b]], y_train[boot_indices[b]], num_classes=C)
         p_train[b] = clf.predict_proba(train_x)
         p_test[b] = clf.predict_proba(test_x)
 
@@ -298,7 +295,7 @@ def sraps(
     train_x: np.ndarray,
     train_y: np.ndarray,
     test_x: np.ndarray,
-    test_y: np.ndarray | None = None,
+    test_y: np.ndarray,
     *,
     split_fraction: float = 0.5,
     alphas,
@@ -329,7 +326,7 @@ def sraps(
     uniforms = rng.uniform(size=len(cal) + len(test_x))
 
     clf = classifier_factory()
-    clf.fit(train_x[proper], y_train[proper], num_classes=len(class_labels), seed=seed)
+    clf.fit(train_x[proper], y_train[proper], num_classes=len(class_labels))
     tau_cal = scores_all_labels(clf.predict_proba(train_x[cal]), uniforms[: len(cal)], score_params)
     store = CalibrationStore(tau_cal[np.arange(len(cal)), y_train[cal]])
     proba_test = clf.predict_proba(test_x)
@@ -339,11 +336,11 @@ def sraps(
 
 def _conformal_run(method, alphas, sets, y_test, class_labels, loo_fallbacks=0) -> ConformalRun:
     """The run with each alpha's marginal coverage of the encoded test labels
-    ``y_test`` (nan when they are unknown or the stream is empty) and mean set
-    size (0.0 for an empty stream)."""
+    ``y_test`` (nan for an empty stream) and mean set size (0.0 for an empty
+    stream)."""
     coverage, mean_size = {}, {}
     for a in alphas:
         keep, m = sets[a], len(sets[a])
-        coverage[a] = float(keep[np.arange(m), y_test].mean()) if y_test is not None and m else float("nan")
+        coverage[a] = float(keep[np.arange(m), y_test].mean()) if m else float("nan")
         mean_size[a] = float(keep.sum(axis=1).mean()) if m else 0.0
     return ConformalRun(method, alphas, sets, coverage, mean_size, class_labels, loo_fallbacks)

@@ -13,7 +13,7 @@ objective and its gradient are :class:`model.Objective` over those pairs,
 the same code ``model.penalized_objective`` runs; each evaluation costs
 O(events x allowed sources), not O(n K^2).  A neighbour mask is what makes
 state-scale fits cheap; initial points, warm starts and fitted results stay
-on those pairs.  The solver always backtracks.
+on those pairs.  The solver backtracks whenever it is given an objective.
 
 All routines are deterministic: same inputs give bit-identical results.
 """
@@ -37,9 +37,9 @@ MAX_HALVINGS = 40  # backtracking halvings per step before the last trial is acc
 class NonFiniteGradientError(RuntimeError):
     """Raised when a gradient evaluation produces NaN or infinity."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite gradient at step {step}")
+        super().__init__(f"non-finite gradient at step {step}")
 
 
 class FeasibleSet:
@@ -110,35 +110,30 @@ def projected_gradient_descent(
     kappa: float,
     objective_fn=None,
     prox_fn=None,
-    backtracking: bool = False,
     callback=None,
 ):
     """Generic projected (proximal) gradient loop with 1/(kappa (k+1)) steps.
 
     Returns the final point and the objective trace (one entry per accepted
-    iterate, starting from the projected initial point).  With
-    ``backtracking`` the trial step starts at the nominal rule, capped at
-    twice the previously accepted step so the halving search stays short,
+    iterate, starting from the projected initial point; empty without
+    ``objective_fn``).  Without an objective the rule is applied exactly.
+    With one the loop backtracks: the trial step starts at the rule, capped
+    at twice the previously accepted step so the halving search stays short,
     and is halved (at most ``MAX_HALVINGS`` times) until the objective stops
-    increasing; the trace is then nonincreasing.  Without backtracking the
-    rule is applied exactly.
+    increasing; the trace is then nonincreasing.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     x = project_fn(np.asarray(x0, dtype=float))
-    trace = []
-    if objective_fn is not None:
-        trace.append(float(objective_fn(x)))
+    trace = [] if objective_fn is None else [float(objective_fn(x))]
     if callback is not None:
         callback(0, x)
-    t_accepted = None
+    t_accepted = math.inf  # without an objective it stays so: the rule exactly
     for k in range(1, steps + 1):
         g = grad_fn(x)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(k)
-        t_k = 1.0 / (kappa * (k + 1))
-        if backtracking and t_accepted is not None:
-            t_k = min(t_k, 2.0 * t_accepted)
+        t_k = min(1.0 / (kappa * (k + 1)), 2.0 * t_accepted)
 
         def step_to(t):
             y = x - t * g
@@ -149,16 +144,14 @@ def projected_gradient_descent(
         x_new = step_to(t_k)
         if objective_fn is not None:
             f_new = float(objective_fn(x_new))
-            if backtracking:
-                f_prev = trace[-1]
-                halvings = 0
-                while f_new > f_prev and halvings < MAX_HALVINGS:
-                    t_k *= 0.5
-                    x_new = step_to(t_k)
-                    f_new = float(objective_fn(x_new))
-                    halvings += 1
+            halvings = 0
+            while f_new > trace[-1] and halvings < MAX_HALVINGS:
+                t_k *= 0.5
+                x_new = step_to(t_k)
+                f_new = float(objective_fn(x_new))
+                halvings += 1
             trace.append(f_new)
-        t_accepted = t_k
+            t_accepted = t_k
         x = x_new
         if callback is not None:
             callback(k, x)
@@ -171,8 +164,7 @@ class FitConfig:
 
     ``kappa`` is the step-size scale from the 1/(kappa (k+1)) rule; the true
     strong-monotonicity constant of the likelihood is unknown, so the default
-    of 1.0 relies on the solver's backtracking (always on) to tame the early
-    steps.
+    of 1.0 relies on the solver's backtracking to tame the early steps.
     """
 
     beta_low: float = 0.01
@@ -199,12 +191,6 @@ class FitConfig:
             raise ValueError("eps_beta and kappa must be positive")
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be nonnegative")
-
-
-@dataclass
-class PgdResult:
-    params: ModelParams
-    trace: np.ndarray  # penalized objective per accepted iterate
 
 
 @dataclass
@@ -241,8 +227,9 @@ def pgd_fit(
     config: FitConfig,
     feasible: FeasibleSet | None = None,
     init: ModelParams | None = None,
-) -> PgdResult:
-    """Projected gradient descent for the convex subproblem at fixed beta."""
+) -> FitResult:
+    """Projected gradient descent for the convex subproblem at fixed beta;
+    the result's objective is the last accepted value."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     if feasible is None:
@@ -268,9 +255,8 @@ def pgd_fit(
         kappa=config.kappa,
         objective_fn=objective.value,
         prox_fn=prox_flat,
-        backtracking=True,
     )
-    return PgdResult(params=feasible.params(x, beta), trace=trace)
+    return FitResult(params=feasible.params(x, beta), objective=float(trace[-1]), trace=trace)
 
 
 def grid_fit(
@@ -292,7 +278,7 @@ def grid_fit(
     betas = np.array(
         [config.beta_low + (j / J) * (config.beta_high - config.beta_low) for j in range(J + 1)]
     )
-    results: list[PgdResult | None] = []
+    results: list[FitResult | None] = []
     objectives = np.full(J + 1, np.inf)
     errors: list[str] = []
     for j, beta in enumerate(betas):
@@ -303,7 +289,7 @@ def grid_fit(
             errors.append(f"beta={beta:.6g}: {exc}")
             continue
         results.append(res)
-        objectives[j] = res.trace[-1]
+        objectives[j] = res.objective
     if all(r is None for r in results):
         raise RuntimeError("all grid points failed: " + "; ".join(errors))
     j_star = int(np.argmin(objectives))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -102,24 +103,14 @@ class GridSpec:
         row, col = divmod(self._retained[cell_id], self._n_cols)
         return int(row), int(col)
 
-    def cell_at(self, row: int, col: int) -> int | None:
-        """Compact id of the cell at (row, col); None if excluded/out of range."""
-        if not (0 <= row < self._n_rows and 0 <= col < self._n_cols):
-            return None
-        return self._compact.get(row * self._n_cols + col)
-
-    def centroid(self, cell_id: int) -> tuple[float, float]:
-        # clamped into the box so edge cells truncated by the boundary still
-        # round-trip through cell_of
-        full = self._retained[cell_id]
-        row, col = divmod(full, self._n_cols)
-        return (
-            min(self.lat_min + (row + 0.5) * self.cell_size, self.lat_max),
-            min(self.lon_min + (col + 0.5) * self.cell_size, self.lon_max),
-        )
-
     def centroids(self) -> np.ndarray:
-        return np.array([self.centroid(cid) for cid in range(self.num_cells)])
+        """(K, 2) lat/lon cell centres, clamped into the box so edge cells
+        truncated by the boundary still round-trip through ``cell_of``."""
+        row, col = np.divmod(np.array(self._retained), self._n_cols)
+        return np.column_stack([
+            np.minimum(self.lat_min + (row + 0.5) * self.cell_size, self.lat_max),
+            np.minimum(self.lon_min + (col + 0.5) * self.cell_size, self.lon_max),
+        ])
 
     def to_dict(self) -> dict:
         return {
@@ -369,8 +360,6 @@ class MetricsReport:
     precision: np.ndarray
     recall: np.ndarray
     f1: np.ndarray
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
 
 
 def f1_metrics(predictions: np.ndarray, truths: np.ndarray) -> MetricsReport:
@@ -392,8 +381,7 @@ def f1_metrics(predictions: np.ndarray, truths: np.ndarray) -> MetricsReport:
         recall = np.where(U > 0, hits / U, 1.0)
         both = precision + recall
         f1 = np.where(both > 0, 2 * precision * recall / both, 0.0)
-    counts, edges = np.histogram(f1, bins=10, range=(0.0, 1.0))
-    return MetricsReport(precision=precision, recall=recall, f1=f1, hist_counts=counts, hist_edges=edges)
+    return MetricsReport(precision=precision, recall=recall, f1=f1)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +641,11 @@ def conformal_stage(
     )
 
 
-# the predict and conformal settings' defaults, for run bundles and CLI flags alike
-PREDICT_DEFAULTS = {"delta": 0.05, "a1": 1.1, "a2": 1.1, "screening": True}
+# the predict and conformal settings' defaults, for run bundles and CLI flags
+# alike; the detector's and the score's are read off ``from_first_day_risk``
+# and ``ScoreParams``, so each is written once
+_DETECTOR = inspect.signature(thresholding.ThresholdConfig.from_first_day_risk).parameters
+PREDICT_DEFAULTS = {**{k: _DETECTOR[k].default for k in ("delta", "a1", "a2")}, "screening": True}
 CONFORMAL_DEFAULTS = {
     "method": "eraps", "train_fraction": 0.6, "alphas": (0.1,), "num_bootstrap": 10, "batch_size": 10,
     "split_fraction": 0.5, "lambda_reg": conformal_mod.ScoreParams.lambda_reg,
@@ -684,11 +675,13 @@ BUNDLE_KEYS = {
     "predict": ("predict", set(PREDICT_DEFAULTS)),
     "conformal": ("conformal", set(CONFORMAL_DEFAULTS)),
 }
+# the conformal keys that only one method reads
+CONFORMAL_METHOD_KEYS = {"eraps": {"num_bootstrap", "batch_size"}, "sraps": {"split_fraction"}}
 
 
 def _check_bundle_keys(bundle: dict) -> None:
     """Reject a key that no stage reads, so a typo fails instead of running
-    on defaults."""
+    on defaults; in ``conformal``, that includes the other method's keys."""
     for section, (stage, known) in BUNDLE_KEYS.items():
         cfg = bundle if section is None else bundle.get(section, {})
         where = "the bundle" if section is None else f"section {section!r}"
@@ -697,6 +690,13 @@ def _check_bundle_keys(bundle: dict) -> None:
         unknown = sorted(set(cfg) - known)
         if unknown:
             raise PipelineError(stage, f"unknown keys {unknown} in {where}; expected some of {sorted(known)}")
+    cfg = bundle.get("conformal", {})
+    method = cfg.get("method", CONFORMAL_DEFAULTS["method"])
+    if any(m == method for m in CONFORMAL_METHOD_KEYS):  # an unknown method fails in its stage
+        others = set().union(*(keys for m, keys in CONFORMAL_METHOD_KEYS.items() if m != method))
+        foreign = sorted(set(cfg) & others)
+        if foreign:
+            raise PipelineError("conformal", f"keys {foreign} do not apply to method {method!r}")
 
 
 @contextmanager

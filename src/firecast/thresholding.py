@@ -14,7 +14,8 @@ positives before they are emitted, to cap false alarms:
    validation occurrence gap.
 
 Screening filters the output stream only; the threshold feedback runs on
-the detector's own raw predictions.
+the detector's own raw predictions.  The validation statistics are frozen
+and every ``detect`` call starts its detection counters at zero.
 
 Locations never interact, so the detector steps all of them together: one
 loop over the T steps on K-vectors runs the gate and the updates, and the
@@ -23,7 +24,7 @@ screening rules are applied as vector masks over the same steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,22 +87,16 @@ class ThresholdConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScreeningState:
-    """Validation statistics plus running detection counters for the rules."""
+    """Per-location validation statistics the screening rules read."""
 
     fire_count: np.ndarray     # fires per location in the validation window
     avg_gap: np.ndarray        # mean gap (days) between validation fires
-    detections: np.ndarray = field(default=None)
-    last_positive: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.fire_count = np.asarray(self.fire_count, dtype=np.int64)
-        self.avg_gap = np.asarray(self.avg_gap, dtype=float)
-        if self.detections is None:
-            self.detections = np.zeros(len(self.fire_count), dtype=np.int64)
-        if self.last_positive is None:
-            self.last_positive = np.full(len(self.fire_count), -np.inf)
+        object.__setattr__(self, "fire_count", np.asarray(self.fire_count, dtype=np.int64))
+        object.__setattr__(self, "avg_gap", np.asarray(self.avg_gap, dtype=float))
 
     @classmethod
     def from_validation(cls, truth: np.ndarray) -> "ScreeningState":
@@ -118,14 +113,6 @@ class ScreeningState:
         spread = (last - first) / np.maximum(counts - 1, 1)
         gaps = np.where(counts >= 2, spread, np.where(counts == 1, float(T), np.inf))
         return cls(fire_count=counts, avg_gap=gaps)
-
-    def copy(self) -> "ScreeningState":
-        return ScreeningState(
-            fire_count=self.fire_count.copy(),
-            avg_gap=self.avg_gap.copy(),
-            detections=self.detections.copy(),
-            last_positive=self.last_positive.copy(),
-        )
 
 
 @dataclass(frozen=True)
@@ -147,8 +134,8 @@ def detect(
     """Run the dynamic-threshold detector on a (T, K) risk matrix.
 
     ``truth`` has entries in {-1, 1} and is consumed one step behind the
-    predictions (feedback).  ``screening=None`` disables the veto rules.
-    The caller's screening state is not mutated.
+    predictions (feedback).  ``screening=None`` disables the veto rules;
+    otherwise no detection has been emitted before the first step.
 
     All locations advance together: one loop over the T steps runs the
     dynamics on K-vectors, and a second applies the screening rules to the
@@ -186,23 +173,26 @@ def detect(
         tau = np.where(lam <= prev / a2, lam, tau)
         thresholds[t] = tau
         raw[t] = np.where(fire, 1, -1)
-    predictions = raw if screening is None else _screen(raw, screening.copy())
+    predictions = raw if screening is None else _screen(raw, screening)
     return DetectionTrace(risk=risk, threshold=thresholds, prediction=predictions, truth=truth)
 
 
 def _screen(raw: np.ndarray, state: ScreeningState) -> np.ndarray:
     """Veto the raw positives that break a screening rule, step by step;
-    ``state``'s counters advance with every emitted positive."""
+    the detection counters start at zero and advance with every emitted
+    positive."""
     emitted = raw.copy()
+    detections = np.zeros(raw.shape[1], dtype=np.int64)
+    last_positive = np.full(raw.shape[1], -np.inf)
     for t in range(len(raw)):
         positive = raw[t] == 1
         allowed = (
             positive
             & (state.fire_count >= 1)
-            & (state.detections < state.fire_count)
-            & (t - state.last_positive >= state.avg_gap)
+            & (detections < state.fire_count)
+            & (t - last_positive >= state.avg_gap)
         )
         emitted[t, positive & ~allowed] = -1
-        state.detections += allowed
-        state.last_positive[allowed] = t
+        detections += allowed
+        last_positive[allowed] = t
     return emitted

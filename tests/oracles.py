@@ -294,13 +294,13 @@ def logistic_regression_oracle(X, y, num_classes, X_eval, learning_rate=1.0, epo
 
 def detect_oracle(risk, truth, config, screening=None):
     """The dynamic-threshold detector one location at a time, with the
-    screening rules checked per emitted positive; returns (thresholds,
-    predictions).  The caller's screening state is not mutated."""
+    screening rules checked per emitted positive from zero detection
+    counters; returns (thresholds, predictions)."""
     risk = np.asarray(risk, dtype=float)
     T, K = risk.shape
     if screening is not None:
-        detections = screening.detections.copy()
-        last_positive = screening.last_positive.copy()
+        detections = np.zeros(K, dtype=np.int64)
+        last_positive = np.full(K, -np.inf)
     thresholds = np.zeros((T, K))
     predictions = np.zeros((T, K), dtype=np.int64)
     for k in range(K):

@@ -166,7 +166,7 @@ class FixedClassifier:
     def clone(self):
         return FixedClassifier(self.row)
 
-    def fit(self, X, y, num_classes, seed=0):
+    def fit(self, X, y, num_classes):
         return self
 
     def predict_proba(self, X):
@@ -176,7 +176,7 @@ class FixedClassifier:
 class TruePosteriorClassifier:
     """Consistent plug-in: returns the exact mixture posterior."""
 
-    def fit(self, X, y, num_classes, seed=0):
+    def fit(self, X, y, num_classes):
         return self
 
     def predict_proba(self, X):
@@ -307,9 +307,7 @@ class TestCoverageReport:
         assert run.coverage == {0.2: 0.75, 0.1: 1.0}
         assert run.mean_size == {0.2: 1.25, 0.1: 1.75}
 
-    def test_unknown_labels_and_empty_stream(self):
-        run = self._run({0.1: np.ones((4, 3), dtype=bool)}, None)
-        assert np.isnan(run.coverage[0.1]) and run.mean_size[0.1] == 3.0
+    def test_empty_stream(self):
         run = self._run({0.1: np.zeros((0, 3), dtype=bool)}, np.zeros(0, dtype=np.int64))
         assert np.isnan(run.coverage[0.1]) and run.mean_size[0.1] == 0.0
 
@@ -366,7 +364,7 @@ class RowTableClassifier:
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=float)
 
-    def fit(self, X, y, num_classes, seed=0):
+    def fit(self, X, y, num_classes):
         return self
 
     def predict_proba(self, X):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from firecast.events import EventSequence, load_events_csv, save_events_csv
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import RATE_FLOOR, ModelParams
 from firecast.pipeline import (
+    PREDICT_DEFAULTS,
     GridSpec,
     MarkStats,
     PipelineError,
@@ -16,15 +18,18 @@ from firecast.pipeline import (
     f1_metrics,
     impute_series,
     ingest,
+    predict_stage,
     query_marks_by_location,
     read_detections_csv,
     risk_series,
     run_end_to_end,
+    simulation_config,
     write_conformal_sets_jsonl,
     write_detections_csv,
     write_metrics_csv,
 )
-from firecast.thresholding import DetectionTrace
+from firecast.simulation import simulate
+from firecast.thresholding import DetectionTrace, ScreeningState, ThresholdConfig, detect
 
 from oracles import (
     f1_oracle,
@@ -42,8 +47,9 @@ class TestGridSpec:
                              cell_size=0.24, excluded=(0, 5, 17))
 
     def test_round_trip_identity(self):
+        centroids = self.grid.centroids()
         for cid in range(self.grid.num_cells):
-            lat, lon = self.grid.centroid(cid)
+            lat, lon = centroids[cid]
             assert self.grid.cell_of(lat, lon) == cid
 
     def test_excluded_and_outside_map_nowhere(self):
@@ -191,8 +197,8 @@ class TestMetrics:
             truth = np.where(rng.uniform(size=(30, 4)) < 0.2, 1, -1)
             rep = f1_metrics(pred, truth)
             for arr in (rep.precision, rep.recall, rep.f1):
+                assert arr.shape == (4,)
                 assert np.all((0 <= arr) & (arr <= 1))
-            assert rep.hist_counts.sum() == 4
 
     def test_columns_match_per_location_loop(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -209,7 +215,7 @@ class TestMetrics:
             assert rep.precision.tobytes() == precision.tobytes()
             assert rep.recall.tobytes() == recall.tobytes()
             assert rep.f1.tobytes() == f1.tobytes()
-            oracle = rep.__class__(precision, recall, f1, rep.hist_counts, rep.hist_edges)
+            oracle = rep.__class__(precision, recall, f1)
             write_metrics_csv(tmp_path / "a.csv", rep)
             write_metrics_csv(tmp_path / "b.csv", oracle)
             assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -512,6 +518,9 @@ class TestRunEndToEnd:
         # gives against the test stream's magnitudes in events.csv
         bundle = small_bundle()
         bundle["conformal"]["method"] = method
+        if method == "sraps":
+            for key in ("num_bootstrap", "batch_size"):
+                del bundle["conformal"][key]
         out = tmp_path / "run"
         run_end_to_end(bundle, out)
         magnitudes = load_events_csv(out / "events.csv", horizon=150.0, num_locations=2).magnitudes
@@ -537,6 +546,20 @@ class TestRunEndToEnd:
         bad["fit"]["grid_points"] = 0
         with pytest.raises(PipelineError, match=r"\[fit\]"):
             run_end_to_end(bad, tmp_path / "y")
+
+
+def test_predict_defaults_are_the_detectors_own():
+    # bundles and CLI flags default to what from_first_day_risk does without keywords
+    params = ModelParams.from_json(json.dumps(small_bundle()["simulate"]["params"]))
+    seq = simulate(simulation_config(params, {"horizon": 150.0}, 5))
+    cfg = PREDICT_DEFAULTS
+    trace = predict_stage(params, seq, LinearMarkModel(), cfg["delta"], cfg["a1"], cfg["a2"], cfg["screening"])
+    risk = risk_series(params, seq, LinearMarkModel())
+    truth = daily_truths(seq, len(risk))
+    screening = ScreeningState.from_validation(truth) if cfg["screening"] else None
+    expected = detect(risk, truth, ThresholdConfig.from_first_day_risk(risk[0], len(risk)), screening)
+    for name in ("risk", "threshold", "prediction", "truth"):
+        assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
 
 
 class TestBundleChecks:
@@ -573,16 +596,30 @@ class TestBundleChecks:
         with pytest.raises(PipelineError, match=rf"^\[{stage}\] unknown .*'{value}'"):
             run_end_to_end(bundle, tmp_path / "run")
 
+    @pytest.mark.parametrize("method, foreign", [
+        ("sraps", {"num_bootstrap": 4, "batch_size": 5}),
+        ("sraps", {"batch_size": 5}),
+        ("eraps", {"split_fraction": 0.5}),
+        (None, {"split_fraction": 0.5}),  # eraps by default
+    ])
+    def test_other_methods_keys_fail_before_any_stage(self, tmp_path, method, foreign):
+        bundle = small_bundle()
+        conformal = {k: v for k, v in bundle["conformal"].items() if k not in ("num_bootstrap", "batch_size", "method")}
+        if method is not None:
+            conformal["method"] = method
+        bundle["conformal"] = {**conformal, **foreign}
+        expected = re.escape(f"[conformal] keys {sorted(foreign)} do not apply to method '{method or 'eraps'}'")
+        with pytest.raises(PipelineError, match="^" + expected):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
 
 class TestGridRowCol:
     def test_rowcol_round_trip(self):
         grid = GridSpec(lat_min=0, lon_min=0, lat_max=1.2, lon_max=1.2, cell_size=0.4,
                         excluded=(4,))
-        for cid in range(grid.num_cells):
-            row, col = grid.rowcol_of(cid)
-            assert grid.cell_at(row, col) == cid
-        assert grid.cell_at(1, 1) is None  # the excluded cell
-        assert grid.cell_at(9, 0) is None
+        retained = [full for full in range(9) if full != 4]  # row-major, the excluded cell skipped
+        assert [grid.rowcol_of(cid) for cid in range(grid.num_cells)] == [divmod(full, 3) for full in retained]
 
 
 class TestFrozenStatsAcrossFiles:
@@ -659,12 +696,12 @@ class TestRunVariants:
         assert not (tmp_path / "run" / "params.json").exists()
 
 
-def test_perfect_predictor_gives_all_ones_histogram():
+def test_perfect_predictor_gives_all_ones_f1():
     rng = np.random.default_rng(9)
     truth = np.where(rng.uniform(size=(40, 6)) < 0.2, 1, -1)
     rep = f1_metrics(truth, truth)
+    assert np.all(rep.precision == 1.0) and np.all(rep.recall == 1.0)
     assert np.all(rep.f1 == 1.0)
-    assert rep.hist_counts[-1] == 6 and rep.hist_counts[:-1].sum() == 0
 
 
 def test_run_end_to_end_recovers_generating_parameters(tmp_path):
