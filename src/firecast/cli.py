@@ -84,6 +84,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_conformal(args) -> int:
+    # the method-specific flags are absent unless given, so only given ones are checked
+    section = {k: v for k, v in vars(args).items() if k in pipeline.CONFORMAL_DEFAULTS}
+    pipeline.check_conformal_section(section)
+    cfg = {**pipeline.CONFORMAL_DEFAULTS, **section}
     seq = load_events_csv(args.data, horizon=args.horizon, num_locations=args.locations)
     run = pipeline.conformal_stage(
         seq,
@@ -91,9 +95,9 @@ def cmd_conformal(args) -> int:
         method=args.method,
         alphas=args.alphas,
         score_params=conformal_mod.ScoreParams(lambda_reg=args.lambda_reg, k_reg=args.k_reg),
-        num_bootstrap=args.num_bootstrap,
-        batch_size=args.batch_size,
-        split_fraction=args.split_fraction,
+        num_bootstrap=cfg["num_bootstrap"],
+        batch_size=cfg["batch_size"],
+        split_fraction=cfg["split_fraction"],
         seed=args.seed,
     )
     pipeline.write_conformal_sets_jsonl(args.sets, run)
@@ -193,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locations", type=int, required=True)
     p.add_argument("--train-size", type=int, required=True)
     p.add_argument("--method", choices=("eraps", "sraps"), default=conformal["method"])
-    p.add_argument("--num-bootstrap", type=int, default=conformal["num_bootstrap"])
-    p.add_argument("--batch-size", type=int, default=conformal["batch_size"])
-    p.add_argument("--split-fraction", type=float, default=conformal["split_fraction"])
+    p.add_argument("--num-bootstrap", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--split-fraction", type=float, default=argparse.SUPPRESS)
     p.add_argument("--alphas", type=_floats, default=conformal["alphas"], help="comma-separated")
     p.add_argument("--lambda-reg", type=float, default=conformal["lambda_reg"])
     p.add_argument("--k-reg", type=int, default=conformal["k_reg"])

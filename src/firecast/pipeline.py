@@ -2,12 +2,10 @@
 
 Raw incident files carry either latitude/longitude pairs (mapped onto a
 square grid, default 0.24-degree cells) or precomputed cell ids.  Continuous
-mark columns are imputed per location with a degree-5 spline over time
-(linear below six observed points, then constant fill), standardized, and
+mark columns are imputed per location by linear interpolation over time
+(constant beyond the first and last observed points), standardized, and
 min-max scaled to [0, 1]; scaling statistics are fitted once on training
-data and can be frozen for later files.  ``scipy.interpolate`` is imported
-only when a location needs the spline, so ingesting a file without missing
-marks does not load scipy.
+data and can be frozen for later files.
 
 The chain runs through one function per stage: ``build_mark_model``,
 ``fit_stage``, ``predict_stage`` and ``conformal_stage``.  ``run_end_to_end``
@@ -138,9 +136,6 @@ class GridSpec:
 # preprocessing
 
 
-SPLINE_DEGREE = 5
-
-
 @dataclass
 class MarkStats:
     """Frozen scaling statistics: standardize then min-max per column.
@@ -189,34 +184,16 @@ class MarkStats:
 
 
 def impute_series(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Fill NaNs in a time series by a degree-``SPLINE_DEGREE`` spline through
-    the observed points, by linear interpolation below SPLINE_DEGREE + 1 of them
-    and by a constant below two.  Duplicate timestamps are averaged before fitting."""
+    """Fill NaNs in a time series by linear interpolation between the observed
+    points, constant beyond them (and everywhere, given one).  Duplicate
+    timestamps are averaged first."""
     values = np.asarray(values, dtype=float).copy()
     observed = ~np.isnan(values)
-    if observed.all():
+    if observed.all() or not observed.any():
         return values
-    n_obs = int(observed.sum())
-    if n_obs == 0:
-        return values
-    t_obs, v_obs = times[observed], values[observed]
-    uniq, inverse = np.unique(t_obs, return_inverse=True)
-    if len(uniq) != len(t_obs):
-        v_uniq = np.zeros(len(uniq))
-        counts = np.bincount(inverse)
-        np.add.at(v_uniq, inverse, v_obs)
-        v_uniq /= counts
-        t_obs, v_obs = uniq, v_uniq
-    missing = ~observed
-    if len(t_obs) == 1:
-        values[missing] = v_obs[0]
-    elif len(t_obs) <= SPLINE_DEGREE:
-        values[missing] = np.interp(times[missing], t_obs, v_obs)
-    else:
-        from scipy.interpolate import InterpolatedUnivariateSpline
-
-        spline = InterpolatedUnivariateSpline(t_obs, v_obs, k=SPLINE_DEGREE, ext=3)
-        values[missing] = spline(times[missing])
+    t_obs, inverse = np.unique(times[observed], return_inverse=True)
+    v_obs = np.bincount(inverse, weights=values[observed]) / np.bincount(inverse)
+    values[~observed] = np.interp(times[~observed], t_obs, v_obs)
     return values
 
 
@@ -580,23 +557,35 @@ def _sha256(path: Path) -> str:
 # pipeline stages, shared by run_end_to_end and the CLI subcommands
 
 
+def _choose(table: dict, name, what: str):
+    """``table[name]``, or a ValueError naming the choices."""
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"unknown {what} {name!r}; expected {' or '.join(map(repr, table))}")
+    return table[name]
+
+
+MARK_MODELS = {
+    "linear": lambda seq: LinearMarkModel(),
+    "kde": lambda seq: NonLinearMarkModel(kde_scorer(seq.marks)),
+}
+# by function name, looked up at each call: a wrapper set on ``estimation`` is the one run
+FIT_METHODS = {"grid": "grid_fit", "alternating": "alternating_fit"}
+MARK_DISTRIBUTIONS = {
+    "linear": lambda params: simulation.linear_density_mark_sampler(params.gamma),
+    "uniform": lambda params: simulation.uniform_mark_sampler,
+}
+
+
 def build_mark_model(spec: str, seq: EventSequence):
     """Mark model by name: ``linear`` or ``kde`` (fitted on ``seq``'s marks)."""
-    if spec == "linear":
-        return LinearMarkModel()
-    if spec == "kde":
-        return NonLinearMarkModel(kde_scorer(seq.marks))
-    raise ValueError(f"unknown mark model {spec!r}")
+    return _choose(MARK_MODELS, spec, "mark model")(seq)
 
 
 def fit_stage(
     seq: EventSequence, mark_model, config: estimation.FitConfig, method: str, feasible=None
 ) -> estimation.FitResult:
     """Constrained MLE: the beta ``grid`` or the ``alternating`` beta search."""
-    fits = {"grid": estimation.grid_fit, "alternating": estimation.alternating_fit}
-    if method not in fits:
-        raise ValueError(f"unknown fit method {method!r}; expected 'grid' or 'alternating'")
-    return fits[method](seq, mark_model, config, feasible)
+    return getattr(estimation, _choose(FIT_METHODS, method, "fit method"))(seq, mark_model, config, feasible)
 
 
 def predict_stage(
@@ -619,8 +608,7 @@ def conformal_stage(
 ) -> conformal_mod.ConformalRun:
     """Magnitude prediction sets: the first ``n_train`` events train, the rest
     form the test stream; ``method`` is ``eraps`` or ``sraps``."""
-    if method not in ("eraps", "sraps"):
-        raise ValueError(f"unknown conformal method {method!r}; expected 'eraps' or 'sraps'")
+    _choose(CONFORMAL_METHOD_KEYS, method, "conformal method")
     if seq.magnitudes is None:
         raise ValueError("conformal stage needs magnitude labels in the data")
     if not 10 <= n_train < len(seq):
@@ -679,9 +667,19 @@ BUNDLE_KEYS = {
 CONFORMAL_METHOD_KEYS = {"eraps": {"num_bootstrap", "batch_size"}, "sraps": {"split_fraction"}}
 
 
+def check_conformal_section(cfg: dict) -> None:
+    """Reject the keys of a ``conformal`` section that only the other method reads."""
+    method = cfg.get("method", CONFORMAL_DEFAULTS["method"])
+    others = set().union(*(keys for m, keys in CONFORMAL_METHOD_KEYS.items() if m != method))
+    foreign = sorted(set(cfg) & others)
+    if foreign:
+        raise PipelineError("conformal", f"keys {foreign} do not apply to method {method!r}")
+
+
 def _check_bundle_keys(bundle: dict) -> None:
-    """Reject a key that no stage reads, so a typo fails instead of running
-    on defaults; in ``conformal``, that includes the other method's keys."""
+    """Reject a key that no stage reads or a choice its stage does not know,
+    so a typo fails before any stage runs instead of running on defaults or
+    failing late; in ``conformal``, that includes the other method's keys."""
     for section, (stage, known) in BUNDLE_KEYS.items():
         cfg = bundle if section is None else bundle.get(section, {})
         where = "the bundle" if section is None else f"section {section!r}"
@@ -690,13 +688,16 @@ def _check_bundle_keys(bundle: dict) -> None:
         unknown = sorted(set(cfg) - known)
         if unknown:
             raise PipelineError(stage, f"unknown keys {unknown} in {where}; expected some of {sorted(known)}")
-    cfg = bundle.get("conformal", {})
-    method = cfg.get("method", CONFORMAL_DEFAULTS["method"])
-    if any(m == method for m in CONFORMAL_METHOD_KEYS):  # an unknown method fails in its stage
-        others = set().union(*(keys for m, keys in CONFORMAL_METHOD_KEYS.items() if m != method))
-        foreign = sorted(set(cfg) & others)
-        if foreign:
-            raise PipelineError("conformal", f"keys {foreign} do not apply to method {method!r}")
+    for section, key, table, what in (
+        ("simulate", "mark_distribution", MARK_DISTRIBUTIONS, "mark_distribution"),
+        ("fit", "method", FIT_METHODS, "fit method"),
+        ("fit", "mark_model", MARK_MODELS, "mark model"),
+        ("conformal", "method", CONFORMAL_METHOD_KEYS, "conformal method"),
+    ):
+        if key in bundle.get(section, {}):
+            with _stage(BUNDLE_KEYS[section][0], []):  # the stage's own tag and message
+                _choose(table, bundle[section][key], what)
+    check_conformal_section(bundle.get("conformal", {}))
 
 
 @contextmanager
@@ -721,12 +722,7 @@ def simulation_config(params: ModelParams, cfg: dict, seed: int) -> simulation.S
             # label tied to the first mark so a classifier has signal
             return 1 + min(n_classes - 1, int(marks[0] * n_classes))
 
-    distribution = cfg.get("mark_distribution", "linear")
-    if distribution not in ("linear", "uniform"):
-        raise ValueError(f"unknown mark_distribution {distribution!r}; expected 'linear' or 'uniform'")
-    mark_sampler = simulation.uniform_mark_sampler
-    if distribution == "linear":
-        mark_sampler = simulation.linear_density_mark_sampler(params.gamma)
+    mark_sampler = _choose(MARK_DISTRIBUTIONS, cfg.get("mark_distribution", "linear"), "mark_distribution")(params)
     return simulation.SimConfig(
         params=params, horizon=float(cfg["horizon"]), seed=seed,
         mark_sampler=mark_sampler, magnitude_sampler=magnitude_sampler,

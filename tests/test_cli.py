@@ -88,8 +88,7 @@ def test_eval_counterfactual_scores_marks_like_predict(tmp_path, params_file, ca
         ]) == 0
         lam[mark_model] = json.loads(capsys.readouterr().out)["lambda_a"]
         risk = pipeline.risk_series(params, seq, pipeline.build_mark_model(mark_model, seq))
-        # not bit-equal for kde: gaussian_kde sums a batch of 2 and of 160 points differently
-        assert lam[mark_model] == pytest.approx(risk[39, 1], rel=1e-12)
+        assert lam[mark_model] == risk[39, 1]
     assert lam["kde"] != pytest.approx(lam["linear"], rel=1e-3)
 
 
@@ -313,14 +312,33 @@ def test_predict_and_conformal_flag_defaults_are_the_stage_defaults():
     conformal = parser.parse_args(
         ["conformal", "--data", "e.csv", "--horizon", "1", "--locations", "1", "--train-size", "10"]
     )
-    names = ("method", "alphas", "lambda_reg", "k_reg", "num_bootstrap", "batch_size", "split_fraction")
+    names = ("method", "alphas", "lambda_reg", "k_reg")
     assert {name: getattr(conformal, name) for name in names} == {
         name: pipeline.CONFORMAL_DEFAULTS[name] for name in names
     }
+    # the method-specific flags are absent unless given; cmd_conformal fills in the stage defaults
+    assert not {"num_bootstrap", "batch_size", "split_fraction"} & set(vars(conformal))
     assert parser.parse_args(
         ["conformal", "--data", "e.csv", "--horizon", "1", "--locations", "1", "--train-size", "10",
          "--alphas", "0.05,0.1"]
     ).alphas == (0.05, 0.1)
+
+
+@pytest.mark.parametrize("method, flags, foreign", [
+    ("sraps", ["--num-bootstrap", "3", "--batch-size", "7"], ["batch_size", "num_bootstrap"]),
+    ("sraps", ["--batch-size", "7"], ["batch_size"]),
+    ("eraps", ["--split-fraction", "0.9"], ["split_fraction"]),
+    (None, ["--split-fraction", "0.9"], ["split_fraction"]),  # eraps by default
+])
+def test_conformal_rejects_the_other_methods_flags(tmp_path, capsys, method, flags, foreign):
+    chosen = ["--method", method] if method else []
+    sets = tmp_path / "sets.jsonl"
+    assert main(["conformal", "--data", str(tmp_path / "missing.csv"), "--horizon", "1", "--locations", "1",
+                 "--train-size", "10", *chosen, *flags, "--sets", str(sets)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"firecast conformal: [conformal] keys {foreign} do not apply to method '{method or 'eraps'}'"
+    )
+    assert not sets.exists()
 
 
 def test_simulate_matches_run_simulate_stage(tmp_path, params_file):

@@ -7,7 +7,7 @@ import pytest
 
 from firecast.events import EventSequence, load_events_csv, save_events_csv
 from firecast.pipeline import GridSpec, counterfactual_delta, risk_series
-from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
+from firecast.marks import KDE_BLOCK, LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import (
     JSON_BLOCK,
     MASK_BLOCK_ROWS,
@@ -597,6 +597,29 @@ class TestMarkModels:
         q = np.array([0.5, 0.5])
         assert scorer(q, 0.0, 0) == scorer(q, 9.0, 3)
         assert scorer(q, 0.0, 0) >= 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kde_scorer_matches_scipy_gaussian_kde(self, d):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(d)
+        train = rng.uniform(size=(60, d))
+        # query rows near the marks, spanning several KDE_BLOCK blocks
+        queries = rng.uniform(-0.1, 1.1, size=(3 * KDE_BLOCK + 5, d))
+        got = kde_scorer(train)(queries, 0.0, 0)
+        np.testing.assert_allclose(got, stats.gaussian_kde(train.T)(queries.T), rtol=1e-12, atol=0)
+
+    def test_kde_scorer_scores_a_row_alike_in_any_batch(self):
+        rng = np.random.default_rng(11)
+        scorer = kde_scorer(rng.uniform(size=(200, 3)))
+        queries = rng.uniform(size=(5 * KDE_BLOCK + 17, 3))
+        batch = scorer(queries, 0.0, 0)
+        alone = np.array([scorer(row, 0.0, 0) for row in queries[::13]])
+        assert np.array_equal(alone, batch[::13])
+
+    def test_kde_scorer_rejects_a_constant_mark_column(self):
+        train = np.column_stack([np.random.default_rng(2).uniform(size=20), np.full(20, 0.5)])
+        with pytest.raises(ValueError, match="singular mark covariance"):
+            kde_scorer(train)
 
 
 class TestBatchScoring:

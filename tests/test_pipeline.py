@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from firecast import estimation
 from firecast.conformal import ConformalRun
 from firecast.events import EventSequence, load_events_csv, save_events_csv
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
@@ -16,6 +17,7 @@ from firecast.pipeline import (
     counterfactual_delta,
     daily_truths,
     f1_metrics,
+    fit_stage,
     impute_series,
     ingest,
     predict_stage,
@@ -93,6 +95,19 @@ class TestImputation:
         v = np.array([3.0, np.nan])
         assert impute_series(t, v)[1] == 3.0
 
+    def test_many_points_and_duplicates_interpolate_linearly(self):
+        # seven distinct observed times, one of them twice: holes get np.interp
+        # of the averaged points, constant beyond the ends
+        t = np.array([0.0, 1.0, 2.0, 2.0, 3.0, 4.5, 5.0, 6.0, 7.0, 8.0, 9.0])
+        v = np.array([np.nan, 1.0, 4.0, 2.0, np.nan, 0.5, 7.0, np.nan, 2.5, 6.0, np.nan])
+        observed = ~np.isnan(v)
+        t_obs = np.array([1.0, 2.0, 4.5, 5.0, 7.0, 8.0])
+        v_obs = np.array([1.0, 3.0, 0.5, 7.0, 2.5, 6.0])
+        filled = impute_series(t, v)
+        assert np.array_equal(filled[observed], v[observed])
+        assert np.array_equal(filled[~observed], np.interp(t[~observed], t_obs, v_obs))
+        assert filled[0] == 1.0 and filled[-1] == 6.0
+
 
 def write_csv(path, header, rows):
     with open(path, "w") as fh:
@@ -161,7 +176,7 @@ class TestIngest:
         write_csv(path, "time,location,x", rows)
         res = ingest(path, horizon=15.0)
         assert not np.isnan(res.sequence.marks).any()
-        # the hole sits on a straight line: spline reproduces it, scaling keeps order
+        # the hole sits on a straight line: interpolation reproduces it, scaling keeps order
         assert res.sequence.marks[6, 0] == pytest.approx(6 / 11, abs=1e-6)
 
 
@@ -304,10 +319,13 @@ class TestRiskSeries:
         assert out["delta"] == pytest.approx(out["lambda_b"] - out["lambda_a"])
         assert out["delta"] > 0
 
-    def test_counterfactual_at_day_end_is_the_forecast(self):
-        # with a location's default query marks the counterfactual is the predict stage's risk
+    @pytest.mark.parametrize("marks", ["linear", "kde"])
+    def test_counterfactual_at_day_end_is_the_forecast(self, marks):
+        # with a location's default query marks the counterfactual is the predict
+        # stage's risk, bit for bit: the KDE scores a row the same in any batch
         params, seq = self._params_seq()
-        mm = LinearMarkModel()
+        train = np.random.default_rng(5).uniform(size=(40, 2))
+        mm = LinearMarkModel() if marks == "linear" else NonLinearMarkModel(kde_scorer(train))
         qm = query_marks_by_location(seq)
         series = risk_series(params, seq, mm)
         for t_idx, t in enumerate(np.arange(1.0, 13.0)):
@@ -562,12 +580,21 @@ def test_predict_defaults_are_the_detectors_own():
         assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
 
 
+@pytest.mark.parametrize("method", ["grid", "alternating"])
+def test_fit_stage_calls_the_estimation_function_set_at_call_time(monkeypatch, method):
+    # a wrapper set on the estimation module (as the benchmark's tracer sets one) is the one run
+    calls = []
+    monkeypatch.setattr(estimation, f"{method}_fit", lambda *args: calls.append(args) or "fit")
+    assert fit_stage("seq", "marks", "config", method, "feasible") == "fit"
+    assert calls == [("seq", "marks", "config", "feasible")]
+
+
 class TestBundleChecks:
     @pytest.mark.parametrize("section, key, stage", [
         (None, "conformall", "data"),
         ("simulate", "horizn", "data"),
         ("ingest", "neighbour_radius", "data"),
-        ("ingest", "spline_degree", "data"),  # a constant since the spline degree became fixed
+        ("ingest", "spline_degree", "data"),  # gone with the spline imputation
         ("fit", "pgd_step", "fit"),
         ("predict", "screenning", "predict"),
         ("conformal", "alpha", "conformal"),
@@ -588,6 +615,7 @@ class TestBundleChecks:
     @pytest.mark.parametrize("section, key, value, stage", [
         ("simulate", "mark_distribution", "Linear", "data"),
         ("fit", "method", "Grid", "fit"),
+        ("fit", "mark_model", "KDE", "fit"),
         ("conformal", "method", "rapss", "conformal"),
     ])
     def test_unknown_choice_fails_its_stage(self, tmp_path, section, key, value, stage):
@@ -595,6 +623,7 @@ class TestBundleChecks:
         bundle[section][key] = value
         with pytest.raises(PipelineError, match=rf"^\[{stage}\] unknown .*'{value}'"):
             run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("method, foreign", [
         ("sraps", {"num_bootstrap": 4, "batch_size": 5}),

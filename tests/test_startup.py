@@ -1,4 +1,4 @@
-"""Start-up cost: a run loads scipy only when one of its stages uses it.
+"""Start-up cost: firecast needs numpy alone, so no run loads scipy.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported scipy through other test modules.
@@ -57,40 +57,33 @@ def run_probe(bundle: dict, out_dir: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_linear_mark_run_never_imports_scipy(tmp_path):
-    report = run_probe(LINEAR_BUNDLE, tmp_path / "run")
-    assert report["stages"] == ["data", "fit", "predict", "eval", "conformal"]
-    assert report["at_import"] == []
-    assert report["after_run"] == []
-
-
-@pytest.mark.parametrize(
-    "holes, mark_model, loaded, absent",
-    [
-        (False, "linear", set(), {"scipy"}),
-        (True, "linear", {"scipy.interpolate"}, {"scipy.stats"}),
-        # scipy.stats imports scipy.interpolate itself
-        (False, "kde", {"scipy.stats"}, set()),
-        (True, "kde", {"scipy.stats", "scipy.interpolate"}, set()),
-    ],
-)
-def test_ingest_loads_only_the_scipy_its_stages_use(tmp_path, holes, mark_model, loaded, absent):
+def ingest_bundle(tmp_path: Path, holes: bool, mark_model: str) -> dict:
     raw = tmp_path / "raw.csv"
     with open(raw, "w") as fh:
         fh.write("time,location,temp,humidity\n")
         for i in range(60):
             # every seventh temperature is missing: each location keeps more
-            # than six observed points, so its holes are filled by the spline
+            # than six observed points around its holes
             temp = "" if holes and i % 7 == 3 else repr(20.0 + (i * 37 % 11))
             fh.write(f"{0.5 + i},{i % 2},{temp},{10.0 + (i * 13 % 17)!r}\n")
-    bundle = {
+    return {
         "seed": 3,
         "ingest": {"csv": str(raw), "horizon": 61.0},
         "fit": {"grid_points": 2, "pgd_steps": 10, "beta_low": 0.5, "beta_high": 1.5, "mark_model": mark_model},
         "predict": {"screening": False},
     }
+
+
+@pytest.mark.parametrize(
+    "case", ["simulate-linear", "ingest-linear", "ingest-linear-holes", "ingest-kde", "ingest-kde-holes"]
+)
+def test_no_run_loads_scipy(tmp_path, case):
+    if case == "simulate-linear":
+        bundle, stages = LINEAR_BUNDLE, ["data", "fit", "predict", "eval", "conformal"]
+    else:
+        bundle = ingest_bundle(tmp_path, case.endswith("-holes"), case.split("-")[1])
+        stages = ["data", "fit", "predict", "eval"]
     report = run_probe(bundle, tmp_path / "run")
-    assert report["stages"] == ["data", "fit", "predict", "eval"]
+    assert report["stages"] == stages
     assert report["at_import"] == []
-    assert loaded <= set(report["after_run"])
-    assert not absent & set(report["after_run"])
+    assert report["after_run"] == []
