@@ -150,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
-    p.add_argument("--mark-model", choices=("linear", "kde"), default="linear")
+    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default="linear")
     p.add_argument("--support", help="params JSON whose interaction mask the fit keeps (default: all pairs)")
-    p.add_argument("--method", choices=("grid", "alternating"), default="grid")
+    p.add_argument("--method", choices=pipeline.FIT_METHODS, default="grid")
     p.add_argument("--beta-low", type=float, default=estimation.FitConfig.beta_low)
     p.add_argument("--beta-high", type=float, default=estimation.FitConfig.beta_high)
     p.add_argument("--grid-points", type=int, default=estimation.FitConfig.grid_points)
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
-    p.add_argument("--mark-model", choices=("linear", "kde"), default="linear")
+    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default="linear")
     p.add_argument("--delta", type=float, default=predict["delta"])
     p.add_argument("--a1", type=float, default=predict["a1"])
     p.add_argument("--a2", type=float, default=predict["a2"])
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--location", type=int)
     p.add_argument("--marks-a")
     p.add_argument("--marks-b")
-    p.add_argument("--mark-model", choices=("linear", "kde"), default="linear")
+    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default="linear")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("conformal", help="magnitude prediction sets")
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
     p.add_argument("--train-size", type=int, required=True)
-    p.add_argument("--method", choices=("eraps", "sraps"), default=conformal["method"])
+    p.add_argument("--method", choices=pipeline.CONFORMAL_METHOD_KEYS, default=conformal["method"])
     p.add_argument("--num-bootstrap", type=int, default=argparse.SUPPRESS)
     p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
     p.add_argument("--split-fraction", type=float, default=argparse.SUPPRESS)

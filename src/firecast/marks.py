@@ -1,12 +1,11 @@
 """Mark models: how a feature vector scales the ground intensity.
 
-Each model scores a batch of rows in one ``scores`` call (``event_scores`` is
-one over a sequence's events, ``score`` a batch of one).  The linear model
-scores ``gamma @ m`` with the weights held in the point-process parameters;
-the nonlinear model delegates to a fitted scorer
-``(marks (N, p), times (N,), locations (N,)) -> (N,)`` whose scalar result is
-broadcast to all N rows.  One scorer ships here (a Gaussian KDE in numpy);
-anything fancier plugs in through the same callable contract.
+A model scores marks only, a batch of rows in one ``scores`` call
+(``event_scores`` is one over a sequence's events, ``score`` a batch of one).
+The linear model scores ``gamma @ m`` with the weights held in the
+point-process parameters; the nonlinear model delegates to a fitted scorer
+``scorer(marks (N, p)) -> (N,)``.  One scorer ships here (a Gaussian KDE in
+numpy); anything fancier plugs in through the same callable contract.
 """
 
 from __future__ import annotations
@@ -21,46 +20,45 @@ class LinearMarkModel:
 
     uses_gamma = True
 
-    def scores(self, gamma: np.ndarray, marks: np.ndarray, times: np.ndarray, locations: np.ndarray) -> np.ndarray:
+    def scores(self, gamma: np.ndarray, marks: np.ndarray) -> np.ndarray:
         marks = np.asarray(marks, dtype=float)
         if marks.shape[-1:] != gamma.shape:
             raise ValueError(f"mark vector has length {marks.shape[-1:]}, expected {gamma.shape}")
         return marks @ gamma
 
     def event_scores(self, gamma: np.ndarray, seq) -> np.ndarray:
-        return self.scores(gamma, seq.marks, seq.times, seq.locations)
+        return self.scores(gamma, seq.marks)
 
-    def score(self, gamma: np.ndarray, marks: np.ndarray, t: float, location: int) -> float:
-        return float(self.scores(gamma, np.reshape(marks, (1, -1)), np.array([t]), np.array([location]))[0])
+    def score(self, gamma: np.ndarray, marks: np.ndarray) -> float:
+        return float(self.scores(gamma, np.reshape(marks, (1, -1)))[0])
 
 
 class NonLinearMarkModel:
     """Mark score from a fitted deterministic batch scorer, independent of gamma:
-    ``scorer(marks (N, p), times (N,), locations (N,)) -> (N,)`` or a scalar."""
+    ``scorer(marks (N, p)) -> (N,)``."""
 
     uses_gamma = False
 
     def __init__(self, scorer):
         self.scorer = scorer
 
-    def scores(self, gamma: np.ndarray, marks: np.ndarray, times: np.ndarray, locations: np.ndarray) -> np.ndarray:
-        out = self.scorer(np.asarray(marks, dtype=float), np.asarray(times, dtype=float), np.asarray(locations))
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(times)).copy()
+    def scores(self, gamma: np.ndarray, marks: np.ndarray) -> np.ndarray:
+        return np.asarray(self.scorer(np.asarray(marks, dtype=float)), dtype=float)
 
     def event_scores(self, gamma: np.ndarray, seq) -> np.ndarray:
-        return self.scores(gamma, seq.marks, seq.times, seq.locations)
+        return self.scores(gamma, seq.marks)
 
-    def score(self, gamma: np.ndarray, marks: np.ndarray, t: float, location: int) -> float:
-        return float(self.scores(gamma, np.reshape(marks, (1, -1)), np.array([t]), np.array([location]))[0])
+    def score(self, gamma: np.ndarray, marks: np.ndarray) -> float:
+        return float(self.scores(gamma, np.reshape(marks, (1, -1)))[0])
 
 
 def kde_scorer(train_marks: np.ndarray):
     """Gaussian kernel-density scorer fitted on training marks.
 
-    Bandwidth follows Scott's rule.  The scorer is deterministic, ignores time
-    and location, and evaluates the density once per distinct mark row, in
-    blocks of ``KDE_BLOCK`` rows; every sum runs along one row, so a row scores
-    the same bits alone or in any batch.  A singular mark covariance raises.
+    Bandwidth follows Scott's rule.  The scorer is deterministic and evaluates
+    the density once per distinct mark row, in blocks of ``KDE_BLOCK`` rows;
+    every sum runs along one row, so a row scores the same bits alone or in
+    any batch.  A singular mark covariance raises.
     """
     train_marks = np.asarray(train_marks, dtype=float)
     if train_marks.ndim != 2 or train_marks.shape[0] < 2:
@@ -75,7 +73,7 @@ def kde_scorer(train_marks: np.ndarray):
     train_z = (train_marks[:, None, :] * whiten).sum(axis=2)
     norm = n * np.prod(np.sqrt(2 * np.pi) * np.diag(chol))
 
-    def scorer(marks, t, location):
+    def scorer(marks):
         rows, inverse = np.unique(np.reshape(marks, (-1, d)), axis=0, return_inverse=True)
         density = np.empty(len(rows))
         for start in range(0, len(rows), KDE_BLOCK):

@@ -2,16 +2,16 @@
 
 The conditional intensity factors into a ground process and a mark score,
 
-    lambda(t, k, m) = lambda_g(t, k) * f(m | t, k),
+    lambda(t, k, m) = lambda_g(t, k) * f(m),
     lambda_g(t, k)  = mu_k + sum_{j: t_j < t} alpha[u_j, k] * beta * exp(-beta (t - t_j)),
 
 with ``f`` either linear in the marks or an arbitrary fitted scorer (see
 :mod:`firecast.marks`).  ``pipeline.risk_series`` is the one evaluation of
 lambda at query times, for the predict stage and counterfactuals alike; this
-module holds the parameters, the likelihood and the estimation objective.
-The log-likelihood over ``[0, T]`` has the closed form
+module holds the parameters, the decayed-excitation state, the likelihood
+and the estimation objective.  The log-likelihood over ``[0, T]`` is
 
-    sum_i log lambda_g(t_i, u_i) + sum_i log f(m_i | t_i, u_i)
+    sum_i log lambda_g(t_i, u_i) + sum_i log f(m_i)
       - T * sum_k mu_k - sum_i (sum_k alpha[u_i, k]) * (1 - exp(-beta (T - t_i))),
 
 whose integral term is the compensator of the location-summed ground
@@ -145,10 +145,6 @@ class ModelParams:
         at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         return np.where(keys[at] == wanted, self.alpha_values[at], 0.0)
 
-    def row_starts(self) -> np.ndarray:
-        """Offsets of each source's pairs: source k's are ``[starts[k], starts[k + 1])``."""
-        return np.searchsorted(self.src, np.arange(self.num_locations + 1))
-
     def validate(self) -> "ModelParams":
         for name, arr in (("mu", self.mu), ("alpha", self.alpha_values), ("gamma", self.gamma)):
             if not np.all(np.isfinite(arr)):
@@ -249,6 +245,30 @@ def excitation_matrix(
         t_prev = times[i]
         i = j
     return R
+
+
+class DecayedExcitation:
+    """Per cell k, ``sum_j beta * alpha[u_j, k] * exp(-beta (t - t_j))`` over the
+    events added so far, held at time ``t`` (initially 0): the one state the
+    simulator and the forecast carry forward.  ``advance(t)`` decays it in place,
+    ``add(k)`` adds an event at cell k, ``at(t)`` reads it at t and leaves it."""
+
+    def __init__(self, params: ModelParams):
+        self.beta, self.dst = params.beta, params.dst
+        self.jumps = params.beta * params.alpha_values
+        self.starts = np.searchsorted(params.src, np.arange(params.num_locations + 1))  # source k's pairs
+        self.values, self.t = np.zeros(params.num_locations), 0.0
+
+    def advance(self, t: float) -> None:
+        self.values *= np.exp(-self.beta * (t - self.t))
+        self.t = t
+
+    def add(self, k: int) -> None:
+        row = slice(self.starts[k], self.starts[k + 1])
+        self.values[self.dst[row]] += self.jumps[row]
+
+    def at(self, t: float) -> np.ndarray:
+        return self.values * np.exp(-self.beta * (t - self.t))
 
 
 class EventKernel:

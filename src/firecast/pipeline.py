@@ -32,7 +32,7 @@ from . import conformal as conformal_mod
 from . import estimation, model, simulation, thresholding
 from .events import EventSequence, save_events_csv
 from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
-from .model import ModelParams, RATE_FLOOR
+from .model import DecayedExcitation, ModelParams, RATE_FLOOR
 
 
 class PipelineError(RuntimeError):
@@ -393,40 +393,30 @@ def risk_series(
     times: np.ndarray | None = None,
     query_marks: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Predicted intensity lambda(t, k, m) on a time grid, floored at RATE_FLOOR.
+    """Predicted intensity lambda(t, k, m) at ascending times, floored at RATE_FLOOR.
 
     ``times`` defaults to day ends 1..floor(horizon); ``query_marks`` is a
-    (K, p) matrix of mark vectors, defaulting to per-location training means.
-    The marks of the whole (time, location) grid are scored in one
-    ``mark_model.scores`` call.
+    (K, p) matrix of mark vectors, defaulting to per-location training means,
+    scored once and applied at every time.
     """
     if times is None:
         times = np.arange(1.0, math.floor(seq.horizon) + 1.0)
     times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) < 0):
+        raise ValueError("query times must be ascending")
     if query_marks is None:
         query_marks = query_marks_by_location(seq)
-    K = seq.num_locations
-    mu, beta = params.mu, params.beta
-    # an event at k adds beta * alpha[k, dst] over k's pairs, the rest 0
-    starts, dst, jumps = params.row_starts(), params.dst, beta * params.alpha_values
-
-    ground = np.zeros((len(times), K))
-    excite = np.zeros(K)
-    t_cur = 0.0
-    ei = 0
+    ground = np.zeros((len(times), seq.num_locations))
+    excite = DecayedExcitation(params)
     ev_times, ev_locs = seq.times, seq.locations
+    ei = 0
     for idx, t in enumerate(times):
         while ei < len(ev_times) and ev_times[ei] < t:
-            excite *= np.exp(-beta * (ev_times[ei] - t_cur))
-            row = slice(starts[ev_locs[ei]], starts[ev_locs[ei] + 1])
-            excite[dst[row]] += jumps[row]
-            t_cur = ev_times[ei]
+            excite.advance(ev_times[ei])
+            excite.add(ev_locs[ei])
             ei += 1
-        ground[idx] = mu + excite * np.exp(-beta * (t - t_cur))
-
-    T = len(times)
-    S = mark_model.scores(params.gamma, np.tile(query_marks, (T, 1)), np.repeat(times, K), np.tile(np.arange(K), T))
-    return np.maximum(ground * S.reshape(T, K), RATE_FLOOR)
+        ground[idx] = params.mu + excite.at(t)
+    return np.maximum(ground * mark_model.scores(params.gamma, query_marks), RATE_FLOOR)
 
 
 def counterfactual_delta(

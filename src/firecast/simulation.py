@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import EventSequence
-from .model import ModelParams
+from .model import DecayedExcitation, ModelParams
 
 
 def _draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
@@ -88,48 +88,40 @@ def simulate(config: SimConfig) -> EventSequence:
             "weights are not supported for simulation"
         )
     rng = np.random.default_rng(config.seed)
-    K = params.num_locations
     p = config.mark_dim if config.mark_dim is not None else params.mark_dim
-    mu, beta, T = params.mu, params.beta, config.horizon
-    # source k's row of alpha: beta * alpha[k, dst] over its pairs, the rest 0
-    starts, dst, jumps = params.row_starts(), params.dst, beta * params.alpha_values
+    mu, T = params.mu, config.horizon
 
     times: list[float] = []
     locs: list[int] = []
     marks: list[np.ndarray] = []
     mags: list[int] = []
 
-    excite = np.zeros(K)  # sum_j alpha[u_j, k] * beta * exp(-beta (t - t_j))
-    t = 0.0
-    bound = float(mu.sum() + excite.sum())
-    while True:
-        if bound <= 0.0:
-            break
-        t_cand = t + rng.exponential(1.0 / bound)
+    excite = DecayedExcitation(params)
+    bound = float(mu.sum())
+    while bound > 0.0:
+        t_cand = excite.t + rng.exponential(1.0 / bound)
         if t_cand > T:
             break
-        excite = excite * np.exp(-beta * (t_cand - t))
-        t = t_cand
-        rates = mu + excite
+        excite.advance(t_cand)
+        rates = mu + excite.values
         total = float(rates.sum())
         if rng.uniform() * bound <= total:
             k = _draw_index(rng, _cdf(rates / total))
             m = np.asarray(config.mark_sampler(rng, k, p), dtype=float)
-            times.append(t)
+            times.append(t_cand)
             locs.append(k)
             marks.append(m)
             if config.magnitude_sampler is not None:
                 mags.append(int(config.magnitude_sampler(rng, m, k)))
-            row = slice(starts[k], starts[k + 1])
-            excite[dst[row]] += jumps[row]
-        bound = float(mu.sum() + excite.sum())
+            excite.add(k)
+        bound = float(mu.sum() + excite.values.sum())
 
     return EventSequence(
         times=np.array(times, dtype=float),
         locations=np.array(locs, dtype=np.int64),
         marks=np.array(marks, dtype=float).reshape(len(times), p),
         horizon=T,
-        num_locations=K,
+        num_locations=params.num_locations,
         magnitudes=np.array(mags, dtype=np.int64) if mags else None,
     )
 

@@ -287,7 +287,7 @@ class TestFixedBetaKernel:
                 return super().event_scores(gamma, seq)
 
         feasible = FeasibleSet(params.mask)
-        problem = mask_objective(seq, CountingModel(lambda m, t, k: 0.5), 0.3, 1.0, feasible)
+        problem = mask_objective(seq, CountingModel(lambda m: np.full(len(m), 0.5)), 0.3, 1.0, feasible)
         f = problem.beta_profile(feasible.flatten(params))
         values = [f(b) for b in np.linspace(0.1, 2.0, 25)]
         assert len(calls) == 1 and np.all(np.isfinite(values))

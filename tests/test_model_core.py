@@ -12,6 +12,7 @@ from firecast.model import (
     JSON_BLOCK,
     MASK_BLOCK_ROWS,
     RATE_FLOOR,
+    DecayedExcitation,
     EventKernel,
     ModelParams,
     Objective,
@@ -67,7 +68,7 @@ def empty_seq(K=1, p=1, horizon=10.0):
     )
 
 
-UNIT_MARKS = NonLinearMarkModel(lambda m, t, k: 1.0)
+UNIT_MARKS = NonLinearMarkModel(lambda m: np.ones(len(m)))
 
 
 def risk_at(params, seq, t, k, mark_model=UNIT_MARKS, marks=None):
@@ -267,7 +268,7 @@ class TestPenalizedObjective:
             penalized_objective(single_cell_params(), one_event_seq(), LinearMarkModel(), -0.5)
 
 
-MARK_MODELS = {"linear": LinearMarkModel(), "gamma_free": NonLinearMarkModel(lambda m, t, k: 0.3 + m[:, 0])}
+MARK_MODELS = {"linear": LinearMarkModel(), "gamma_free": NonLinearMarkModel(lambda m: 0.3 + m[:, 0])}
 
 
 def flat(params, src, dst):
@@ -417,6 +418,26 @@ class TestExcitation:
         # int32 rows, pairs and last plus float lag and vals make 28 bytes;
         # five 8-byte arrays over every entry made more than 40
         assert retained / len(kernel.rows) < 32
+
+    def test_decayed_excitation_matches_event_by_event_sum(self):
+        # cell 2 is the source of no pair; two events tie at t=1.5
+        mask = np.array([[True, True, False], [False, True, True], [False, False, False]])
+        alpha = np.array([[0.3, 0.2, 0.0], [0.0, 0.25, 0.15], [0.0, 0.0, 0.0]])
+        params = ModelParams(mu=np.array([0.2, 0.1, 0.3]), alpha=alpha, beta=0.8, gamma=np.array([0.5]), mask=mask)
+        seq = EventSequence(times=np.array([0.5, 1.5, 1.5, 2.0, 3.0]), locations=np.array([0, 1, 2, 2, 1]),
+                            marks=np.full((5, 1), 0.5), horizon=5.0, num_locations=3)
+        state = DecayedExcitation(params)
+        i = 0
+        # query times at events see only the strictly earlier history
+        for t in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5):
+            while i < len(seq) and seq.times[i] < t:
+                state.advance(seq.times[i])
+                state.add(seq.locations[i])
+                i += 1
+            before = state.values.copy()
+            got = params.mu + state.at(t)
+            assert got == pytest.approx([naive_ground_intensity(params, seq, t, k) for k in range(3)], rel=1e-12)
+            assert np.array_equal(state.values, before)  # reading leaves the state where it is
 
     def test_integrated_ground_intensity_matches_quadrature(self):
         rng = np.random.default_rng(41)
@@ -595,8 +616,7 @@ class TestMarkModels:
         train = rng.uniform(size=(50, 2))
         scorer = kde_scorer(train)
         q = np.array([0.5, 0.5])
-        assert scorer(q, 0.0, 0) == scorer(q, 9.0, 3)
-        assert scorer(q, 0.0, 0) >= 0.0
+        assert scorer(q) >= 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_kde_scorer_matches_scipy_gaussian_kde(self, d):
@@ -605,15 +625,15 @@ class TestMarkModels:
         train = rng.uniform(size=(60, d))
         # query rows near the marks, spanning several KDE_BLOCK blocks
         queries = rng.uniform(-0.1, 1.1, size=(3 * KDE_BLOCK + 5, d))
-        got = kde_scorer(train)(queries, 0.0, 0)
+        got = kde_scorer(train)(queries)
         np.testing.assert_allclose(got, stats.gaussian_kde(train.T)(queries.T), rtol=1e-12, atol=0)
 
     def test_kde_scorer_scores_a_row_alike_in_any_batch(self):
         rng = np.random.default_rng(11)
         scorer = kde_scorer(rng.uniform(size=(200, 3)))
         queries = rng.uniform(size=(5 * KDE_BLOCK + 17, 3))
-        batch = scorer(queries, 0.0, 0)
-        alone = np.array([scorer(row, 0.0, 0) for row in queries[::13]])
+        batch = scorer(queries)
+        alone = np.array([scorer(row) for row in queries[::13]])
         assert np.array_equal(alone, batch[::13])
 
     def test_kde_scorer_rejects_a_constant_mark_column(self):
@@ -636,25 +656,23 @@ class TestBatchScoring:
         "mm",
         [
             LinearMarkModel(),
-            NonLinearMarkModel(lambda m, t, k: 1.0),
-            NonLinearMarkModel(lambda m, t, k: 1 + t + 10 * k + m[:, 0]),
             NonLinearMarkModel(kde_scorer(np.random.default_rng(3).uniform(size=(40, 2)))),
         ],
-        ids=["linear", "scalar", "time-location", "kde"],
+        ids=["linear", "kde"],
     )
     def test_event_scores_equal_per_row_score(self, mm):
         seq, gamma = self._seq(), np.array([0.6, 0.5])
         got = mm.event_scores(gamma, seq)
-        rows = [mm.score(gamma, seq.marks[i], float(seq.times[i]), int(seq.locations[i])) for i in range(len(seq))]
+        rows = [mm.score(gamma, seq.marks[i]) for i in range(len(seq))]
         assert got.shape == (len(seq),)
         assert got == pytest.approx(rows, rel=1e-12)
 
     def test_one_scorer_call_per_event_scores(self):
         calls = []
 
-        def scorer(m, t, k):
-            calls.append(len(t))
-            return np.ones(len(t))
+        def scorer(m):
+            calls.append(len(m))
+            return np.ones(len(m))
 
         NonLinearMarkModel(scorer).event_scores(None, self._seq())
         assert calls == [4]

@@ -262,7 +262,7 @@ class TestRiskSeries:
         for t_idx, t in enumerate(np.arange(1.0, 13.0)):
             for k in range(2):
                 ground = naive_ground_intensity(params, seq, float(t), k)
-                direct = max(ground * mm.score(params.gamma, qm[k], float(t), k), RATE_FLOOR)
+                direct = max(ground * mm.score(params.gamma, qm[k]), RATE_FLOOR)
                 assert series[t_idx, k] == pytest.approx(direct, rel=1e-10)
 
     def test_matches_pointwise_intensity(self):
@@ -274,21 +274,22 @@ class TestRiskSeries:
         train = np.random.default_rng(5).uniform(size=(40, 2))
         self._assert_matches_pointwise(params, seq, NonLinearMarkModel(kde_scorer(train)))
 
-    def test_time_and_location_scorer_matches_pointwise(self):
-        # distinct per (day, location), so a transposed or mis-tiled grid fails
-        params, seq = self._params_seq()
-        self._assert_matches_pointwise(params, seq, NonLinearMarkModel(lambda m, t, k: 1 + t + 10 * k))
-
     def test_one_scorer_call_per_series(self):
         params, seq = self._params_seq()
         calls = []
 
-        def scorer(m, t, k):
-            calls.append(len(t))
+        def scorer(m):
+            calls.append(len(m))
             return m.sum(axis=1)
 
-        series = risk_series(params, seq, NonLinearMarkModel(scorer))
-        assert calls == [series.size]
+        risk_series(params, seq, NonLinearMarkModel(scorer))
+        assert calls == [seq.num_locations]  # the K query rows, not the T x K grid
+
+    def test_descending_query_times_raise(self):
+        # the state only moves forward: t=2 after t=5 would see the events before 5
+        params, seq = self._params_seq()
+        with pytest.raises(ValueError, match="ascending"):
+            risk_series(params, seq, LinearMarkModel(), times=[5.0, 2.0])
 
     def test_daily_truths_bucketing(self):
         _, seq = self._params_seq()
