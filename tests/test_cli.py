@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -365,3 +366,15 @@ def test_fit_flag_defaults_are_fit_config_defaults():
     defaults = FitConfig()
     for name in ("beta_low", "beta_high", "grid_points", "pgd_steps", "kappa", "l1_weight"):
         assert getattr(args, name) == getattr(defaults, name)
+
+
+def test_choices_are_the_pipeline_tables():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command, flag):
+        return next(a.choices for a in subparsers.choices[command]._actions if flag in a.option_strings)
+
+    for command in ("fit", "predict", "eval"):
+        assert list(choices(command, "--mark-model")) == list(pipeline.MARK_MODELS)
+    assert list(choices("fit", "--method")) == list(pipeline.FIT_METHODS)
+    assert list(choices("conformal", "--method")) == list(pipeline.CONFORMAL_METHOD_KEYS)

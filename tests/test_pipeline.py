@@ -291,6 +291,17 @@ class TestRiskSeries:
         with pytest.raises(ValueError, match="ascending"):
             risk_series(params, seq, LinearMarkModel(), times=[5.0, 2.0])
 
+    def test_tied_query_times_match_pointwise(self):
+        # ties are ascending too; 2.5 is also the time of two events, which it must not see
+        params, seq = self._params_seq()
+        times = [1.0, 2.5, 2.5, 7.9, 12.0]
+        mm, qm = LinearMarkModel(), query_marks_by_location(seq)
+        series = risk_series(params, seq, mm, times=times)
+        for t_idx, t in enumerate(times):
+            for k in range(2):
+                direct = max(naive_ground_intensity(params, seq, t, k) * mm.score(params.gamma, qm[k]), RATE_FLOOR)
+                assert series[t_idx, k] == pytest.approx(direct, rel=1e-10)
+
     def test_daily_truths_bucketing(self):
         _, seq = self._params_seq()
         truth = daily_truths(seq, 12)
