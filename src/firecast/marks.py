@@ -43,7 +43,10 @@ class NonLinearMarkModel:
         self.scorer = scorer
 
     def scores(self, gamma: np.ndarray, marks: np.ndarray) -> np.ndarray:
-        return np.asarray(self.scorer(np.asarray(marks, dtype=float)), dtype=float)
+        out = np.asarray(self.scorer(np.asarray(marks, dtype=float)), dtype=float)
+        if out.shape != (len(marks),):
+            raise ValueError(f"scorer returned shape {out.shape}, expected ({len(marks)},)")
+        return out
 
     def event_scores(self, gamma: np.ndarray, seq) -> np.ndarray:
         return self.scores(gamma, seq.marks)

@@ -266,30 +266,27 @@ def conformal_sets_oracle(cal_proba, cal_labels, test_proba, test_labels, unifor
     return out
 
 
-def logistic_regression_oracle(X, y, num_classes, X_eval, learning_rate=1.0, epochs=300, l2=1e-4):
-    """Multinomial logistic regression by full-batch gradient descent, with
-    row-wise max and sum reductions; returns the weights and the class
-    probabilities at ``X_eval``."""
+def logistic_objective_oracle(X, y, num_classes, l2=1e-4):
+    """The classifier's regularized objective over flattened (d + 1, C) weights,
+    mean softmax cross-entropy plus ``l2 / 2 * ||W||^2`` on standardized
+    features and an intercept, with row-wise reductions; returns
+    ``fun(w) -> (value, gradient)``."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    mean = X.mean(axis=0)
     std = np.where(X.std(axis=0) > 1e-12, X.std(axis=0), 1.0)
-    Z = np.hstack([(X - mean) / std, np.ones((n, 1))])
-    W = np.zeros((d + 1, num_classes))
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), y] = 1.0
-    for _ in range(epochs):
+    Z = np.hstack([(X - X.mean(axis=0)) / std, np.ones((n, 1))])
+    onehot = np.eye(num_classes)[y]
+
+    def fun(w):
+        W = np.reshape(w, (d + 1, num_classes))
         logits = Z @ W
-        logits -= logits.max(axis=1, keepdims=True)
-        proba = np.exp(logits)
-        proba /= proba.sum(axis=1, keepdims=True)
-        grad = Z.T @ (proba - onehot) / n + l2 * W
-        W -= learning_rate * grad
-    Z_eval = np.hstack([(X_eval - mean) / std, np.ones((len(X_eval), 1))])
-    logits = Z_eval @ W
-    logits -= logits.max(axis=1, keepdims=True)
-    proba = np.exp(logits)
-    return W, proba / proba.sum(axis=1, keepdims=True)
+        top = logits.max(axis=1, keepdims=True)
+        log_norm = top[:, 0] + np.log(np.exp(logits - top).sum(axis=1))
+        proba = np.exp(logits - log_norm[:, None])
+        value = (log_norm - (logits * onehot).sum(axis=1)).mean() + l2 / 2 * (W * W).sum()
+        return value, (Z.T @ (proba - onehot) / n + l2 * W).ravel()
+
+    return fun
 
 
 def detect_oracle(risk, truth, config, screening=None):

@@ -18,7 +18,7 @@ from oracles import (
     conformal_sets_oracle,
     gaussian_class_data,
     gaussian_true_posterior,
-    logistic_regression_oracle,
+    logistic_objective_oracle,
     naive_label_score,
 )
 
@@ -155,6 +155,36 @@ class TestLogisticClassifier:
         assert acc > 0.9
         rows = a.predict_proba(X)
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("case", ["absent_class", "separable", "constant_feature", "last_step_rounds_up"])
+    def test_newton_converges_on_edge_cases(self, case):
+        X, y = _edge_case_data(case)
+        clf = LogisticClassifier().fit(X, y, num_classes=3)  # raises if MAX_ITER is reached
+        _, grad = logistic_objective_oracle(X, y, 3)(clf._weights.ravel())
+        assert np.abs(grad).max() <= LogisticClassifier.TOL
+        assert np.isfinite(clf._weights).all()
+        assert np.allclose(clf.predict_proba(X).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_max_iter_reached_raises(self, monkeypatch):
+        monkeypatch.setattr(LogisticClassifier, "MAX_ITER", 1)
+        X, y = gaussian_class_data(np.random.default_rng(3), 100, MEANS)
+        with pytest.raises(RuntimeError, match="did not reach"):
+            LogisticClassifier().fit(X, y, num_classes=3)
+
+
+def _edge_case_data(case):
+    if case == "last_step_rounds_up":
+        # the last Newton step (max-abs gradient 6e-10 before it, 2e-17 after)
+        # raises the objective by one ulp: neither it nor a halving passes Armijo
+        return gaussian_class_data(np.random.default_rng(25), 200, MEANS, sigma=1.5)
+    rng = np.random.default_rng(5)
+    if case == "absent_class":  # as in a bootstrap draw: three classes, labels {0, 1}
+        return gaussian_class_data(rng, 200, MEANS[:2], sigma=0.8)
+    if case == "separable":  # the class follows the first feature through two thresholds
+        X = rng.uniform(size=(300, 2))
+        return X, np.minimum((3 * X[:, 0]).astype(int), 2)
+    X, y = gaussian_class_data(rng, 200, MEANS, sigma=1.0)
+    return np.column_stack([X, np.full(len(X), 0.1)]), y
 
 
 class FixedClassifier:
@@ -456,10 +486,17 @@ class TestBatchedSetsMatchPerPointOracle:
         self._compare(run, expected)
 
 
-def test_logistic_weights_match_row_reduction_loop():
+def test_logistic_fit_reaches_the_regularized_optimum():
+    optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(14)
     X, y = gaussian_class_data(rng, 500, MEANS, sigma=1.1)
-    clf = LogisticClassifier().fit(X, y, num_classes=3)
-    weights, proba = logistic_regression_oracle(X, y, 3, X[:200])
-    assert np.array_equal(clf._weights, weights)
-    assert np.array_equal(clf.predict_proba(X[:200]), proba)
+    weights = LogisticClassifier().fit(X, y, num_classes=3)._weights.ravel()
+    fun = logistic_objective_oracle(X, y, 3)
+    value, grad = fun(weights)
+    assert np.abs(grad).max() <= LogisticClassifier.TOL
+    ref = optimize.minimize(fun, np.zeros(9), jac=True, method="BFGS", options={"gtol": 1e-12}).x
+    assert np.abs(weights - ref).max() <= 1e-6 * np.abs(ref).max()
+    epochs = np.zeros(9)
+    for _ in range(300):  # the former fit: 300 unit-rate gradient steps from zero
+        epochs -= fun(epochs)[1]
+    assert value <= fun(epochs)[0]

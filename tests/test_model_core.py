@@ -677,6 +677,14 @@ class TestBatchScoring:
         NonLinearMarkModel(scorer).event_scores(None, self._seq())
         assert calls == [4]
 
+    def test_scorer_of_the_wrong_shape_raises(self):
+        # a scalar would enter the log-likelihood once instead of once per event
+        params, seq = kernel_case("partial")
+        with pytest.raises(ValueError, match=r"scorer returned shape \(\), expected \(40,\)"):
+            log_likelihood(params, seq, NonLinearMarkModel(lambda m: 0.5))
+        with pytest.raises(ValueError, match="scorer returned shape"):
+            NonLinearMarkModel(lambda m: np.ones((len(m), 1))).scores(None, seq.marks)
+
 
 def test_construction_does_not_freeze_caller_arrays():
     mu = np.array([0.3])
