@@ -5,15 +5,16 @@ convex in (mu, alpha, gamma); it is minimized by projected gradient descent
 with step sizes ``t_k = 1 / (kappa * (k + 1))`` and soft-thresholding for
 the l1 part of the gamma block.  ``beta`` itself is handled either by a
 one-dimensional grid search (``grid_fit``) or by alternating the convex
-solve with a golden-section line search (``alternating_fit``).  The solver
-works on the flat iterate ``[mu, alpha[src, dst], gamma]`` of length
-K + P + p, where ``src, dst`` are the P (source, destination) pairs the
-interaction mask allows: the sparsity constraint is structural.  The
-objective and its gradient are :class:`model.Objective` over those pairs,
-the same code ``model.penalized_objective`` runs; each evaluation costs
-O(events x allowed sources), not O(n K^2).  A neighbour mask is what makes
-state-scale fits cheap; initial points, warm starts and fitted results stay
-on those pairs.  The solver backtracks whenever it is given an objective.
+solve with a golden-section line search (``alternating_fit``).  Each fit
+builds one :class:`model.Objective` and solves every beta by
+``pgd_fit(objective.with_beta(b), config, init)``; the line search scores
+``objective.with_beta(b).value(x)``.  So a fit builds one kernel index and
+scores a gamma-free mark model once.  The iterate is the
+:class:`model.FeasibleSet` layout ``[mu, alpha[src, dst], gamma]`` over the
+P pairs the interaction mask allows: the sparsity constraint is structural,
+and each evaluation costs O(events x allowed sources), not O(n K^2).  A
+neighbour mask is what makes state-scale fits cheap.  The solver backtracks
+whenever it is given an objective.
 
 All routines are deterministic: same inputs give bit-identical results.
 """
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .events import EventSequence, _frozen
-from .model import BALL_RADIUS, ModelParams
+from .events import EventSequence
+from .model import BALL_RADIUS, FeasibleSet, ModelParams, Objective, default_feasible_set
 
 LINE_SCAN_POINTS = 25  # coarse scan resolution of the beta line search
 MAX_HALVINGS = 40  # backtracking halvings per step before the last trial is accepted
@@ -40,39 +40,6 @@ class NonFiniteGradientError(RuntimeError):
     def __init__(self, step: int):
         self.step = step
         super().__init__(f"non-finite gradient at step {step}")
-
-
-class FeasibleSet:
-    """Convex constraint region: mu >= 0, beta >= 0, the allowed pairs
-    ``src, dst`` (``np.nonzero`` order of a K x K ``mask``, or a params'
-    support by :meth:`of`), and radius-``BALL_RADIUS`` balls on mu, alpha, gamma."""
-
-    def __init__(self, mask: np.ndarray):
-        mask = np.asarray(mask, dtype=bool)
-        self.src, self.dst = (_frozen(index) for index in np.nonzero(mask))
-        self.num_locations = mask.shape[0]
-
-    @classmethod
-    def of(cls, params: ModelParams) -> "FeasibleSet":
-        """The region whose allowed pairs are ``params``' support."""
-        feasible = object.__new__(cls)
-        feasible.src, feasible.dst, feasible.num_locations = params.src, params.dst, params.num_locations
-        return feasible
-
-    def flatten(self, params: ModelParams) -> np.ndarray:
-        """The flat iterate ``[mu, alpha[src, dst], gamma]`` of ``params``."""
-        return np.concatenate([params.mu, params.alpha_on(self.src, self.dst), params.gamma])
-
-    def split(self, x: np.ndarray):
-        """(mu, alpha on the pairs, gamma) views of a flat iterate."""
-        K, P = self.num_locations, len(self.src)
-        return x[:K], x[K : K + P], x[K + P :]
-
-    def params(self, x: np.ndarray, beta: float) -> ModelParams:
-        """The params of a flat iterate: the inverse of :meth:`flatten` on
-        the allowed pairs."""
-        mu, alpha, gamma = self.split(x)
-        return ModelParams.from_pairs(mu, self.src, self.dst, alpha, beta, gamma)
 
 
 def project(raw: ModelParams, feasible: FeasibleSet) -> ModelParams:
@@ -205,46 +172,32 @@ class FitResult:
     outer_trace: np.ndarray | None = None
 
 
-def default_feasible_set(seq: EventSequence) -> FeasibleSet:
-    """Every (source, destination) pair allowed."""
-    K = seq.num_locations
-    return FeasibleSet(mask=np.ones((K, K), dtype=bool))
-
-
 def default_init(seq: EventSequence, feasible: FeasibleSet, beta: float) -> ModelParams:
     """Starting point: event-rate baseline, no interaction, flat mark weights,
     projected onto the feasible set (a zero alpha already is)."""
     K, p = seq.num_locations, seq.mark_dim
     mu = np.full(K, len(seq) / (K * seq.horizon))
     gamma = np.full(p, 1.0 / math.sqrt(p)) if p else np.zeros(0)
-    return feasible.params(_project_flat(np.concatenate([mu, np.zeros(len(feasible.src)), gamma]), feasible), beta)
+    alpha = np.zeros(len(feasible.src))
+    return project(ModelParams.from_pairs(mu, feasible.src, feasible.dst, alpha, beta, gamma), feasible)
 
 
-def pgd_fit(
-    seq: EventSequence,
-    mark_model,
-    beta: float,
-    config: FitConfig,
-    feasible: FeasibleSet | None = None,
-    init: ModelParams | None = None,
-) -> FitResult:
-    """Projected gradient descent for the convex subproblem at fixed beta;
-    the result's objective is the last accepted value."""
+def pgd_fit(objective: Objective, config: FitConfig, init: ModelParams | None = None) -> FitResult:
+    """Projected gradient descent for the convex subproblem at the
+    objective's beta; the result's objective is the last accepted value."""
+    feasible, beta, l1_weight = objective.feasible, objective.beta, objective.l1_weight
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if feasible is None:
-        feasible = default_feasible_set(seq)
     if init is None:
-        init = default_init(seq, feasible, beta)
-    objective = model.Objective(seq, mark_model, feasible.src, feasible.dst, beta, config.l1_weight)
-    g0 = objective.K + objective.P  # gamma's offset in the flat vector
+        init = default_init(objective.seq, feasible, beta)
 
     def prox_flat(x, t):
         # l1 part of the objective enters through soft-thresholding on gamma
-        if config.l1_weight == 0:
+        if l1_weight == 0:
             return x
         out = x.copy()
-        out[g0:] = soft_threshold(x[g0:], t * config.l1_weight)
+        gamma = feasible.split(out)[2]
+        gamma[:] = soft_threshold(gamma, t * l1_weight)
         return out
 
     x, trace = projected_gradient_descent(
@@ -272,18 +225,17 @@ def grid_fit(
     for j = 0..J; ties go to the smallest j.  Individual grid points may
     fail (non-finite gradients); the fit fails only if all of them do.
     """
-    if feasible is None:
-        feasible = default_feasible_set(seq)
     J = config.grid_points
     betas = np.array(
         [config.beta_low + (j / J) * (config.beta_high - config.beta_low) for j in range(J + 1)]
     )
+    objective = Objective(seq, mark_model, feasible or default_feasible_set(seq), betas[0], config.l1_weight)
     results: list[FitResult | None] = []
     objectives = np.full(J + 1, np.inf)
     errors: list[str] = []
     for j, beta in enumerate(betas):
         try:
-            res = pgd_fit(seq, mark_model, float(beta), config, feasible, init)
+            res = pgd_fit(objective.with_beta(beta), config, init)
         except NonFiniteGradientError as exc:
             results.append(None)
             errors.append(f"beta={beta:.6g}: {exc}")
@@ -342,21 +294,18 @@ def alternating_fit(
     and backtracks, so the objective never increases across outer
     iterations; the result's objective is the last outer value.
     """
-    if feasible is None:
-        feasible = default_feasible_set(seq)
     beta = float(config.beta_init)
-    params = init if init is not None else default_init(seq, feasible, beta)
-    # one set of index arrays (and one gamma-free mark term) for every line search
-    line_objective = model.Objective(seq, mark_model, feasible.src, feasible.dst, beta, config.l1_weight)
+    objective = Objective(seq, mark_model, feasible or default_feasible_set(seq), beta, config.l1_weight)
+    params = init
     outer_trace = []
-    trace = np.zeros(0)
-    outer_done = 0
     for outer in range(1, config.max_outer + 1):
-        res = pgd_fit(seq, mark_model, beta, config, feasible, init=params)
+        objective = objective.with_beta(beta)
+        res = pgd_fit(objective, config, init=params)
         params = res.params
-        trace = res.trace
+        x = objective.feasible.flatten(params)
 
-        f_beta = line_objective.beta_profile(feasible.flatten(params))
+        def f_beta(b: float) -> float:
+            return objective.with_beta(b).value(x)
 
         hi = max(2.0**outer, config.beta_low * 2.0)
         scan = np.linspace(config.beta_low, hi, LINE_SCAN_POINTS)
@@ -376,16 +325,14 @@ def alternating_fit(
         f_now = f_beta(beta)
         beta_new, f_new = (beta_cand, f_cand) if f_cand <= f_now else (beta, f_now)
         outer_trace.append(f_new)
-        outer_done = outer
         delta_beta = abs(beta_new - beta)
         beta = beta_new
         if delta_beta <= config.eps_beta:
             break
-    params = ModelParams.from_pairs(params.mu, params.src, params.dst, params.alpha_values, beta, params.gamma)
     return FitResult(
-        params=params,
+        params=objective.feasible.params(x, beta),
         objective=float(outer_trace[-1]),
-        trace=trace,
-        outer_iterations=outer_done,
+        trace=res.trace,
+        outer_iterations=outer,
         outer_trace=np.asarray(outer_trace),
     )

@@ -24,15 +24,17 @@ source's own events, never from a dense n x K history matrix
 :class:`ModelParams` holds alpha on the same kind of pairs, and so does
 ``params.json``; no K x K array is built on the fit, predict or I/O paths.
 
-:class:`Objective` is the one implementation of the estimation objective
-(negative log-likelihood plus an l1 penalty on gamma) and its gradient, on
-a flat ``[mu, alpha[src, dst], gamma]`` vector at a fixed beta: the solver
-in :mod:`firecast.estimation` runs it on the mask's pairs, and
-``penalized_objective``, ``log_likelihood`` and ``objective_gradient`` are
-short calls into it.  It alone takes logs of intensities and mark scores,
-floored at ``RATE_FLOOR`` so the objective stays finite on the whole
-feasible set, where negative interaction weights can drive the raw value to
-zero or below.
+:class:`Objective` ``(seq, mark_model, feasible, beta, l1_weight)`` is the
+one implementation of the estimation objective (negative log-likelihood
+plus an l1 penalty on gamma) and its gradient, at a fixed beta, on the flat
+vector ``[mu, alpha[src, dst], gamma]`` that :class:`FeasibleSet` alone lays
+out.  ``Objective.with_beta(b)`` re-decays the same kernel at another beta,
+sharing its index arrays and a gamma-free mark term, so a fit builds one
+objective.  The solver in :mod:`firecast.estimation`,
+``penalized_objective``, ``log_likelihood`` and ``objective_gradient`` all
+call it.  It alone takes logs of intensities and mark scores, floored at
+``RATE_FLOOR`` so the objective stays finite on the whole feasible set,
+where negative interaction weights can drive the raw value to zero or below.
 """
 
 from __future__ import annotations
@@ -376,32 +378,86 @@ def linear_mark_gradient(marks: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return -(marks.T @ inverse_above_floor(marks @ gamma))
 
 
+class FeasibleSet:
+    """Convex constraint region: mu >= 0, beta >= 0, the allowed pairs
+    ``src, dst`` (``np.nonzero`` order of a K x K ``mask``, or a params'
+    support by :meth:`of`), and radius-``BALL_RADIUS`` balls on mu, alpha,
+    gamma.  It is the one owner of the flat layout ``[mu, alpha[src, dst],
+    gamma]`` that the solver iterates and :class:`Objective` reads."""
+
+    def __init__(self, mask: np.ndarray):
+        mask = np.asarray(mask, dtype=bool)
+        self.src, self.dst = (_frozen(index) for index in np.nonzero(mask))
+        self.num_locations = mask.shape[0]
+
+    @classmethod
+    def of(cls, params: ModelParams) -> "FeasibleSet":
+        """The region whose allowed pairs are ``params``' support."""
+        return cls._on_pairs(params.src, params.dst, params.num_locations)
+
+    @classmethod
+    def _on_pairs(cls, src: np.ndarray, dst: np.ndarray, num_locations: int) -> "FeasibleSet":
+        feasible = object.__new__(cls)
+        feasible.src, feasible.dst, feasible.num_locations = src, dst, num_locations
+        return feasible
+
+    def flatten(self, params: ModelParams) -> np.ndarray:
+        """The flat iterate ``[mu, alpha[src, dst], gamma]`` of ``params``."""
+        return np.concatenate([params.mu, params.alpha_on(self.src, self.dst), params.gamma])
+
+    def split(self, x: np.ndarray):
+        """(mu, alpha on the pairs, gamma) views of a flat iterate."""
+        K, P = self.num_locations, len(self.src)
+        return x[:K], x[K : K + P], x[K + P :]
+
+    def params(self, x: np.ndarray, beta: float) -> ModelParams:
+        """The params of a flat iterate: the inverse of :meth:`flatten` on
+        the allowed pairs."""
+        mu, alpha, gamma = self.split(x)
+        return ModelParams.from_pairs(mu, self.src, self.dst, alpha, beta, gamma)
+
+
+def default_feasible_set(seq: EventSequence) -> FeasibleSet:
+    """Every (source, destination) pair allowed."""
+    K = seq.num_locations
+    return FeasibleSet(mask=np.ones((K, K), dtype=bool))
+
+
 class Objective:
     """The estimation objective at a fixed beta: negative log-likelihood plus
     ``l1_weight * ||gamma||_1``, and its smooth gradient, on the flat vector
-    ``[mu, alpha[src, dst], gamma]`` over the given (source, destination)
-    pairs; log arguments are floored at ``RATE_FLOOR``.
+    of ``feasible``; log arguments are floored at ``RATE_FLOOR``.
 
-    A gamma-free mark term is scored once.  The intensities of the latest
-    argument are cached by identity: the descent loop evaluates objective
-    and gradient at the same accepted iterate.
+    A gamma-free mark term is scored once; :meth:`with_beta` shares it and
+    the kernel's index arrays.  The intensities of the latest argument are
+    cached by identity: the descent loop evaluates objective and gradient at
+    the same accepted iterate.
     """
 
-    def __init__(self, seq: EventSequence, mark_model, src: np.ndarray, dst: np.ndarray, beta: float,
-                 l1_weight: float):
-        self.kernel = EventKernel(seq, src, dst, beta)
+    def __init__(self, seq: EventSequence, mark_model, feasible: FeasibleSet, beta: float, l1_weight: float):
+        if feasible.num_locations != seq.num_locations:
+            raise ValueError(f"support has {feasible.num_locations} locations but the events have {seq.num_locations}")
+        self.seq, self.feasible = seq, feasible
+        self.kernel = EventKernel(seq, feasible.src, feasible.dst, beta)
         self.l1_weight = float(l1_weight)
-        self.K, self.P = seq.num_locations, len(self.kernel.src)
-        self.marks = seq.marks
-        self.uses_gamma = mark_model.uses_gamma
-        if not self.uses_gamma:
-            self.const_mark_term = floored_log_sum(mark_model.event_scores(np.zeros(seq.mark_dim), seq))
+        self.mark_term = None  # a gamma-free model's, fixed; a linear one's depends on gamma
+        if not mark_model.uses_gamma:
+            self.mark_term = floored_log_sum(mark_model.event_scores(np.zeros(seq.mark_dim), seq))
         self._cache_key = self._cache_lam = None
 
-    def split(self, x: np.ndarray):
-        """(mu, alpha on the pairs, gamma) views of ``x``."""
-        K, P = self.K, self.P
-        return x[:K], x[K : K + P], x[K + P :]
+    @property
+    def beta(self) -> float:
+        return self.kernel.beta
+
+    def with_beta(self, beta: float) -> "Objective":
+        """The same objective at another decay, with an empty intensity
+        cache; at its own beta, the objective itself."""
+        if float(beta) == self.beta:
+            return self
+        other = copy.copy(self)
+        other.kernel = self.kernel.with_beta(beta)
+        other._cache_key = other._cache_lam = None
+        return other
 
     def _event_intensities(self, x, mu, alpha):
         if self._cache_key is not x:
@@ -409,36 +465,18 @@ class Objective:
             self._cache_lam = self.kernel.intensities(mu, alpha)
         return self._cache_lam
 
-    def _mark_term(self, gamma) -> float:
-        return floored_log_sum(self.marks @ gamma) if self.uses_gamma else self.const_mark_term
-
-    def _value(self, kernel, lam, mu, alpha, gamma, mark_term: float) -> float:
-        comp = kernel.compensator(mu, alpha)
-        event_term = floored_log_sum(lam)
-        return -(event_term + mark_term - comp) + self.l1_weight * float(np.abs(gamma).sum())
-
     def value(self, x: np.ndarray) -> float:
-        mu, alpha, gamma = self.split(x)
+        mu, alpha, gamma = self.feasible.split(x)
         lam = self._event_intensities(x, mu, alpha)
-        return self._value(self.kernel, lam, mu, alpha, gamma, self._mark_term(gamma))
-
-    def beta_profile(self, x: np.ndarray):
-        """The objective at ``x`` as a function of beta, for the line search:
-        the mark term and the index arrays are computed once."""
-        mu, alpha, gamma = self.split(x)
-        mark_term = self._mark_term(gamma)
-
-        def f(beta: float) -> float:
-            kernel = self.kernel.with_beta(beta)
-            return self._value(kernel, kernel.intensities(mu, alpha), mu, alpha, gamma, mark_term)
-
-        return f
+        mark_term = floored_log_sum(self.seq.marks @ gamma) if self.mark_term is None else self.mark_term
+        comp = self.kernel.compensator(mu, alpha)
+        return -(floored_log_sum(lam) + mark_term - comp) + self.l1_weight * float(np.abs(gamma).sum())
 
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient of everything but the l1 term, flat like ``x``."""
-        mu, alpha, gamma = self.split(x)
+        mu, alpha, gamma = self.feasible.split(x)
         g_mu, g_alpha = self.kernel.gradients(self._event_intensities(x, mu, alpha))
-        g_gamma = linear_mark_gradient(self.marks, gamma) if self.uses_gamma else np.zeros(len(gamma))
+        g_gamma = linear_mark_gradient(self.seq.marks, gamma) if self.mark_term is None else np.zeros(len(gamma))
         return np.concatenate([g_mu, g_alpha, g_gamma])
 
 
@@ -455,8 +493,8 @@ def penalized_objective(
     if not np.isfinite(params.beta):
         raise ValueError("non-finite beta")
     nonzero = params.alpha_values != 0
-    objective = Objective(seq, mark_model, params.src[nonzero], params.dst[nonzero], params.beta, l1_weight)
-    return objective.value(np.concatenate([params.mu, params.alpha_values[nonzero], params.gamma]))
+    feasible = FeasibleSet._on_pairs(params.src[nonzero], params.dst[nonzero], params.num_locations)
+    return Objective(seq, mark_model, feasible, params.beta, l1_weight).value(feasible.flatten(params))
 
 
 def log_likelihood(params: ModelParams, seq: EventSequence, mark_model) -> float:
@@ -474,9 +512,7 @@ def objective_gradient(
     ``l1_weight * sign(gamma)``, valid away from zeros; the optimizer
     soft-thresholds the l1 part instead.
     """
-    K = seq.num_locations
-    src, dst = np.divmod(np.arange(K * K), K)
-    objective = Objective(seq, mark_model, src, dst, params.beta, l1_weight)
-    x = np.concatenate([params.mu, params.alpha_on(src, dst), params.gamma])
-    g_mu, g_alpha, g_gamma = objective.split(objective.smooth_gradient(x))
-    return g_mu, g_alpha.reshape(K, K), g_gamma + l1_weight * np.sign(params.gamma)
+    feasible = default_feasible_set(seq)
+    objective = Objective(seq, mark_model, feasible, params.beta, l1_weight)
+    g_mu, g_alpha, g_gamma = feasible.split(objective.smooth_gradient(feasible.flatten(params)))
+    return g_mu, g_alpha.reshape(feasible.num_locations, -1), g_gamma + l1_weight * np.sign(params.gamma)

@@ -404,6 +404,8 @@ def risk_series(
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) < 0):
         raise ValueError("query times must be ascending")
+    if params.num_locations != seq.num_locations:
+        raise ValueError(f"params have {params.num_locations} locations but the events have {seq.num_locations}")
     if query_marks is None:
         query_marks = query_marks_by_location(seq)
     ground = np.zeros((len(times), seq.num_locations))
@@ -583,6 +585,8 @@ def predict_stage(
 ) -> thresholding.DetectionTrace:
     """Daily risk, day-level truths and the dynamic-threshold detections."""
     num_days = int(math.floor(seq.horizon))
+    if num_days < 1:
+        raise ValueError(f"horizon {seq.horizon} is under one day: predict needs at least one whole day")
     risk = risk_series(params, seq, mark_model)
     truth = daily_truths(seq, num_days)
     config = thresholding.ThresholdConfig.from_first_day_risk(
@@ -726,7 +730,7 @@ def _bundle_simulate(cfg: dict, seed: int, wants_magnitudes: bool):
         else ModelParams.from_json(json.dumps(cfg["params"]))
     )
     sim = simulation_config(params, cfg if wants_magnitudes else {**cfg, "magnitude_classes": 0}, seed)
-    return simulation.simulate(sim), estimation.FeasibleSet.of(params)
+    return simulation.simulate(sim), model.FeasibleSet.of(params)
 
 
 def _bundle_ingest(cfg: dict, notes: list):
@@ -736,10 +740,9 @@ def _bundle_ingest(cfg: dict, notes: list):
     result = ingest(cfg["csv"], grid, tuple(cfg.get("categorical_columns", ())), horizon=cfg.get("horizon"))
     seq = result.sequence
     notes.extend(result.messages)
-    mask = np.ones((seq.num_locations, seq.num_locations), dtype=bool)
     if "neighbor_radius" in cfg:
-        mask = model.mask_from_centroids(grid.centroids(), float(cfg["neighbor_radius"]))
-    return seq, estimation.FeasibleSet(mask)
+        return seq, model.FeasibleSet(model.mask_from_centroids(grid.centroids(), float(cfg["neighbor_radius"])))
+    return seq, model.default_feasible_set(seq)
 
 
 def run_end_to_end(bundle: dict, out_dir) -> dict:

@@ -11,6 +11,8 @@ import numpy as np
 
 from firecast import conformal, estimation, marks, model, pipeline, simulation, thresholding
 
+from oracles import kernel_case
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 OWNERS = (
     conformal, estimation, marks, model, pipeline, simulation, thresholding,
@@ -62,3 +64,29 @@ def test_traced_eraps_nests_one_fit_span_per_bootstrap_model():
     assert len(eraps_spans) == 1 and len(fit_spans) == 3
     assert all(tracer.parent[i] == eraps_spans[0] for i in fit_spans)
     assert tracer.iteration_metrics(0)["conformal.classifier_fits"] == 3
+
+
+def test_traced_fits_nest_one_solver_span_per_pgd_fit():
+    # pgd_fit takes an Objective; the tracer still sees each solve and the beta search
+    params, seq = kernel_case("partial")
+    mm = marks.NonLinearMarkModel(marks.kde_scorer(seq.marks))
+    config = estimation.FitConfig(grid_points=2, pgd_steps=5, max_outer=3, eps_beta=1e-12)
+    feasible = estimation.FeasibleSet(params.mask)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        for iteration, fit in enumerate((estimation.grid_fit, estimation.alternating_fit)):
+            tracer.iteration = iteration
+            fit(seq, mm, config, feasible)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name_id]
+    for iteration in (0, 1):
+        spans = [i for i in range(len(names)) if tracer.iteration_id[i] == iteration]
+        fits = [i for i in spans if names[i] == "estimation.pgd_fit"]
+        solvers = [i for i in spans if names[i] == "estimation.projected_gradient_descent"]
+        assert len(fits) >= 3 and sorted(tracer.parent[i] for i in solvers) == fits
+        metrics = tracer.iteration_metrics(iteration)
+        assert metrics["estimation.solves"] == len(fits)
+        assert metrics["marks.event_score_calls"] == 1
+    assert tracer.iteration_metrics(1)["estimation.beta_search_s"] > 0

@@ -219,6 +219,56 @@ def test_fit_support_reproduces_a_masked_run(tmp_path):
     assert (tmp_path / "full.json").read_bytes() != (run / "params.json").read_bytes()
 
 
+def _diagonal_params(path, K):
+    """A K-location params file with self-excitation only."""
+    payload = {"mu": [0.2] * K, "alpha": np.diag([0.2] * K).tolist(), "beta": 1.0,
+               "gamma": [0.7, 0.7], "mask": np.eye(K, dtype=bool).tolist()}
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("support_k, data_k", [(3, 5), (5, 3)])
+def test_fit_support_of_another_location_count_fails(tmp_path, capsys, support_k, data_k):
+    events = tmp_path / "events.csv"
+    assert main(["simulate", "--params", str(_diagonal_params(tmp_path / "p3.json", 3)),
+                 "--horizon", "50", "--out", str(events)]) == 0
+    support = _diagonal_params(tmp_path / "support.json", support_k)
+    capsys.readouterr()
+    assert main(["fit", "--events", str(events), "--horizon", "50", "--locations", str(data_k),
+                 "--support", str(support), "--grid-points", "1", "--pgd-steps", "5",
+                 "--out", str(tmp_path / "fitted.json")]) == 1
+    message = f"support has {support_k} locations but the events have {data_k}"
+    assert capsys.readouterr().err.strip() == f"firecast fit: [fit] {message}"
+    assert not (tmp_path / "fitted.json").exists()
+
+
+def test_predict_with_params_of_another_location_count_fails(tmp_path, params_file, capsys):
+    events = tmp_path / "events.csv"
+    assert main(["simulate", "--params", str(params_file), "--horizon", "30", "--out", str(events)]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--params", str(_diagonal_params(tmp_path / "p3.json", 3)), "--events", str(events),
+                 "--horizon", "30", "--locations", "2", "--out", str(tmp_path / "det.csv")]) == 1
+    message = "params have 3 locations but the events have 2"
+    assert capsys.readouterr().err.strip() == f"firecast predict: [predict] {message}"
+    assert not (tmp_path / "det.csv").exists()
+
+
+def test_horizon_under_one_day_fails_in_predict(tmp_path, params_file, capsys):
+    bundle = {"seed": 1, "simulate": {"params_file": str(params_file), "horizon": 0.9},
+              "fit": {"grid_points": 1, "pgd_steps": 5}}
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps(bundle))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    message = "horizon 0.9 is under one day: predict needs at least one whole day"
+    assert capsys.readouterr().err.strip() == f"firecast run: [predict] {message}"
+    # the data and fit artifacts stay
+    assert sorted(p.name for p in out.iterdir()) == ["events.csv", "fit_trace.csv", "params.json"]
+    assert main(["predict", "--params", str(out / "params.json"), "--events", str(out / "events.csv"),
+                 "--horizon", "0.9", "--locations", "2", "--out", str(tmp_path / "det.csv")]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast predict: [predict] {message}"
+
+
 def test_cli_stages_match_run(tmp_path):
     """The fit/predict/eval/conformal subcommands on a run's events.csv
     reproduce that run's artifacts byte for byte."""

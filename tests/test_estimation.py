@@ -7,6 +7,7 @@ from firecast.estimation import (
     FitConfig,
     NonFiniteGradientError,
     alternating_fit,
+    default_feasible_set,
     default_init,
     grid_fit,
     pgd_fit,
@@ -17,6 +18,12 @@ from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import ModelParams
 
 from oracles import KERNEL_CASES, finite_difference_gradient, kernel_case, naive_log_likelihood, random_instance
+
+
+def solve(seq, mark_model, beta, config, feasible=None, init=None):
+    """``pgd_fit`` at ``beta`` on a new Objective (all pairs by default)."""
+    objective = model.Objective(seq, mark_model, feasible or default_feasible_set(seq), beta, config.l1_weight)
+    return pgd_fit(objective, config, init)
 
 
 def make_feasible(K=2):
@@ -181,7 +188,7 @@ class TestPgdFit:
         params, seq = random_instance(rng)
         config = FitConfig(pgd_steps=0)
         feasible = FeasibleSet(mask=params.mask)
-        res = pgd_fit(seq, LinearMarkModel(), 1.0, config, feasible, init=params)
+        res = solve(seq, LinearMarkModel(), 1.0, config, feasible, init=params)
         proj = project(params, feasible)
         assert np.array_equal(res.params.mu, proj.mu)
         assert np.array_equal(res.params.alpha, proj.alpha)
@@ -192,14 +199,14 @@ class TestPgdFit:
         if len(seq) == 0:
             seq = random_instance(np.random.default_rng(5))[1]
         config = FitConfig(pgd_steps=60)
-        res = pgd_fit(seq, LinearMarkModel(), 0.8, config)
+        res = solve(seq, LinearMarkModel(), 0.8, config)
         assert np.all(np.diff(res.trace) <= 1e-9)
 
     def test_final_trace_matches_scratch_objective(self):
         rng = np.random.default_rng(6)
         _, seq = random_instance(rng)
         config = FitConfig(pgd_steps=40)
-        res = pgd_fit(seq, LinearMarkModel(), 0.5, config)
+        res = solve(seq, LinearMarkModel(), 0.5, config)
         scratch = model.penalized_objective(res.params, seq, LinearMarkModel(), config.l1_weight)
         assert res.trace[-1] == pytest.approx(scratch, abs=1e-9 * max(1, abs(scratch)))
 
@@ -207,7 +214,7 @@ class TestPgdFit:
         rng = np.random.default_rng(7)
         _, seq = random_instance(rng)
         with pytest.raises(ValueError):
-            pgd_fit(seq, LinearMarkModel(), 0.0, FitConfig())
+            solve(seq, LinearMarkModel(), 0.0, FitConfig())
 
     def test_iterate_holds_alpha_on_the_mask_only(self, monkeypatch):
         params, seq = kernel_case("partial")
@@ -219,13 +226,13 @@ class TestPgdFit:
             return solver(x0, *args, **kwargs)
 
         monkeypatch.setattr(estimation, "projected_gradient_descent", spy)
-        res = pgd_fit(seq, LinearMarkModel(), 0.9, FitConfig(pgd_steps=2), FeasibleSet(params.mask))
+        res = solve(seq, LinearMarkModel(), 0.9, FitConfig(pgd_steps=2), FeasibleSet(params.mask))
         assert lengths == [params.num_locations + params.mask.sum() + params.mark_dim]
         assert np.all(res.params.alpha[~params.mask] == 0.0)
 
 
 def mask_objective(seq, mark_model, beta, l1_weight, feasible):
-    return model.Objective(seq, mark_model, feasible.src, feasible.dst, beta, l1_weight)
+    return model.Objective(seq, mark_model, feasible, beta, l1_weight)
 
 
 class TestFixedBetaKernel:
@@ -268,29 +275,14 @@ class TestFixedBetaKernel:
         expected = (params.mask[:, seq.locations].T & has_history).sum()
         assert len(problem.kernel.rows) == expected
 
-    def test_beta_profile_equals_penalized_objective(self):
+    def test_with_beta_equals_penalized_objective(self):
         params, seq = kernel_case("partial")
         mm = LinearMarkModel()
         feasible = FeasibleSet(params.mask)
-        f = mask_objective(seq, mm, 0.3, 1.0, feasible).beta_profile(feasible.flatten(params))
+        problem, x = mask_objective(seq, mm, 0.3, 1.0, feasible), feasible.flatten(params)
         for b in (0.05, 0.9, 3.0):
             trial = ModelParams(mu=params.mu, alpha=params.alpha, beta=b, gamma=params.gamma, mask=params.mask)
-            assert f(b) == model.penalized_objective(trial, seq, mm, 1.0)
-
-    def test_gamma_free_mark_term_scored_once(self):
-        params, seq = kernel_case("partial")
-        calls = []
-
-        class CountingModel(NonLinearMarkModel):
-            def event_scores(self, gamma, seq):
-                calls.append(1)
-                return super().event_scores(gamma, seq)
-
-        feasible = FeasibleSet(params.mask)
-        problem = mask_objective(seq, CountingModel(lambda m: np.full(len(m), 0.5)), 0.3, 1.0, feasible)
-        f = problem.beta_profile(feasible.flatten(params))
-        values = [f(b) for b in np.linspace(0.1, 2.0, 25)]
-        assert len(calls) == 1 and np.all(np.isfinite(values))
+            assert problem.with_beta(b).value(x) == model.penalized_objective(trial, seq, mm, 1.0)
 
 
 class TestGridFit:
@@ -299,7 +291,7 @@ class TestGridFit:
         _, seq = random_instance(rng)
         config = FitConfig(beta_low=0.7, beta_high=0.7, grid_points=1, pgd_steps=30)
         fit = grid_fit(seq, LinearMarkModel(), config)
-        single = pgd_fit(seq, LinearMarkModel(), 0.7, config)
+        single = solve(seq, LinearMarkModel(), 0.7, config)
         assert np.array_equal(fit.params.mu, single.params.mu)
         assert np.array_equal(fit.params.alpha, single.params.alpha)
         assert fit.params.beta == 0.7
@@ -339,8 +331,32 @@ def test_fit_objective_is_the_penalized_objective(method, marks):
     assert fit.objective == model.penalized_objective(fit.params, seq, mm, config.l1_weight)
     if method is grid_fit:
         for beta, value in zip(fit.grid_betas, fit.grid_objectives):
-            res = pgd_fit(seq, mm, float(beta), config, FeasibleSet(params.mask))
+            res = solve(seq, mm, float(beta), config, FeasibleSet(params.mask))
             assert value == model.penalized_objective(res.params, seq, mm, config.l1_weight)
+
+
+@pytest.mark.parametrize("method", [grid_fit, alternating_fit])
+def test_one_kernel_and_one_mark_scoring_per_fit(method, monkeypatch):
+    # every beta of the grid, of the outer loop and of the line search re-decays one kernel
+    params, seq = kernel_case("partial")
+    kernels, scorings = [], []
+    build = model.EventKernel.__init__
+
+    def counting_build(self, *args, **kwargs):
+        kernels.append(1)
+        build(self, *args, **kwargs)
+
+    class CountingModel(NonLinearMarkModel):
+        def event_scores(self, gamma, seq):
+            scorings.append(1)
+            return super().event_scores(gamma, seq)
+
+    monkeypatch.setattr(model.EventKernel, "__init__", counting_build)
+    config = FitConfig(grid_points=3, pgd_steps=10, max_outer=3, eps_beta=1e-12)
+    fit = method(seq, CountingModel(lambda m: np.full(len(m), 0.5)), config, FeasibleSet(params.mask))
+    solves = len(fit.grid_betas) if method is grid_fit else fit.outer_iterations
+    assert solves >= 3 and np.isfinite(fit.objective)
+    assert len(kernels) == 1 and len(scorings) == 1
 
 
 class TestAlternatingFit:

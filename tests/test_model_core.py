@@ -14,6 +14,7 @@ from firecast.model import (
     RATE_FLOOR,
     DecayedExcitation,
     EventKernel,
+    FeasibleSet,
     ModelParams,
     Objective,
     excitation_matrix,
@@ -271,10 +272,6 @@ class TestPenalizedObjective:
 MARK_MODELS = {"linear": LinearMarkModel(), "gamma_free": NonLinearMarkModel(lambda m: 0.3 + m[:, 0])}
 
 
-def flat(params, src, dst):
-    return np.concatenate([params.mu, params.alpha[src, dst], params.gamma])
-
-
 class TestOneObjective:
     """``penalized_objective``, ``log_likelihood`` and ``objective_gradient``
     are calls into ``Objective``, the solver's objective, to the last bit."""
@@ -284,12 +281,12 @@ class TestOneObjective:
     def test_penalized_objective_is_objective_value(self, case, marks):
         params, seq = kernel_case(case, negative_alpha=True)
         mm = MARK_MODELS[marks]
-        src, dst = np.nonzero(params.alpha != 0)
-        value = Objective(seq, mm, src, dst, params.beta, 0.7).value(flat(params, src, dst))
+        feasible = FeasibleSet(params.alpha != 0)
+        value = Objective(seq, mm, feasible, params.beta, 0.7).value(feasible.flatten(params))
         assert penalized_objective(params, seq, mm, 0.7) == value
         # zero weights on further pairs change no bit: the solver's value on the mask
-        src, dst = np.nonzero(params.mask)
-        assert Objective(seq, mm, src, dst, params.beta, 0.7).value(flat(params, src, dst)) == value
+        feasible = FeasibleSet(params.mask)
+        assert Objective(seq, mm, feasible, params.beta, 0.7).value(feasible.flatten(params)) == value
 
     @pytest.mark.parametrize("marks", sorted(MARK_MODELS))
     @pytest.mark.parametrize("case", KERNEL_CASES)
@@ -303,9 +300,10 @@ class TestOneObjective:
     def test_objective_gradient_on_the_mask_is_smooth_gradient(self, case, marks):
         params, seq = kernel_case(case, negative_alpha=True)
         mm = MARK_MODELS[marks]
-        src, dst = np.nonzero(params.mask)
-        objective = Objective(seq, mm, src, dst, params.beta, 0.7)
-        g_mu, g_alpha, g_gamma = objective.split(objective.smooth_gradient(flat(params, src, dst)))
+        feasible = FeasibleSet(params.mask)
+        src, dst = feasible.src, feasible.dst
+        objective = Objective(seq, mm, feasible, params.beta, 0.7)
+        g_mu, g_alpha, g_gamma = feasible.split(objective.smooth_gradient(feasible.flatten(params)))
         full_mu, full_alpha, full_gamma = objective_gradient(params, seq, mm, 0.7)
         assert np.array_equal(full_mu, g_mu) and np.array_equal(full_alpha[src, dst], g_alpha)
         assert np.array_equal(full_gamma, g_gamma + 0.7 * np.sign(params.gamma))
