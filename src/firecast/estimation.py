@@ -190,6 +190,10 @@ def pgd_fit(objective: Objective, config: FitConfig, init: ModelParams | None = 
         raise ValueError("beta must be positive")
     if init is None:
         init = default_init(objective.seq, feasible, beta)
+    elif init.num_locations != feasible.num_locations:
+        raise ValueError(f"init has {init.num_locations} locations but the support has {feasible.num_locations}")
+    elif init.mark_dim != objective.seq.mark_dim:
+        raise ValueError(f"init has {init.mark_dim} mark weights but the events have {objective.seq.mark_dim} marks")
 
     def prox_flat(x, t):
         # l1 part of the objective enters through soft-thresholding on gamma

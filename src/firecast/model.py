@@ -192,9 +192,18 @@ class ModelParams:
 
 
 def _json_array(values: np.ndarray) -> str:
-    """``json.dumps(values.tolist())``, encoded ``JSON_BLOCK`` entries at a time."""
-    blocks = (json.dumps(values[i : i + JSON_BLOCK].tolist())[1:-1] for i in range(0, len(values), JSON_BLOCK))
-    return "[" + ", ".join(blocks) + "]"
+    """``json.dumps(values.tolist())`` of a float64 or integer array, encoded
+    ``JSON_BLOCK`` entries at a time.  Each distinct value of a block is
+    formatted once (floats told apart by their bits, so ``-0.0`` keeps its
+    sign) and its text gathered to every entry that holds it."""
+    return "[" + ", ".join(_json_block(values[i : i + JSON_BLOCK]) for i in range(0, len(values), JSON_BLOCK)) + "]"
+
+
+def _json_block(block: np.ndarray) -> str:
+    keys = block.view(np.int64) if block.dtype.kind == "f" else block
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = np.array(json.dumps(distinct.view(block.dtype).tolist())[1:-1].split(", "), dtype=object)
+    return ", ".join(texts[inverse].tolist())
 
 
 def mask_from_centroids(centroids: np.ndarray, neighbor_radius: float) -> np.ndarray:

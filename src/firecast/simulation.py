@@ -97,16 +97,19 @@ def simulate(config: SimConfig) -> EventSequence:
     mags: list[int] = []
 
     excite = DecayedExcitation(params)
-    bound = float(mu.sum())
+    # loop invariants hoisted; np.add.reduce is ndarray.sum without its Python wrapper
+    mu_sum, rates = np.add.reduce(mu), np.empty_like(mu)
+    bound = float(mu_sum)
     while bound > 0.0:
         t_cand = excite.t + rng.exponential(1.0 / bound)
         if t_cand > T:
             break
         excite.advance(t_cand)
-        rates = mu + excite.values
-        total = float(rates.sum())
+        np.add(mu, excite.values, out=rates)
+        total = float(np.add.reduce(rates))
         if rng.uniform() * bound <= total:
-            k = _draw_index(rng, _cdf(rates / total))
+            rates /= total
+            k = _draw_index(rng, _cdf(rates))
             m = np.asarray(config.mark_sampler(rng, k, p), dtype=float)
             times.append(t_cand)
             locs.append(k)
@@ -114,7 +117,7 @@ def simulate(config: SimConfig) -> EventSequence:
             if config.magnitude_sampler is not None:
                 mags.append(int(config.magnitude_sampler(rng, m, k)))
             excite.add(k)
-        bound = float(mu.sum() + excite.values.sum())
+        bound = float(mu_sum + np.add.reduce(excite.values))
 
     return EventSequence(
         times=np.array(times, dtype=float),

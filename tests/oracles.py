@@ -19,6 +19,7 @@ from firecast import estimation
 from firecast.events import EventSequence
 from firecast.marks import LinearMarkModel
 from firecast.model import ModelParams
+from firecast.pipeline import impute_series
 from firecast.simulation import SimConfig, parameter_errors, simulate
 
 
@@ -387,6 +388,31 @@ def write_detections_csv_oracle(path, trace, times=None):
                     f"{float(trace.threshold[t, k])!r},{int(trace.prediction[t, k])},"
                     f"{int(trace.truth[t, k])}\n"
                 )
+
+
+def query_marks_by_location_oracle(seq):
+    """Per-location mean mark through one boolean mask per location."""
+    K, p = seq.num_locations, seq.mark_dim
+    out = np.full((K, p), 0.5)
+    if len(seq):
+        overall = seq.marks.mean(axis=0)
+        for k in range(K):
+            sel = seq.locations == k
+            out[k] = seq.marks[sel].mean(axis=0) if sel.any() else overall
+    return out
+
+
+def impute_by_location_oracle(times, locations, values):
+    """One mark column imputed per location through one boolean mask per
+    location, then the all-missing locations filled with the column mean."""
+    col = np.asarray(values, dtype=float).copy()
+    for k in np.unique(locations):
+        sel = locations == k
+        col[sel] = impute_series(times[sel], col[sel])
+    if np.isnan(col).any():
+        fill = np.nanmean(col) if not np.isnan(col).all() else 0.0
+        col = np.where(np.isnan(col), fill, col)
+    return col
 
 
 def read_detections_csv_oracle(path):

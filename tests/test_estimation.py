@@ -359,6 +359,33 @@ def test_one_kernel_and_one_mark_scoring_per_fit(method, monkeypatch):
     assert len(kernels) == 1 and len(scorings) == 1
 
 
+def fit_with_init(method, seq, init):
+    config = FitConfig(grid_points=1, pgd_steps=2, max_outer=1)
+    if method is pgd_fit:
+        return solve(seq, LinearMarkModel(), 1.0, config, init=init)
+    return method(seq, LinearMarkModel(), config, init=init)
+
+
+@pytest.mark.parametrize("method", [pgd_fit, grid_fit, alternating_fit])
+def test_init_with_other_location_count_fails_first(method, monkeypatch):
+    _, seq = kernel_case("full")  # K=3, p=3
+    init = ModelParams(mu=np.full(5, 0.1), alpha=np.zeros((5, 5)), beta=1.0, gamma=np.full(3, 0.5),
+                       mask=np.ones((5, 5), dtype=bool))
+    monkeypatch.setattr(estimation, "projected_gradient_descent", None)  # no solver step may run
+    with pytest.raises(ValueError, match="init has 5 locations but the support has 3"):
+        fit_with_init(method, seq, init)
+
+
+@pytest.mark.parametrize("method", [pgd_fit, grid_fit, alternating_fit])
+def test_init_with_other_mark_dimension_fails_first(method, monkeypatch):
+    _, seq = kernel_case("full")  # K=3, p=3
+    init = ModelParams(mu=np.full(3, 0.1), alpha=np.zeros((3, 3)), beta=1.0, gamma=np.full(2, 0.5),
+                       mask=np.ones((3, 3), dtype=bool))
+    monkeypatch.setattr(estimation, "projected_gradient_descent", None)
+    with pytest.raises(ValueError, match="init has 2 mark weights but the events have 3 marks"):
+        fit_with_init(method, seq, init)
+
+
 class TestAlternatingFit:
     def _small_seq(self, seed=11):
         rng = np.random.default_rng(seed)

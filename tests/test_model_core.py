@@ -504,6 +504,13 @@ class TestMasks:
         assert mask[0, 1] and not mask[0, 2]
 
 
+def sorted_keys_dump(params: ModelParams) -> str:
+    payload = {"mu": params.mu.tolist(), "alpha": params.alpha_values.tolist(), "beta": params.beta,
+               "gamma": params.gamma.tolist(),
+               "support": {"src": params.src.tolist(), "dst": params.dst.tolist()}}
+    return json.dumps(payload, sort_keys=True)
+
+
 class TestSerialization:
     def test_params_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -567,10 +574,25 @@ class TestSerialization:
         alpha = np.where(mask, rng.normal(size=(K, K)) * 1e-3, 0.0)
         params = ModelParams(mu=rng.uniform(size=K) / 100, alpha=alpha, beta=0.3, gamma=[0.1, -0.2], mask=mask)
         assert len(params.alpha_values) > JSON_BLOCK or K < 80
-        payload = {"mu": params.mu.tolist(), "alpha": params.alpha_values.tolist(), "beta": params.beta,
-                   "gamma": params.gamma.tolist(),
-                   "support": {"src": params.src.tolist(), "dst": params.dst.tolist()}}
-        assert params.to_json() == json.dumps(payload, sort_keys=True)
+        assert params.to_json() == sorted_keys_dump(params)
+
+    def test_to_json_of_repeated_values_is_the_sorted_keys_dump(self):
+        # each block formats its distinct values once: mostly zero alpha, repeats, and -0.0 beside
+        # 0.0 in one block, which must keep their own texts, over more than one block
+        rng = np.random.default_rng(21)
+        K = 90
+        src, dst = np.nonzero(rng.uniform(size=(K, K)) < 0.8)
+        alpha = rng.choice([0.0, 1e-3, 2.5e-4, 0.1 + 0.2, 5e-324], p=[0.8, 0.05, 0.05, 0.05, 0.05], size=len(src))
+        alpha[:6] = [-0.0, 0.0, -0.0, 0.0, 1e-3, -1e-3]
+        alpha[JSON_BLOCK + 1 : JSON_BLOCK + 3] = [0.0, -0.0]
+        assert len(alpha) > JSON_BLOCK and np.count_nonzero(alpha) < len(alpha) / 2
+        mu = rng.choice([0.01, 0.02, 0.0, -0.0], size=K)
+        params = ModelParams.from_pairs(mu, src, dst, alpha, 0.3, [0.5, -0.0, 0.5, 0.0])
+        text = params.to_json()
+        assert text == sorted_keys_dump(params)
+        back = ModelParams.from_json(text)
+        assert back.alpha_values.tobytes() == params.alpha_values.tobytes()
+        assert back.mu.tobytes() == params.mu.tobytes() and back.gamma.tobytes() == params.gamma.tobytes()
 
     def test_from_pairs_sorts_the_support(self):
         params = ModelParams.from_pairs([0.1, 0.2], [1, 0, 0], [0, 1, 0], [0.3, 0.2, 0.1], 1.0, [0.5])

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ from firecast.thresholding import DetectionTrace, ScreeningState, ThresholdConfi
 
 from oracles import (
     f1_oracle,
+    impute_by_location_oracle,
     naive_ground_intensity,
+    query_marks_by_location_oracle,
     read_detections_csv_oracle,
     save_events_csv_oracle,
     write_conformal_sets_jsonl_oracle,
@@ -178,6 +181,56 @@ class TestIngest:
         assert not np.isnan(res.sequence.marks).any()
         # the hole sits on a straight line: interpolation reproduces it, scaling keeps order
         assert res.sequence.marks[6, 0] == pytest.approx(6 / 11, abs=1e-6)
+
+
+class TestLocationRuns:
+    """The per-location loops read each location's run of the rows sorted by
+    location; the bits must be those of one boolean mask per location."""
+
+    @staticmethod
+    def random_rows(rng, n):
+        # locations drawn from a sparse subset (empty cells between), in no order, with tied times
+        K = int(rng.integers(1, 12))
+        present = rng.choice(K, size=int(rng.integers(1, K + 1)), replace=False)
+        times = np.round(rng.uniform(0.0, 30.0, size=n), 1)
+        return K, rng.choice(present, size=n), times
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_query_marks_match_the_mask_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (0, 1, 2, 17, 120):
+            K, locations, times = self.random_rows(rng, n)
+            p = int(rng.integers(1, 4))
+            seq = EventSequence(times=np.sort(times), locations=locations, marks=rng.uniform(size=(n, p)),
+                                horizon=31.0, num_locations=K)
+            assert query_marks_by_location(seq).tobytes() == query_marks_by_location_oracle(seq).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_imputed_columns_match_the_mask_loop(self, tmp_path, seed, monkeypatch):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(1, 150))
+        K, locations, times = self.random_rows(rng, n)
+        values = rng.normal(size=(n, 3))
+        values[rng.uniform(size=(n, 3)) < 0.3] = np.nan
+        values[locations == locations[0], 1] = np.nan  # one location never observes column b
+        if seed == 0:
+            values[:, 2] = np.nan  # a column missing everywhere
+        rows = [(repr(float(t)), int(k)) + tuple("" if np.isnan(v) else repr(float(v)) for v in vals)
+                for t, k, vals in zip(times, locations, values)]
+        path = tmp_path / "ev.csv"
+        write_csv(path, "time,location,a,b,c", rows)
+        calls = []
+        monkeypatch.setattr("firecast.pipeline.impute_series",
+                            lambda t, v: calls.append(1) or impute_series(t, v))
+        res = ingest(path, horizon=31.0)
+
+        order = np.argsort(times, kind="stable")
+        imputed = np.column_stack([
+            impute_by_location_oracle(times[order], locations[order], values[order, j]) for j in range(3)
+        ])
+        expected = MarkStats.fit(imputed, ["a", "b", "c"]).transform(imputed)
+        assert res.sequence.marks.tobytes() == expected.tobytes()
+        assert len(calls) == 3 * len(np.unique(locations))
 
 
 class TestMetrics:
@@ -401,6 +454,46 @@ class TestDetectionsCsv:
         write_detections_csv(tmp_path / "a.csv", ints)
         write_detections_csv_oracle(tmp_path / "b.csv", ints)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_bytes_match_per_cell_writer_on_repeated_values(self, tmp_path):
+        # a day reuses the previous day's text where a cell's bits repeat and formats the rest
+        rng = np.random.default_rng(15)
+        T, K = 9, 6
+        risk, thr = np.exp(rng.normal(size=(T, K)) * 3), np.exp(rng.normal(size=(T, K)) * 3)
+        risk[1], thr[1] = risk[0], thr[0]  # a whole row repeats
+        risk[2, :4], thr[2, 1:5] = risk[1, :4], thr[1, 1:5]  # single cells repeat
+        risk[3], thr[3] = risk[2], thr[2]
+        risk[3, 0], thr[3, 5] = -0.0, np.nan
+        risk[4], thr[4] = risk[3], thr[3]
+        risk[4, 0], thr[4, 5] = 0.0, -np.nan  # 0.0 after -0.0, a NaN of another sign after a NaN
+        risk[5], thr[5] = np.exp(rng.normal(size=(2, K)))  # the whole row changes
+        risk[6], thr[6] = risk[5], thr[5]
+        risk[6, 3] = risk[6, 3] * (1 + 2**-52)  # one ulp
+        risk[7:], thr[7:] = 0.0, -0.0
+        pred = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
+        truth = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
+        trace = DetectionTrace(risk=risk, threshold=thr, prediction=pred, truth=truth)
+        for times in (None, np.array([0.5, 1.0, 1.0, 2.0, 2.5, 3.0, 1e-7, 4.0, 1e16])):
+            write_detections_csv(tmp_path / "a.csv", trace, times)
+            write_detections_csv_oracle(tmp_path / "b.csv", trace, times)
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        text = (tmp_path / "a.csv").read_text()
+        assert ",-0.0," in text and ",nan," in text and ",0.0," in text
+
+    def test_peak_memory_is_per_day(self, tmp_path):
+        # regional-run's trace shape: the writer peaks near 2.5 MB, all its risk and threshold texts take 17.5 MB
+        rng = np.random.default_rng(16)
+        T, K = 240, 400
+        trace = DetectionTrace(risk=np.exp(rng.normal(size=(T, K))), threshold=np.exp(rng.normal(size=(T, K))),
+                               prediction=np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1),
+                               truth=np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1))
+        tracemalloc.start()
+        try:
+            write_detections_csv(tmp_path / "det.csv", trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_one_row_file(self, tmp_path):
         path = tmp_path / "det.csv"
