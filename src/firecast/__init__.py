@@ -31,6 +31,7 @@ from .model import (
     RATE_FLOOR,
     log_likelihood,
     mask_from_centroids,
+    neighbor_pairs,
     objective_gradient,
     penalized_objective,
 )

@@ -22,7 +22,9 @@ each (event, source) value comes from a decayed-count recursion over that
 source's own events, never from a dense n x K history matrix
 (:func:`excitation_matrix` stays as the reference it is tested against).
 :class:`ModelParams` holds alpha on the same kind of pairs, and so does
-``params.json``; no K x K array is built on the fit, predict or I/O paths.
+``params.json``.  An ingest run's support comes from :func:`neighbor_pairs`,
+which tests only the cell pairs of neighbouring buckets, so no K x K array
+is built on the data, fit, predict or I/O paths.
 
 :class:`Objective` ``(seq, mark_model, feasible, beta, l1_weight)`` is the
 one implementation of the estimation objective (negative log-likelihood
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +54,10 @@ RATE_FLOOR = 1e-12  # lower clamp for any rate fed to log or used as a density
 
 BALL_RADIUS = 1.0  # l2 radius bounding mu, alpha (Frobenius) and gamma
 NORM_TOL = 1e-9  # slack on ball-constraint checks
-MASK_BLOCK_ROWS = 64  # rows per block in mask_from_centroids: two 64 x K float temporaries
+PAIR_BLOCK = 1 << 14  # candidate pairs tested at once in neighbor_pairs: 128 KB per temporary
+BUCKET_MARGIN = 1e-6  # relative widening of neighbor_pairs' buckets beyond the radius
+MIN_BUCKET_SIDE = 1e-150  # gaps under 1e-154 square to subnormals: keep them in adjacent buckets
+NEIGHBOUR_OFFSETS = np.divmod(np.arange(9), 3) - np.ones((2, 1), dtype=int)  # 3 x 3 buckets around one
 JSON_BLOCK = 4096  # array entries per json.dumps call in ModelParams.to_json
 
 
@@ -138,7 +144,11 @@ class ModelParams:
         return out
 
     def alpha_on(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """alpha's values on the given pairs; zero where a pair is off the support."""
+        """alpha's values on the given pairs, as a new array; zero where a pair
+        is off the support.  On the support itself that is a copy of
+        ``alpha_values``, with no search."""
+        if np.array_equal(src, self.src) and np.array_equal(dst, self.dst):
+            return self.alpha_values.copy()
         K = self.num_locations
         keys = self.src * K + self.dst
         wanted = np.asarray(src, dtype=np.intp) * K + np.asarray(dst, dtype=np.intp)
@@ -206,27 +216,81 @@ def _json_block(block: np.ndarray) -> str:
     return ", ".join(texts[inverse].tolist())
 
 
-def mask_from_centroids(centroids: np.ndarray, neighbor_radius: float) -> np.ndarray:
-    """Allow interaction between cells whose centroids are within the radius.
+def neighbor_pairs(centroids: np.ndarray, neighbor_radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (source, destination) cell pairs whose centroids are within the
+    radius, in ``np.nonzero`` order: the support of the neighbour mask.
 
-    Evaluates ``sqrt(dx*dx + dy*dy) <= neighbor_radius`` in blocks of
-    ``MASK_BLOCK_ROWS`` rows, in place, so the float temporaries take about
-    1 KB per cell rather than 40 bytes per pair; the operations and their
-    order are the broadcast formula's, so pairs within an ulp of the radius
-    land on the same side.
+    Cells are bucketed on a square grid whose side is the radius times
+    ``1 + BUCKET_MARGIN`` (coarser where a small radius would make more
+    buckets than cells), and only pairs within 3 x 3 neighbouring buckets
+    are tested (Bentley, Stanat & Williams, Inf. Proc. Letters 1977),
+    ``PAIR_BLOCK`` candidates at a time, so even a radius that spans the box
+    never holds K x K floats.  The test is the broadcast formula's
+    ``sqrt(dx*dx + dy*dy) <= neighbor_radius``, the same operations in the
+    same order, so pairs within an ulp of the radius land on the same side.
+    A computed distance within the radius bounds each coordinate gap by the
+    radius times 1 + 4 ulp; the margin covers that and the rounding of the
+    bucket index, so no such pair is ever two buckets apart.  A negative or
+    NaN radius allows no pair.
     """
     centroids = np.asarray(centroids, dtype=float)
-    x, y = centroids[:, 0], centroids[:, 1]
-    mask = np.empty((len(centroids), len(centroids)), dtype=bool)
-    for r0 in range(0, len(centroids), MASK_BLOCK_ROWS):
-        rows = slice(r0, r0 + MASK_BLOCK_ROWS)
-        dx = np.subtract.outer(x[rows], x)
-        dy = np.subtract.outer(y[rows], y)
+    K, radius = len(centroids), float(neighbor_radius)
+    if K == 0 or not radius >= 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    xy = centroids[:, :2]
+    low = xy.min(axis=0)
+    span = xy.max(axis=0) - low
+    if not np.all(np.isfinite(span)):
+        raise ValueError("centroid coordinates must be finite")
+    side = max(radius * (1.0 + BUCKET_MARGIN), float(span.max()) / math.isqrt(K), MIN_BUCKET_SIDE)
+    cells = np.floor((xy - low) / side).astype(np.intp)  # an infinite side puts every cell in bucket 0
+    nx, ny = cells.max(axis=0) + 1
+    bucket = cells[:, 0] * ny + cells[:, 1]
+    members = np.argsort(bucket, kind="stable")  # each bucket's cells, ascending
+    counts = np.bincount(bucket, minlength=nx * ny)
+    starts = np.cumsum(counts) - counts
+    padded = np.pad(counts.reshape(nx, ny), 1)
+    near = sum(padded[a : a + nx, b : b + ny] for a in range(3) for b in range(3)).ravel()[bucket]
+    before = np.cumsum(near) - near  # candidates of the sources before each source
+    x, y = xy[:, 0], xy[:, 1]
+    blocks = []
+    s0 = 0
+    while s0 < K:
+        s1 = max(s0 + 1, int(np.searchsorted(before, before[s0] + PAIR_BLOCK)))
+        # each source's 3 x 3 neighbouring buckets, one row per source
+        bx, by = cells[s0:s1, :1] + NEIGHBOUR_OFFSETS[0], cells[s0:s1, 1:] + NEIGHBOUR_OFFSETS[1]
+        inside = (bx >= 0) & (bx < nx) & (by >= 0) & (by < ny)
+        neighbour = np.where(inside, bx * ny + by, 0).ravel()
+        size = np.where(inside.ravel(), counts[neighbour], 0)
+        dst = members[np.repeat(starts[neighbour] - (np.cumsum(size) - size), size) + np.arange(size.sum())]
+        src = np.repeat(np.arange(s0, s1), near[s0:s1])
+        dx, dy = x[src], y[src]
+        dx -= x[dst]
+        dy -= y[dst]
         dx *= dx
         dy *= dy
         dx += dy
         np.sqrt(dx, out=dx)
-        np.less_equal(dx, neighbor_radius, out=mask[rows])
+        keep = dx <= radius
+        keys = src[keep] * K
+        keys += dst[keep]
+        keys.sort()  # candidates come bucket by bucket: sorted, each source's destinations ascend
+        blocks.append(keys)
+        s0 = s1
+    keys = np.concatenate(blocks)
+    del blocks
+    src = keys // K
+    np.remainder(keys, K, out=keys)
+    return src, keys
+
+
+def mask_from_centroids(centroids: np.ndarray, neighbor_radius: float) -> np.ndarray:
+    """Allow interaction between cells whose centroids are within the radius:
+    the dense K x K form of :func:`neighbor_pairs`, for callers that want a
+    mask (the data stage builds its support from the pairs alone)."""
+    K = len(centroids)
+    mask = np.zeros((K, K), dtype=bool)
+    mask[neighbor_pairs(centroids, neighbor_radius)] = True
     return mask
 
 
@@ -360,8 +424,11 @@ class EventKernel:
         excite = np.bincount(self.rows, self.vals * alpha.take(self.pairs), minlength=len(self.seq))
         return mu[self.seq.locations] + self.beta * excite
 
-    def compensator(self, mu: np.ndarray, alpha: np.ndarray) -> float:
-        row_sums = np.bincount(self.src, alpha, minlength=self.seq.num_locations)
+    def row_sums(self, alpha: np.ndarray) -> np.ndarray:
+        """alpha summed over each source's pairs: the compensator's beta-free part."""
+        return np.bincount(self.src, alpha, minlength=self.seq.num_locations)
+
+    def compensator(self, mu: np.ndarray, row_sums: np.ndarray) -> float:
         return self.seq.horizon * mu.sum() + float(row_sums @ self.sum_w)
 
     def gradients(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,12 +469,15 @@ class FeasibleSet:
     @classmethod
     def of(cls, params: ModelParams) -> "FeasibleSet":
         """The region whose allowed pairs are ``params``' support."""
-        return cls._on_pairs(params.src, params.dst, params.num_locations)
+        return cls.on_pairs(params.src, params.dst, params.num_locations)
 
     @classmethod
-    def _on_pairs(cls, src: np.ndarray, dst: np.ndarray, num_locations: int) -> "FeasibleSet":
+    def on_pairs(cls, src: np.ndarray, dst: np.ndarray, num_locations: int) -> "FeasibleSet":
+        """The region whose allowed pairs are ``src, dst``, given in
+        ``np.nonzero`` order (as :func:`neighbor_pairs` returns them)."""
         feasible = object.__new__(cls)
-        feasible.src, feasible.dst, feasible.num_locations = src, dst, num_locations
+        feasible.src, feasible.dst = _frozen(src), _frozen(dst)
+        feasible.num_locations = num_locations
         return feasible
 
     def flatten(self, params: ModelParams) -> np.ndarray:
@@ -429,7 +499,7 @@ class FeasibleSet:
 def default_feasible_set(seq: EventSequence) -> FeasibleSet:
     """Every (source, destination) pair allowed."""
     K = seq.num_locations
-    return FeasibleSet(mask=np.ones((K, K), dtype=bool))
+    return FeasibleSet.on_pairs(np.repeat(np.arange(K), K), np.tile(np.arange(K), K), K)
 
 
 class Objective:
@@ -440,7 +510,10 @@ class Objective:
     A gamma-free mark term is scored once; :meth:`with_beta` shares it and
     the kernel's index arrays.  The intensities of the latest argument are
     cached by identity: the descent loop evaluates objective and gradient at
-    the same accepted iterate.
+    the same accepted iterate.  So are the compensator's per-source alpha
+    sums, which do not depend on beta: one cache serves every
+    :meth:`with_beta` copy, so a line search that scores one iterate at
+    many betas sums its alpha once.
     """
 
     def __init__(self, seq: EventSequence, mark_model, feasible: FeasibleSet, beta: float, l1_weight: float):
@@ -453,6 +526,7 @@ class Objective:
         if not mark_model.uses_gamma:
             self.mark_term = floored_log_sum(mark_model.event_scores(np.zeros(seq.mark_dim), seq))
         self._cache_key = self._cache_lam = None
+        self._row_sums = [None, None]  # (iterate, its kernel.row_sums), shared by with_beta copies
 
     @property
     def beta(self) -> float:
@@ -478,7 +552,9 @@ class Objective:
         mu, alpha, gamma = self.feasible.split(x)
         lam = self._event_intensities(x, mu, alpha)
         mark_term = floored_log_sum(self.seq.marks @ gamma) if self.mark_term is None else self.mark_term
-        comp = self.kernel.compensator(mu, alpha)
+        if self._row_sums[0] is not x:
+            self._row_sums[:] = x, self.kernel.row_sums(alpha)
+        comp = self.kernel.compensator(mu, self._row_sums[1])
         return -(floored_log_sum(lam) + mark_term - comp) + self.l1_weight * float(np.abs(gamma).sum())
 
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
@@ -502,7 +578,7 @@ def penalized_objective(
     if not np.isfinite(params.beta):
         raise ValueError("non-finite beta")
     nonzero = params.alpha_values != 0
-    feasible = FeasibleSet._on_pairs(params.src[nonzero], params.dst[nonzero], params.num_locations)
+    feasible = FeasibleSet.on_pairs(params.src[nonzero], params.dst[nonzero], params.num_locations)
     return Objective(seq, mark_model, feasible, params.beta, l1_weight).value(feasible.flatten(params))
 
 

@@ -772,14 +772,19 @@ def _bundle_simulate(cfg: dict, seed: int, wants_magnitudes: bool):
 
 
 def _bundle_ingest(cfg: dict, notes: list):
-    if "neighbor_radius" in cfg and "grid" not in cfg:
-        raise ValueError("neighbor_radius needs a grid: cell ids carry no centroids to measure")
+    if "neighbor_radius" in cfg:
+        if "grid" not in cfg:
+            raise ValueError("neighbor_radius needs a grid: cell ids carry no centroids to measure")
+        radius = float(cfg["neighbor_radius"])
+        if not radius >= 0:
+            raise ValueError(f"neighbor_radius must be a nonnegative distance in degrees, got {radius!r}")
     grid = GridSpec.from_dict(cfg["grid"]) if "grid" in cfg else None
     result = ingest(cfg["csv"], grid, tuple(cfg.get("categorical_columns", ())), horizon=cfg.get("horizon"))
     seq = result.sequence
     notes.extend(result.messages)
     if "neighbor_radius" in cfg:
-        return seq, model.FeasibleSet(model.mask_from_centroids(grid.centroids(), float(cfg["neighbor_radius"])))
+        centroids = grid.centroids()
+        return seq, model.FeasibleSet.on_pairs(*model.neighbor_pairs(centroids, radius), len(centroids))
     return seq, model.default_feasible_set(seq)
 
 

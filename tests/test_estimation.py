@@ -285,6 +285,49 @@ class TestFixedBetaKernel:
             assert problem.with_beta(b).value(x) == model.penalized_objective(trial, seq, mm, 1.0)
 
 
+class TestSharedBetaFreeTerms:
+    """``with_beta`` copies share the per-source alpha sums of the latest
+    iterate; every value must still be a fresh ``Objective``'s, bit for bit."""
+
+    @pytest.mark.parametrize("mm", [LinearMarkModel(), NonLinearMarkModel(lambda m: 0.3 + m[:, 0])])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_every_scan_beta_is_a_fresh_objective(self, case, mm):
+        params, seq = kernel_case(case, negative_alpha=True)
+        feasible = FeasibleSet(params.mask)
+        objective, x = mask_objective(seq, mm, params.beta, 0.7, feasible), feasible.flatten(params)
+        objective.value(x)
+        for outer in (1, 2, 3):  # the line search's scans
+            for b in np.linspace(0.01, 2.0**outer, estimation.LINE_SCAN_POINTS):
+                fresh = mask_objective(seq, mm, b, 0.7, feasible).value(x)
+                assert objective.with_beta(b).value(x) == fresh
+
+    def test_no_copy_serves_a_stale_iterate(self):
+        params, seq = kernel_case("partial", negative_alpha=True)
+        mm = LinearMarkModel()
+        feasible = FeasibleSet(params.mask)
+        objective = mask_objective(seq, mm, 0.9, 1.0, feasible)
+        x1 = feasible.flatten(params)
+        x2 = x1.copy()
+        feasible.split(x2)[1][:] *= 0.5  # another alpha, the same mu and gamma
+        copies = [objective, objective.with_beta(0.4), objective.with_beta(1.7)]
+        # alternate iterates across copies: each value is the one a new Objective gives
+        for x in (x1, x2, x1, x2, x2, x1):
+            for copy in copies + copies[::-1]:
+                assert copy.value(x) == mask_objective(seq, mm, copy.beta, 1.0, feasible).value(x)
+        assert objective.value(x1) != objective.value(x2)
+
+    def test_own_support_alpha_is_a_writable_copy(self):
+        params, _ = kernel_case("partial", negative_alpha=True)
+        K = params.num_locations
+        off = np.flatnonzero(~params.mask.ravel())[0]  # a pair off the support forces the search
+        general = params.alpha_on(np.append(params.src, off // K), np.append(params.dst, off % K))
+        own = params.alpha_on(params.src, params.dst)
+        assert own.tobytes() == general[:-1].tobytes() and general[-1] == 0.0
+        assert own.flags.writeable and not np.shares_memory(own, params.alpha_values)
+        own[:] = 7.0
+        assert params.alpha_on(params.src, params.dst).tobytes() == general[:-1].tobytes()
+
+
 class TestGridFit:
     def test_degenerate_grid_matches_pgd_fit(self):
         rng = np.random.default_rng(8)

@@ -8,9 +8,10 @@ import pytest
 from firecast.events import EventSequence, load_events_csv, save_events_csv
 from firecast.pipeline import GridSpec, counterfactual_delta, risk_series
 from firecast.marks import KDE_BLOCK, LinearMarkModel, NonLinearMarkModel, kde_scorer
+from firecast import model
 from firecast.model import (
     JSON_BLOCK,
-    MASK_BLOCK_ROWS,
+    PAIR_BLOCK,
     RATE_FLOOR,
     DecayedExcitation,
     EventKernel,
@@ -21,6 +22,7 @@ from firecast.model import (
     inverse_above_floor,
     log_likelihood,
     mask_from_centroids,
+    neighbor_pairs,
     objective_gradient,
     penalized_objective,
 )
@@ -457,17 +459,35 @@ def kernel_layout_case(case):
     return seq, mask
 
 
+STATE_BOX = dict(lat_min=32.0, lon_min=-124.0, lat_max=42.0, lon_max=-114.0, cell_size=0.24)
+
+
+def assert_pairs_are_the_broadcast_formula(centroids, radius):
+    """neighbor_pairs is np.nonzero of the oracle mask, and the mask its scatter."""
+    oracle = centroid_mask_oracle(centroids, radius)
+    src, dst = neighbor_pairs(centroids, radius)
+    assert src.dtype == dst.dtype == np.intp
+    want_src, want_dst = np.nonzero(oracle)
+    assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
+    mask = mask_from_centroids(centroids, radius)
+    assert mask.shape == oracle.shape and mask.dtype == bool
+    assert np.array_equal(mask, oracle)
+
+
 class TestMasks:
     def test_centroid_mask_equals_broadcast_formula_on_the_state_box(self):
         # the README's 0.24-degree California box with a 0.96-degree radius
-        centroids = GridSpec(lat_min=32.0, lon_min=-124.0, lat_max=42.0, lon_max=-114.0, cell_size=0.24).centroids()
+        centroids = GridSpec(**STATE_BOX).centroids()
         diff = centroids[:, None, :] - centroids[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
         assert np.sum(np.abs(dist - 0.96) < 1e-9) > 0  # pairs that rounding puts on either side
         assert np.array_equal(mask_from_centroids(centroids, 0.96), dist <= 0.96)
+        for radius in (0.24, 0.5, 0.96, 3.0):
+            assert_pairs_are_the_broadcast_formula(centroids, radius)
 
-    @pytest.mark.parametrize("K", [0, 1, MASK_BLOCK_ROWS - 1, MASK_BLOCK_ROWS, MASK_BLOCK_ROWS + 1])
-    def test_row_blocks_equal_broadcast_formula(self, K):
+    # a source in a box-wide bucket has K candidates: K = sqrt(PAIR_BLOCK) + 1 needs two blocks
+    @pytest.mark.parametrize("K", [0, 1, math.isqrt(PAIR_BLOCK) - 1, math.isqrt(PAIR_BLOCK), math.isqrt(PAIR_BLOCK) + 1])
+    def test_pair_blocks_equal_broadcast_formula(self, K):
         rng = np.random.default_rng(K)
         # lattice points 0.24 apart put distances within ulps of 0.96 and 0.72
         lattice = rng.integers(0, 12, size=(K, 2)) * 0.24 + np.array([32.0, -124.0])
@@ -475,13 +495,54 @@ class TestMasks:
             # radii equal to computed distances: a formula off by one ulp flips those pairs
             ties = np.sqrt(((centroids[:7] - centroids[-7:][::-1]) ** 2).sum(axis=1)).tolist()
             for radius in [0.0, 0.72, 0.96, 1.5, 10.0] + ties:
-                mask = mask_from_centroids(centroids, radius)
-                assert mask.shape == (K, K) and mask.dtype == bool
-                assert np.array_equal(mask, centroid_mask_oracle(centroids, radius))
+                assert_pairs_are_the_broadcast_formula(centroids, radius)
+
+    def test_pairs_one_radius_apart_across_a_bucket_edge(self):
+        # a cell just below a bucket edge and one a radius beyond it: buckets
+        # narrower than the radius, by any margin, would put them two apart
+        for radius in (0.24, 0.96, 1.0):
+            for eta in 10.0 ** (-np.arange(61) / 4):
+                for axis in (0, 1):
+                    centroids = np.zeros((102, 2))  # cells at the origin keep the buckets radius-wide
+                    centroids[100, axis] = radius * (1.0 - eta)
+                    centroids[101, axis] = centroids[100, axis] + radius
+                    tie = float(np.sqrt(((centroids[101] - centroids[100]) ** 2).sum()))
+                    assert_pairs_are_the_broadcast_formula(centroids, tie)
+
+    @pytest.mark.parametrize("block", [1, 7, 500])
+    def test_pairs_do_not_depend_on_the_block(self, block, monkeypatch):
+        monkeypatch.setattr(model, "PAIR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        lattice = rng.integers(0, 12, size=(150, 2)) * 0.24
+        for centroids in (lattice, rng.uniform(0.0, 3.0, size=(150, 2))):
+            for radius in (0.0, 0.24, 0.72, 0.96, 10.0, math.inf):
+                assert_pairs_are_the_broadcast_formula(centroids, radius)
+
+    def test_duplicates_zero_and_box_wide_radii(self):
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-1.0, 1.0, size=(40, 2))
+        duplicated = points[rng.integers(0, 40, size=90)]  # every cell has twins
+        one_point = np.tile([[36.5, -120.25]], (6, 1))
+        tiny = np.array([[0.0, 0.0], [1e-160, 0.0], [0.0, 3e-155], [2e-150, 0.0]])  # squared gaps underflow
+        for centroids in (points, duplicated, one_point, tiny):
+            for radius in (0.0, -0.0, 0.3, 2.0, 2.9, 1e6, 1e300, math.inf):
+                assert_pairs_are_the_broadcast_formula(centroids, radius)
+        K = len(duplicated)
+        assert len(neighbor_pairs(duplicated, 0.0)[0]) > K  # twins are 0 apart
+        assert len(neighbor_pairs(duplicated, 3.0)[0]) == K * K  # wider than the box
+
+    @pytest.mark.parametrize("radius", [-0.5, math.nan, -math.inf])
+    def test_negative_or_nan_radius_allows_no_pair(self, radius):
+        centroids = np.random.default_rng(2).uniform(0.0, 1.0, size=(20, 2))
+        assert_pairs_are_the_broadcast_formula(centroids, radius)
+        assert len(neighbor_pairs(centroids, radius)[0]) == 0
+
+    def test_non_finite_centroid_fails(self):
+        with pytest.raises(ValueError, match="finite"):
+            neighbor_pairs(np.array([[0.0, 0.0], [np.nan, 1.0]]), 0.5)
 
     def test_state_box_mask_peaks_below_25_mb(self):
-        centroids = GridSpec(lat_min=32.0, lon_min=-124.0, lat_max=42.0, lon_max=-114.0, cell_size=0.24).centroids()
-        assert len(centroids) == 1764 > MASK_BLOCK_ROWS
+        centroids = GridSpec(**STATE_BOX).centroids()
         tracemalloc.start()
         try:
             mask = mask_from_centroids(centroids, 0.96)
@@ -491,6 +552,32 @@ class TestMasks:
         # the broadcast formula holds five 1764 x 1764 float arrays, about 100 MB at its peak
         assert peak < 25e6
         assert np.array_equal(mask, centroid_mask_oracle(centroids, 0.96))
+
+    def test_state_box_pairs_peak_below_the_dense_mask(self):
+        centroids = GridSpec(**STATE_BOX).centroids()
+        tracemalloc.start()
+        try:
+            src, dst = neighbor_pairs(centroids, 0.96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense mask and its np.nonzero peak at 5.9 MB; the pairs alone are 1.2 MB
+        assert peak < 5.9e6
+        assert len(src) == 75_708
+
+    def test_box_wide_radius_holds_one_block_of_floats(self):
+        # every pair allowed: the output is 2 x K^2 indices, the float temporaries one block
+        centroids = GridSpec(**STATE_BOX).centroids()
+        K = len(centroids)
+        tracemalloc.start()
+        try:
+            src, dst = neighbor_pairs(centroids, math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(src, np.repeat(np.arange(K), K)) and np.array_equal(dst, np.tile(np.arange(K), K))
+        # one K x K float array would take 25 MB more
+        assert peak < src.nbytes + dst.nbytes + 8 * (PAIR_BLOCK + K) * 8
 
     def test_centroid_mask(self):
         centroids = np.array([[0.0, 0.0], [0.0, 0.3], [0.0, 1.0]])

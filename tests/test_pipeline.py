@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 
@@ -828,6 +829,28 @@ class TestRunVariants:
         with pytest.raises(PipelineError, match=r"^\[data\] neighbor_radius needs a grid"):
             run_end_to_end(bundle, tmp_path / "run")
         assert not (tmp_path / "run" / "params.json").exists()
+
+    @pytest.mark.parametrize("radius", [-0.1, math.nan, -math.inf])
+    def test_negative_or_nan_neighbor_radius_fails(self, tmp_path, radius):
+        # either would allow no pair at all and fit a model without interactions
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,lat,lon\n" + "".join(f"{0.5 + i},{0.1 + 0.02 * i},0.3\n" for i in range(30)))
+        grid = {"lat_min": 0, "lon_min": 0, "lat_max": 1, "lon_max": 1, "cell_size": 0.5}
+        bundle = {"seed": 3, "ingest": {"csv": str(raw), "grid": grid, "horizon": 31.0, "neighbor_radius": radius},
+                  "fit": {"grid_points": 1, "pgd_steps": 5}}
+        with pytest.raises(PipelineError, match=r"^\[data\] neighbor_radius must be a nonnegative distance"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run" / "events.csv").exists()
+
+    def test_infinite_neighbor_radius_allows_every_pair(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,lat,lon\n" + "".join(f"{0.5 + i},{0.1 + 0.02 * i},0.3\n" for i in range(30)))
+        grid = {"lat_min": 0, "lon_min": 0, "lat_max": 1, "lon_max": 1, "cell_size": 0.5}
+        bundle = {"seed": 3, "ingest": {"csv": str(raw), "grid": grid, "horizon": 31.0, "neighbor_radius": math.inf},
+                  "fit": {"grid_points": 1, "pgd_steps": 5}, "predict": {"screening": False}}
+        run_end_to_end(bundle, tmp_path / "run")
+        support = json.loads((tmp_path / "run" / "params.json").read_text())["support"]
+        assert list(zip(support["src"], support["dst"])) == [(i, j) for i in range(4) for j in range(4)]
 
 
 def test_perfect_predictor_gives_all_ones_f1():
