@@ -2,7 +2,11 @@
 
 Each subcommand only parses its arguments and calls the same pipeline stage
 functions as ``firecast run``: ``pipeline.build_mark_model``, ``fit_stage``,
-``predict_stage`` and ``conformal_stage``.
+``predict_stage`` and ``conformal_stage``.  The stage flags of ``fit``,
+``predict`` and ``conformal`` spell that stage's bundle section: a flag that
+is not given is absent from it, so the stage applies the same default as to a
+bundle without the key, and the section is checked like a bundle's before
+any file is read.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import conformal as conformal_mod
-from . import estimation, pipeline, simulation
+from . import pipeline, simulation
 from .events import load_events_csv, save_events_csv
-from .model import ModelParams
+from .model import FeasibleSet, ModelParams
 
 
 def cmd_simulate(args) -> int:
@@ -28,19 +31,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _section(args, name: str) -> dict:
+    """The ``name`` bundle section that the given flags spell, checked like a
+    bundle's: the parsed flags whose names are keys of that section."""
+    section = {k: v for k, v in vars(args).items() if k in pipeline.BUNDLE_KEYS[name][1]}
+    pipeline.check_bundle_keys({name: section})
+    return section
+
+
 def cmd_fit(args) -> int:
+    section = _section(args, "fit")
     seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
-    mark_model = pipeline.build_mark_model(args.mark_model, seq)
-    config = estimation.FitConfig(
-        beta_low=args.beta_low,
-        beta_high=args.beta_high,
-        grid_points=args.grid_points,
-        pgd_steps=args.pgd_steps,
-        kappa=args.kappa,
-        l1_weight=args.l1_weight,
-    )
-    feasible = estimation.FeasibleSet.of(ModelParams.from_json(args.support)) if args.support else None
-    fit = pipeline.fit_stage(seq, mark_model, config, args.method, feasible)
+    feasible = FeasibleSet.of(ModelParams.from_json(args.support)) if args.support else None
+    fit, _ = pipeline.fit_stage(seq, section, feasible)
     fit.params.to_json(args.out)
     if args.trace:
         pipeline.write_fit_trace_csv(args.trace, fit.trace)
@@ -49,12 +52,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    section = _section(args, "predict")
     params = ModelParams.from_json(args.params)
     seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
-    mark_model = pipeline.build_mark_model(args.mark_model, seq)
-    trace = pipeline.predict_stage(
-        params, seq, mark_model, args.delta, args.a1, args.a2, screening=not args.no_screening
-    )
+    trace = pipeline.predict_stage(params, seq, pipeline.build_mark_model(args.mark_model, seq), section)
     pipeline.write_detections_csv(args.out, trace)
     print(f"wrote detection trace to {args.out}")
     return 0
@@ -84,22 +85,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_conformal(args) -> int:
-    # the method-specific flags are absent unless given, so only given ones are checked
-    section = {k: v for k, v in vars(args).items() if k in pipeline.CONFORMAL_DEFAULTS}
-    pipeline.check_conformal_section(section)
-    cfg = {**pipeline.CONFORMAL_DEFAULTS, **section}
+    section = _section(args, "conformal")
     seq = load_events_csv(args.data, horizon=args.horizon, num_locations=args.locations)
-    run = pipeline.conformal_stage(
-        seq,
-        n_train=args.train_size,
-        method=args.method,
-        alphas=args.alphas,
-        score_params=conformal_mod.ScoreParams(lambda_reg=args.lambda_reg, k_reg=args.k_reg),
-        num_bootstrap=cfg["num_bootstrap"],
-        batch_size=cfg["batch_size"],
-        split_fraction=cfg["split_fraction"],
-        seed=args.seed,
-    )
+    run = pipeline.conformal_stage(seq, section, args.train_size, args.seed)
     pipeline.write_conformal_sets_jsonl(args.sets, run)
     pipeline.write_conformal_summary_csv(args.summary, run)
     for a in run.alphas:
@@ -132,7 +120,6 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    predict, conformal = pipeline.PREDICT_DEFAULTS, pipeline.CONFORMAL_DEFAULTS
     parser = argparse.ArgumentParser(
         prog="firecast",
         description="Event-risk prediction with mutually exciting point processes",
@@ -146,33 +133,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit model parameters by constrained MLE")
+    # in fit, predict and conformal, a flag without a default of its own is
+    # absent unless given (SUPPRESS), so its stage applies the bundle default
+    p = sub.add_parser("fit", help="fit model parameters by constrained MLE", argument_default=argparse.SUPPRESS)
     p.add_argument("--events", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
-    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default="linear")
-    p.add_argument("--support", help="params JSON whose interaction mask the fit keeps (default: all pairs)")
-    p.add_argument("--method", choices=pipeline.FIT_METHODS, default="grid")
-    p.add_argument("--beta-low", type=float, default=estimation.FitConfig.beta_low)
-    p.add_argument("--beta-high", type=float, default=estimation.FitConfig.beta_high)
-    p.add_argument("--grid-points", type=int, default=estimation.FitConfig.grid_points)
-    p.add_argument("--pgd-steps", type=int, default=estimation.FitConfig.pgd_steps)
-    p.add_argument("--kappa", type=float, default=estimation.FitConfig.kappa)
-    p.add_argument("--l1-weight", type=float, default=estimation.FitConfig.l1_weight)
+    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS)
+    p.add_argument("--support", default=None,
+                   help="params JSON whose interaction mask the fit keeps (default: all pairs)")
+    p.add_argument("--method", choices=pipeline.FIT_METHODS)
+    p.add_argument("--beta-low", type=float)
+    p.add_argument("--beta-high", type=float)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--pgd-steps", type=int)
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--l1-weight", type=float)
     p.add_argument("--out", required=True)
-    p.add_argument("--trace")
+    p.add_argument("--trace", default=None)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="binary predictions via dynamic thresholds")
+    p = sub.add_parser("predict", help="binary predictions via dynamic thresholds",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--params", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
     p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default="linear")
-    p.add_argument("--delta", type=float, default=predict["delta"])
-    p.add_argument("--a1", type=float, default=predict["a1"])
-    p.add_argument("--a2", type=float, default=predict["a2"])
-    p.add_argument("--no-screening", action="store_true")
+    p.add_argument("--delta", type=float)
+    p.add_argument("--a1", type=float)
+    p.add_argument("--a2", type=float)
+    p.add_argument("--no-screening", dest="screening", action="store_false")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -191,18 +182,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default="linear")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("conformal", help="magnitude prediction sets")
+    p = sub.add_parser("conformal", help="magnitude prediction sets", argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True, help="event CSV with a magnitude column")
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
     p.add_argument("--train-size", type=int, required=True)
-    p.add_argument("--method", choices=pipeline.CONFORMAL_METHOD_KEYS, default=conformal["method"])
-    p.add_argument("--num-bootstrap", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--split-fraction", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--alphas", type=_floats, default=conformal["alphas"], help="comma-separated")
-    p.add_argument("--lambda-reg", type=float, default=conformal["lambda_reg"])
-    p.add_argument("--k-reg", type=int, default=conformal["k_reg"])
+    p.add_argument("--method", choices=pipeline.CONFORMAL_METHOD_KEYS)
+    p.add_argument("--num-bootstrap", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--split-fraction", type=float)
+    p.add_argument("--alphas", type=_floats, help="comma-separated")
+    p.add_argument("--lambda-reg", type=float)
+    p.add_argument("--k-reg", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sets", default="conformal_sets.jsonl")
     p.add_argument("--summary", default="conformal_summary.csv")

@@ -59,8 +59,8 @@ class EventSequence:
 
     def _validate(self):
         n = len(self.times)
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:  # NaN fails here too
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.num_locations < 1:
             raise ValueError("num_locations must be >= 1")
         if len(self.locations) != n or self.marks.shape[0] != n:
@@ -69,6 +69,11 @@ class EventSequence:
             raise ValueError("magnitudes length mismatch")
         if n == 0:
             return
+        # every comparison with NaN is false, so the range checks below would pass one
+        columns = [("time", self.times)] + [(f"m_{j}", col) for j, col in enumerate(self.marks.T)]
+        for name, col in columns:
+            if not np.isfinite(col).all():
+                raise ValueError(f"column {name!r} has a non-finite value")
         if np.any(np.diff(self.times) < 0):
             raise ValueError("event times must be nondecreasing")
         if self.times[0] < 0 or self.times[-1] > self.horizon:

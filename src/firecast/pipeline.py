@@ -7,10 +7,13 @@ mark columns are imputed per location by linear interpolation over time
 min-max scaled to [0, 1]; scaling statistics are fitted once on training
 data and can be frozen for later files.
 
-The chain runs through one function per stage: ``build_mark_model``,
-``fit_stage``, ``predict_stage`` and ``conformal_stage``.  ``run_end_to_end``
-and the CLI subcommands both call them; ``run_end_to_end`` chains them after
-simulate-or-ingest and writes every artifact plus a reproducibility manifest.
+The chain runs through one function per stage: ``fit_stage``,
+``predict_stage`` and ``conformal_stage``.  Each reads a settings dict shaped
+like its bundle section and applies the section's defaults and conversions
+itself.  ``run_end_to_end`` passes the bundle's sections and the CLI
+subcommands the sections their flags spell; ``run_end_to_end`` chains the
+stages after simulate-or-ingest and writes every artifact plus a
+reproducibility manifest.
 """
 
 from __future__ import annotations
@@ -611,35 +614,42 @@ def build_mark_model(spec: str, seq: EventSequence):
     return _choose(MARK_MODELS, spec, "mark model")(seq)
 
 
-def fit_stage(
-    seq: EventSequence, mark_model, config: estimation.FitConfig, method: str, feasible=None
-) -> estimation.FitResult:
-    """Constrained MLE: the beta ``grid`` or the ``alternating`` beta search."""
-    return getattr(estimation, _choose(FIT_METHODS, method, "fit method"))(seq, mark_model, config, feasible)
+def fit_stage(seq: EventSequence, section: dict, feasible=None):
+    """Constrained MLE from a ``fit`` section: ``method`` is the beta ``grid``
+    (default) or the ``alternating`` beta search, ``mark_model`` is
+    ``linear`` (default) or ``kde``, and every other key is a ``FitConfig``
+    field.  Returns the fit and the mark model it used."""
+    cfg = dict(section)
+    fit_fn = _choose(FIT_METHODS, cfg.pop("method", "grid"), "fit method")
+    mark_model = build_mark_model(cfg.pop("mark_model", "linear"), seq)
+    fit = getattr(estimation, fit_fn)(seq, mark_model, estimation.FitConfig(**cfg), feasible)
+    return fit, mark_model
 
 
 def predict_stage(
-    params: ModelParams, seq: EventSequence, mark_model, delta, a1, a2, screening: bool
+    params: ModelParams, seq: EventSequence, mark_model, section: dict
 ) -> thresholding.DetectionTrace:
-    """Daily risk, day-level truths and the dynamic-threshold detections."""
+    """Daily risk, day-level truths and the dynamic-threshold detections, from
+    a ``predict`` section merged over ``PREDICT_DEFAULTS``."""
+    cfg = {**PREDICT_DEFAULTS, **section}
     num_days = int(math.floor(seq.horizon))
     if num_days < 1:
         raise ValueError(f"horizon {seq.horizon} is under one day: predict needs at least one whole day")
     risk = risk_series(params, seq, mark_model)
     truth = daily_truths(seq, num_days)
     config = thresholding.ThresholdConfig.from_first_day_risk(
-        risk[0], num_days, delta=delta, a1=a1, a2=a2
+        risk[0], num_days, delta=float(cfg["delta"]), a1=float(cfg["a1"]), a2=float(cfg["a2"])
     )
-    state = thresholding.ScreeningState.from_validation(truth) if screening else None
+    state = thresholding.ScreeningState.from_validation(truth) if cfg["screening"] else None
     return thresholding.detect(risk, truth, config, state)
 
 
-def conformal_stage(
-    seq: EventSequence, n_train: int, method: str, alphas, score_params: conformal_mod.ScoreParams,
-    num_bootstrap: int, batch_size: int, split_fraction: float, seed: int,
-) -> conformal_mod.ConformalRun:
-    """Magnitude prediction sets: the first ``n_train`` events train, the rest
-    form the test stream; ``method`` is ``eraps`` or ``sraps``."""
+def conformal_stage(seq: EventSequence, section: dict, n_train: int, seed: int) -> conformal_mod.ConformalRun:
+    """Magnitude prediction sets from a ``conformal`` section merged over
+    ``CONFORMAL_DEFAULTS``: the first ``n_train`` events train, the rest form
+    the test stream; ``method`` is ``eraps`` or ``sraps``."""
+    cfg = {**CONFORMAL_DEFAULTS, **section}
+    method = cfg["method"]
     _choose(CONFORMAL_METHOD_KEYS, method, "conformal method")
     if seq.magnitudes is None:
         raise ValueError("conformal stage needs magnitude labels in the data")
@@ -647,23 +657,24 @@ def conformal_stage(
         raise ValueError("train size must be >= 10 and leave a test stream")
     X, y = seq.marks, seq.magnitudes
     split = (X[:n_train], y[:n_train], X[n_train:], y[n_train:])
+    shared = {
+        "alphas": tuple(float(a) for a in cfg["alphas"]),
+        "score_params": conformal_mod.ScoreParams(float(cfg["lambda_reg"]), int(cfg["k_reg"])),
+        "seed": seed,
+    }
     if method == "eraps":
         return conformal_mod.eraps(
             *split,
-            num_bootstrap=num_bootstrap,
-            batch_size=min(batch_size, len(seq) - n_train),
-            alphas=alphas,
-            score_params=score_params,
-            seed=seed,
+            num_bootstrap=int(cfg["num_bootstrap"]),
+            batch_size=min(int(cfg["batch_size"]), len(seq) - n_train),
+            **shared,
         )
-    return conformal_mod.sraps(
-        *split, split_fraction=split_fraction, alphas=alphas, score_params=score_params, seed=seed
-    )
+    return conformal_mod.sraps(*split, split_fraction=float(cfg["split_fraction"]), **shared)
 
 
-# the predict and conformal settings' defaults, for run bundles and CLI flags
-# alike; the detector's and the score's are read off ``from_first_day_risk``
-# and ``ScoreParams``, so each is written once
+# the predict and conformal settings' defaults, which their stages merge a
+# bundle section or the CLI's flags over; the detector's and the score's are
+# read off ``from_first_day_risk`` and ``ScoreParams``, so each is written once
 _DETECTOR = inspect.signature(thresholding.ThresholdConfig.from_first_day_risk).parameters
 PREDICT_DEFAULTS = {**{k: _DETECTOR[k].default for k in ("delta", "a1", "a2")}, "screening": True}
 CONFORMAL_DEFAULTS = {
@@ -699,19 +710,11 @@ BUNDLE_KEYS = {
 CONFORMAL_METHOD_KEYS = {"eraps": {"num_bootstrap", "batch_size"}, "sraps": {"split_fraction"}}
 
 
-def check_conformal_section(cfg: dict) -> None:
-    """Reject the keys of a ``conformal`` section that only the other method reads."""
-    method = cfg.get("method", CONFORMAL_DEFAULTS["method"])
-    others = set().union(*(keys for m, keys in CONFORMAL_METHOD_KEYS.items() if m != method))
-    foreign = sorted(set(cfg) & others)
-    if foreign:
-        raise PipelineError("conformal", f"keys {foreign} do not apply to method {method!r}")
-
-
-def _check_bundle_keys(bundle: dict) -> None:
+def check_bundle_keys(bundle: dict) -> None:
     """Reject a key that no stage reads or a choice its stage does not know,
     so a typo fails before any stage runs instead of running on defaults or
-    failing late; in ``conformal``, that includes the other method's keys."""
+    failing late; in ``conformal``, that includes the other method's keys.
+    The CLI checks the section its flags spell with it too."""
     for section, (stage, known) in BUNDLE_KEYS.items():
         cfg = bundle if section is None else bundle.get(section, {})
         where = "the bundle" if section is None else f"section {section!r}"
@@ -729,7 +732,12 @@ def _check_bundle_keys(bundle: dict) -> None:
         if key in bundle.get(section, {}):
             with _stage(BUNDLE_KEYS[section][0], []):  # the stage's own tag and message
                 _choose(table, bundle[section][key], what)
-    check_conformal_section(bundle.get("conformal", {}))
+    conformal = bundle.get("conformal", {})
+    method = conformal.get("method", CONFORMAL_DEFAULTS["method"])
+    others = set().union(*(keys for m, keys in CONFORMAL_METHOD_KEYS.items() if m != method))
+    foreign = sorted(set(conformal) & others)
+    if foreign:
+        raise PipelineError("conformal", f"keys {foreign} do not apply to method {method!r}")
 
 
 @contextmanager
@@ -761,14 +769,13 @@ def simulation_config(params: ModelParams, cfg: dict, seed: int) -> simulation.S
     )
 
 
-def _bundle_simulate(cfg: dict, seed: int, wants_magnitudes: bool):
+def _bundle_simulate(cfg: dict, seed: int):
     params = (
         ModelParams.from_json(cfg["params_file"])
         if "params_file" in cfg
         else ModelParams.from_json(json.dumps(cfg["params"]))
     )
-    sim = simulation_config(params, cfg if wants_magnitudes else {**cfg, "magnitude_classes": 0}, seed)
-    return simulation.simulate(sim), model.FeasibleSet.of(params)
+    return simulation.simulate(simulation_config(params, cfg, seed)), model.FeasibleSet.of(params)
 
 
 def _bundle_ingest(cfg: dict, notes: list):
@@ -797,9 +804,10 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
     version, config hash, and artifact digests, and two runs with the same
     bundle are byte-identical.  A failing stage raises ``PipelineError``
     tagged with its name; artifacts of earlier stages stay on disk.  A key no
-    stage reads fails before any stage runs (``_check_bundle_keys``).
+    stage reads fails before any stage runs (``check_bundle_keys``).  Each
+    stage gets its bundle section as it is; the stage applies its defaults.
     """
-    _check_bundle_keys(bundle)
+    check_bundle_keys(bundle)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = int(bundle.get("seed", 0))
@@ -809,7 +817,7 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
 
     with _stage("data", stages):
         if "simulate" in bundle:
-            seq, feasible = _bundle_simulate(bundle["simulate"], seed, "conformal" in bundle)
+            seq, feasible = _bundle_simulate(bundle["simulate"], seed)
         elif "ingest" in bundle:
             seq, feasible = _bundle_ingest(bundle["ingest"], notes)
         else:
@@ -817,19 +825,12 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
         save_events_csv(seq, out / "events.csv")
 
     with _stage("fit", stages):
-        cfg = dict(bundle.get("fit", {}))
-        method = cfg.pop("method", "grid")
-        mark_model = build_mark_model(cfg.pop("mark_model", "linear"), seq)
-        fit = fit_stage(seq, mark_model, estimation.FitConfig(**cfg), method, feasible)
+        fit, mark_model = fit_stage(seq, bundle.get("fit", {}), feasible)
         fit.params.to_json(out / "params.json")
         write_fit_trace_csv(out / "fit_trace.csv", fit.trace)
 
     with _stage("predict", stages):
-        cfg = {**PREDICT_DEFAULTS, **bundle.get("predict", {})}
-        trace = predict_stage(
-            fit.params, seq, mark_model, float(cfg["delta"]), float(cfg["a1"]), float(cfg["a2"]),
-            cfg["screening"],
-        )
+        trace = predict_stage(fit.params, seq, mark_model, bundle.get("predict", {}))
         write_detections_csv(out / "detections.csv", trace)
 
     with _stage("eval", stages):
@@ -837,18 +838,10 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
 
     if "conformal" in bundle:
         with _stage("conformal", stages):
-            cfg = {**CONFORMAL_DEFAULTS, **bundle["conformal"]}
-            run = conformal_stage(
-                seq,
-                n_train=max(10, int(float(cfg["train_fraction"]) * len(seq))),
-                method=cfg["method"],
-                alphas=tuple(float(a) for a in cfg["alphas"]),
-                score_params=conformal_mod.ScoreParams(float(cfg["lambda_reg"]), int(cfg["k_reg"])),
-                num_bootstrap=int(cfg["num_bootstrap"]),
-                batch_size=int(cfg["batch_size"]),
-                split_fraction=float(cfg["split_fraction"]),
-                seed=seed,
-            )
+            section = bundle["conformal"]
+            # the CLI's --train-size is a count, so only the fraction is read here
+            fraction = float(section.get("train_fraction", CONFORMAL_DEFAULTS["train_fraction"]))
+            run = conformal_stage(seq, section, max(10, int(fraction * len(seq))), seed)
             write_conformal_sets_jsonl(out / "conformal_sets.jsonl", run)
             write_conformal_summary_csv(out / "conformal_summary.csv", run)
 

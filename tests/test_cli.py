@@ -6,7 +6,6 @@ import pytest
 
 from firecast import pipeline
 from firecast.cli import build_parser, main
-from firecast.estimation import FitConfig
 from firecast.events import load_events_csv
 from firecast.model import ModelParams
 
@@ -189,6 +188,16 @@ def test_failures_exit_nonzero(tmp_path, capsys):
     assert "firecast fit" in capsys.readouterr().err
 
 
+def test_fit_rejects_a_nan_time_at_load(tmp_path, capsys):
+    # it used to load and fail the fit: "all grid points failed: ... non-finite gradient"
+    events = tmp_path / "events.csv"
+    events.write_text("time,location,m_0\r\n0.5,0,0.2\r\nnan,0,0.4\r\n1.5,0,0.6\r\n")
+    assert main(["fit", "--events", str(events), "--horizon", "10", "--locations", "1",
+                 "--out", str(tmp_path / "p.json")]) == 1
+    assert capsys.readouterr().err.strip() == "firecast fit: [fit] column 'time' has a non-finite value"
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_fit_support_reproduces_a_masked_run(tmp_path):
     """``fit --support <run>/params.json`` re-fits a masked run's events.csv
     under the run's mask and reproduces its params.json byte for byte."""
@@ -319,9 +328,9 @@ def test_cli_stages_match_run(tmp_path):
         assert (cli / name).read_bytes() == (run / name).read_bytes(), f"{name} differs"
 
 
-def test_conformal_defaults_match_a_bundle_without_optional_keys(tmp_path, monkeypatch):
-    """``firecast conformal`` given only its required flags writes what a run's
-    conformal stage writes from an empty ``conformal`` section."""
+@pytest.fixture(scope="module")
+def empty_sections_run(tmp_path_factory):
+    """A run whose fit, predict and conformal sections are all ``{}``, and its event count."""
     bundle = {
         "simulate": {
             "params": {
@@ -334,45 +343,74 @@ def test_conformal_defaults_match_a_bundle_without_optional_keys(tmp_path, monke
             "horizon": 120.0,
             "magnitude_classes": 3,
         },
-        "fit": {"grid_points": 1, "pgd_steps": 2, "beta_low": 1.0, "beta_high": 1.0},
+        "fit": {},
+        "predict": {},
         "conformal": {},
     }
-    cfg = tmp_path / "bundle.json"
+    cfg = tmp_path_factory.mktemp("bundle") / "bundle.json"
     cfg.write_text(json.dumps(bundle))
-    run = tmp_path / "run"
+    run = tmp_path_factory.mktemp("run")
     assert main(["run", "--config", str(cfg), "--out-dir", str(run)]) == 0
-    n = len(load_events_csv(run / "events.csv", horizon=120.0, num_locations=2))
-    cli = tmp_path / "cli"
-    cli.mkdir()
-    monkeypatch.chdir(cli)
-    assert main(["conformal", "--data", str(run / "events.csv"), "--horizon", "120", "--locations", "2",
-                 "--train-size", str(max(10, int(0.6 * n)))]) == 0
-    for name in ("conformal_sets.jsonl", "conformal_summary.csv"):
-        assert (cli / name).read_bytes() == (run / name).read_bytes(), f"{name} differs"
+    return run, len(load_events_csv(run / "events.csv", horizon=120.0, num_locations=2))
 
 
-def test_predict_and_conformal_flag_defaults_are_the_stage_defaults():
-    parser = build_parser()
-    predict = parser.parse_args(
-        ["predict", "--params", "p.json", "--events", "e.csv", "--horizon", "1", "--locations", "1", "--out", "d.csv"]
-    )
-    assert {name: getattr(predict, name) for name in ("delta", "a1", "a2")} == {
-        name: pipeline.PREDICT_DEFAULTS[name] for name in ("delta", "a1", "a2")
-    }
-    assert predict.no_screening is not pipeline.PREDICT_DEFAULTS["screening"]
-    conformal = parser.parse_args(
-        ["conformal", "--data", "e.csv", "--horizon", "1", "--locations", "1", "--train-size", "10"]
-    )
-    names = ("method", "alphas", "lambda_reg", "k_reg")
-    assert {name: getattr(conformal, name) for name in names} == {
-        name: pipeline.CONFORMAL_DEFAULTS[name] for name in names
-    }
-    # the method-specific flags are absent unless given; cmd_conformal fills in the stage defaults
-    assert not {"num_bootstrap", "batch_size", "split_fraction"} & set(vars(conformal))
-    assert parser.parse_args(
-        ["conformal", "--data", "e.csv", "--horizon", "1", "--locations", "1", "--train-size", "10",
-         "--alphas", "0.05,0.1"]
-    ).alphas == (0.05, 0.1)
+@pytest.mark.parametrize("command", ["fit", "predict", "conformal"])
+def test_subcommand_defaults_match_an_empty_bundle_section(empty_sections_run, tmp_path, monkeypatch, command):
+    """Each stage subcommand given only its required flags writes what a
+    run's stage writes from an empty section: an unset flag takes the
+    section's default."""
+    run, n = empty_sections_run
+    events = str(run / "events.csv")
+    common = ["--horizon", "120", "--locations", "2"]
+    argv, artifacts = {
+        "fit": (["--events", events, *common, "--out", "params.json", "--trace", "fit_trace.csv"],
+                ("params.json", "fit_trace.csv")),
+        "predict": (["--params", str(run / "params.json"), "--events", events, *common, "--out", "detections.csv"],
+                    ("detections.csv",)),
+        "conformal": (["--data", events, *common, "--train-size", str(max(10, int(0.6 * n)))],
+                      ("conformal_sets.jsonl", "conformal_summary.csv")),
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *argv]) == 0
+    for name in artifacts:
+        assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), f"{name} differs"
+
+
+def _subcommand_actions(command):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[command]._actions
+
+
+# the flags of the stage subcommands that are no key of the stage's bundle
+# section: inputs, outputs, the conformal train count and seed, and predict's
+# mark model (a run predicts with the fit's)
+COMMAND_ONLY_FLAGS = {
+    "fit": {"events", "horizon", "locations", "support", "out", "trace"},
+    "predict": {"params", "events", "horizon", "locations", "mark_model", "out"},
+    "conformal": {"data", "horizon", "locations", "train_size", "seed", "sets", "summary"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ONLY_FLAGS))
+def test_every_stage_flag_is_a_bundle_key(command):
+    # the CLI keeps only the flags named like a section key, so any other flag
+    # must be command-only, or it would be parsed and silently dropped
+    keys = pipeline.BUNDLE_KEYS[command][1]
+    for action in _subcommand_actions(command):
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag = action.option_strings[0]
+        if action.dest in COMMAND_ONLY_FLAGS[command]:
+            assert action.dest not in keys, f"{flag} is listed as command-only but is a {command} key"
+        else:
+            assert action.dest in keys, f"{flag} is neither a {command} key nor command-only"
+            assert action.default is argparse.SUPPRESS, f"{flag} has a default of its own"
+
+
+def test_no_screening_spells_the_predict_section():
+    base = ["predict", "--params", "p.json", "--events", "e.csv", "--horizon", "1", "--locations", "1", "--out", "d"]
+    assert "screening" not in vars(build_parser().parse_args(base))
+    assert build_parser().parse_args([*base, "--no-screening"]).screening is False
 
 
 @pytest.mark.parametrize("method, flags, foreign", [
@@ -409,20 +447,9 @@ def test_simulate_matches_run_simulate_stage(tmp_path, params_file):
     assert events.read_bytes() == (tmp_path / "run" / "events.csv").read_bytes()
 
 
-def test_fit_flag_defaults_are_fit_config_defaults():
-    args = build_parser().parse_args(
-        ["fit", "--events", "e.csv", "--horizon", "1", "--locations", "1", "--out", "p.json"]
-    )
-    defaults = FitConfig()
-    for name in ("beta_low", "beta_high", "grid_points", "pgd_steps", "kappa", "l1_weight"):
-        assert getattr(args, name) == getattr(defaults, name)
-
-
 def test_choices_are_the_pipeline_tables():
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-
     def choices(command, flag):
-        return next(a.choices for a in subparsers.choices[command]._actions if flag in a.option_strings)
+        return next(a.choices for a in _subcommand_actions(command) if flag in a.option_strings)
 
     for command in ("fit", "predict", "eval"):
         assert list(choices(command, "--mark-model")) == list(pipeline.MARK_MODELS)

@@ -698,6 +698,25 @@ class TestSerialization:
         assert np.array_equal(back.locations, seq.locations)
         assert np.array_equal(back.marks, seq.marks)
 
+    @pytest.mark.parametrize("row, column", [
+        ("nan,0,0.5,0.5", "time"),
+        ("1.5,0,nan,0.5", "m_0"),
+        ("1.5,0,0.5,inf", "m_1"),
+    ])
+    def test_load_rejects_a_non_finite_column(self, tmp_path, row, column):
+        # every comparison with NaN is false, so the range checks alone let it through
+        path = tmp_path / "events.csv"
+        path.write_text(f"time,location,m_0,m_1\r\n0.5,0,0.2,0.3\r\n{row}\r\n")
+        with pytest.raises(ValueError, match=rf"^column '{column}' has a non-finite value$"):
+            load_events_csv(path, horizon=10.0, num_locations=1)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0])
+    def test_load_rejects_a_horizon_that_is_not_positive_and_finite(self, tmp_path, horizon):
+        path = tmp_path / "events.csv"
+        path.write_text("time,location,m_0\r\n0.5,0,0.2\r\n")
+        with pytest.raises(ValueError, match=r"^horizon must be positive and finite"):
+            load_events_csv(path, horizon=horizon, num_locations=1)
+
     def test_validate_catches_violations(self):
         with pytest.raises(ValueError):
             ModelParams(

@@ -12,7 +12,6 @@ from firecast.events import EventSequence, load_events_csv, save_events_csv
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import RATE_FLOOR, ModelParams
 from firecast.pipeline import (
-    PREDICT_DEFAULTS,
     GridSpec,
     MarkStats,
     PipelineError,
@@ -22,18 +21,15 @@ from firecast.pipeline import (
     fit_stage,
     impute_series,
     ingest,
-    predict_stage,
     query_marks_by_location,
     read_detections_csv,
     risk_series,
     run_end_to_end,
-    simulation_config,
     write_conformal_sets_jsonl,
     write_detections_csv,
     write_metrics_csv,
 )
-from firecast.simulation import simulate
-from firecast.thresholding import DetectionTrace, ScreeningState, ThresholdConfig, detect
+from firecast.thresholding import DetectionTrace
 
 from oracles import (
     f1_oracle,
@@ -672,27 +668,14 @@ class TestRunEndToEnd:
             run_end_to_end(bad, tmp_path / "y")
 
 
-def test_predict_defaults_are_the_detectors_own():
-    # bundles and CLI flags default to what from_first_day_risk does without keywords
-    params = ModelParams.from_json(json.dumps(small_bundle()["simulate"]["params"]))
-    seq = simulate(simulation_config(params, {"horizon": 150.0}, 5))
-    cfg = PREDICT_DEFAULTS
-    trace = predict_stage(params, seq, LinearMarkModel(), cfg["delta"], cfg["a1"], cfg["a2"], cfg["screening"])
-    risk = risk_series(params, seq, LinearMarkModel())
-    truth = daily_truths(seq, len(risk))
-    screening = ScreeningState.from_validation(truth) if cfg["screening"] else None
-    expected = detect(risk, truth, ThresholdConfig.from_first_day_risk(risk[0], len(risk)), screening)
-    for name in ("risk", "threshold", "prediction", "truth"):
-        assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
-
-
 @pytest.mark.parametrize("method", ["grid", "alternating"])
 def test_fit_stage_calls_the_estimation_function_set_at_call_time(monkeypatch, method):
     # a wrapper set on the estimation module (as the benchmark's tracer sets one) is the one run
     calls = []
     monkeypatch.setattr(estimation, f"{method}_fit", lambda *args: calls.append(args) or "fit")
-    assert fit_stage("seq", "marks", "config", method, "feasible") == "fit"
-    assert calls == [("seq", "marks", "config", "feasible")]
+    fit, mark_model = fit_stage("seq", {"method": method, "pgd_steps": 3}, "feasible")
+    assert fit == "fit" and isinstance(mark_model, LinearMarkModel)
+    assert calls == [("seq", mark_model, estimation.FitConfig(pgd_steps=3), "feasible")]
 
 
 class TestBundleChecks:
@@ -781,6 +764,14 @@ class TestFrozenStatsAcrossFiles:
 
 
 class TestRunVariants:
+    def test_magnitude_classes_label_events_without_a_conformal_stage(self, tmp_path):
+        # the same draws and labels as a run that has a conformal stage
+        run_end_to_end(small_bundle(), tmp_path / "with")
+        run_end_to_end(small_bundle(with_conformal=False), tmp_path / "without")
+        events = (tmp_path / "without" / "events.csv").read_bytes()
+        assert events.startswith(b"time,location,m_0,m_1,magnitude\r\n")
+        assert events == (tmp_path / "with" / "events.csv").read_bytes()
+
     def test_alternating_method_in_bundle(self, tmp_path):
         bundle = small_bundle(with_conformal=False)
         bundle["fit"] = {"method": "alternating", "pgd_steps": 60, "max_outer": 4,
@@ -839,6 +830,18 @@ class TestRunVariants:
         bundle = {"seed": 3, "ingest": {"csv": str(raw), "grid": grid, "horizon": 31.0, "neighbor_radius": radius},
                   "fit": {"grid_points": 1, "pgd_steps": 5}}
         with pytest.raises(PipelineError, match=r"^\[data\] neighbor_radius must be a nonnegative distance"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run" / "events.csv").exists()
+
+    def test_nan_time_fails_the_data_stage(self, tmp_path):
+        # a NaN time sorts last and passes every range check; it used to reach
+        # events.csv and fail the fit with a non-finite gradient
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,lat,lon\n" + "".join(f"{0.5 + i},0.3,0.3\n" for i in range(30)) + "nan,0.3,0.3\n")
+        grid = {"lat_min": 0, "lon_min": 0, "lat_max": 1, "lon_max": 1, "cell_size": 0.5}
+        bundle = {"seed": 3, "ingest": {"csv": str(raw), "grid": grid, "horizon": 31.0},
+                  "fit": {"grid_points": 1, "pgd_steps": 5}}
+        with pytest.raises(PipelineError, match=r"^\[data\] column 'time' has a non-finite value$"):
             run_end_to_end(bundle, tmp_path / "run")
         assert not (tmp_path / "run" / "events.csv").exists()
 

@@ -46,10 +46,10 @@ def test_no_stage_builds_a_dense_alpha(state_box, tmp_path):
     seq, peaks["simulate"] = traced_peak(lambda: simulation.simulate(sim))
     assert len(seq) > 100
     feasible = estimation.FeasibleSet.of(truth)
-    grid_config = estimation.FitConfig(grid_points=1, pgd_steps=3, beta_low=0.5, beta_high=1.5)
-    _, peaks["grid fit"] = traced_peak(lambda: pipeline.fit_stage(seq, mm, grid_config, "grid", feasible))
-    alt_config = estimation.FitConfig(pgd_steps=3, max_outer=1)
-    fit, peaks["alternating fit"] = traced_peak(lambda: pipeline.fit_stage(seq, mm, alt_config, "alternating", feasible))
+    grid_section = {"grid_points": 1, "pgd_steps": 3, "beta_low": 0.5, "beta_high": 1.5}
+    _, peaks["grid fit"] = traced_peak(lambda: pipeline.fit_stage(seq, grid_section, feasible))
+    alt_section = {"method": "alternating", "pgd_steps": 3, "max_outer": 1}
+    (fit, _), peaks["alternating fit"] = traced_peak(lambda: pipeline.fit_stage(seq, alt_section, feasible))
     path = tmp_path / "params.json"
     _, peaks["to_json"] = traced_peak(lambda: fit.params.to_json(path))
     back, peaks["from_json"] = traced_peak(lambda: model.ModelParams.from_json(path))
