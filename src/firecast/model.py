@@ -202,16 +202,21 @@ class ModelParams:
 
 
 def _json_array(values: np.ndarray) -> str:
-    """``json.dumps(values.tolist())`` of a float64 or integer array, encoded
-    ``JSON_BLOCK`` entries at a time.  Each distinct value of a block is
-    formatted once (floats told apart by their bits, so ``-0.0`` keeps its
-    sign) and its text gathered to every entry that holds it."""
-    return "[" + ", ".join(_json_block(values[i : i + JSON_BLOCK]) for i in range(0, len(values), JSON_BLOCK)) + "]"
+    """``json.dumps(values.tolist())`` of a float64 array or a nonnegative
+    integer array, encoded ``JSON_BLOCK`` entries at a time.  An integer
+    entry takes its text from the table of ``str(0..max)``.  Each distinct
+    float of a block is formatted once (told apart by its bits, so ``-0.0``
+    keeps its sign) and its text gathered to every entry that holds it."""
+    if values.dtype.kind == "f":
+        encode = _json_block
+    else:
+        table = np.array([str(i) for i in range(values.max(initial=-1) + 1)], dtype=object)
+        encode = lambda block: ", ".join(table[block].tolist())
+    return "[" + ", ".join(encode(values[i : i + JSON_BLOCK]) for i in range(0, len(values), JSON_BLOCK)) + "]"
 
 
 def _json_block(block: np.ndarray) -> str:
-    keys = block.view(np.int64) if block.dtype.kind == "f" else block
-    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
     texts = np.array(json.dumps(distinct.view(block.dtype).tolist())[1:-1].split(", "), dtype=object)
     return ", ".join(texts[inverse].tolist())
 

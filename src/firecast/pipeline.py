@@ -294,8 +294,11 @@ def ingest(
     if not times:
         raise ValueError(f"{csv_path}: no events retained")
 
-    order = np.argsort(np.asarray(times), kind="stable")
-    times_arr = np.asarray(times, dtype=float)[order]
+    times_arr = np.asarray(times, dtype=float)
+    if not np.isfinite(times_arr).all():  # before a missing horizon is read off the last time
+        raise ValueError("column 'time' has a non-finite value")
+    order = np.argsort(times_arr, kind="stable")
+    times_arr = times_arr[order]
     locs_arr = np.asarray(locs, dtype=np.int64)[order]
 
     # numerics are imputed per location, on each location's run of the rows sorted by it

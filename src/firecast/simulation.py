@@ -12,7 +12,10 @@ The location and mark-coordinate draws are inverse-CDF draws, the same
 arithmetic ``Generator.choice(n, p=p)`` performs internally (cumulative sum
 normalized by its last entry, one ``random()``, a right-sided search), so
 they consume the same random stream and pick the same index without
-choice's per-call argument checks.
+choice's per-call argument checks.  For the same reason uniforms come from
+``random()`` and exponentials from ``standard_exponential() * s``: the bits
+and stream of ``uniform()`` (``0.0 + 1.0 * u``) and ``exponential(s)``
+(``s * e``), without their argument handling.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def _cdf(p: np.ndarray) -> np.ndarray:
 
 
 def uniform_mark_sampler(rng: np.random.Generator, location: int, dim: int) -> np.ndarray:
-    return rng.uniform(size=dim)
+    return rng.random(dim)
 
 
 def linear_density_mark_sampler(gamma: np.ndarray):
@@ -55,9 +58,9 @@ def linear_density_mark_sampler(gamma: np.ndarray):
     def sampler(rng: np.random.Generator, location: int, dim: int) -> np.ndarray:
         if dim != len(gamma):
             raise ValueError("mark dimension mismatch")
-        m = rng.uniform(size=dim)
+        m = rng.random(dim)
         l = _draw_index(rng, cdf)
-        m[l] = np.sqrt(rng.uniform())
+        m[l] = np.sqrt(rng.random())
         return m
 
     return sampler
@@ -101,13 +104,13 @@ def simulate(config: SimConfig) -> EventSequence:
     mu_sum, rates = np.add.reduce(mu), np.empty_like(mu)
     bound = float(mu_sum)
     while bound > 0.0:
-        t_cand = excite.t + rng.exponential(1.0 / bound)
+        t_cand = excite.t + rng.standard_exponential() * (1.0 / bound)
         if t_cand > T:
             break
         excite.advance(t_cand)
         np.add(mu, excite.values, out=rates)
         total = float(np.add.reduce(rates))
-        if rng.uniform() * bound <= total:
+        if rng.random() * bound <= total:
             rates /= total
             k = _draw_index(rng, _cdf(rates))
             m = np.asarray(config.mark_sampler(rng, k, p), dtype=float)

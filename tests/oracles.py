@@ -461,6 +461,20 @@ def save_events_csv_oracle(seq, path):
             writer.writerow(row)
 
 
+def kde_broadcast_oracle(train_marks, marks):
+    """Gaussian KDE with Scott's rule as one broadcast: whitening and squared
+    distances summed along the mark axis of (rows, n, d) products."""
+    train_marks, marks = np.asarray(train_marks, dtype=float), np.asarray(marks, dtype=float)
+    n, d = train_marks.shape
+    chol = np.linalg.cholesky(np.atleast_2d(np.cov(train_marks.T))) * n ** (-1.0 / (d + 4))
+    whiten = np.linalg.inv(chol)
+    train_z = (train_marks[:, None, :] * whiten).sum(axis=2)
+    z = (marks[:, None, :] * whiten).sum(axis=2)
+    diff = z[:, None, :] - train_z
+    density = np.exp(-0.5 * (diff * diff).sum(axis=2)).sum(axis=1)
+    return density / (n * np.prod(np.sqrt(2 * np.pi) * np.diag(chol)))
+
+
 def linear_density_sampler_with_choice(gamma):
     """The linear-density mark sampler drawing its coordinate with ``Generator.choice``."""
     probs = np.asarray(gamma, dtype=float) / np.sum(gamma)

@@ -158,6 +158,20 @@ def test_gridify_command(tmp_path):
     assert len(seq) == 2
 
 
+@pytest.mark.parametrize("horizon", [[], ["--horizon", "5"]], ids=["no-horizon", "horizon"])
+@pytest.mark.parametrize("time", ["nan", "inf"])
+def test_gridify_names_a_non_finite_time(tmp_path, capsys, time, horizon):
+    # without a horizon it used to fail on the last time: "cannot convert float NaN to integer"
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"lat_min": 0.0, "lon_min": 0.0, "lat_max": 1.0, "lon_max": 1.0, "cell_size": 0.5}))
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"time,lat,lon\n1.0,0.2,0.2\n{time},0.8,0.9\n2.0,0.2,0.8\n")
+    out = tmp_path / "events.csv"
+    assert main(["gridify", "--raw", str(raw), "--grid", str(grid_path), "--out", str(out), *horizon]) == 1
+    assert capsys.readouterr().err.strip() == "firecast gridify: [gridify] column 'time' has a non-finite value"
+    assert not out.exists()
+
+
 def test_run_command(tmp_path):
     bundle = {
         "seed": 2,

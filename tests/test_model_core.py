@@ -32,6 +32,7 @@ from oracles import (
     centroid_mask_oracle,
     finite_difference_gradient,
     integrated_ground_intensity,
+    kde_broadcast_oracle,
     kernel_case,
     mask_from_index_distance,
     naive_ground_intensity,
@@ -681,6 +682,14 @@ class TestSerialization:
         assert back.alpha_values.tobytes() == params.alpha_values.tobytes()
         assert back.mu.tobytes() == params.mu.tobytes() and back.gamma.tobytes() == params.gamma.tobytes()
 
+    @pytest.mark.parametrize("cells", [0, 1, None], ids=["empty", "K=1", "state-box"])
+    def test_json_array_of_support_indices_is_json_dumps(self, cells):
+        # integer entries take their texts from the table of str(0..max); the box spans many blocks
+        src, dst = neighbor_pairs(GridSpec(**STATE_BOX).centroids()[:cells], 0.96)
+        assert cells is not None or len(src) > JSON_BLOCK
+        for values in (src, dst):
+            assert model._json_array(values) == json.dumps(values.tolist())
+
     def test_from_pairs_sorts_the_support(self):
         params = ModelParams.from_pairs([0.1, 0.2], [1, 0, 0], [0, 1, 0], [0.3, 0.2, 0.1], 1.0, [0.5])
         assert params.src.tolist() == [0, 0, 1] and params.dst.tolist() == [0, 1, 0]
@@ -744,7 +753,7 @@ class TestMarkModels:
         q = np.array([0.5, 0.5])
         assert scorer(q) >= 0.0
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_kde_scorer_matches_scipy_gaussian_kde(self, d):
         stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(d)
@@ -753,6 +762,47 @@ class TestMarkModels:
         queries = rng.uniform(-0.1, 1.1, size=(3 * KDE_BLOCK + 5, d))
         got = kde_scorer(train)(queries)
         np.testing.assert_allclose(got, stats.gaussian_kde(train.T)(queries.T), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rows", [KDE_BLOCK - 1, KDE_BLOCK, KDE_BLOCK + 1])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_kde_scorer_is_the_broadcast_formula_bit_for_bit(self, d, rows):
+        # under 8 mark columns numpy sums the mark axis left to right, as the scorer's columns add
+        rng = np.random.default_rng(100 * d + rows)
+        train = rng.uniform(size=(30 + 5 * d, d))
+        distinct = rng.uniform(-0.1, 1.1, size=(rows, d))
+        distinct[:4] = train[:4]  # a query on a training row
+        distinct[4] = 0.0
+        # repeated rows: the scorer scores each of the `rows` distinct rows once
+        queries = rng.permutation(np.concatenate([distinct, distinct[::3], -distinct[4:5]]))
+        got = kde_scorer(train)(queries)
+        assert got.tobytes() == kde_broadcast_oracle(train, queries).tobytes()
+
+    def test_kde_scorer_of_two_training_rows_is_the_broadcast_formula(self):
+        train = np.array([[0.25], [0.75]])
+        queries = np.array([[0.0], [0.25], [0.5], [0.5], [1.0]])
+        assert kde_scorer(train)(queries).tobytes() == kde_broadcast_oracle(train, queries).tobytes()
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_kde_scorer_of_many_mark_columns_is_the_broadcast_formula_to_rounding(self, d):
+        # from 8 columns numpy's unrolled sum adds in another order: the last bits may differ
+        rng = np.random.default_rng(d)
+        train = rng.uniform(size=(200, d))
+        queries = rng.uniform(size=(2 * KDE_BLOCK + 3, d))
+        np.testing.assert_allclose(kde_scorer(train)(queries), kde_broadcast_oracle(train, queries), rtol=1e-13, atol=0)
+
+    def test_kde_scorer_holds_two_blocks_of_distances(self):
+        # the broadcast formula holds about three KDE_BLOCK x n x d temporaries; the scorer two KDE_BLOCK x n
+        rng = np.random.default_rng(23)
+        n = 20_000
+        scorer = kde_scorer(rng.uniform(size=(n, 3)))
+        queries = rng.uniform(size=(2_000, 3))
+        tracemalloc.start()
+        try:
+            scorer(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * KDE_BLOCK * n * 8
 
     def test_kde_scorer_scores_a_row_alike_in_any_batch(self):
         rng = np.random.default_rng(11)

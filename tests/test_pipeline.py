@@ -833,14 +833,17 @@ class TestRunVariants:
             run_end_to_end(bundle, tmp_path / "run")
         assert not (tmp_path / "run" / "events.csv").exists()
 
-    def test_nan_time_fails_the_data_stage(self, tmp_path):
-        # a NaN time sorts last and passes every range check; it used to reach
-        # events.csv and fail the fit with a non-finite gradient
+    @pytest.mark.parametrize("horizon", [None, 31.0], ids=["no-horizon", "horizon"])
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_time_fails_the_data_stage(self, tmp_path, time, horizon):
+        # a NaN time sorts last and passes every range check: with a horizon it used to reach
+        # events.csv and fail the fit with a non-finite gradient; without one, the horizon read
+        # off the last time failed first, as "cannot convert float ... to integer"
         raw = tmp_path / "raw.csv"
-        raw.write_text("time,lat,lon\n" + "".join(f"{0.5 + i},0.3,0.3\n" for i in range(30)) + "nan,0.3,0.3\n")
+        raw.write_text("time,lat,lon\n" + "".join(f"{0.5 + i},0.3,0.3\n" for i in range(30)) + f"{time},0.3,0.3\n")
         grid = {"lat_min": 0, "lon_min": 0, "lat_max": 1, "lon_max": 1, "cell_size": 0.5}
-        bundle = {"seed": 3, "ingest": {"csv": str(raw), "grid": grid, "horizon": 31.0},
-                  "fit": {"grid_points": 1, "pgd_steps": 5}}
+        ingest = {"csv": str(raw), "grid": grid} | ({} if horizon is None else {"horizon": horizon})
+        bundle = {"seed": 3, "ingest": ingest, "fit": {"grid_points": 1, "pgd_steps": 5}}
         with pytest.raises(PipelineError, match=r"^\[data\] column 'time' has a non-finite value$"):
             run_end_to_end(bundle, tmp_path / "run")
         assert not (tmp_path / "run" / "events.csv").exists()
