@@ -43,5 +43,5 @@ from .pipeline import (
     risk_series,
     run_end_to_end,
 )
-from .simulation import SimConfig, simulate
+from .simulation import SimConfig, simulate, simulate_clusters
 from .thresholding import DetectionTrace, ScreeningState, ThresholdConfig, detect

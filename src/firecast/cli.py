@@ -1,12 +1,13 @@
 """Command-line interface: simulate, fit, predict, conformal, eval, gridify, run.
 
 Each subcommand only parses its arguments and calls the same pipeline stage
-functions as ``firecast run``: ``pipeline.build_mark_model``, ``fit_stage``,
-``predict_stage`` and ``conformal_stage``.  The stage flags of ``fit``,
-``predict`` and ``conformal`` spell that stage's bundle section: a flag that
-is not given is absent from it, so the stage applies the same default as to a
-bundle without the key, and the section is checked like a bundle's before
-any file is read.
+functions as ``firecast run``: ``pipeline.simulate_stage``,
+``build_mark_model``, ``fit_stage``, ``predict_stage`` and
+``conformal_stage``.  The stage flags of ``simulate``, ``fit``, ``predict``
+and ``conformal`` spell that stage's bundle section: a flag that is not given
+is absent from it, so the stage applies the same default as to a bundle
+without the key, and the section is checked like a bundle's before any file
+is read.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pipeline, simulation
+from . import pipeline
 from .events import load_events_csv, save_events_csv
 from .model import FeasibleSet, ModelParams
 
 
 def cmd_simulate(args) -> int:
-    params = ModelParams.from_json(args.params)
-    seq = simulation.simulate(pipeline.simulation_config(params, {"horizon": args.horizon}, args.seed))
+    seq, _ = pipeline.simulate_stage(_section(args, "simulate"), args.seed)
     save_events_csv(seq, args.out)
     print(f"wrote {len(seq)} events to {args.out}")
     return 0
@@ -126,15 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="draw a synthetic event sequence")
-    p.add_argument("--params", required=True)
+    # in simulate, fit, predict and conformal, a flag without a default of its
+    # own is absent unless given (SUPPRESS), so its stage applies the bundle default
+    p = sub.add_parser("simulate", help="draw a synthetic event sequence", argument_default=argparse.SUPPRESS)
+    p.add_argument("--params", dest="params_file", required=True, help="params JSON")
     p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--magnitude-classes", type=int, help="label each event with one of this many classes")
+    p.add_argument("--mark-distribution", choices=pipeline.MARK_DISTRIBUTIONS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    # in fit, predict and conformal, a flag without a default of its own is
-    # absent unless given (SUPPRESS), so its stage applies the bundle default
     p = sub.add_parser("fit", help="fit model parameters by constrained MLE", argument_default=argparse.SUPPRESS)
     p.add_argument("--events", required=True)
     p.add_argument("--horizon", type=float, required=True)

@@ -7,13 +7,13 @@ mark columns are imputed per location by linear interpolation over time
 min-max scaled to [0, 1]; scaling statistics are fitted once on training
 data and can be frozen for later files.
 
-The chain runs through one function per stage: ``fit_stage``,
-``predict_stage`` and ``conformal_stage``.  Each reads a settings dict shaped
-like its bundle section and applies the section's defaults and conversions
-itself.  ``run_end_to_end`` passes the bundle's sections and the CLI
-subcommands the sections their flags spell; ``run_end_to_end`` chains the
-stages after simulate-or-ingest and writes every artifact plus a
-reproducibility manifest.
+The chain runs through one function per stage: ``simulate_stage``,
+``fit_stage``, ``predict_stage`` and ``conformal_stage``.  Each reads a
+settings dict shaped like its bundle section and applies the section's
+defaults and conversions itself.  ``run_end_to_end`` passes the bundle's
+sections and the CLI subcommands the sections their flags spell;
+``run_end_to_end`` chains the stages after simulate-or-ingest and writes
+every artifact plus a reproducibility manifest.
 """
 
 from __future__ import annotations
@@ -755,30 +755,28 @@ def _stage(name: str, done: list):
     done.append(name)
 
 
-def simulation_config(params: ModelParams, cfg: dict, seed: int) -> simulation.SimConfig:
-    """The simulate stage's settings from its bundle keys; ``firecast simulate``
-    uses it too, so both draw the same events."""
+def simulate_stage(section: dict, seed: int):
+    """Events drawn by ``simulation.simulate_clusters`` from a ``simulate``
+    section, and the params' support; ``firecast simulate`` calls it too, so
+    both draw the same events."""
+    params = (
+        ModelParams.from_json(section["params_file"])
+        if "params_file" in section
+        else ModelParams.from_json(json.dumps(section["params"]))
+    )
     magnitude_sampler = None
-    n_classes = int(cfg.get("magnitude_classes", 0))
+    n_classes = int(section.get("magnitude_classes", 0))
     if n_classes >= 2:
         def magnitude_sampler(rng, marks, location):
             # label tied to the first mark so a classifier has signal
-            return 1 + min(n_classes - 1, int(marks[0] * n_classes))
+            return 1 + np.minimum(n_classes - 1, (marks[..., 0] * n_classes).astype(np.int64))
 
-    mark_sampler = _choose(MARK_DISTRIBUTIONS, cfg.get("mark_distribution", "linear"), "mark_distribution")(params)
-    return simulation.SimConfig(
-        params=params, horizon=float(cfg["horizon"]), seed=seed,
+    mark_sampler = _choose(MARK_DISTRIBUTIONS, section.get("mark_distribution", "linear"), "mark_distribution")(params)
+    config = simulation.SimConfig(
+        params=params, horizon=float(section["horizon"]), seed=seed,
         mark_sampler=mark_sampler, magnitude_sampler=magnitude_sampler,
     )
-
-
-def _bundle_simulate(cfg: dict, seed: int):
-    params = (
-        ModelParams.from_json(cfg["params_file"])
-        if "params_file" in cfg
-        else ModelParams.from_json(json.dumps(cfg["params"]))
-    )
-    return simulation.simulate(simulation_config(params, cfg, seed)), model.FeasibleSet.of(params)
+    return simulation.simulate_clusters(config), model.FeasibleSet.of(params)
 
 
 def _bundle_ingest(cfg: dict, notes: list):
@@ -820,7 +818,7 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
 
     with _stage("data", stages):
         if "simulate" in bundle:
-            seq, feasible = _bundle_simulate(bundle["simulate"], seed)
+            seq, feasible = simulate_stage(bundle["simulate"], seed)
         elif "ingest" in bundle:
             seq, feasible = _bundle_ingest(bundle["ingest"], notes)
         else:

@@ -396,9 +396,11 @@ def _subcommand_actions(command):
 
 
 # the flags of the stage subcommands that are no key of the stage's bundle
-# section: inputs, outputs, the conformal train count and seed, and predict's
-# mark model (a run predicts with the fit's)
+# section: inputs, outputs, the simulate and conformal seeds (a run's is
+# top-level), the conformal train count, and predict's mark model (a run
+# predicts with the fit's)
 COMMAND_ONLY_FLAGS = {
+    "simulate": {"seed", "out"},
     "fit": {"events", "horizon", "locations", "support", "out", "trace"},
     "predict": {"params", "events", "horizon", "locations", "mark_model", "out"},
     "conformal": {"data", "horizon", "locations", "train_size", "seed", "sets", "summary"},
@@ -445,20 +447,58 @@ def test_conformal_rejects_the_other_methods_flags(tmp_path, capsys, method, fla
 
 
 def test_simulate_matches_run_simulate_stage(tmp_path, params_file):
-    """``firecast simulate`` draws the same events as a run's simulate stage."""
-    bundle = {
-        "seed": 5,
-        "simulate": {"params_file": str(params_file), "horizon": 150.0},
-        "fit": {"grid_points": 1, "pgd_steps": 2, "beta_low": 1.0, "beta_high": 1.0},
-        "predict": {"screening": False},
-    }
-    cfg = tmp_path / "bundle.json"
-    cfg.write_text(json.dumps(bundle))
-    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+    """``firecast simulate`` draws the same events as a run's simulate stage,
+    with the section's defaults and with every optional key set."""
+    for name, keys, flags in (
+        ("defaults", {}, []),
+        ("keyed", {"magnitude_classes": 3, "mark_distribution": "uniform"},
+         ["--magnitude-classes", "3", "--mark-distribution", "uniform"]),
+    ):
+        bundle = {
+            "seed": 5,
+            "simulate": {"params_file": str(params_file), "horizon": 150.0, **keys},
+            "fit": {"grid_points": 1, "pgd_steps": 2, "beta_low": 1.0, "beta_high": 1.0},
+            "predict": {"screening": False},
+        }
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(bundle))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
+        events = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--params", str(params_file), "--horizon", "150", "--seed", "5", *flags,
+                     "--out", str(events)]) == 0
+        assert events.read_bytes() == (tmp_path / name / "events.csv").read_bytes()
+    assert load_events_csv(events, horizon=150.0, num_locations=2).magnitudes is not None
+
+
+def test_simulated_labels_feed_conformal(tmp_path, params_file, capsys):
+    # a CLI-only chain: simulate with magnitude classes, then prediction sets
     events = tmp_path / "events.csv"
-    assert main(["simulate", "--params", str(params_file), "--horizon", "150", "--seed", "5",
-                 "--out", str(events)]) == 0
-    assert events.read_bytes() == (tmp_path / "run" / "events.csv").read_bytes()
+    assert main(["simulate", "--params", str(params_file), "--horizon", "150", "--seed", "2",
+                 "--magnitude-classes", "3", "--out", str(events)]) == 0
+    seq = load_events_csv(events, horizon=150.0, num_locations=2)
+    assert set(np.unique(seq.magnitudes)) <= {1, 2, 3}
+    sets, summary = tmp_path / "sets.jsonl", tmp_path / "summary.csv"
+    assert main(["conformal", "--data", str(events), "--horizon", "150", "--locations", "2",
+                 "--train-size", str(len(seq) // 2), "--num-bootstrap", "4", "--batch-size", "4",
+                 "--sets", str(sets), "--summary", str(summary)]) == 0
+    assert summary.read_text().splitlines()[0].startswith("alpha,coverage")
+    assert len(sets.read_text().splitlines()) == len(seq) - len(seq) // 2
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_horizon(tmp_path, params_file, capsys, horizon):
+    # both used to draw forever: no candidate time is ever past the horizon
+    events = tmp_path / "events.csv"
+    assert main(["simulate", "--params", str(params_file), "--horizon", horizon, "--out", str(events)]) == 1
+    message = f"horizon must be positive and finite, got {float(horizon)}"
+    assert capsys.readouterr().err.strip() == f"firecast simulate: [simulate] {message}"
+    assert not events.exists()
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps({"simulate": {"params_file": str(params_file), "horizon": float(horizon)}}))
+    assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast run: [data] {message}"
+    assert not (tmp_path / "out" / "events.csv").exists()
 
 
 def test_choices_are_the_pipeline_tables():
@@ -469,3 +509,4 @@ def test_choices_are_the_pipeline_tables():
         assert list(choices(command, "--mark-model")) == list(pipeline.MARK_MODELS)
     assert list(choices("fit", "--method")) == list(pipeline.FIT_METHODS)
     assert list(choices("conformal", "--method")) == list(pipeline.CONFORMAL_METHOD_KEYS)
+    assert list(choices("simulate", "--mark-distribution")) == list(pipeline.MARK_DISTRIBUTIONS)

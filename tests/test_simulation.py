@@ -10,6 +10,8 @@ from firecast.simulation import (
     _draw_index,
     linear_density_mark_sampler,
     simulate,
+    simulate_clusters,
+    uniform_mark_sampler,
 )
 
 from oracles import (
@@ -113,6 +115,109 @@ class TestSimulate:
         assert set(np.unique(seq.magnitudes)) <= {1, 2}
 
 
+def two_cell_params(beta=2.0):
+    return ModelParams(
+        mu=np.array([0.4, 0.1]),
+        alpha=np.array([[0.35, 0.1], [0.3, 0.2]]),
+        beta=beta,
+        gamma=np.array([1.0]),
+        mask=np.ones((2, 2), dtype=bool),
+    )
+
+
+class TestSimulateClusters:
+    def test_law_matches_thinning_on_two_cells(self):
+        # same seeds, independent streams: event counts, pooled inter-event gaps
+        # and per-sequence shares of cell 0 agree in two-sample KS tests
+        def summaries(simulator):
+            counts, gaps, shares = [], [], []
+            for seed in range(300):
+                seq = simulator(SimConfig(params=two_cell_params(), horizon=100.0, seed=seed, mark_dim=1))
+                counts.append(len(seq))
+                gaps.append(np.diff(np.concatenate([[0.0], seq.times])))
+                shares.append(np.mean(seq.locations == 0))
+            return counts, np.concatenate(gaps), shares
+
+        for name, ours, thinned in zip(("counts", "gaps", "shares"), summaries(simulate_clusters), summaries(simulate)):
+            p = stats.ks_2samp(ours, thinned).pvalue
+            assert p > 1e-3, f"{name}: KS p-value {p}"
+
+    def test_time_rescaling_gives_unit_exponentials(self):
+        params = two_cell_params(beta=1.2)
+        for seed in range(3):
+            seq = simulate_clusters(SimConfig(params=params, horizon=600.0, seed=seed, mark_dim=1))
+            rescaled = np.array([integrated_ground_intensity(params, seq, float(t)) for t in seq.times])
+            assert stats.kstest(np.diff(np.concatenate([[0.0], rescaled])), "expon").pvalue > 0.01
+
+    def test_times_ascend_inside_the_horizon(self):
+        seq = simulate_clusters(SimConfig(params=two_cell_params(), horizon=300.0, seed=3))
+        assert len(seq) > 100
+        assert np.all(np.diff(seq.times) >= 0)
+        assert seq.times[0] > 0 and seq.times[-1] <= 300.0
+        assert seq.marks.shape == (len(seq), 1) and 0 <= seq.marks.min() and seq.marks.max() <= 1
+
+    def test_seeded_run_is_reproducible(self):
+        cfg = SimConfig(params=hawkes_params(), horizon=200.0, seed=7, mark_dim=2)
+        a, b = simulate_clusters(cfg), simulate_clusters(cfg)
+        assert a.times.tobytes() == b.times.tobytes() and a.marks.tobytes() == b.marks.tobytes()
+        assert np.array_equal(a.locations, b.locations)
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_zero_baseline_gives_an_empty_sequence(self, labelled):
+        magnitudes = (lambda rng, m, k: 1 + (m[..., 0] > 0.5)) if labelled else None
+        cfg = SimConfig(params=poisson_params(mu=0.0, K=3), horizon=50.0, seed=1, mark_dim=2,
+                        magnitude_sampler=magnitudes)
+        seq = simulate_clusters(cfg)
+        assert len(seq) == 0 and seq.num_locations == 3
+        assert seq.marks.shape == (0, 2) and seq.locations.dtype == np.int64
+        assert (seq.magnitudes is not None) == labelled
+        if labelled:
+            assert seq.magnitudes.shape == (0,) and seq.magnitudes.dtype == np.int64
+
+    def test_magnitudes_follow_the_sampler(self):
+        labels = lambda rng, m, k: 1 + (m[..., 0] > 0.5)
+        cfg = SimConfig(params=hawkes_params(), horizon=100.0, seed=1, mark_dim=1, magnitude_sampler=labels)
+        seq = simulate_clusters(cfg)
+        assert seq.magnitudes.dtype == np.int64
+        assert np.array_equal(seq.magnitudes, 1 + (seq.marks[:, 0] > 0.5))
+        assert simulate_clusters(SimConfig(params=hawkes_params(), horizon=100.0, seed=1, mark_dim=1)).magnitudes is None
+
+    def test_zero_decay_gives_poisson_immigrants_only(self):
+        # beta = 0 makes the kernel vanish: the events are the first draw of the
+        # stream, Poisson(mu_k T) per cell, whatever alpha is
+        params = ModelParams(mu=np.array([0.3, 0.05, 0.2]), alpha=np.full((3, 3), 0.3), beta=0.0,
+                             gamma=np.array([1.0]), mask=np.ones((3, 3), dtype=bool))
+        for seed in range(5):
+            seq = simulate_clusters(SimConfig(params=params, horizon=80.0, seed=seed))
+            immigrants = np.random.default_rng(seed).poisson(params.mu * 80.0)
+            assert np.array_equal(np.bincount(seq.locations, minlength=3), immigrants)
+
+    def test_negative_alpha_rejected(self):
+        params = ModelParams(mu=np.array([0.5]), alpha=np.array([[-0.2]]), beta=1.0,
+                             gamma=np.array([1.0]), mask=np.array([[True]]))
+        with pytest.raises(ValueError, match="negative interaction"):
+            simulate_clusters(SimConfig(params=params, horizon=10.0, seed=0))
+
+    @pytest.mark.parametrize("alpha", [[[1.0]], [[0.5, 0.5], [0.5, 0.5]]])
+    def test_critical_edge_is_drawn(self, alpha):
+        # ||alpha||_F = 1 passes validate() and each alpha has spectral radius 1,
+        # yet the generations die out: each lies one more Exp(beta) delay past T's start
+        K = len(alpha)
+        params = ModelParams(mu=np.full(K, 0.5), alpha=np.array(alpha), beta=1.0,
+                             gamma=np.array([1.0]), mask=np.ones((K, K), dtype=bool))
+        params.validate()
+        seq = simulate_clusters(SimConfig(params=params, horizon=20.0, seed=0))
+        assert len(seq) > 0 and np.all(np.diff(seq.times) >= 0)
+        assert seq.times[0] > 0 and seq.times[-1] <= 20.0
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            SimConfig(params=poisson_params(), horizon=horizon)
+
+
 class TestMarkSamplers:
     def test_linear_density_sampler_statistics(self):
         rng = np.random.default_rng(0)
@@ -121,6 +226,16 @@ class TestMarkSamplers:
         # coordinate 0 has density 2m (mean 2/3); coordinate 1 stays uniform
         assert abs(draws[:, 0].mean() - 2 / 3) < 0.02
         assert abs(draws[:, 1].mean() - 1 / 2) < 0.02
+
+    def test_samplers_take_an_array_of_locations(self):
+        rng = np.random.default_rng(0)
+        locations = np.zeros(4000, dtype=np.int64)
+        draws = linear_density_mark_sampler(np.array([1.0, 0.0]))(rng, locations, 2)
+        assert draws.shape == (4000, 2)
+        assert abs(draws[:, 0].mean() - 2 / 3) < 0.02
+        assert abs(draws[:, 1].mean() - 1 / 2) < 0.02
+        assert uniform_mark_sampler(rng, locations[:5], 3).shape == (5, 3)
+        assert uniform_mark_sampler(rng, 0, 3).shape == (3,)
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
