@@ -4,10 +4,10 @@ Each subcommand only parses its arguments and calls the same pipeline stage
 functions as ``firecast run``: ``pipeline.simulate_stage``,
 ``build_mark_model``, ``fit_stage``, ``predict_stage`` and
 ``conformal_stage``.  The stage flags of ``simulate``, ``fit``, ``predict``
-and ``conformal`` spell that stage's bundle section: a flag that is not given
-is absent from it, so the stage applies the same default as to a bundle
-without the key, and the section is checked like a bundle's before any file
-is read.
+and ``conformal`` are made from ``pipeline.SECTION_DEFAULTS`` and spell that
+stage's bundle section: a flag that is not given is absent from it, so the
+stage applies the same default as to a bundle without the key, and the
+section is checked like a bundle's before any file is read.
 """
 
 from __future__ import annotations
@@ -119,6 +119,19 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+def _section_flags(p, section: str, skip=()) -> None:
+    """One flag per optional key of ``section`` in ``pipeline.SECTION_DEFAULTS``:
+    ``--no-KEY`` for a ``True`` default, else ``--KEY`` typed like the default
+    (a tuple as comma-separated floats) and limited to the key's ``CHOICES``."""
+    for key, default in pipeline.SECTION_DEFAULTS[section].items():
+        flag = key.replace("_", "-")
+        if default is True:
+            p.add_argument(f"--no-{flag}", dest=key, action="store_false")
+        elif key not in skip:
+            kind = {tuple: _floats, str: None}.get(type(default), type(default))
+            p.add_argument(f"--{flag}", type=kind, choices=pipeline.CHOICES.get((section, key), (None,))[0])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="firecast",
@@ -131,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw a synthetic event sequence", argument_default=argparse.SUPPRESS)
     p.add_argument("--params", dest="params_file", required=True, help="params JSON")
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--magnitude-classes", type=int, help="label each event with one of this many classes")
-    p.add_argument("--mark-distribution", choices=pipeline.MARK_DISTRIBUTIONS)
+    _section_flags(p, "simulate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -141,16 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
-    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS)
     p.add_argument("--support", default=None,
                    help="params JSON whose interaction mask the fit keeps (default: all pairs)")
-    p.add_argument("--method", choices=pipeline.FIT_METHODS)
-    p.add_argument("--beta-low", type=float)
-    p.add_argument("--beta-high", type=float)
-    p.add_argument("--grid-points", type=int)
-    p.add_argument("--pgd-steps", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--l1-weight", type=float)
+    _section_flags(p, "fit")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=cmd_fit)
@@ -161,11 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
-    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default="linear")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--a1", type=float)
-    p.add_argument("--a2", type=float)
-    p.add_argument("--no-screening", dest="screening", action="store_false")
+    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default=pipeline.SECTION_DEFAULTS["fit"]["mark_model"])
+    _section_flags(p, "predict")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--location", type=int)
     p.add_argument("--marks-a")
     p.add_argument("--marks-b")
-    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default="linear")
+    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default=pipeline.SECTION_DEFAULTS["fit"]["mark_model"])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("conformal", help="magnitude prediction sets", argument_default=argparse.SUPPRESS)
@@ -189,13 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
     p.add_argument("--train-size", type=int, required=True)
-    p.add_argument("--method", choices=pipeline.CONFORMAL_METHOD_KEYS)
-    p.add_argument("--num-bootstrap", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--split-fraction", type=float)
-    p.add_argument("--alphas", type=_floats, help="comma-separated")
-    p.add_argument("--lambda-reg", type=float)
-    p.add_argument("--k-reg", type=int)
+    _section_flags(p, "conformal", skip=("train_fraction",))  # --train-size is a count
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sets", default="conformal_sets.jsonl")
     p.add_argument("--summary", default="conformal_summary.csv")

@@ -109,32 +109,43 @@ def save_events_csv(seq: EventSequence, path: str | Path) -> None:
         fh.write("".join(f"{','.join(row)}\r\n" for row in zip(*columns)))
 
 
-def load_events_csv(
-    path: str | Path, horizon: float, num_locations: int
-) -> EventSequence:
-    """Read the canonical event CSV produced by :func:`save_events_csv`."""
+def read_csv_rows(path):
+    """Yield a CSV file's header, then each non-blank row as ``(line number, fields)``;
+    a missing header or a row with another field count fails naming the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        mark_cols = [i for i, name in enumerate(header) if name.startswith("m_")]
-        try:
-            t_col = header.index("time")
-            u_col = header.index("location")
-        except ValueError as exc:
-            raise ValueError(f"{path}: missing required column: {exc}") from exc
-        mag_col = header.index("magnitude") if "magnitude" in header else None
-        times, locs, marks, mags = [], [], [], []
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header row")
+        yield header
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                times.append(float(row[t_col]))
-                locs.append(int(row[u_col]))
-                marks.append([float(row[i]) for i in mark_cols])
-                if mag_col is not None:
-                    mags.append(int(row[mag_col]))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: unparseable row: {exc}") from exc
+            if any(map(str.strip, row)):
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                yield lineno, row
+
+
+def load_events_csv(path: str | Path, horizon: float, num_locations: int) -> EventSequence:
+    """Read the canonical event CSV produced by :func:`save_events_csv`."""
+    rows = read_csv_rows(path)
+    header = next(rows)
+    mark_cols = [i for i, name in enumerate(header) if name.startswith("m_")]
+    try:
+        t_col = header.index("time")
+        u_col = header.index("location")
+    except ValueError as exc:
+        raise ValueError(f"{path}: missing required column: {exc}") from exc
+    mag_col = header.index("magnitude") if "magnitude" in header else None
+    times, locs, marks, mags = [], [], [], []
+    for lineno, row in rows:
+        try:
+            times.append(float(row[t_col]))
+            locs.append(int(row[u_col]))
+            marks.append([float(row[i]) for i in mark_cols])
+            if mag_col is not None:
+                mags.append(int(row[mag_col]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: unparseable row: {exc}") from exc
     return EventSequence(
         times=np.array(times, dtype=float),
         locations=np.array(locs, dtype=np.int64),

@@ -18,7 +18,6 @@ every artifact plus a reproducibility manifest.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import inspect
 import itertools
@@ -33,7 +32,7 @@ import numpy as np
 from . import __version__
 from . import conformal as conformal_mod
 from . import estimation, model, simulation, thresholding
-from .events import EventSequence, save_events_csv
+from .events import EventSequence, read_csv_rows, save_events_csv
 from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from .model import DecayedExcitation, ModelParams, RATE_FLOOR
 
@@ -67,6 +66,9 @@ class GridSpec:
     excluded: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for name in ("lat_min", "lon_min", "lat_max", "lon_max", "cell_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lat_max <= self.lat_min or self.lon_max <= self.lon_min:
             raise ValueError("bounding box is empty")
         if self.cell_size <= 0:
@@ -219,20 +221,6 @@ class IngestResult:
     messages: list
 
 
-def _read_raw_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rows.append((lineno, row))
-    return header, rows
-
-
 def ingest(
     csv_path,
     grid: GridSpec | None = None,
@@ -249,7 +237,8 @@ def ingest(
     the grid are dropped and counted.  Pass ``stats`` to reuse scaling
     statistics fitted on training data.
     """
-    header, rows = _read_raw_csv(csv_path)
+    rows = read_csv_rows(csv_path)
+    header = next(rows)
     cols = {name: i for i, name in enumerate(header)}
     if "time" not in cols:
         raise ValueError(f"{csv_path}: missing 'time' column")
@@ -287,7 +276,7 @@ def ingest(
                     raw_marks[name].append(raw)
                 else:
                     raw_marks[name].append(float(raw) if raw else np.nan)
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{csv_path}:{lineno}: unparseable row: {exc}") from exc
     if dropped:
         messages.append(f"dropped {dropped} events outside the grid")
@@ -593,8 +582,9 @@ def _sha256(path: Path) -> str:
 # pipeline stages, shared by run_end_to_end and the CLI subcommands
 
 
-def _choose(table: dict, name, what: str):
-    """``table[name]``, or a ValueError naming the choices."""
+def _choose(section: str, key: str, name):
+    """The entry named ``name`` in the key's table in ``CHOICES``, or a ValueError naming the choices."""
+    table, what = CHOICES[section, key]
     if not isinstance(name, str) or name not in table:
         raise ValueError(f"unknown {what} {name!r}; expected {' or '.join(map(repr, table))}")
     return table[name]
@@ -611,20 +601,44 @@ MARK_DISTRIBUTIONS = {
     "uniform": lambda params: simulation.uniform_mark_sampler,
 }
 
+# each stage section's optional keys and defaults: its stage merges its section over them and the
+# CLI makes its flags from them; the fit's, the detector's, the score's and ``split_fraction`` are
+# read off ``FitConfig``, ``from_first_day_risk``, ``ScoreParams`` and ``sraps``: each is written once
+_DETECTOR = inspect.signature(thresholding.ThresholdConfig.from_first_day_risk).parameters
+SECTION_DEFAULTS = {
+    "simulate": {"magnitude_classes": 0, "mark_distribution": "linear"},
+    "fit": {"method": "grid", "mark_model": "linear", **{f.name: f.default for f in fields(estimation.FitConfig)}},
+    "predict": {**{k: _DETECTOR[k].default for k in ("delta", "a1", "a2")}, "screening": True},
+    "conformal": {
+        "method": "eraps", "train_fraction": 0.6, "alphas": (0.1,), "num_bootstrap": 10, "batch_size": 10,
+        "split_fraction": inspect.signature(conformal_mod.sraps).parameters["split_fraction"].default,
+        "lambda_reg": conformal_mod.ScoreParams.lambda_reg, "k_reg": conformal_mod.ScoreParams.k_reg,
+    },
+}
+# the conformal keys that only one method reads
+CONFORMAL_METHOD_KEYS = {"eraps": {"num_bootstrap", "batch_size"}, "sraps": {"split_fraction"}}
+# the section keys whose value names a table entry, with the table and their word in errors
+CHOICES = {
+    ("simulate", "mark_distribution"): (MARK_DISTRIBUTIONS, "mark_distribution"),
+    ("fit", "method"): (FIT_METHODS, "fit method"),
+    ("fit", "mark_model"): (MARK_MODELS, "mark model"),
+    ("conformal", "method"): (CONFORMAL_METHOD_KEYS, "conformal method"),
+}
+
 
 def build_mark_model(spec: str, seq: EventSequence):
     """Mark model by name: ``linear`` or ``kde`` (fitted on ``seq``'s marks)."""
-    return _choose(MARK_MODELS, spec, "mark model")(seq)
+    return _choose("fit", "mark_model", spec)(seq)
 
 
 def fit_stage(seq: EventSequence, section: dict, feasible=None):
-    """Constrained MLE from a ``fit`` section: ``method`` is the beta ``grid``
-    (default) or the ``alternating`` beta search, ``mark_model`` is
-    ``linear`` (default) or ``kde``, and every other key is a ``FitConfig``
-    field.  Returns the fit and the mark model it used."""
-    cfg = dict(section)
-    fit_fn = _choose(FIT_METHODS, cfg.pop("method", "grid"), "fit method")
-    mark_model = build_mark_model(cfg.pop("mark_model", "linear"), seq)
+    """Constrained MLE from a ``fit`` section merged over its ``SECTION_DEFAULTS``:
+    ``method`` is the beta ``grid`` or the ``alternating`` beta search,
+    ``mark_model`` is ``linear`` or ``kde``, and every other key is a
+    ``FitConfig`` field.  Returns the fit and the mark model it used."""
+    cfg = {**SECTION_DEFAULTS["fit"], **section}
+    fit_fn = _choose("fit", "method", cfg.pop("method"))
+    mark_model = build_mark_model(cfg.pop("mark_model"), seq)
     fit = getattr(estimation, fit_fn)(seq, mark_model, estimation.FitConfig(**cfg), feasible)
     return fit, mark_model
 
@@ -633,8 +647,8 @@ def predict_stage(
     params: ModelParams, seq: EventSequence, mark_model, section: dict
 ) -> thresholding.DetectionTrace:
     """Daily risk, day-level truths and the dynamic-threshold detections, from
-    a ``predict`` section merged over ``PREDICT_DEFAULTS``."""
-    cfg = {**PREDICT_DEFAULTS, **section}
+    a ``predict`` section merged over its ``SECTION_DEFAULTS``."""
+    cfg = {**SECTION_DEFAULTS["predict"], **section}
     num_days = int(math.floor(seq.horizon))
     if num_days < 1:
         raise ValueError(f"horizon {seq.horizon} is under one day: predict needs at least one whole day")
@@ -648,12 +662,12 @@ def predict_stage(
 
 
 def conformal_stage(seq: EventSequence, section: dict, n_train: int, seed: int) -> conformal_mod.ConformalRun:
-    """Magnitude prediction sets from a ``conformal`` section merged over
-    ``CONFORMAL_DEFAULTS``: the first ``n_train`` events train, the rest form
+    """Magnitude prediction sets from a ``conformal`` section merged over its
+    ``SECTION_DEFAULTS``: the first ``n_train`` events train, the rest form
     the test stream; ``method`` is ``eraps`` or ``sraps``."""
-    cfg = {**CONFORMAL_DEFAULTS, **section}
+    cfg = {**SECTION_DEFAULTS["conformal"], **section}
     method = cfg["method"]
-    _choose(CONFORMAL_METHOD_KEYS, method, "conformal method")
+    _choose("conformal", "method", method)
     if seq.magnitudes is None:
         raise ValueError("conformal stage needs magnitude labels in the data")
     if not 10 <= n_train < len(seq):
@@ -675,18 +689,6 @@ def conformal_stage(seq: EventSequence, section: dict, n_train: int, seed: int) 
     return conformal_mod.sraps(*split, split_fraction=float(cfg["split_fraction"]), **shared)
 
 
-# the predict and conformal settings' defaults, which their stages merge a
-# bundle section or the CLI's flags over; the detector's and the score's are
-# read off ``from_first_day_risk`` and ``ScoreParams``, so each is written once
-_DETECTOR = inspect.signature(thresholding.ThresholdConfig.from_first_day_risk).parameters
-PREDICT_DEFAULTS = {**{k: _DETECTOR[k].default for k in ("delta", "a1", "a2")}, "screening": True}
-CONFORMAL_DEFAULTS = {
-    "method": "eraps", "train_fraction": 0.6, "alphas": (0.1,), "num_bootstrap": 10, "batch_size": 10,
-    "split_fraction": 0.5, "lambda_reg": conformal_mod.ScoreParams.lambda_reg,
-    "k_reg": conformal_mod.ScoreParams.k_reg,
-}
-
-
 # ---------------------------------------------------------------------------
 # end-to-end orchestration
 
@@ -703,14 +705,10 @@ STAGE_ARTIFACTS = {
 # that reads them and tags their errors
 BUNDLE_KEYS = {
     None: ("data", {"seed", "simulate", "ingest", "fit", "predict", "conformal"}),
-    "simulate": ("data", {"params", "params_file", "horizon", "magnitude_classes", "mark_distribution"}),
+    "simulate": ("data", {"params", "params_file", "horizon"} | set(SECTION_DEFAULTS["simulate"])),
     "ingest": ("data", {"csv", "grid", "neighbor_radius", "horizon", "categorical_columns"}),
-    "fit": ("fit", {"method", "mark_model"} | {f.name for f in fields(estimation.FitConfig)}),
-    "predict": ("predict", set(PREDICT_DEFAULTS)),
-    "conformal": ("conformal", set(CONFORMAL_DEFAULTS)),
+    **{section: (section, set(SECTION_DEFAULTS[section])) for section in ("fit", "predict", "conformal")},
 }
-# the conformal keys that only one method reads
-CONFORMAL_METHOD_KEYS = {"eraps": {"num_bootstrap", "batch_size"}, "sraps": {"split_fraction"}}
 
 
 def check_bundle_keys(bundle: dict) -> None:
@@ -726,17 +724,12 @@ def check_bundle_keys(bundle: dict) -> None:
         unknown = sorted(set(cfg) - known)
         if unknown:
             raise PipelineError(stage, f"unknown keys {unknown} in {where}; expected some of {sorted(known)}")
-    for section, key, table, what in (
-        ("simulate", "mark_distribution", MARK_DISTRIBUTIONS, "mark_distribution"),
-        ("fit", "method", FIT_METHODS, "fit method"),
-        ("fit", "mark_model", MARK_MODELS, "mark model"),
-        ("conformal", "method", CONFORMAL_METHOD_KEYS, "conformal method"),
-    ):
+    for section, key in CHOICES:
         if key in bundle.get(section, {}):
             with _stage(BUNDLE_KEYS[section][0], []):  # the stage's own tag and message
-                _choose(table, bundle[section][key], what)
+                _choose(section, key, bundle[section][key])
     conformal = bundle.get("conformal", {})
-    method = conformal.get("method", CONFORMAL_DEFAULTS["method"])
+    method = conformal.get("method", SECTION_DEFAULTS["conformal"]["method"])
     others = set().union(*(keys for m, keys in CONFORMAL_METHOD_KEYS.items() if m != method))
     foreign = sorted(set(conformal) & others)
     if foreign:
@@ -759,19 +752,17 @@ def simulate_stage(section: dict, seed: int):
     """Events drawn by ``simulation.simulate_clusters`` from a ``simulate``
     section, and the params' support; ``firecast simulate`` calls it too, so
     both draw the same events."""
-    params = (
-        ModelParams.from_json(section["params_file"])
-        if "params_file" in section
-        else ModelParams.from_json(json.dumps(section["params"]))
-    )
+    source = section["params_file"] if "params_file" in section else json.dumps(section["params"])
+    params = ModelParams.from_json(source)
+    cfg = {**SECTION_DEFAULTS["simulate"], **section}
     magnitude_sampler = None
-    n_classes = int(section.get("magnitude_classes", 0))
+    n_classes = int(cfg["magnitude_classes"])
     if n_classes >= 2:
         def magnitude_sampler(rng, marks, location):
             # label tied to the first mark so a classifier has signal
             return 1 + np.minimum(n_classes - 1, (marks[..., 0] * n_classes).astype(np.int64))
 
-    mark_sampler = _choose(MARK_DISTRIBUTIONS, section.get("mark_distribution", "linear"), "mark_distribution")(params)
+    mark_sampler = _choose("simulate", "mark_distribution", cfg["mark_distribution"])(params)
     config = simulation.SimConfig(
         params=params, horizon=float(section["horizon"]), seed=seed,
         mark_sampler=mark_sampler, magnitude_sampler=magnitude_sampler,
@@ -841,7 +832,7 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
         with _stage("conformal", stages):
             section = bundle["conformal"]
             # the CLI's --train-size is a count, so only the fraction is read here
-            fraction = float(section.get("train_fraction", CONFORMAL_DEFAULTS["train_fraction"]))
+            fraction = float(section.get("train_fraction", SECTION_DEFAULTS["conformal"]["train_fraction"]))
             run = conformal_stage(seq, section, max(10, int(fraction * len(seq))), seed)
             write_conformal_sets_jsonl(out / "conformal_sets.jsonl", run)
             write_conformal_summary_csv(out / "conformal_summary.csv", run)

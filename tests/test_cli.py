@@ -1,5 +1,7 @@
 import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +214,54 @@ def test_fit_rejects_a_nan_time_at_load(tmp_path, capsys):
     assert not (tmp_path / "p.json").exists()
 
 
+def test_an_empty_event_file_is_named(tmp_path, capsys):
+    # each used to fail with an empty message: a bare StopIteration from the header read
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    message = f"{empty}: no header row"
+    assert main(["fit", "--events", str(empty), "--horizon", "10", "--locations", "1",
+                 "--out", str(tmp_path / "p.json")]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast fit: [fit] {message}"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"lat_min": 0.0, "lon_min": 0.0, "lat_max": 1.0, "lon_max": 1.0}))
+    assert main(["gridify", "--raw", str(empty), "--grid", str(grid), "--out", str(tmp_path / "e.csv")]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast gridify: [gridify] {message}"
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps({"ingest": {"csv": str(empty)}}))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast run: [data] {message}"
+
+
+@pytest.mark.parametrize("row, got", [("1.0,0,0.5,99", 4), ("1.0,0", 2)], ids=["long", "short"])
+def test_fit_names_a_row_of_the_wrong_length(tmp_path, capsys, row, got):
+    # a long row used to load with its extra field dropped, a short one as "list index out of range"
+    events = tmp_path / "events.csv"
+    events.write_text(f"time,location,m_0\r\n0.5,0,0.2\r\n{row}\r\n")
+    assert main(["fit", "--events", str(events), "--horizon", "10", "--locations", "1",
+                 "--out", str(tmp_path / "p.json")]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast fit: [fit] {events}:3: expected 3 fields, got {got}"
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [("lat_max", float("nan")), ("cell_size", float("inf")),
+                                          ("lon_min", float("-inf"))])
+def test_a_non_finite_grid_is_named(tmp_path, capsys, field, value):
+    # NaN used to fail as "cannot convert float NaN to integer", infinity as an OverflowError
+    grid = {"lat_min": 0.0, "lon_min": 0.0, "lat_max": 1.0, "lon_max": 1.0, "cell_size": 0.5, field: value}
+    raw = tmp_path / "raw.csv"
+    raw.write_text("time,lat,lon\n1.0,0.2,0.2\n")
+    message = f"{field} must be finite, got {value}"
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    assert main(["gridify", "--raw", str(raw), "--grid", str(grid_path), "--out", str(tmp_path / "e.csv")]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast gridify: [gridify] {message}"
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps({"ingest": {"csv": str(raw), "grid": grid}}))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast run: [data] {message}"
+    assert not (tmp_path / "out" / "events.csv").exists()
+
+
 def test_fit_support_reproduces_a_masked_run(tmp_path):
     """``fit --support <run>/params.json`` re-fits a masked run's events.csv
     under the run's mask and reproduces its params.json byte for byte."""
@@ -407,20 +457,79 @@ COMMAND_ONLY_FLAGS = {
 }
 
 
+# the optional section keys without a flag: the conformal train share, which
+# the subcommand takes as the count --train-size
+FLAGLESS_KEYS = {"conformal": {"train_fraction"}}
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_ONLY_FLAGS))
 def test_every_stage_flag_is_a_bundle_key(command):
     # the CLI keeps only the flags named like a section key, so any other flag
     # must be command-only, or it would be parsed and silently dropped
     keys = pipeline.BUNDLE_KEYS[command][1]
+    dests = []
     for action in _subcommand_actions(command):
         if not action.option_strings or action.dest == "help":
             continue
         flag = action.option_strings[0]
+        dests.append(action.dest)
         if action.dest in COMMAND_ONLY_FLAGS[command]:
             assert action.dest not in keys, f"{flag} is listed as command-only but is a {command} key"
         else:
             assert action.dest in keys, f"{flag} is neither a {command} key nor command-only"
             assert action.default is argparse.SUPPRESS, f"{flag} has a default of its own"
+    # and the other way: the subcommand spells every optional key of its section
+    for key in set(pipeline.SECTION_DEFAULTS[command]) - FLAGLESS_KEYS.get(command, set()):
+        assert dests.count(key) == 1, f"{command} key {key!r} has {dests.count(key)} flags"
+
+
+def test_fit_reproduces_an_alternating_kde_ingest_run(tmp_path):
+    """``fit --method alternating --mark-model kde --pgd-steps 3 --max-outer 1
+    --support <run>/params.json`` on a masked ingest run's events.csv writes
+    the run's params.json and fit_trace.csv byte for byte."""
+    rng = np.random.default_rng(0)
+    rows = []
+    for _ in range(60):  # clusters: an incident and a few followers at the same place
+        t0, lat, lon = rng.uniform(0.0, 28.0), *rng.uniform(0.01, 0.99, 2)
+        rows += [(t0 + dt, lat, lon) for dt in [0.0, *rng.exponential(1.0, rng.poisson(1.5))] if t0 + dt < 30.0]
+    incidents = tmp_path / "incidents.csv"
+    with open(incidents, "w") as fh:
+        fh.write("time,lat,lon,temperature,humidity\n")
+        for row in sorted(rows):
+            marks = ["" if rng.uniform() < 0.1 else repr(float(v)) for v in rng.normal(20.0, 5.0, 2)]
+            fh.write(",".join([*map(repr, map(float, row)), *marks]) + "\n")
+    grid = {"lat_min": 0.0, "lon_min": 0.0, "lat_max": 1.0, "lon_max": 1.0, "cell_size": 0.25}
+    bundle = {
+        "seed": 4,
+        "ingest": {"csv": str(incidents), "grid": grid, "neighbor_radius": 0.3, "horizon": 30.0},
+        "fit": {"method": "alternating", "mark_model": "kde", "pgd_steps": 3, "max_outer": 1},
+    }
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps(bundle))
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(run)]) == 0
+    assert main(["fit", "--events", str(run / "events.csv"), "--horizon", "30", "--locations", "16",
+                 "--method", "alternating", "--mark-model", "kde", "--pgd-steps", "3", "--max-outer", "1",
+                 "--support", str(run / "params.json"),
+                 "--out", str(tmp_path / "params.json"), "--trace", str(tmp_path / "fit_trace.csv")]) == 0
+    for name in ("params.json", "fit_trace.csv"):
+        assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), f"{name} differs"
+
+
+def _readme_commands():
+    """Each ``firecast ...`` command of the README's "Command line" block, as
+    an argument list without the program name."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("firecast ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_parses(argv):
+    # a documented example may not name a flag that does not exist
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]
 
 
 def test_no_screening_spells_the_predict_section():
