@@ -13,10 +13,12 @@ scores at or below its score stays under 1 - alpha.
 Two calibration strategies ship: a split-conformal baseline (one model, one
 fixed calibration split) and a bootstrap ensemble with leave-one-out
 aggregation and a sliding calibration window that absorbs revealed test
-labels batch by batch.  Both apply the set rule per calibration-window batch
-over all labels at once: ``build_sets`` gives each alpha an (m, C) bool
-membership matrix, which a run stacks into ``sets[alpha]``, one (n_test, C)
-matrix; ``build_set`` returns the label indices kept for one probability vector.
+labels batch by batch.  A run's sets are ``sets[alpha]``, one (n_test, C)
+bool membership matrix.  The baseline's test stream is one ``build_sets``
+batch.  The ensemble scores every test row once; each batch reads its
+fractions off its own window, a slice of one stream of true-label scores,
+and the set rule then runs once over all rows.  ``build_set`` returns the
+label indices kept for one probability vector.
 """
 
 from __future__ import annotations
@@ -82,12 +84,13 @@ class CalibrationStore:
         counts = np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="right")
         return counts / len(self.scores)
 
-    def slide(self, new_scores: np.ndarray) -> "CalibrationStore":
-        """Drop the oldest len(new_scores) entries and append the new ones."""
-        new_scores = np.asarray(new_scores, dtype=float)
-        if len(new_scores) > len(self.scores):
-            raise ValueError("cannot slide by more than the window size")
-        return CalibrationStore(np.concatenate([self.scores[len(new_scores):], new_scores]))
+
+def _check_alphas(alphas) -> tuple[float, ...]:
+    """``alphas`` as a tuple of floats, each in (0, 1)."""
+    alphas = tuple(float(a) for a in alphas)
+    if not all(0 < a < 1 for a in alphas):
+        raise ValueError("alpha must be in (0, 1)")
+    return alphas
 
 
 def build_sets(
@@ -97,8 +100,7 @@ def build_sets(
     m rows p (m, C) with randomizers u (m,) against one store.  Returns
     ``{alpha: keep}``, each an (m, C) bool membership matrix over p's
     columns, and the (m, C) label scores."""
-    if not all(0 < a < 1 for a in alphas):
-        raise ValueError("alpha must be in (0, 1)")
+    alphas = _check_alphas(alphas)
     p = check_probability_vector(p, ndim=2)
     label_scores = scores_all_labels(p, u, sp)
     fraction = store.fraction_leq(label_scores)
@@ -230,10 +232,13 @@ def eraps(
     bootstrap excluded it (falling back to the full ensemble when none did);
     test points are scored under the aggregate of those leave-one-out
     aggregates.  Both aggregates are renormalized elementwise means.  Each
-    batch of ``batch_size`` test points gets its sets for all labels and
-    alphas from one ``build_sets`` call on the current store; then its
-    labels are revealed (``test_y`` is required) and their scores replace
-    the oldest calibration scores.
+    batch of ``batch_size`` test points is calibrated against the current
+    window; then its labels are revealed (``test_y`` is required) and their
+    scores replace the oldest calibration scores.  Scores do not depend on
+    the window, so every test row is checked and scored once: the window of
+    batch b is ``stream[b * batch_size:][:n_train]``, where ``stream`` is the
+    training true-label scores followed by the test ones.  The set rule then
+    runs once over all rows' fractions.
     """
     train_x = np.asarray(train_x, dtype=float)
     test_x = np.asarray(test_x, dtype=float)
@@ -244,9 +249,11 @@ def eraps(
         raise ValueError("need at least 10 training points")
     if not 1 <= batch_size <= max(n_test, 1):
         raise ValueError("batch_size must be in [1, number of test points]")
+    if batch_size > n_train:
+        raise ValueError("batch_size must not exceed the calibration window (number of training points)")
     if test_y is None:
         raise ValueError("ERAPS needs the revealed test labels (test_y) to slide its window")
-    alphas = tuple(float(a) for a in alphas)
+    alphas = _check_alphas(alphas)
     classifier_factory = classifier_factory or LogisticClassifier
 
     class_labels, y_train, y_test = _encode_labels(train_y, test_y)
@@ -284,16 +291,14 @@ def eraps(
     proba_test = _renormalize(np.einsum("b,bjc->jc", w_bar, p_test))
 
     u_train, u_test = uniforms[:n_train], uniforms[n_train:]
-    tau_init = scores_all_labels(loo_train, u_train, score_params)
-    store = CalibrationStore(tau_init[np.arange(n_train), y_train])
-    sets = {a: np.zeros((n_test, C), dtype=bool) for a in alphas}
+    tau_train = scores_all_labels(loo_train, u_train, score_params)
+    tau_test = scores_all_labels(check_probability_vector(proba_test, ndim=2), u_test, score_params)
+    stream = np.concatenate([tau_train[np.arange(n_train), y_train], tau_test[np.arange(n_test), y_test]])
+    fraction = np.empty_like(tau_test)
     for start in range(0, n_test, batch_size):
-        batch = slice(start, start + batch_size)
-        batch_sets, label_scores = build_sets(proba_test[batch], u_test[batch], store, alphas, score_params)
-        for a in alphas:
-            sets[a][batch] = batch_sets[a]
-        if len(label_scores) == batch_size:  # a trailing partial batch never slides
-            store = store.slide(label_scores[np.arange(batch_size), y_test[batch]])
+        window = CalibrationStore(stream[start:start + n_train])
+        fraction[start:start + batch_size] = window.fraction_leq(tau_test[start:start + batch_size])
+    sets = {a: fraction < 1.0 - a for a in alphas}
 
     return _conformal_run("eraps", alphas, sets, y_test, class_labels, loo_fallbacks=fallbacks)
 
@@ -317,7 +322,7 @@ def sraps(
         raise ValueError("split_fraction must be in (0, 1)")
     train_x = np.asarray(train_x, dtype=float)
     test_x = np.asarray(test_x, dtype=float)
-    alphas = tuple(float(a) for a in alphas)
+    alphas = _check_alphas(alphas)
     classifier_factory = classifier_factory or LogisticClassifier
 
     class_labels, y_train, y_test = _encode_labels(train_y, test_y)

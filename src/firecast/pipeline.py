@@ -23,7 +23,6 @@ import inspect
 import itertools
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -471,31 +470,19 @@ def write_fit_trace_csv(path, trace: np.ndarray) -> None:
 DETECTIONS_HEADER = "time,location,risk,threshold,prediction,truth"
 
 
-def _row_reprs(rows: np.ndarray):
-    """Yield the ``repr`` of each entry of each float64 row, formatting only
-    the entries whose bits differ from the previous row's; a row with more
-    than half its entries changed is formatted whole.  Bits, not ``==``,
-    decide, so ``0.0`` after ``-0.0`` and NaNs get their own text.  Each
-    yielded list is updated in place for the next row."""
-    texts = prev = None
-    for row in rows:
-        bits = row.view(np.int64)
-        changed = None if prev is None else np.flatnonzero(bits != prev)
-        if changed is None or 2 * len(changed) > len(row):
-            texts = list(map(repr, row.tolist()))
-        else:
-            for k, value in zip(changed.tolist(), row[changed].tolist()):
-                texts[k] = repr(value)
-        prev = bits
-        yield texts
-
-
 def write_detections_csv(path, trace: thresholding.DetectionTrace, times=None) -> None:
     """One ``time,location,risk,threshold,prediction,truth`` row per cell,
-    day-major, streamed a day at a time (labels must be -1 or 1).  Location
-    and label texts are formatted once per file and each day's time once;
-    a risk or threshold is formatted only where its bits differ from the
-    same cell's on the previous day, whose text is reused otherwise."""
+    day-major, streamed a day at a time (labels must be -1 or 1).
+
+    Each day's rows are one f-string per cell over risk and threshold text
+    lists carried from the previous day.  A value is formatted only where its
+    bits differ from the same cell's on the previous day; a day with more
+    than half its risks changed formats its risk row whole.  A changed
+    threshold whose bits equal the same cell's risk that day reuses the
+    risk's text, which the detector's collapse ``tau = lam`` makes common.
+    Bits, not ``==``, decide, so ``0.0`` beside ``-0.0`` and NaNs of either
+    sign get their own text.  Location and label texts are formatted once
+    per file and each day's time once."""
     T, K = trace.risk.shape
     if times is None:
         times = np.arange(1, T + 1)
@@ -508,32 +495,64 @@ def write_detections_csv(path, trace: thresholding.DetectionTrace, times=None) -
     locations = [f",{k}," for k in range(K)]
     risk = np.ascontiguousarray(trace.risk, dtype=float)
     threshold = np.ascontiguousarray(trace.threshold, dtype=float)
+    risk_bits, threshold_bits = risk.view(np.int64), threshold.view(np.int64)
+    every_cell = np.arange(K)
+    risk_texts, threshold_texts = [None] * K, [None] * K
     with open(path, "w", newline="") as fh:
         fh.write(DETECTIONS_HEADER + "\n")
-        for t, risk_texts, threshold_texts in zip(range(T), _row_reprs(risk), _row_reprs(threshold)):
-            parts = zip(
-                itertools.repeat(repr(float(times[t]))),
-                locations,
-                risk_texts,
-                itertools.repeat(","),
-                threshold_texts,
-                map(tails.__getitem__, tail_index[t].tolist()),
-            )
-            fh.write("".join(itertools.chain.from_iterable(parts)))
+        for t in range(T):
+            changed = every_cell if t == 0 else np.flatnonzero(risk_bits[t] != risk_bits[t - 1])
+            if 2 * len(changed) > K:
+                risk_texts = list(map(repr, risk[t].tolist()))
+            else:
+                for k, value in zip(changed.tolist(), risk[t, changed].tolist()):
+                    risk_texts[k] = repr(value)
+            changed = every_cell if t == 0 else np.flatnonzero(threshold_bits[t] != threshold_bits[t - 1])
+            as_risk = threshold_bits[t, changed] == risk_bits[t, changed]
+            for k in changed[as_risk].tolist():
+                threshold_texts[k] = risk_texts[k]
+            fresh = changed[~as_risk]
+            for k, value in zip(fresh.tolist(), threshold[t, fresh].tolist()):
+                threshold_texts[k] = repr(value)
+            day = repr(float(times[t]))
+            fh.write("".join([
+                f"{day}{location}{r},{h}{tails[i]}"
+                for location, r, h, i in zip(locations, risk_texts, threshold_texts, tail_index[t].tolist())
+            ]))
 
 
 def read_detections_csv(path) -> thresholding.DetectionTrace:
     """Read what :func:`write_detections_csv` wrote; rows may come in any order,
-    columns must come in the writer's order."""
+    columns must come in the writer's order.  The file must hold exactly one
+    row for each (time, location) pair of its times and locations
+    0..max: an empty body, a repeated pair or a missing one fails, naming the
+    file and the first such pair."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != DETECTIONS_HEADER:
             raise ValueError(f"{path}: header {header!r}, expected {DETECTIONS_HEADER!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        for first in fh:
+            if first.strip():
+                break
+        else:
+            raise ValueError(f"{path}: no rows after the header")
+        data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
     time, location, risk_col, thr_col, pred_col, truth_col = data.T
     times, rows = np.unique(time, return_inverse=True)
     locs = location.astype(int)
+    if np.any(locs != location) or locs.min() < 0:
+        raise ValueError(f"{path}: locations must be nonnegative integers")
     shape = (len(times), locs.max() + 1)
+    cells = np.sort(rows * shape[1] + locs)
+    repeated = cells[1:][cells[1:] == cells[:-1]]
+
+    def bad_cell(what, cell):
+        return ValueError(f"{path}: {what} for time {float(times[cell // shape[1]])!r}, location {cell % shape[1]}")
+
+    if len(repeated):
+        raise bad_cell("more than one row", repeated[0])
+    if len(cells) < shape[0] * shape[1]:  # distinct sorted cells run 0, 1, ... up to the first missing one
+        raise bad_cell("no row", np.argmax(np.append(cells, -1) != np.arange(len(cells) + 1)))
     risk, thr = np.zeros(shape), np.zeros(shape)
     pred, truth = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
     risk[rows, locs] = risk_col
@@ -736,16 +755,24 @@ def check_bundle_keys(bundle: dict) -> None:
         raise PipelineError("conformal", f"keys {foreign} do not apply to method {method!r}")
 
 
-@contextmanager
-def _stage(name: str, done: list):
-    """Tag any failure inside the block with ``name``; on success append it to ``done``."""
-    try:
-        yield
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(name, str(exc)) from exc
-    done.append(name)
+class _stage:
+    """Tag any failure inside the block with ``name``; on success append it to ``done``.
+
+    A class, not a generator: ``contextlib`` would let a ``StopIteration``
+    raised in the block escape untagged (PEP 479)."""
+
+    def __init__(self, name: str, done: list):
+        self.name, self.done = name, done
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if exc is None:
+            self.done.append(self.name)
+        elif isinstance(exc, Exception) and not isinstance(exc, PipelineError):
+            raise PipelineError(self.name, str(exc) or type(exc).__name__) from exc
+        return False
 
 
 def simulate_stage(section: dict, seed: int):

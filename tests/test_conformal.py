@@ -92,12 +92,6 @@ class TestCalibrationStore:
         assert store.fraction_leq(0.35) == pytest.approx(0.3)
         assert store.fraction_leq(np.array([0.0, 0.6, 2.0])).tolist() == pytest.approx([0.0, 0.6, 1.0])
 
-    def test_slide_drops_oldest(self):
-        store = CalibrationStore(np.array([1.0, 2.0, 3.0, 4.0]))
-        slid = store.slide(np.array([9.0, 8.0]))
-        assert slid.scores.tolist() == [3.0, 4.0, 9.0, 8.0]
-        assert len(slid) == 4
-
     def test_empty_store_errors(self):
         store = CalibrationStore(np.zeros(0))
         with pytest.raises(RuntimeError):
@@ -229,6 +223,25 @@ class TestEraps:
             eraps(tx, ty, ex, ey, num_bootstrap=5, batch_size=0, alphas=[0.1])
         with pytest.raises(ValueError):
             eraps(tx, np.zeros_like(ty), ex, ey, num_bootstrap=5, batch_size=5, alphas=[0.1])
+
+    @pytest.mark.parametrize("alphas", [[0.0], [1.0], [0.1, 1.5], [-0.1], [np.nan]])
+    def test_alpha_outside_the_unit_interval_rejected(self, alphas):
+        tx, ty, ex, ey = self._data()
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            eraps(tx, ty, ex, ey, num_bootstrap=3, batch_size=5, alphas=alphas)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.nan] * 3])
+    def test_non_finite_probabilities_rejected(self, bad):
+        tx, ty, ex, ey = self._data()
+        with pytest.raises(ValueError, match="finite"):
+            eraps(tx, ty, ex, ey, num_bootstrap=3, batch_size=5, alphas=[0.1],
+                  classifier_factory=lambda: FixedClassifier(bad))
+
+    def test_batch_longer_than_the_window_rejected(self):
+        tx, ty, ex, ey = self._data(n_train=20, n_test=40)
+        with pytest.raises(ValueError, match="calibration window"):
+            eraps(tx, ty, ex, ey, num_bootstrap=3, batch_size=21, alphas=[0.1])
+        eraps(tx, ty, ex, ey, num_bootstrap=3, batch_size=20, alphas=[0.1])
 
     def test_loo_fallback_path_runs(self):
         # small training set: some index lands in every bootstrap sample
@@ -425,9 +438,9 @@ class TestBatchedSetsMatchPerPointOracle:
     ALPHAS = (0.05, 0.1, 0.2)
     N_TRAIN, N_TEST, BATCH = 64, 47, 10   # 10 does not divide 47
 
-    def _data(self, C, seed):
+    def _data(self, C, seed, n_test=N_TEST):
         rng = np.random.default_rng(seed)
-        n = self.N_TRAIN + self.N_TEST
+        n = self.N_TRAIN + n_test
         X = rng.normal(size=(n, 2))
         y = rng.integers(0, C, size=n)
         y[:C] = np.arange(C)  # every class appears in training
@@ -437,22 +450,32 @@ class TestBatchedSetsMatchPerPointOracle:
         for a in self.ALPHAS:
             assert [np.flatnonzero(keep).tolist() for keep in run.sets[a]] == expected[a]
 
-    @pytest.mark.parametrize("name", sorted(CLASSIFIERS))
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_eraps(self, name, seed):
+    def _compare_eraps(self, name, seed, n_test=N_TEST, batch_size=BATCH):
         C, factory = CLASSIFIERS[name]
-        tx, ty, ex, ey = self._data(C, seed)
-        run = eraps(tx, ty, ex, ey, num_bootstrap=2, batch_size=self.BATCH, alphas=self.ALPHAS,
+        tx, ty, ex, ey = self._data(C, seed, n_test)
+        run = eraps(tx, ty, ex, ey, num_bootstrap=2, batch_size=batch_size, alphas=self.ALPHAS,
                     classifier_factory=factory, seed=seed)
         rng = np.random.default_rng(seed)
         rng.integers(0, self.N_TRAIN, size=(2, self.N_TRAIN))  # the bootstrap draws
-        uniforms = rng.uniform(size=self.N_TRAIN + self.N_TEST)
+        uniforms = rng.uniform(size=self.N_TRAIN + n_test)
         clf = factory()
         expected = conformal_sets_oracle(
             clf.predict_proba(tx), ty, clf.predict_proba(ex), ey, uniforms, self.ALPHAS,
-            batch_size=self.BATCH,
+            batch_size=batch_size,
         )
         self._compare(run, expected)
+
+    @pytest.mark.parametrize("name", sorted(CLASSIFIERS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eraps(self, name, seed):
+        self._compare_eraps(name, seed)
+
+    # one point per batch, a divisor of the stream, the whole stream, and a
+    # batch as long as the window, which the next batch then reads whole
+    @pytest.mark.parametrize("n_test, batch_size", [(47, 1), (48, 12), (47, 47), (70, 64)])
+    @pytest.mark.parametrize("name", ["fixed-9", "table-3"])
+    def test_eraps_batch_sizes(self, name, n_test, batch_size):
+        self._compare_eraps(name, 4, n_test, batch_size)
 
     @pytest.mark.parametrize("name", sorted(CLASSIFIERS))
     @pytest.mark.parametrize("seed", [0, 1, 2])

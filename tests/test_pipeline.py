@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from firecast.model import RATE_FLOOR, ModelParams
 from firecast.pipeline import (
     GridSpec,
     MarkStats,
+    DETECTIONS_HEADER,
     PipelineError,
+    _stage,
     counterfactual_delta,
     daily_truths,
     f1_metrics,
@@ -529,6 +532,67 @@ class TestDetectionsCsv:
         assert back.risk.tobytes() == risk[order].tobytes()
         assert back.threshold.tobytes() == thr[order].tobytes()
 
+    def test_bytes_match_per_cell_writer_where_thresholds_equal_risk(self, tmp_path):
+        # a changed threshold whose bits equal the same day's risk takes the risk's text
+        rng = np.random.default_rng(17)
+        T, K = 8, 6
+        risk, thr = np.exp(rng.normal(size=(T, K)) * 3), np.exp(rng.normal(size=(T, K)) * 3)
+        thr[0, :2] = risk[0, :2]  # on the first day
+        thr[1] = risk[1]  # a whole row equals the day's risk
+        thr[2, :3] = risk[2, :3]  # single cells do
+        risk[3, 0], thr[3, 0] = 0.0, -0.0  # -0.0 beside 0.0, both ways
+        risk[3, 1], thr[3, 1] = -0.0, 0.0
+        risk[4, :3] = thr[4, :3] = np.nan
+        thr[4, 1] = risk[4, 2] = np.copysign(np.nan, -1.0)  # NaNs with different sign bits
+        risk[5] = risk[4]  # the risk row is updated in place, not formatted whole
+        risk[5, 4] = 2.5
+        thr[5] = risk[5]  # and the thresholds take its texts
+        thr[6] = risk[6]
+        thr[7] = thr[6]  # unchanged thresholds keep their texts while the risk moves on
+        pred = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
+        truth = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
+        trace = DetectionTrace(risk=risk, threshold=thr, prediction=pred, truth=truth)
+        write_detections_csv(tmp_path / "a.csv", trace)
+        write_detections_csv_oracle(tmp_path / "b.csv", trace)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        lines = (tmp_path / "a.csv").read_text().splitlines()
+        assert lines[1 + 3 * K].split(",")[2:4] == ["0.0", "-0.0"]
+        assert lines[2 + 3 * K].split(",")[2:4] == ["-0.0", "0.0"]
+
+    def _write_rows(self, tmp_path, rows):
+        path = tmp_path / "det.csv"
+        path.write_text(DETECTIONS_HEADER + "\n" + "".join(f"{row}\n" for row in rows))
+        return path
+
+    def test_rejects_a_header_only_file(self, tmp_path):
+        path = self._write_rows(tmp_path, ["", " "])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no rows after the header$"):
+                read_detections_csv(path)
+
+    def test_rejects_a_repeated_cell(self, tmp_path):
+        # one cell missing and another repeated: 4 rows for a 2 x 2 trace
+        rows = ["1.0,0,0.5,0.25,1,1", "1.0,1,0.5,0.25,-1,-1", "2.0,0,0.5,0.25,1,1", "2.0,0,0.5,0.25,1,1"]
+        path = self._write_rows(tmp_path, rows)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: more than one row for time 2.0, location 0$"):
+            read_detections_csv(path)
+
+    def test_rejects_a_missing_cell(self, tmp_path):
+        rows = [f"{t}.0,{k},0.5,0.25,1,-1" for t in (1, 2, 3) for k in (0, 1)]
+        path = self._write_rows(tmp_path, rows[:2] + rows[3:])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no row for time 2.0, location 0$"):
+            read_detections_csv(path)
+        path = self._write_rows(tmp_path, rows[:-1])  # the last cell
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no row for time 3.0, location 1$"):
+            read_detections_csv(path)
+
+    @pytest.mark.parametrize("location", ["-1", "0.5"])
+    def test_rejects_a_location_that_is_no_cell_index(self, tmp_path, location):
+        path = self._write_rows(tmp_path, ["1.0,0,0.5,0.25,1,1", f"1.0,{location},0.5,0.25,1,1"])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: locations must be nonnegative integers$"):
+            read_detections_csv(path)
+
     def test_rejects_labels_other_than_plus_minus_one(self, tmp_path):
         trace = DetectionTrace(
             risk=np.ones((2, 2)), threshold=np.ones((2, 2)), prediction=np.zeros((2, 2)), truth=np.ones((2, 2))
@@ -666,6 +730,19 @@ class TestRunEndToEnd:
         bad["fit"]["grid_points"] = 0
         with pytest.raises(PipelineError, match=r"\[fit\]"):
             run_end_to_end(bad, tmp_path / "y")
+
+
+def test_a_stop_iteration_in_a_stage_is_tagged():
+    # a generator-based context manager would let it escape bare (PEP 479)
+    done = []
+    with pytest.raises(PipelineError, match=r"^\[fit\] StopIteration$") as info:
+        with _stage("fit", done):
+            next(iter([]))
+    assert isinstance(info.value.__cause__, StopIteration)
+    assert done == []
+    with _stage("fit", done):
+        pass
+    assert done == ["fit"]
 
 
 @pytest.mark.parametrize("method", ["grid", "alternating"])
