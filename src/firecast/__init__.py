@@ -5,7 +5,6 @@ processes, dynamic detection thresholds, and ensemble conformal sets."""
 __version__ = "0.1.0"
 
 from .conformal import (
-    CalibrationStore,
     ConformalRun,
     LogisticClassifier,
     ScoreParams,
@@ -29,7 +28,6 @@ from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from .model import (
     ModelParams,
     RATE_FLOOR,
-    log_likelihood,
     mask_from_centroids,
     neighbor_pairs,
     objective_gradient,

@@ -13,12 +13,12 @@ scores at or below its score stays under 1 - alpha.
 Two calibration strategies ship: a split-conformal baseline (one model, one
 fixed calibration split) and a bootstrap ensemble with leave-one-out
 aggregation and a sliding calibration window that absorbs revealed test
-labels batch by batch.  A run's sets are ``sets[alpha]``, one (n_test, C)
-bool membership matrix.  The baseline's test stream is one ``build_sets``
-batch.  The ensemble scores every test row once; each batch reads its
-fractions off its own window, a slice of one stream of true-label scores,
-and the set rule then runs once over all rows.  ``build_set`` returns the
-label indices kept for one probability vector.
+labels batch by batch.  Both read fractions off one stream of true-label
+scores, the batch of test rows starting at s against ``stream[s:s + window]``:
+the ensemble's stream is the training scores then the test ones, and the
+baseline reads its calibration split as one batch.  A run's sets are
+``sets[alpha]``, one (n_test, C) bool membership matrix.  ``build_set``
+returns the label indices kept for one probability vector.
 """
 
 from __future__ import annotations
@@ -63,28 +63,6 @@ def scores_all_labels(p: np.ndarray, u, sp: ScoreParams) -> np.ndarray:
     return mass + p * u + sp.lambda_reg * np.maximum(rank - sp.k_reg, 0)
 
 
-@dataclass(frozen=True)
-class CalibrationStore:
-    """Insertion-ordered window of calibration scores backing the set rule."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=float)
-        object.__setattr__(self, "scores", arr)
-        object.__setattr__(self, "_sorted", np.sort(arr))
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def fraction_leq(self, x: float | np.ndarray) -> np.ndarray:
-        """Empirical fraction of stored scores <= x."""
-        if len(self.scores) == 0:
-            raise RuntimeError("calibration store is empty")
-        counts = np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="right")
-        return counts / len(self.scores)
-
-
 def _check_alphas(alphas) -> tuple[float, ...]:
     """``alphas`` as a tuple of floats, each in (0, 1)."""
     alphas = tuple(float(a) for a in alphas)
@@ -93,25 +71,31 @@ def _check_alphas(alphas) -> tuple[float, ...]:
     return alphas
 
 
-def build_sets(
-    p: np.ndarray, u: np.ndarray, store: CalibrationStore, alphas, sp: ScoreParams
-) -> tuple[dict, np.ndarray]:
-    """Prediction set rule: keep c while fraction(tau <= score(c)) < 1 - alpha, for
-    m rows p (m, C) with randomizers u (m,) against one store.  Returns
-    ``{alpha: keep}``, each an (m, C) bool membership matrix over p's
-    columns, and the (m, C) label scores."""
-    alphas = _check_alphas(alphas)
-    p = check_probability_vector(p, ndim=2)
-    label_scores = scores_all_labels(p, u, sp)
-    fraction = store.fraction_leq(label_scores)
-    return {a: fraction < 1.0 - a for a in alphas}, label_scores
+def _window_fractions(stream: np.ndarray, window: int, label_scores: np.ndarray, batch_size: int) -> np.ndarray:
+    """Each row's fraction of its batch's window at or below each of its (m, C)
+    label scores; the batch of rows starting at s reads ``stream[s:s + window]``."""
+    fraction = np.empty_like(label_scores)
+    for start in range(0, len(label_scores), batch_size):
+        calibration = np.sort(stream[start:start + window])
+        if len(calibration) == 0:
+            raise ValueError("calibration window is empty")
+        counts = np.searchsorted(calibration, label_scores[start:start + batch_size], side="right")
+        fraction[start:start + batch_size] = counts / len(calibration)
+    return fraction
 
 
-def build_set(p: np.ndarray, store: CalibrationStore, alpha: float, u: float, sp: ScoreParams) -> np.ndarray:
-    """The label indices the set rule keeps for one probability vector: a batch of one."""
-    p = check_probability_vector(p)
-    sets, _ = build_sets(p[None, :], np.array([u]), store, (alpha,), sp)
-    return np.flatnonzero(sets[alpha][0])
+def _set_rule(fraction: np.ndarray, alphas) -> dict:
+    """The set rule, ``{alpha: keep}``: keep label c while its fraction is under 1 - alpha."""
+    return {a: fraction < 1.0 - a for a in alphas}
+
+
+def build_set(p: np.ndarray, calibration: np.ndarray, alpha: float, u: float, sp: ScoreParams) -> np.ndarray:
+    """The label indices the set rule keeps for one probability vector against
+    an array of calibration scores: a batch of one."""
+    (alpha,) = _check_alphas((alpha,))
+    scores = scores_all_labels(check_probability_vector(p)[None, :], np.array([u]), sp)
+    keep = _set_rule(_window_fractions(calibration, len(calibration), scores, 1), (alpha,))[alpha]
+    return np.flatnonzero(keep[0])
 
 
 class LogisticClassifier:
@@ -235,10 +219,7 @@ def eraps(
     batch of ``batch_size`` test points is calibrated against the current
     window; then its labels are revealed (``test_y`` is required) and their
     scores replace the oldest calibration scores.  Scores do not depend on
-    the window, so every test row is checked and scored once: the window of
-    batch b is ``stream[b * batch_size:][:n_train]``, where ``stream`` is the
-    training true-label scores followed by the test ones.  The set rule then
-    runs once over all rows' fractions.
+    the window, so every test row is checked and scored once.
     """
     train_x = np.asarray(train_x, dtype=float)
     test_x = np.asarray(test_x, dtype=float)
@@ -269,6 +250,8 @@ def eraps(
         clf.fit(train_x[boot_indices[b]], y_train[boot_indices[b]], num_classes=C)
         p_train[b] = clf.predict_proba(train_x)
         p_test[b] = clf.predict_proba(test_x)
+    if not (np.isfinite(p_train).all() and np.isfinite(p_test).all()):
+        raise ValueError("classifier probabilities must be finite")
 
     in_sample = np.zeros((num_bootstrap, n_train), dtype=bool)
     in_sample[np.arange(num_bootstrap)[:, None], boot_indices] = True
@@ -294,12 +277,7 @@ def eraps(
     tau_train = scores_all_labels(loo_train, u_train, score_params)
     tau_test = scores_all_labels(check_probability_vector(proba_test, ndim=2), u_test, score_params)
     stream = np.concatenate([tau_train[np.arange(n_train), y_train], tau_test[np.arange(n_test), y_test]])
-    fraction = np.empty_like(tau_test)
-    for start in range(0, n_test, batch_size):
-        window = CalibrationStore(stream[start:start + n_train])
-        fraction[start:start + batch_size] = window.fraction_leq(tau_test[start:start + batch_size])
-    sets = {a: fraction < 1.0 - a for a in alphas}
-
+    sets = _set_rule(_window_fractions(stream, n_train, tau_test, batch_size), alphas)
     return _conformal_run("eraps", alphas, sets, y_test, class_labels, loo_fallbacks=fallbacks)
 
 
@@ -316,8 +294,8 @@ def sraps(
     seed: int = 0,
 ) -> ConformalRun:
     """Split-conformal baseline: one model, one fixed calibration split,
-    the same score and set rule, no sliding; the whole test stream is one
-    ``build_sets`` batch."""
+    the same score and set rule; the whole test stream is one batch, so its
+    calibration window never slides."""
     if not 0 < split_fraction < 1:
         raise ValueError("split_fraction must be in (0, 1)")
     train_x = np.asarray(train_x, dtype=float)
@@ -339,11 +317,13 @@ def sraps(
 
     clf = classifier_factory()
     clf.fit(train_x[proper], y_train[proper], num_classes=len(class_labels))
-    tau_cal = scores_all_labels(clf.predict_proba(train_x[cal]), uniforms[: len(cal)], score_params)
-    store = CalibrationStore(tau_cal[np.arange(len(cal)), y_train[cal]])
-    proba_test = clf.predict_proba(test_x)
-    sets, _ = build_sets(proba_test, uniforms[len(cal):], store, alphas, score_params)
-    return _conformal_run("sraps", alphas, sets, y_test, class_labels)
+    proba_cal, proba_test = (check_probability_vector(clf.predict_proba(x), ndim=2) for x in (train_x[cal], test_x))
+    tau_cal = scores_all_labels(proba_cal, uniforms[: len(cal)], score_params)
+    tau_test = scores_all_labels(proba_test, uniforms[len(cal):], score_params)
+    calibration = tau_cal[np.arange(len(cal)), y_train[cal]]
+    # one batch, so the window never slides onto the test labels
+    fraction = _window_fractions(calibration, len(cal), tau_test, max(len(test_x), 1))
+    return _conformal_run("sraps", alphas, _set_rule(fraction, alphas), y_test, class_labels)
 
 
 def _conformal_run(method, alphas, sets, y_test, class_labels, loo_fallbacks=0) -> ConformalRun:

@@ -32,11 +32,11 @@ plus an l1 penalty on gamma) and its gradient, at a fixed beta, on the flat
 vector ``[mu, alpha[src, dst], gamma]`` that :class:`FeasibleSet` alone lays
 out.  ``Objective.with_beta(b)`` re-decays the same kernel at another beta,
 sharing its index arrays and a gamma-free mark term, so a fit builds one
-objective.  The solver in :mod:`firecast.estimation`,
-``penalized_objective``, ``log_likelihood`` and ``objective_gradient`` all
-call it.  It alone takes logs of intensities and mark scores, floored at
-``RATE_FLOOR`` so the objective stays finite on the whole feasible set,
-where negative interaction weights can drive the raw value to zero or below.
+objective.  The solver in :mod:`firecast.estimation`, ``penalized_objective``
+and ``objective_gradient`` all call it.  It alone takes logs of intensities
+and mark scores, floored at ``RATE_FLOOR`` so the objective stays finite on
+the whole feasible set, where negative interaction weights can drive the raw
+value to zero or below.
 """
 
 from __future__ import annotations
@@ -585,11 +585,6 @@ def penalized_objective(
     nonzero = params.alpha_values != 0
     feasible = FeasibleSet.on_pairs(params.src[nonzero], params.dst[nonzero], params.num_locations)
     return Objective(seq, mark_model, feasible, params.beta, l1_weight).value(feasible.flatten(params))
-
-
-def log_likelihood(params: ModelParams, seq: EventSequence, mark_model) -> float:
-    """Exact log-likelihood of the sequence: the unpenalized objective, negated."""
-    return -penalized_objective(params, seq, mark_model, 0.0)
 
 
 def objective_gradient(

@@ -76,6 +76,9 @@ class GridSpec:
         n_rows = max(1, math.ceil((self.lat_max - self.lat_min) / self.cell_size - 1e-9))
         n_cols = max(1, math.ceil((self.lon_max - self.lon_min) / self.cell_size - 1e-9))
         excluded = set(self.excluded)
+        outside = sorted(i for i in excluded if not 0 <= i < n_rows * n_cols)
+        if outside:
+            raise ValueError(f"excluded cell ids {outside} are outside the grid's {n_rows * n_cols} cells")
         retained = [i for i in range(n_rows * n_cols) if i not in excluded]
         if not retained:
             raise ValueError("all grid cells are excluded")

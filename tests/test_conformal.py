@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from firecast.conformal import (
-    CalibrationStore,
     LogisticClassifier,
     ScoreParams,
     _conformal_run,
+    _window_fractions,
     build_set,
-    build_sets,
     check_probability_vector,
     eraps,
     scores_all_labels,
@@ -86,56 +85,79 @@ class TestScorePieces:
             assert rank_of(p)[c1] <= rank_of(p)[c2]
 
 
-class TestCalibrationStore:
-    def test_fraction_leq(self):
-        store = CalibrationStore(np.arange(0.1, 1.05, 0.1))
-        assert store.fraction_leq(0.35) == pytest.approx(0.3)
-        assert store.fraction_leq(np.array([0.0, 0.6, 2.0])).tolist() == pytest.approx([0.0, 0.6, 1.0])
+class TestWindowFractions:
+    """``_window_fractions`` on a hand-built stream: the batch of rows starting
+    at s reads ``stream[s:s + window]``."""
 
-    def test_empty_store_errors(self):
-        store = CalibrationStore(np.zeros(0))
-        with pytest.raises(RuntimeError):
-            store.fraction_leq(0.5)
+    STREAM = np.array([5.0, 1.0, 4.0, 2.0, 3.0, 0.0, 6.0])
+
+    def test_hand_counted_fractions(self):
+        stream = np.arange(0.1, 1.05, 0.1)
+        scores = np.array([[0.35, 0.0, 0.6, 2.0]])
+        assert _window_fractions(stream, 10, scores, 1)[0].tolist() == pytest.approx([0.3, 0.0, 0.6, 1.0])
+
+    def test_each_batch_reads_its_own_window(self):
+        scores = np.array([[0.5, 2.5, 4.5], [3.5, 5.5, 9.0], [0.5, 2.5, 4.5], [3.5, 5.5, 9.0]])
+        fraction = _window_fractions(self.STREAM, 4, scores, 2)
+        # batch 0 reads [5, 1, 4, 2], batch 1 reads stream[2:6] = [4, 2, 3, 0]
+        assert fraction.tolist() == [[0, 0.5, 0.75], [0.5, 1, 1], [0.25, 0.5, 1], [0.75, 1, 1]]
+
+    def test_short_last_batch(self):
+        # windows [5, 1, 4] and [4, 2, 3], then [3, 0, 6] for the last row alone
+        fraction = _window_fractions(self.STREAM, 3, np.full((5, 1), 3.5), 2)
+        assert fraction[:, 0].tolist() == [1 / 3, 1 / 3, 2 / 3, 2 / 3, 2 / 3]
+
+    def test_one_batch_never_slides(self):
+        # batch_size >= the number of rows, as SRAPS calls it: every row reads stream[:window]
+        scores = np.array([[0.5], [4.5], [9.0]])
+        for batch_size in (3, 10):
+            assert _window_fractions(self.STREAM, 4, scores, batch_size)[:, 0].tolist() == [0.0, 0.75, 1.0]
+
+    def test_empty_window_raises(self):
+        with pytest.raises(ValueError, match="calibration window is empty"):
+            _window_fractions(np.zeros(0), 0, np.array([[0.5]]), 1)
+        with pytest.raises(ValueError, match="calibration window is empty"):
+            build_set(np.array([0.5, 0.5]), np.zeros(0), 0.1, 0.5, ScoreParams())
 
 
 class TestBuildSet:
     def test_hand_counted_inclusion(self):
         # empirical fraction at 0.35 is 3/10 < 1 - 0.3, so the label stays
-        store = CalibrationStore(np.arange(0.1, 1.05, 0.1))
+        calibration = np.arange(0.1, 1.05, 0.1)
         sp = ScoreParams(lambda_reg=0.0, k_reg=0)
         p = np.array([0.65, 0.35])
         # with u=1: score(c=0) = 0.65, score(c=1) = 0.65 + 0.35 = 1.0
-        labels = build_set(p, store, alpha=0.3, u=1.0, sp=sp)
+        labels = build_set(p, calibration, alpha=0.3, u=1.0, sp=sp)
         assert 0 in labels  # fraction(<=0.65) = 0.6 < 0.7
         assert 1 not in labels  # fraction(<=1.0) = 1.0 >= 0.7
 
     def test_alpha_limits(self):
         # one large stored score keeps every label's fraction strictly below 1
-        store = CalibrationStore(np.append(np.linspace(0.05, 1.0, 20), 10.0))
+        calibration = np.append(np.linspace(0.05, 1.0, 20), 10.0)
         sp = ScoreParams()
         p = np.array([0.7, 0.2, 0.1])
-        tiny = build_set(p, store, alpha=1e-9, u=0.5, sp=sp)
+        tiny = build_set(p, calibration, alpha=1e-9, u=0.5, sp=sp)
         assert len(tiny) == 3  # every score undercuts the top stored one
-        huge = build_set(p, store, alpha=1 - 1e-9, u=0.5, sp=sp)
+        huge = build_set(p, calibration, alpha=1 - 1e-9, u=0.5, sp=sp)
         assert len(huge) == 0
 
     def test_nestedness_in_alpha(self):
         rng = np.random.default_rng(2)
-        store = CalibrationStore(rng.uniform(size=40))
+        calibration = rng.uniform(size=40)
         sp = ScoreParams()
         for _ in range(25):
             p = rng.dirichlet(np.ones(4))
             u = float(rng.uniform())
-            loose = set(build_set(p, store, 0.05, u, sp).tolist())
-            tight = set(build_set(p, store, 0.2, u, sp).tolist())
+            loose = set(build_set(p, calibration, 0.05, u, sp).tolist())
+            tight = set(build_set(p, calibration, 0.2, u, sp).tolist())
             assert tight <= loose
 
     def test_rejects_bad_inputs(self):
-        store = CalibrationStore(np.array([0.5]))
+        calibration = np.array([0.5])
         with pytest.raises(ValueError):
-            build_set(np.array([0.9, 0.2]), store, 0.1, 0.5, ScoreParams())
+            build_set(np.array([0.9, 0.2]), calibration, 0.1, 0.5, ScoreParams())
         with pytest.raises(ValueError):
-            build_set(np.array([0.5, 0.5]), store, 1.5, 0.5, ScoreParams())
+            build_set(np.array([0.5, 0.5]), calibration, 1.5, 0.5, ScoreParams())
 
 
 class TestLogisticClassifier:
@@ -230,7 +252,7 @@ class TestEraps:
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             eraps(tx, ty, ex, ey, num_bootstrap=3, batch_size=5, alphas=alphas)
 
-    @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.nan] * 3])
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.nan] * 3, [np.inf, 0.5, 0.5]])
     def test_non_finite_probabilities_rejected(self, bad):
         tx, ty, ex, ey = self._data()
         with pytest.raises(ValueError, match="finite"):
@@ -309,10 +331,9 @@ class TestSraps:
             [naive_label_score(row, int(np.searchsorted(np.unique(ty), ty[i])), uniforms[j], sp.lambda_reg, sp.k_reg)
              for j, i in enumerate(cal)]
         )
-        store = CalibrationStore(tau)
         for a in (0.1, 0.3):
             for j in range(len(ex)):
-                expected = build_set(row, store, a, uniforms[len(cal) + j], sp)
+                expected = build_set(row, tau, a, uniforms[len(cal) + j], sp)
                 assert np.array_equal(np.flatnonzero(run.sets[a][j]), expected)
 
     def test_coverage_on_exchangeable_data(self):
@@ -385,12 +406,12 @@ class TestNonFiniteProbabilities:
     def test_rejected_one_by_one_and_in_a_batch(self, bad):
         with pytest.raises(ValueError):
             check_probability_vector(bad)
-        store = CalibrationStore(np.linspace(0.1, 1.0, 10))
+        calibration = np.linspace(0.1, 1.0, 10)
         with pytest.raises(ValueError):
-            build_set(np.array(bad), store, 0.1, 0.5, ScoreParams())
-        rows = np.array([[0.5, 0.3, 0.2], bad])
-        with pytest.raises(ValueError):
-            build_sets(rows, np.array([0.5, 0.5]), store, (0.1,), ScoreParams())
+            build_set(np.array(bad), calibration, 0.1, 0.5, ScoreParams())
+        tx, ty, ex, ey = TestEraps()._data()
+        with pytest.raises(ValueError, match="finite"):
+            sraps(tx, ty, ex, ey, alphas=[0.1], classifier_factory=lambda: FixedClassifier(bad))
 
 
 class TestErapsNeedsRevealedLabels:

@@ -20,7 +20,6 @@ from firecast.model import (
     Objective,
     excitation_matrix,
     inverse_above_floor,
-    log_likelihood,
     mask_from_centroids,
     neighbor_pairs,
     objective_gradient,
@@ -168,14 +167,14 @@ class TestLogLikelihood:
             gamma=np.array([1.0]),
             mask=np.ones((2, 2), dtype=bool),
         )
-        assert log_likelihood(params, empty_seq(K=2), LinearMarkModel()) == pytest.approx(-4.0)
+        assert -penalized_objective(params, empty_seq(K=2), LinearMarkModel(), 0.0) == pytest.approx(-4.0)
 
     def test_one_event_closed_form(self):
         params = single_cell_params()
         seq = one_event_seq(mark=0.5)
         compensator = 10.0 * 0.1 + 0.5 * (1.0 - math.exp(-(10.0 - 1.0)))
         expected = math.log(0.1) + math.log(0.5) - compensator
-        assert log_likelihood(params, seq, LinearMarkModel()) == pytest.approx(expected, rel=1e-12)
+        assert -penalized_objective(params, seq, LinearMarkModel(), 0.0) == pytest.approx(expected, rel=1e-12)
         # compensator term cross-checked against quadrature of the intensity
         assert quadrature_compensator(params, seq) == pytest.approx(compensator, rel=1e-6)
 
@@ -209,21 +208,21 @@ class TestLogLikelihood:
         p_a = ModelParams(mu=mu[:2], alpha=a1, beta=0.7, gamma=np.array([0.8]), mask=mask[:2, :2])
         p_b = ModelParams(mu=mu[2:], alpha=a2, beta=0.7, gamma=np.array([0.8]), mask=mask[2:, 2:])
         mm = LinearMarkModel()
-        total = log_likelihood(params, both, mm)
-        parts = log_likelihood(p_a, seq_a, mm) + log_likelihood(p_b, seq_b, mm)
+        total = -penalized_objective(params, both, mm, 0.0)
+        parts = -(penalized_objective(p_a, seq_a, mm, 0.0) + penalized_objective(p_b, seq_b, mm, 0.0))
         assert total == pytest.approx(parts, abs=1e-12 * max(1, abs(parts)))
 
     def test_nan_parameter_rejected(self):
         params = single_cell_params(mu=float("nan"))
         with pytest.raises(ValueError):
-            log_likelihood(params, one_event_seq(), LinearMarkModel())
+            penalized_objective(params, one_event_seq(), LinearMarkModel(), 0.0)
 
     def test_matches_naive_implementation(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             params, seq = random_instance(rng, allow_negative_alpha=True)
             scores = seq.marks @ params.gamma
-            fast = log_likelihood(params, seq, LinearMarkModel())
+            fast = -penalized_objective(params, seq, LinearMarkModel(), 0.0)
             slow = naive_log_likelihood(params, seq, scores)
             assert fast == pytest.approx(slow, rel=1e-10, abs=1e-10)
 
@@ -247,9 +246,7 @@ class TestPenalizedObjective:
         params = single_cell_params(gamma=(0.0,))
         seq = one_event_seq()
         mm = LinearMarkModel()
-        assert penalized_objective(params, seq, mm, 1.0) == pytest.approx(
-            -log_likelihood(params, seq, mm)
-        )
+        assert penalized_objective(params, seq, mm, 1.0) == pytest.approx(penalized_objective(params, seq, mm, 0.0))
 
     def test_l1_arithmetic(self):
         params = ModelParams(
@@ -261,7 +258,7 @@ class TestPenalizedObjective:
         )
         seq = empty_seq(p=2)
         mm = LinearMarkModel()
-        ll = log_likelihood(params, seq, mm)
+        ll = -penalized_objective(params, seq, mm, 0.0)
         assert penalized_objective(params, seq, mm, 1.0) == pytest.approx(-ll + 0.7)
         # linearity in the weight
         diff = penalized_objective(params, seq, mm, 2.0) - penalized_objective(params, seq, mm, 1.0)
@@ -276,8 +273,7 @@ MARK_MODELS = {"linear": LinearMarkModel(), "gamma_free": NonLinearMarkModel(lam
 
 
 class TestOneObjective:
-    """``penalized_objective``, ``log_likelihood`` and ``objective_gradient``
-    are calls into ``Objective``, the solver's objective, to the last bit."""
+    """``penalized_objective`` and ``objective_gradient`` are calls into ``Objective``, the solver's objective, to the last bit."""
 
     @pytest.mark.parametrize("marks", sorted(MARK_MODELS))
     @pytest.mark.parametrize("case", KERNEL_CASES)
@@ -290,13 +286,6 @@ class TestOneObjective:
         # zero weights on further pairs change no bit: the solver's value on the mask
         feasible = FeasibleSet(params.mask)
         assert Objective(seq, mm, feasible, params.beta, 0.7).value(feasible.flatten(params)) == value
-
-    @pytest.mark.parametrize("marks", sorted(MARK_MODELS))
-    @pytest.mark.parametrize("case", KERNEL_CASES)
-    def test_log_likelihood_is_negated_unpenalized_objective(self, case, marks):
-        params, seq = kernel_case(case, negative_alpha=True)
-        mm = MARK_MODELS[marks]
-        assert log_likelihood(params, seq, mm) == -penalized_objective(params, seq, mm, 0.0)
 
     @pytest.mark.parametrize("marks", sorted(MARK_MODELS))
     @pytest.mark.parametrize("case", KERNEL_CASES)
@@ -857,7 +846,7 @@ class TestBatchScoring:
         # a scalar would enter the log-likelihood once instead of once per event
         params, seq = kernel_case("partial")
         with pytest.raises(ValueError, match=r"scorer returned shape \(\), expected \(40,\)"):
-            log_likelihood(params, seq, NonLinearMarkModel(lambda m: 0.5))
+            penalized_objective(params, seq, NonLinearMarkModel(lambda m: 0.5), 0.0)
         with pytest.raises(ValueError, match="scorer returned shape"):
             NonLinearMarkModel(lambda m: np.ones((len(m), 1))).scores(None, seq.marks)
 

@@ -64,6 +64,12 @@ class TestGridSpec:
         assert full.cell_of(2.0, 0.1) is None  # outside the box
         assert full.num_cells == 3
 
+    def test_excluded_ids_outside_the_grid_rejected(self):
+        # they used to be ignored: this grid kept all 4 cells
+        with pytest.raises(ValueError, match=r"excluded cell ids \[-1, 7\] are outside the grid's 4 cells"):
+            GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5, excluded=(7, -1))
+        assert GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5, excluded=(3,)).num_cells == 3
+
     def test_boundary_points_clamp_into_last_cell(self):
         grid = GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5)
         assert grid.cell_of(1.0, 1.0) == grid.num_cells - 1
@@ -897,6 +903,16 @@ class TestRunVariants:
         with pytest.raises(PipelineError, match=r"^\[data\] neighbor_radius needs a grid"):
             run_end_to_end(bundle, tmp_path / "run")
         assert not (tmp_path / "run" / "params.json").exists()
+
+    def test_excluded_id_outside_the_grid_fails(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,lat,lon\n" + "".join(f"{0.5 + i},{0.1 + 0.02 * i},0.3\n" for i in range(30)))
+        grid = {"lat_min": 0, "lon_min": 0, "lat_max": 1, "lon_max": 1, "cell_size": 0.5, "excluded": [4]}
+        bundle = {"seed": 3, "ingest": {"csv": str(raw), "grid": grid, "horizon": 31.0},
+                  "fit": {"grid_points": 1, "pgd_steps": 5}}
+        with pytest.raises(PipelineError, match=r"^\[data\] excluded cell ids \[4\] are outside the grid's 4 cells"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run" / "events.csv").exists()
 
     @pytest.mark.parametrize("radius", [-0.1, math.nan, -math.inf])
     def test_negative_or_nan_neighbor_radius_fails(self, tmp_path, radius):
