@@ -158,6 +158,9 @@ class TestConditionalIntensity:
             risk_at(params, one_event_seq(), 2.0, 0, LinearMarkModel(), [0.5, 0.5])
 
 
+MARK_MODELS = {"linear": LinearMarkModel(), "gamma_free": NonLinearMarkModel(lambda m: 0.3 + m[:, 0])}
+
+
 class TestLogLikelihood:
     def test_empty_sequence_is_baseline_compensator(self):
         params = ModelParams(
@@ -226,6 +229,15 @@ class TestLogLikelihood:
             slow = naive_log_likelihood(params, seq, scores)
             assert fast == pytest.approx(slow, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("marks", sorted(MARK_MODELS))
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_kernel_cases_match_naive_implementation(self, case, marks):
+        # signed weights, so some intensities sit at the floor; both mark models
+        params, seq = kernel_case(case, negative_alpha=True)
+        mm = MARK_MODELS[marks]
+        slow = naive_log_likelihood(params, seq, mm.event_scores(params.gamma, seq))
+        assert -penalized_objective(params, seq, mm, 0.0) == pytest.approx(slow, rel=1e-10, abs=1e-10)
+
     def test_constructor_rejects_weights_off_the_mask(self):
         # the support is the mask: a weight off it has nowhere to live
         rng = np.random.default_rng(12)
@@ -267,9 +279,6 @@ class TestPenalizedObjective:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             penalized_objective(single_cell_params(), one_event_seq(), LinearMarkModel(), -0.5)
-
-
-MARK_MODELS = {"linear": LinearMarkModel(), "gamma_free": NonLinearMarkModel(lambda m: 0.3 + m[:, 0])}
 
 
 class TestOneObjective:
