@@ -31,6 +31,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+PROBABILITY_TOL = 1e-9  # how far a probability may fall below 0, or a row's sum stray from 1
+
 
 @dataclass(frozen=True)
 class ScoreParams:
@@ -44,11 +46,11 @@ class ScoreParams:
             raise ValueError("lambda_reg and k_reg must be nonnegative")
 
 
-def check_probability_vector(p: np.ndarray, tol: float = 1e-9, ndim: int = 1) -> np.ndarray:
+def check_probability_vector(p: np.ndarray, ndim: int = 1) -> np.ndarray:
     """``p`` as floats: ``ndim`` axes of finite, nonnegative rows summing to 1."""
     p = np.asarray(p, dtype=float)
-    valid = p.ndim == ndim and np.isfinite(p).all() and np.all(p >= -tol)
-    if not (valid and np.all(np.abs(p.sum(axis=-1) - 1.0) <= tol)):
+    valid = p.ndim == ndim and np.isfinite(p).all() and np.all(p >= -PROBABILITY_TOL)
+    if not (valid and np.all(np.abs(p.sum(axis=-1) - 1.0) <= PROBABILITY_TOL)):
         raise ValueError("expected finite nonnegative vectors summing to 1")
     return p
 

@@ -31,7 +31,8 @@ from .events import EventSequence
 from .model import BALL_RADIUS, FeasibleSet, ModelParams, Objective, default_feasible_set
 
 LINE_SCAN_POINTS = 25  # coarse scan resolution of the beta line search
-MAX_HALVINGS = 40  # backtracking halvings per step before the last trial is accepted
+MAX_HALVINGS = 40  # backtracking halvings per step before a step that does not descend ends the solve
+GOLDEN_TOL, GOLDEN_MAX_ITER = 1e-8, 200  # the golden-section search stops at this bracket width or iteration count
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -86,8 +87,9 @@ def projected_gradient_descent(
     ``objective_fn``).  Without an objective the rule is applied exactly.
     With one the loop backtracks: the trial step starts at the rule, capped
     at twice the previously accepted step so the halving search stays short,
-    and is halved (at most ``MAX_HALVINGS`` times) until the objective stops
-    increasing; the trace is then nonincreasing.
+    and is halved (at most ``MAX_HALVINGS`` times) until the objective
+    decreases.  A step that still does not decrease it ends the solve, so
+    the trace strictly decreases and ``steps`` is a cap.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -112,11 +114,13 @@ def projected_gradient_descent(
         if objective_fn is not None:
             f_new = float(objective_fn(x_new))
             halvings = 0
-            while f_new > trace[-1] and halvings < MAX_HALVINGS:
+            while not f_new < trace[-1] and halvings < MAX_HALVINGS:
                 t_k *= 0.5
                 x_new = step_to(t_k)
                 f_new = float(objective_fn(x_new))
                 halvings += 1
+            if not f_new < trace[-1]:
+                break
             trace.append(f_new)
             t_accepted = t_k
         x = x_new
@@ -137,7 +141,7 @@ class FitConfig:
     beta_low: float = 0.01
     beta_high: float = 2.0
     grid_points: int = 8          # J: the grid has J + 1 points
-    pgd_steps: int = 500          # k_max per convex solve
+    pgd_steps: int = 500          # cap on the steps of each convex solve
     kappa: float = 1.0
     l1_weight: float = 1.0
     eps_beta: float = 0.01        # alternating-loop stopping tolerance
@@ -260,14 +264,14 @@ def grid_fit(
     )
 
 
-def _golden_section(f, a: float, b: float, tol: float = 1e-8, max_iter: int = 200):
+def _golden_section(f, a: float, b: float):
     """Golden-section minimization on [a, b]; returns (x_best, f_best)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(GOLDEN_MAX_ITER):
+        if b - a <= GOLDEN_TOL:
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1

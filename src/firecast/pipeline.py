@@ -75,6 +75,10 @@ class GridSpec:
         # tolerate float error when the span is an exact multiple of the cell
         n_rows = max(1, math.ceil((self.lat_max - self.lat_min) / self.cell_size - 1e-9))
         n_cols = max(1, math.ceil((self.lon_max - self.lon_min) / self.cell_size - 1e-9))
+        fractional = [i for i in self.excluded if not float(i).is_integer()]
+        if fractional:
+            raise ValueError(f"excluded cell ids {fractional} are not integers")
+        object.__setattr__(self, "excluded", tuple(int(i) for i in self.excluded))
         excluded = set(self.excluded)
         outside = sorted(i for i in excluded if not 0 <= i < n_rows * n_cols)
         if outside:
@@ -135,7 +139,7 @@ class GridSpec:
             lat_max=float(d["lat_max"]),
             lon_max=float(d["lon_max"]),
             cell_size=float(d.get("cell_size", 0.24)),
-            excluded=tuple(int(i) for i in d.get("excluded", ())),
+            excluded=tuple(d.get("excluded", ())),
         )
 
 
@@ -525,44 +529,38 @@ def write_detections_csv(path, trace: thresholding.DetectionTrace, times=None) -
 
 
 def read_detections_csv(path) -> thresholding.DetectionTrace:
-    """Read what :func:`write_detections_csv` wrote; rows may come in any order,
-    columns must come in the writer's order.  The file must hold exactly one
-    row for each (time, location) pair of its times and locations
-    0..max: an empty body, a repeated pair or a missing one fails, naming the
-    file and the first such pair."""
+    """Read the layout :func:`write_detections_csv` writes: the header, then
+    one block of rows per day, each listing locations 0..K-1 in order, where
+    K is the number of rows before location 0 comes round again.  Each row
+    must carry the location of its place in its block and its block's time
+    (compared by bits); a row out of layout, a short last day or an empty
+    body fails, naming the file and the first bad line (the header is line 1)."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != DETECTIONS_HEADER:
             raise ValueError(f"{path}: header {header!r}, expected {DETECTIONS_HEADER!r}")
-        for first in fh:
+        for line, first in enumerate(fh, start=2):
             if first.strip():
                 break
         else:
             raise ValueError(f"{path}: no rows after the header")
         data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
-    time, location, risk_col, thr_col, pred_col, truth_col = data.T
-    times, rows = np.unique(time, return_inverse=True)
-    locs = location.astype(int)
-    if np.any(locs != location) or locs.min() < 0:
-        raise ValueError(f"{path}: locations must be nonnegative integers")
-    shape = (len(times), locs.max() + 1)
-    cells = np.sort(rows * shape[1] + locs)
-    repeated = cells[1:][cells[1:] == cells[:-1]]
-
-    def bad_cell(what, cell):
-        return ValueError(f"{path}: {what} for time {float(times[cell // shape[1]])!r}, location {cell % shape[1]}")
-
-    if len(repeated):
-        raise bad_cell("more than one row", repeated[0])
-    if len(cells) < shape[0] * shape[1]:  # distinct sorted cells run 0, 1, ... up to the first missing one
-        raise bad_cell("no row", np.argmax(np.append(cells, -1) != np.arange(len(cells) + 1)))
-    risk, thr = np.zeros(shape), np.zeros(shape)
-    pred, truth = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
-    risk[rows, locs] = risk_col
-    thr[rows, locs] = thr_col
-    pred[rows, locs] = pred_col.astype(np.int64)
-    truth[rows, locs] = truth_col.astype(np.int64)
-    return thresholding.DetectionTrace(risk=risk, threshold=thr, prediction=pred, truth=truth)
+    time, location = data[:, 0], data[:, 1]
+    restarts = np.flatnonzero(location[1:] == 0)
+    K = int(restarts[0]) + 1 if len(restarts) else len(data)
+    place = np.arange(len(data)) % K
+    bits = time.view(np.int64)
+    bad = np.flatnonzero((location != place) | (bits != bits[np.arange(len(data)) - place]))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(
+            f"{path}: line {line + i} has time {float(time[i])!r} and location {location[i]:g}; "
+            f"its day starts at time {float(time[i - place[i]])!r} and lists locations 0..{K - 1} in order"
+        )
+    if place[-1] != K - 1:
+        raise ValueError(f"{path}: line {line + len(data) - 1} ends the last day after {place[-1] + 1} of its {K} rows")
+    risk, thr, pred, truth = (column.reshape(-1, K) for column in data.T[2:])
+    return thresholding.DetectionTrace(risk.copy(), thr.copy(), pred.astype(np.int64), truth.astype(np.int64))
 
 
 def write_metrics_csv(path, report: MetricsReport) -> None:
@@ -597,7 +595,11 @@ def write_conformal_summary_csv(path, run: conformal_mod.ConformalRun) -> None:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:  # in 1 MiB chunks, so no artifact is held whole
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +678,7 @@ def predict_stage(
         raise ValueError(f"horizon {seq.horizon} is under one day: predict needs at least one whole day")
     risk = risk_series(params, seq, mark_model)
     truth = daily_truths(seq, num_days)
-    config = thresholding.ThresholdConfig.from_first_day_risk(
-        risk[0], num_days, delta=float(cfg["delta"]), a1=float(cfg["a1"]), a2=float(cfg["a2"])
-    )
+    config = thresholding.ThresholdConfig.from_first_day_risk(risk[0], num_days, cfg["delta"], cfg["a1"], cfg["a2"])
     state = thresholding.ScreeningState.from_validation(truth) if cfg["screening"] else None
     return thresholding.detect(risk, truth, config, state)
 

@@ -31,7 +31,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ThresholdConfig:
-    """Per-location detector knobs.
+    """Detector knobs: a per-location band and learning rate, and one slope
+    gate and two ratio knobs shared by every location.
 
     ``from_first_day_risk`` derives the defaults: band endpoints at
     risk/1.8 and risk*1.8, learning rate (band width) / horizon^1.5, slope
@@ -41,23 +42,21 @@ class ThresholdConfig:
     tau_min: np.ndarray
     tau_max: np.ndarray
     eta: np.ndarray
-    delta: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
+    delta: float
+    a1: float
+    a2: float
 
     def __post_init__(self):
-        for name in ("tau_min", "tau_max", "eta", "delta", "a1", "a2"):
+        for name in ("tau_min", "tau_max", "eta"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("delta", "a1", "a2"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if np.any(self.tau_min > self.tau_max):
             raise ValueError("tau_min must be <= tau_max")
-        if np.any(self.eta < 0) or np.any(self.delta < 0):
+        if np.any(self.eta < 0) or self.delta < 0:
             raise ValueError("eta and delta must be nonnegative")
-        if np.any(self.a1 <= 0) or np.any(self.a2 <= 0):
+        if self.a1 <= 0 or self.a2 <= 0:
             raise ValueError("a1 and a2 must be positive")
-
-    @property
-    def num_locations(self) -> int:
-        return len(self.tau_min)
 
     @classmethod
     def from_first_day_risk(
@@ -76,15 +75,7 @@ class ThresholdConfig:
         tau_min = first_risk / 1.8
         tau_max = first_risk * 1.8
         eta = (tau_max - tau_min) / horizon_steps**1.5
-        K = len(first_risk)
-        return cls(
-            tau_min=tau_min,
-            tau_max=tau_max,
-            eta=eta,
-            delta=np.full(K, delta),
-            a1=np.full(K, a1),
-            a2=np.full(K, a2),
-        )
+        return cls(tau_min=tau_min, tau_max=tau_max, eta=eta, delta=delta, a1=a1, a2=a2)
 
 
 @dataclass(frozen=True)
@@ -152,7 +143,7 @@ def detect(
     if not np.all(np.isin(truth, (-1, 1))):
         raise ValueError("truth entries must be -1 or 1")
     T, K = risk.shape
-    if config.num_locations != K:
+    if len(config.tau_min) != K:
         raise ValueError("config has wrong number of locations")
     tau_min, eta, delta, a2 = config.tau_min, config.eta, config.delta, config.a2
 

@@ -304,8 +304,7 @@ def detect_oracle(risk, truth, config, screening=None):
     for k in range(K):
         lam, y = risk[:, k], truth[:, k]
         tau_min, tau_max = float(config.tau_min[k]), float(config.tau_max[k])
-        eta, delta = float(config.eta[k]), float(config.delta[k])
-        a1, a2 = float(config.a1[k]), float(config.a2[k])
+        eta, delta, a1, a2 = float(config.eta[k]), config.delta, config.a1, config.a2
 
         def proj(x):
             return min(max(x, tau_min), tau_max)
@@ -417,15 +416,12 @@ def impute_by_location_oracle(times, locations, values):
 
 def read_detections_csv_oracle(path):
     """The detections CSV parsed by column name with ``np.genfromtxt``, as
-    (risk, threshold, prediction, truth) arrays."""
+    (risk, threshold, prediction, truth) arrays of one row per day in file
+    order, K = 1 + the largest location."""
     data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    times, rows = np.unique(data["time"], return_inverse=True)
-    locs = data["location"].astype(int)
-    shape = (len(times), locs.max() + 1)
-    out = [np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)]
-    for arr, name in zip(out, ("risk", "threshold", "prediction", "truth")):
-        arr[rows, locs] = data[name]
-    return out
+    shape = (-1, int(data["location"].max()) + 1)
+    return [data["risk"].reshape(shape), data["threshold"].reshape(shape),
+            data["prediction"].astype(np.int64).reshape(shape), data["truth"].astype(np.int64).reshape(shape)]
 
 
 def write_conformal_sets_jsonl_oracle(path, run):

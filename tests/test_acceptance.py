@@ -233,7 +233,7 @@ def test_criterion_07_threshold_algorithm_fidelity():
         ref_tau, ref_pred = reference_dynamic_threshold(
             risk[:, 0], truth[:, 0],
             float(cfg.tau_min[0]), float(cfg.tau_max[0]), float(cfg.eta[0]),
-            float(cfg.delta[0]), float(cfg.a1[0]), float(cfg.a2[0]),
+            cfg.delta, cfg.a1, cfg.a2,
         )
         assert np.array_equal(trace.prediction[:, 0], ref_pred)
         assert np.array_equal(trace.threshold[:, 0], ref_tau)

@@ -169,6 +169,30 @@ class TestProjectedGradientDescent:
         assert np.allclose(x, [1.0, 0.0])
         assert len(trace) == 1
 
+    def test_a_step_that_does_not_descend_ends_the_solve(self):
+        # started at the optimum every trial step fails to descend, so the solve
+        # stops before its cap and appends no objective that is not lower
+        theta_star = np.array([0.5, -0.3, 0.2])
+        x, trace = projected_gradient_descent(
+            theta_star.copy(),
+            grad_fn=lambda x: 3.0 * (x - theta_star),
+            project_fn=ball_projection(2.0),
+            steps=50,
+            kappa=3.0,
+            objective_fn=lambda x: float(1.5 * (x - theta_star) @ (x - theta_star)),
+        )
+        assert np.array_equal(x, theta_star) and trace.tolist() == [0.0]
+        # a linear objective at its optimum on the ball: projected trials round
+        # above and below it
+        for seed in range(5):
+            c = np.random.default_rng(seed).normal(size=3)
+            x, trace = projected_gradient_descent(
+                -2.0 * c / np.linalg.norm(c), grad_fn=lambda x: c, project_fn=ball_projection(2.0),
+                steps=50, kappa=1.0, objective_fn=lambda x: float(c @ x),
+            )
+            assert len(trace) < 51 and np.all(np.diff(trace) < 0)
+            assert float(c @ x) == trace[-1]
+
     def test_non_finite_gradient_aborts_with_step(self):
         with pytest.raises(NonFiniteGradientError) as exc:
             projected_gradient_descent(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -17,6 +18,7 @@ from firecast.pipeline import (
     MarkStats,
     DETECTIONS_HEADER,
     PipelineError,
+    _sha256,
     _stage,
     counterfactual_delta,
     daily_truths,
@@ -69,6 +71,17 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=r"excluded cell ids \[-1, 7\] are outside the grid's 4 cells"):
             GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5, excluded=(7, -1))
         assert GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5, excluded=(3,)).num_cells == 3
+
+    def test_fractional_excluded_ids_rejected(self):
+        # from_dict used to truncate 1.7 to cell 1, and the constructor kept all 4 cells for 1.5
+        box = dict(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5)
+        with pytest.raises(ValueError, match=r"^excluded cell ids \[1\.7\] are not integers$"):
+            GridSpec.from_dict({**box, "excluded": [1.7]})
+        with pytest.raises(ValueError, match=r"^excluded cell ids \[1\.5\] are not integers$"):
+            GridSpec(**box, excluded=(1.5,))
+        for ids in ([1], [1.0]):
+            for grid in (GridSpec.from_dict({**box, "excluded": ids}), GridSpec(**box, excluded=tuple(ids))):
+                assert grid.num_cells == 3 and grid.excluded == (1,) and grid.cell_of(0.1, 0.6) is None
 
     def test_boundary_points_clamp_into_last_cell(self):
         grid = GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5)
@@ -421,25 +434,27 @@ class TestDetectionsCsv:
         assert np.array_equal(back.prediction, pred)
         assert np.array_equal(back.truth, truth)
 
-    def test_reads_rows_in_any_order(self, tmp_path):
-        rng = np.random.default_rng(4)
-        T, K = 5, 3
-        times = np.array([0.5, 1.25, 2.0, 7.5, 10.0])
-        risk, thr = np.exp(rng.normal(size=(T, K))), np.exp(rng.normal(size=(T, K)))
+    @pytest.mark.parametrize("times", [
+        [1.0, 1.0, 2.0],  # days that share a time
+        [3.0, 0.5, 2.0, 2.0, 1e-7],  # not ascending
+        [1e16, 2.5, 1e16],
+        [-0.0, 0.0, 7.0],  # told apart by bits
+        [4.0],
+    ])
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_round_trip_keeps_the_writers_days(self, tmp_path, times, K):
+        rng = np.random.default_rng(len(times) * K)
+        T = len(times)
+        risk, thr = np.exp(rng.normal(size=(T, K)) * 5), np.exp(rng.normal(size=(T, K)) * 5)
+        risk[0, 0], thr[-1, -1] = -0.0, np.nan
         pred = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
         truth = np.where(rng.uniform(size=(T, K)) < 0.5, 1, -1)
-        rows = [
-            f"{float(times[t])!r},{k},{float(risk[t, k])!r},{float(thr[t, k])!r},{pred[t, k]},{truth[t, k]}\n"
-            for t in range(T)
-            for k in range(K)
-        ]
         path = tmp_path / "det.csv"
-        path.write_text("time,location,risk,threshold,prediction,truth\n" + "".join(rng.permutation(rows)))
+        write_detections_csv(path, DetectionTrace(risk=risk, threshold=thr, prediction=pred, truth=truth), np.array(times))
         back = read_detections_csv(path)
-        assert np.array_equal(back.risk, risk)
-        assert np.array_equal(back.threshold, thr)
-        assert np.array_equal(back.prediction, pred)
-        assert np.array_equal(back.truth, truth)
+        for got, want in ((back.risk, risk), (back.threshold, thr), (back.prediction, pred), (back.truth, truth)):
+            assert got.shape == (T, K) and got.tobytes() == want.astype(got.dtype).tobytes()
+        assert back.prediction.dtype == back.truth.dtype == np.int64
 
     def test_bytes_match_per_cell_writer(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -533,10 +548,9 @@ class TestDetectionsCsv:
         for got, want in zip((back.risk, back.threshold, back.prediction, back.truth), expected):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        # rows come back in time order
-        order = np.argsort(times)
-        assert back.risk.tobytes() == risk[order].tobytes()
-        assert back.threshold.tobytes() == thr[order].tobytes()
+        # days come back in file order, not time order
+        assert back.risk.tobytes() == risk.tobytes()
+        assert back.threshold.tobytes() == thr.tobytes()
 
     def test_bytes_match_per_cell_writer_where_thresholds_equal_risk(self, tmp_path):
         # a changed threshold whose bits equal the same day's risk takes the risk's text
@@ -577,27 +591,45 @@ class TestDetectionsCsv:
             with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no rows after the header$"):
                 read_detections_csv(path)
 
+    def _rejects(self, path, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(message)}$"):
+            read_detections_csv(path)
+
     def test_rejects_a_repeated_cell(self, tmp_path):
         # one cell missing and another repeated: 4 rows for a 2 x 2 trace
         rows = ["1.0,0,0.5,0.25,1,1", "1.0,1,0.5,0.25,-1,-1", "2.0,0,0.5,0.25,1,1", "2.0,0,0.5,0.25,1,1"]
-        path = self._write_rows(tmp_path, rows)
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: more than one row for time 2.0, location 0$"):
-            read_detections_csv(path)
+        self._rejects(self._write_rows(tmp_path, rows),
+                      "line 5 has time 2.0 and location 0; its day starts at time 2.0 and lists locations 0..1 in order")
 
     def test_rejects_a_missing_cell(self, tmp_path):
         rows = [f"{t}.0,{k},0.5,0.25,1,-1" for t in (1, 2, 3) for k in (0, 1)]
-        path = self._write_rows(tmp_path, rows[:2] + rows[3:])
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no row for time 2.0, location 0$"):
-            read_detections_csv(path)
-        path = self._write_rows(tmp_path, rows[:-1])  # the last cell
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no row for time 3.0, location 1$"):
-            read_detections_csv(path)
+        # without (2.0, 0) the first day runs on to the next location 0, three rows on
+        self._rejects(self._write_rows(tmp_path, rows[:2] + rows[3:]),
+                      "line 4 has time 2.0 and location 1; its day starts at time 1.0 and lists locations 0..2 in order")
+        self._rejects(self._write_rows(tmp_path, rows[:-1]), "line 6 ends the last day after 1 of its 2 rows")
 
     @pytest.mark.parametrize("location", ["-1", "0.5"])
     def test_rejects_a_location_that_is_no_cell_index(self, tmp_path, location):
         path = self._write_rows(tmp_path, ["1.0,0,0.5,0.25,1,1", f"1.0,{location},0.5,0.25,1,1"])
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: locations must be nonnegative integers$"):
-            read_detections_csv(path)
+        self._rejects(path, f"line 3 has time 1.0 and location {location}; "
+                            "its day starts at time 1.0 and lists locations 0..1 in order")
+
+    def test_rejects_a_day_that_starts_elsewhere(self, tmp_path):
+        path = self._write_rows(tmp_path, ["1.0,1,0.5,0.25,1,1", "1.0,0,0.5,0.25,1,1"])
+        self._rejects(path, "line 2 has time 1.0 and location 1; its day starts at time 1.0 and lists locations 0..0 in order")
+
+    def test_rejects_two_times_in_one_day(self, tmp_path):
+        rows = ["1.0,0,0.5,0.25,1,1", "1.0,1,0.5,0.25,1,1", "2.0,0,0.5,0.25,1,1", "3.0,1,0.5,0.25,1,1"]
+        self._rejects(self._write_rows(tmp_path, rows),
+                      "line 5 has time 3.0 and location 1; its day starts at time 2.0 and lists locations 0..1 in order")
+        # by bits: -0.0 is another time than 0.0
+        rows = ["0.0,0,0.5,0.25,1,1", "-0.0,1,0.5,0.25,1,1"]
+        self._rejects(self._write_rows(tmp_path, rows),
+                      "line 3 has time -0.0 and location 1; its day starts at time 0.0 and lists locations 0..1 in order")
+
+    def test_rejects_rows_after_blank_lines_by_their_line(self, tmp_path):
+        path = self._write_rows(tmp_path, ["", "1.0,0,0.5,0.25,1,1", "1.0,2,0.5,0.25,1,1"])
+        self._rejects(path, "line 4 has time 1.0 and location 2; its day starts at time 1.0 and lists locations 0..1 in order")
 
     def test_rejects_labels_other_than_plus_minus_one(self, tmp_path):
         trace = DetectionTrace(
@@ -605,6 +637,15 @@ class TestDetectionsCsv:
         )
         with pytest.raises(ValueError):
             write_detections_csv(tmp_path / "a.csv", trace)
+
+
+class TestSha256:
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 * (1 << 20) + 7])
+    def test_matches_hashlib_of_the_bytes(self, tmp_path, size):
+        data = np.random.default_rng(size).integers(0, 256, size=size, dtype=np.uint8).tobytes()
+        path = tmp_path / "artifact"
+        path.write_bytes(data)
+        assert _sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 class TestConformalSetsJsonl:

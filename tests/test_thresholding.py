@@ -26,8 +26,8 @@ class TestThresholdConfig:
         assert cfg.tau_min[0] == pytest.approx(1.0)
         assert cfg.tau_max[0] == pytest.approx(1.8 * 1.8)
         assert cfg.eta[0] == pytest.approx((1.8 * 1.8 - 1.0) / 100**1.5)
-        assert cfg.delta[0] == 0.05
-        assert cfg.a1[0] == cfg.a2[0] == 1.1
+        assert cfg.delta == 0.05 and type(cfg.delta) is float
+        assert cfg.a1 == cfg.a2 == 1.1 and type(cfg.a1) is type(cfg.a2) is float
 
     def test_degenerate_zero_risk_rejected(self):
         with pytest.raises(ValueError):
@@ -39,10 +39,16 @@ class TestThresholdConfig:
                 tau_min=np.array([2.0]),
                 tau_max=np.array([1.0]),
                 eta=np.array([0.1]),
-                delta=np.array([0.0]),
-                a1=np.array([1.1]),
-                a2=np.array([1.1]),
+                delta=0.0,
+                a1=1.1,
+                a2=1.1,
             )
+        for knob in ("delta", "a1", "a2"):
+            with pytest.raises(ValueError, match=knob):
+                ThresholdConfig(
+                    tau_min=np.array([1.0]), tau_max=np.array([2.0]), eta=np.array([0.1]),
+                    **{"delta": 0.05, "a1": 1.1, "a2": 1.1, knob: -1.0},
+                )
 
 
 class TestDetect:
@@ -89,9 +95,9 @@ class TestDetect:
                 float(cfg.tau_min[0]),
                 float(cfg.tau_max[0]),
                 float(cfg.eta[0]),
-                float(cfg.delta[0]),
-                float(cfg.a1[0]),
-                float(cfg.a2[0]),
+                cfg.delta,
+                cfg.a1,
+                cfg.a2,
             )
             assert np.array_equal(trace.prediction[:, 0], ref_pred)
             assert np.array_equal(trace.threshold[:, 0], ref_tau)
@@ -104,9 +110,9 @@ class TestDetect:
             tau_min=np.array([float(risk[0, 0])]),  # first step cannot fire either
             tau_max=np.array([float(risk[0, 0]) * 2]),
             eta=np.array([0.01]),
-            delta=np.array([np.inf]),
-            a1=np.array([1.1]),
-            a2=np.array([1.1]),
+            delta=np.inf,
+            a1=1.1,
+            a2=1.1,
         )
         trace = detect(risk, truth, cfg)
         assert np.all(trace.prediction == -1)
@@ -118,9 +124,9 @@ class TestDetect:
             tau_min=np.array([0.8]),
             tau_max=np.array([1.5]),
             eta=np.array([0.02]),
-            delta=np.array([0.0]),
-            a1=np.array([1.1]),
-            a2=np.array([1.1]),
+            delta=0.0,
+            a1=1.1,
+            a2=1.1,
         )
         trace = detect(risk, truth, cfg)
         # with delta=0 the gate always passes: positives are exactly
@@ -141,7 +147,7 @@ class TestDetect:
                 if not changed:
                     continue
                 false_alarm = trace.prediction[t, 0] == 1 and truth[t, 0] == -1
-                reset = risk[t, 0] <= risk[t - 1, 0] / cfg.a2[0]
+                reset = risk[t, 0] <= risk[t - 1, 0] / cfg.a2
                 # the step-2 threshold also moves when the ungated first
                 # prediction was wrong (the initializer's error update)
                 first_step_error = t == 1 and trace.prediction[0, 0] != truth[0, 0]
@@ -161,7 +167,7 @@ class TestDetect:
                 # out-of-band values enter via the reset rule or the a1 floor
                 # and may then persist by carry until the next update
                 came_from_reset = tau == risk[t, 0]
-                came_from_floor = t > 0 and tau == risk[t - 1, 0] / cfg.a1[0]
+                came_from_floor = t > 0 and tau == risk[t - 1, 0] / cfg.a1
                 carried = t > 0 and tau == trace.threshold[t - 1, 0]
                 assert came_from_reset or came_from_floor or carried
 
@@ -235,7 +241,8 @@ def reference_columns(risk, truth, cfg):
     """reference_dynamic_threshold run on every column; (thresholds, predictions)."""
     cols = [
         reference_dynamic_threshold(
-            risk[:, k], truth[:, k], *(float(getattr(cfg, f)[k]) for f in ("tau_min", "tau_max", "eta", "delta", "a1", "a2"))
+            risk[:, k], truth[:, k], float(cfg.tau_min[k]), float(cfg.tau_max[k]), float(cfg.eta[k]),
+            cfg.delta, cfg.a1, cfg.a2,
         )
         for k in range(risk.shape[1])
     ]
@@ -243,9 +250,9 @@ def reference_columns(risk, truth, cfg):
 
 
 def heterogeneous_case(seed=0, T=60):
-    """K=6 columns with different knobs: delta 0 and inf, a1 != a2, a column
-    that collapses (resets) often, and exact ties lam[t] == carried tau and
-    lam[t] == lam[t-1]/a2 planted by construction."""
+    """K=6 columns with different bands and learning rates under one slope
+    gate and a1 != a2: a column that collapses (resets) often, and exact ties
+    lam[t] == carried tau and lam[t] == lam[t-1]/a2 planted by construction."""
     rng = np.random.default_rng(seed)
     risk, truth = random_series(rng, steps=T, K=6)
     risk[::7, 3] *= 0.3  # column 3 collapses every week
@@ -253,9 +260,9 @@ def heterogeneous_case(seed=0, T=60):
         tau_min=risk[0] / np.array([1.8, 1.0, 1.5, 1.8, 1.2, 1.8]),  # column 1: lam[0] == tau_min
         tau_max=risk[0] * 1.8,
         eta=np.array([0.05, 0.02, 0.1, 0.05, 0.0, 0.03]),
-        delta=np.array([0.0, 0.05, np.inf, 0.05, 0.0, 0.2]),
-        a1=np.array([1.1, 1.3, 1.1, 1.05, 1.2, 1.1]),
-        a2=np.array([1.1, 1.05, 1.1, 1.5, 1.2, 1.3]),
+        delta=0.05,
+        a1=1.3,
+        a2=1.2,
     )
     for k, ties in ((0, (5, 17, 33)), (4, (9, 26)), (5, (12, 40))):
         for t in ties:
@@ -263,7 +270,7 @@ def heterogeneous_case(seed=0, T=60):
             tau, _ = reference_columns(risk[:t], truth[:t], cfg)
             risk[t, k] = tau[t - 1, k]
     for k, t in ((1, 21), (2, 8), (3, 30), (4, 44)):
-        risk[t, k] = risk[t - 1, k] / cfg.a2[k]
+        risk[t, k] = risk[t - 1, k] / cfg.a2
     return risk, truth, cfg
 
 
@@ -284,7 +291,6 @@ class TestDetectAcrossLocations:
         assert (risk[1:] == risk[:-1] / cfg.a2).sum() >= 4
         resets = risk[1:] <= risk[:-1] / cfg.a2
         assert resets[:, 3].sum() >= 5
-        assert np.all(trace.prediction[1:, 2] == -1)  # infinite slope gate
 
     def test_screened_columns_match_per_location_oracle(self):
         for seed in range(5):
