@@ -4,10 +4,12 @@ Each subcommand only parses its arguments and calls the same pipeline stage
 functions as ``firecast run``: ``pipeline.simulate_stage``,
 ``build_mark_model``, ``fit_stage``, ``predict_stage`` and
 ``conformal_stage``.  The stage flags of ``simulate``, ``fit``, ``predict``
-and ``conformal`` are made from ``pipeline.SECTION_DEFAULTS`` and spell that
-stage's bundle section: a flag that is not given is absent from it, so the
-stage applies the same default as to a bundle without the key, and the
-section is checked like a bundle's before any file is read.
+and ``conformal`` are made from ``pipeline.SECTION_DEFAULTS``, one for each
+optional key, and spell that stage's bundle section: a flag that is not given
+is absent from it, so the stage applies the same default as to a bundle
+without the key, and the section is checked like a bundle's before any file
+is read.  So a chain of subcommands and a run bundle spell each setting the
+same way.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def cmd_eval(args) -> int:
 def cmd_conformal(args) -> int:
     section = _section(args, "conformal")
     seq = load_events_csv(args.data, horizon=args.horizon, num_locations=args.locations)
-    run = pipeline.conformal_stage(seq, section, args.train_size, args.seed)
+    run = pipeline.conformal_stage(seq, section, args.seed)
     pipeline.write_conformal_sets_jsonl(args.sets, run)
     pipeline.write_conformal_summary_csv(args.summary, run)
     for a in run.alphas:
@@ -119,7 +121,7 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-def _section_flags(p, section: str, skip=()) -> None:
+def _section_flags(p, section: str) -> None:
     """One flag per optional key of ``section`` in ``pipeline.SECTION_DEFAULTS``:
     ``--no-KEY`` for a ``True`` default, else ``--KEY`` typed like the default
     (a tuple as comma-separated floats) and limited to the key's ``CHOICES``."""
@@ -127,7 +129,7 @@ def _section_flags(p, section: str, skip=()) -> None:
         flag = key.replace("_", "-")
         if default is True:
             p.add_argument(f"--no-{flag}", dest=key, action="store_false")
-        elif key not in skip:
+        else:
             kind = {tuple: _floats, str: None}.get(type(default), type(default))
             p.add_argument(f"--{flag}", type=kind, choices=pipeline.CHOICES.get((section, key), (None,))[0])
 
@@ -190,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="event CSV with a magnitude column")
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--locations", type=int, required=True)
-    p.add_argument("--train-size", type=int, required=True)
-    _section_flags(p, "conformal", skip=("train_fraction",))  # --train-size is a count
+    _section_flags(p, "conformal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sets", default="conformal_sets.jsonl")
     p.add_argument("--summary", default="conformal_summary.csv")

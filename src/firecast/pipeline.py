@@ -10,8 +10,9 @@ data and can be frozen for later files.
 The chain runs through one function per stage: ``simulate_stage``,
 ``fit_stage``, ``predict_stage`` and ``conformal_stage``.  Each reads a
 settings dict shaped like its bundle section and applies the section's
-defaults and conversions itself.  ``run_end_to_end`` passes the bundle's
-sections and the CLI subcommands the sections their flags spell;
+defaults, conversions and checks itself, so no key is read outside its
+stage.  ``run_end_to_end`` passes the bundle's sections and the CLI
+subcommands the sections their flags spell;
 ``run_end_to_end`` chains the stages after simulate-or-ingest and writes
 every artifact plus a reproducibility manifest.
 """
@@ -133,6 +134,12 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
+        """The grid a ``to_dict`` mapping spells; a key that is no field fails,
+        so a misspelt ``cell_size`` does not run at the default."""
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(known))
+        if unknown:
+            raise ValueError(f"unknown grid keys {unknown}; expected some of {known}")
         return cls(
             lat_min=float(d["lat_min"]),
             lon_min=float(d["lon_min"]),
@@ -533,8 +540,9 @@ def read_detections_csv(path) -> thresholding.DetectionTrace:
     one block of rows per day, each listing locations 0..K-1 in order, where
     K is the number of rows before location 0 comes round again.  Each row
     must carry the location of its place in its block and its block's time
-    (compared by bits); a row out of layout, a short last day or an empty
-    body fails, naming the file and the first bad line (the header is line 1)."""
+    (compared by bits), and labels of -1 or 1 as the writer writes them; a row
+    out of layout, a short last day, a bad label or an empty body fails,
+    naming the file and the first bad line (the header is line 1)."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != DETECTIONS_HEADER:
@@ -559,6 +567,13 @@ def read_detections_csv(path) -> thresholding.DetectionTrace:
         )
     if place[-1] != K - 1:
         raise ValueError(f"{path}: line {line + len(data) - 1} ends the last day after {place[-1] + 1} of its {K} rows")
+    labels = data[:, 4:]
+    bad = np.flatnonzero(((labels != 1) & (labels != -1)).any(axis=1))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(
+            f"{path}: line {line + i} has prediction {labels[i, 0]:g} and truth {labels[i, 1]:g}; both must be -1 or 1"
+        )
     risk, thr, pred, truth = (column.reshape(-1, K) for column in data.T[2:])
     return thresholding.DetectionTrace(risk.copy(), thr.copy(), pred.astype(np.int64), truth.astype(np.int64))
 
@@ -683,17 +698,22 @@ def predict_stage(
     return thresholding.detect(risk, truth, config, state)
 
 
-def conformal_stage(seq: EventSequence, section: dict, n_train: int, seed: int) -> conformal_mod.ConformalRun:
+def conformal_stage(seq: EventSequence, section: dict, seed: int) -> conformal_mod.ConformalRun:
     """Magnitude prediction sets from a ``conformal`` section merged over its
-    ``SECTION_DEFAULTS``: the first ``n_train`` events train, the rest form
-    the test stream; ``method`` is ``eraps`` or ``sraps``."""
+    ``SECTION_DEFAULTS``: the first ``max(10, int(train_fraction * n))`` of
+    the n events train, the rest form the test stream; ``train_fraction``
+    must lie in (0, 1), and ``method`` is ``eraps`` or ``sraps``."""
     cfg = {**SECTION_DEFAULTS["conformal"], **section}
     method = cfg["method"]
     _choose("conformal", "method", method)
+    fraction = float(cfg["train_fraction"])
+    if not 0.0 < fraction < 1.0:  # NaN too
+        raise ValueError(f"train_fraction must lie in (0, 1), got {fraction!r}")
     if seq.magnitudes is None:
         raise ValueError("conformal stage needs magnitude labels in the data")
-    if not 10 <= n_train < len(seq):
-        raise ValueError("train size must be >= 10 and leave a test stream")
+    n_train = max(10, int(fraction * len(seq)))
+    if n_train >= len(seq):
+        raise ValueError(f"{n_train} training events of {len(seq)} leave no test stream")
     X, y = seq.marks, seq.magnitudes
     split = (X[:n_train], y[:n_train], X[n_train:], y[n_train:])
     shared = {
@@ -830,9 +850,11 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
     stage gets its bundle section as it is; the stage applies its defaults.
     """
     check_bundle_keys(bundle)
+    seed = bundle.get("seed", 0)
+    if type(seed) is not int:  # not a bool either
+        raise PipelineError("data", f"seed must be an integer, got {seed!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = int(bundle.get("seed", 0))
     config_hash = hashlib.sha256(json.dumps(bundle, sort_keys=True).encode()).hexdigest()
     notes: list[str] = []
     stages: list[str] = []
@@ -860,10 +882,7 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
 
     if "conformal" in bundle:
         with _stage("conformal", stages):
-            section = bundle["conformal"]
-            # the CLI's --train-size is a count, so only the fraction is read here
-            fraction = float(section.get("train_fraction", SECTION_DEFAULTS["conformal"]["train_fraction"]))
-            run = conformal_stage(seq, section, max(10, int(fraction * len(seq))), seed)
+            run = conformal_stage(seq, bundle["conformal"], seed)
             write_conformal_sets_jsonl(out / "conformal_sets.jsonl", run)
             write_conformal_summary_csv(out / "conformal_summary.csv", run)
 

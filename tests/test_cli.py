@@ -132,7 +132,7 @@ def test_conformal_command(tmp_path, capsys):
             fh.write(f"{i + 0.5},0,{m0},{m1},{1 + int(m0 > 0.5)}\n")
     assert main([
         "conformal", "--data", str(path), "--horizon", "100", "--locations", "1",
-        "--train-size", "50", "--num-bootstrap", "4", "--batch-size", "5",
+        "--train-fraction", "0.625", "--num-bootstrap", "4", "--batch-size", "5",
         "--alphas", "0.1,0.2", "--seed", "1",
         "--sets", str(tmp_path / "sets.jsonl"), "--summary", str(tmp_path / "summary.csv"),
     ]) == 0
@@ -158,6 +158,21 @@ def test_gridify_command(tmp_path):
                  "--horizon", "5", "--out", str(out)]) == 0
     seq = load_events_csv(out, horizon=5.0, num_locations=4)
     assert len(seq) == 2
+
+
+def test_gridify_rejects_an_unknown_grid_key(tmp_path, capsys):
+    # "cellsize" used to be ignored, and the file gridded at the default 0.24: 25 cells instead of 4
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"lat_min": 0.0, "lon_min": 0.0, "lat_max": 1.0, "lon_max": 1.0, "cellsize": 0.5}))
+    raw = tmp_path / "raw.csv"
+    raw.write_text("time,lat,lon\n1.0,0.2,0.2\n2.0,0.8,0.9\n")
+    out = tmp_path / "events.csv"
+    assert main(["gridify", "--raw", str(raw), "--grid", str(grid_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "firecast gridify: [gridify] unknown grid keys ['cellsize']; "
+        "expected some of ['lat_min', 'lon_min', 'lat_max', 'lon_max', 'cell_size', 'excluded']"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("horizon", [[], ["--horizon", "5"]], ids=["no-horizon", "horizon"])
@@ -370,7 +385,6 @@ def test_cli_stages_match_run(tmp_path):
     assert main(["run", "--config", str(cfg), "--out-dir", str(run)]) == 0
 
     events = str(run / "events.csv")
-    n = len(load_events_csv(events, horizon=120.0, num_locations=2))
     cli = tmp_path / "cli"
     cli.mkdir()
     common = ["--horizon", "120", "--locations", "2"]
@@ -381,7 +395,7 @@ def test_cli_stages_match_run(tmp_path):
                  "--out", str(cli / "detections.csv")]) == 0
     assert main(["eval", "--detections", str(cli / "detections.csv"),
                  "--out", str(cli / "metrics.csv")]) == 0
-    assert main(["conformal", "--data", events, *common, "--train-size", str(max(10, int(0.6 * n))),
+    assert main(["conformal", "--data", events, *common, "--train-fraction", "0.6",
                  "--method", "eraps", "--num-bootstrap", "10", "--batch-size", "10",
                  "--alphas", "0.1", "--seed", str(seed),
                  "--sets", str(cli / "conformal_sets.jsonl"),
@@ -394,7 +408,7 @@ def test_cli_stages_match_run(tmp_path):
 
 @pytest.fixture(scope="module")
 def empty_sections_run(tmp_path_factory):
-    """A run whose fit, predict and conformal sections are all ``{}``, and its event count."""
+    """A run whose fit, predict and conformal sections are all ``{}``."""
     bundle = {
         "simulate": {
             "params": {
@@ -415,7 +429,7 @@ def empty_sections_run(tmp_path_factory):
     cfg.write_text(json.dumps(bundle))
     run = tmp_path_factory.mktemp("run")
     assert main(["run", "--config", str(cfg), "--out-dir", str(run)]) == 0
-    return run, len(load_events_csv(run / "events.csv", horizon=120.0, num_locations=2))
+    return run
 
 
 @pytest.mark.parametrize("command", ["fit", "predict", "conformal"])
@@ -423,7 +437,7 @@ def test_subcommand_defaults_match_an_empty_bundle_section(empty_sections_run, t
     """Each stage subcommand given only its required flags writes what a
     run's stage writes from an empty section: an unset flag takes the
     section's default."""
-    run, n = empty_sections_run
+    run = empty_sections_run
     events = str(run / "events.csv")
     common = ["--horizon", "120", "--locations", "2"]
     argv, artifacts = {
@@ -431,7 +445,7 @@ def test_subcommand_defaults_match_an_empty_bundle_section(empty_sections_run, t
                 ("params.json", "fit_trace.csv")),
         "predict": (["--params", str(run / "params.json"), "--events", events, *common, "--out", "detections.csv"],
                     ("detections.csv",)),
-        "conformal": (["--data", events, *common, "--train-size", str(max(10, int(0.6 * n)))],
+        "conformal": (["--data", events, *common],
                       ("conformal_sets.jsonl", "conformal_summary.csv")),
     }[command]
     monkeypatch.chdir(tmp_path)
@@ -447,19 +461,13 @@ def _subcommand_actions(command):
 
 # the flags of the stage subcommands that are no key of the stage's bundle
 # section: inputs, outputs, the simulate and conformal seeds (a run's is
-# top-level), the conformal train count, and predict's mark model (a run
-# predicts with the fit's)
+# top-level), and predict's mark model (a run predicts with the fit's)
 COMMAND_ONLY_FLAGS = {
     "simulate": {"seed", "out"},
     "fit": {"events", "horizon", "locations", "support", "out", "trace"},
     "predict": {"params", "events", "horizon", "locations", "mark_model", "out"},
-    "conformal": {"data", "horizon", "locations", "train_size", "seed", "sets", "summary"},
+    "conformal": {"data", "horizon", "locations", "seed", "sets", "summary"},
 }
-
-
-# the optional section keys without a flag: the conformal train share, which
-# the subcommand takes as the count --train-size
-FLAGLESS_KEYS = {"conformal": {"train_fraction"}}
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_ONLY_FLAGS))
@@ -479,7 +487,7 @@ def test_every_stage_flag_is_a_bundle_key(command):
             assert action.dest in keys, f"{flag} is neither a {command} key nor command-only"
             assert action.default is argparse.SUPPRESS, f"{flag} has a default of its own"
     # and the other way: the subcommand spells every optional key of its section
-    for key in set(pipeline.SECTION_DEFAULTS[command]) - FLAGLESS_KEYS.get(command, set()):
+    for key in pipeline.SECTION_DEFAULTS[command]:
         assert dests.count(key) == 1, f"{command} key {key!r} has {dests.count(key)} flags"
 
 
@@ -548,7 +556,7 @@ def test_conformal_rejects_the_other_methods_flags(tmp_path, capsys, method, fla
     chosen = ["--method", method] if method else []
     sets = tmp_path / "sets.jsonl"
     assert main(["conformal", "--data", str(tmp_path / "missing.csv"), "--horizon", "1", "--locations", "1",
-                 "--train-size", "10", *chosen, *flags, "--sets", str(sets)]) == 1
+                 *chosen, *flags, "--sets", str(sets)]) == 1
     assert capsys.readouterr().err.strip() == (
         f"firecast conformal: [conformal] keys {foreign} do not apply to method '{method or 'eraps'}'"
     )
@@ -588,7 +596,7 @@ def test_simulated_labels_feed_conformal(tmp_path, params_file, capsys):
     assert set(np.unique(seq.magnitudes)) <= {1, 2, 3}
     sets, summary = tmp_path / "sets.jsonl", tmp_path / "summary.csv"
     assert main(["conformal", "--data", str(events), "--horizon", "150", "--locations", "2",
-                 "--train-size", str(len(seq) // 2), "--num-bootstrap", "4", "--batch-size", "4",
+                 "--train-fraction", "0.5", "--num-bootstrap", "4", "--batch-size", "4",
                  "--sets", str(sets), "--summary", str(summary)]) == 0
     assert summary.read_text().splitlines()[0].startswith("alpha,coverage")
     assert len(sets.read_text().splitlines()) == len(seq) - len(seq) // 2
@@ -608,6 +616,29 @@ def test_simulate_rejects_a_non_finite_horizon(tmp_path, params_file, capsys, ho
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.strip() == f"firecast run: [data] {message}"
     assert not (tmp_path / "out" / "events.csv").exists()
+
+
+@pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.0, float("nan")])
+def test_a_train_fraction_outside_the_unit_interval_fails(tmp_path, params_file, capsys, fraction):
+    # -0.5 and 0.0 used to train on 10 events, and NaN failed as "cannot convert float NaN to integer"
+    message = f"[conformal] train_fraction must lie in (0, 1), got {fraction!r}"
+    bundle = {
+        "simulate": {"params_file": str(params_file), "horizon": 40.0, "magnitude_classes": 3},
+        "fit": {"grid_points": 1, "pgd_steps": 2},
+        "predict": {"screening": False},
+        "conformal": {"train_fraction": fraction},
+    }
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps(bundle))
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(run)]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast run: {message}"
+    assert not (run / "conformal_sets.jsonl").exists()
+    sets = tmp_path / "sets.jsonl"
+    assert main(["conformal", "--data", str(run / "events.csv"), "--horizon", "40", "--locations", "2",
+                 "--train-fraction", str(fraction), "--sets", str(sets)]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast conformal: {message}"
+    assert not sets.exists()
 
 
 def test_choices_are_the_pipeline_tables():

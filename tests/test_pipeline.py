@@ -91,6 +91,13 @@ class TestGridSpec:
         back = GridSpec.from_dict(self.grid.to_dict())
         assert back == self.grid
 
+    def test_unknown_keys_rejected(self):
+        # a misspelt cell_size used to run at the default 0.24: 25 cells instead of 4
+        box = dict(lat_min=0, lon_min=0, lat_max=1, lon_max=1)
+        with pytest.raises(ValueError, match=r"^unknown grid keys \['cellsize'\]; expected some of \['lat_min', "):
+            GridSpec.from_dict({**box, "cellsize": 0.5})
+        assert GridSpec.from_dict({**box, "cell_size": 0.5}).num_cells == 4
+
 
 class TestImputation:
     def test_sinusoid_with_holes(self):
@@ -631,6 +638,14 @@ class TestDetectionsCsv:
         path = self._write_rows(tmp_path, ["", "1.0,0,0.5,0.25,1,1", "1.0,2,0.5,0.25,1,1"])
         self._rejects(path, "line 4 has time 1.0 and location 2; its day starts at time 1.0 and lists locations 0..1 in order")
 
+    @pytest.mark.parametrize("rows, message", [
+        (["1.0,0,0.5,0.25,0.7,1", "1.0,1,0.5,0.25,-1,-1"], "line 2 has prediction 0.7 and truth 1"),
+        (["1.0,0,0.5,0.25,1,1", "1.0,1,0.5,0.25,-1,0"], "line 3 has prediction -1 and truth 0"),
+    ], ids=["prediction", "truth"])
+    def test_rejects_a_label_other_than_minus_one_or_one(self, tmp_path, rows, message):
+        # a prediction of 0.7 used to be truncated to 0 and scored as -1
+        self._rejects(self._write_rows(tmp_path, rows), f"{message}; both must be -1 or 1")
+
     def test_rejects_labels_other_than_plus_minus_one(self, tmp_path):
         trace = DetectionTrace(
             risk=np.ones((2, 2)), threshold=np.ones((2, 2)), prediction=np.zeros((2, 2)), truth=np.ones((2, 2))
@@ -769,6 +784,13 @@ class TestRunEndToEnd:
             assert len(stream) == len(truths) > 0
             assert float(coverage) == np.mean([t in labels for t, labels in zip(truths, stream)])
             assert float(mean_size) == np.mean([len(labels) for labels in stream])
+
+    @pytest.mark.parametrize("seed", [3.7, True, "abc"])
+    def test_seed_must_be_an_integer(self, tmp_path, seed):
+        # 3.7 used to run as seed 3 and true as seed 1; "abc" raised a bare ValueError
+        with pytest.raises(PipelineError, match=rf"^\[data\] seed must be an integer, got {re.escape(repr(seed))}$"):
+            run_end_to_end({**small_bundle(with_conformal=False), "seed": seed}, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_stage_tagged_errors(self, tmp_path):
         with pytest.raises(PipelineError, match=r"\[data\]"):
@@ -952,6 +974,16 @@ class TestRunVariants:
         bundle = {"seed": 3, "ingest": {"csv": str(raw), "grid": grid, "horizon": 31.0},
                   "fit": {"grid_points": 1, "pgd_steps": 5}}
         with pytest.raises(PipelineError, match=r"^\[data\] excluded cell ids \[4\] are outside the grid's 4 cells"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run" / "events.csv").exists()
+
+    def test_unknown_grid_key_fails(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,lat,lon\n" + "".join(f"{0.5 + i},{0.1 + 0.02 * i},0.3\n" for i in range(30)))
+        grid = {"lat_min": 0, "lon_min": 0, "lat_max": 1, "lon_max": 1, "cellsize": 0.5}
+        bundle = {"seed": 3, "ingest": {"csv": str(raw), "grid": grid, "horizon": 31.0},
+                  "fit": {"grid_points": 1, "pgd_steps": 5}}
+        with pytest.raises(PipelineError, match=r"^\[data\] unknown grid keys \['cellsize'\]"):
             run_end_to_end(bundle, tmp_path / "run")
         assert not (tmp_path / "run" / "events.csv").exists()
 
