@@ -1,15 +1,15 @@
 """Command-line interface: simulate, fit, predict, conformal, eval, gridify, run.
 
 Each subcommand only parses its arguments and calls the same pipeline stage
-functions as ``firecast run``: ``pipeline.simulate_stage``,
-``build_mark_model``, ``fit_stage``, ``predict_stage`` and
-``conformal_stage``.  The stage flags of ``simulate``, ``fit``, ``predict``
-and ``conformal`` are made from ``pipeline.SECTION_DEFAULTS``, one for each
-optional key, and spell that stage's bundle section: a flag that is not given
-is absent from it, so the stage applies the same default as to a bundle
-without the key, and the section is checked like a bundle's before any file
-is read.  So a chain of subcommands and a run bundle spell each setting the
-same way.
+functions as ``firecast run``: ``pipeline.simulate_stage``, ``fit_stage``,
+``predict_stage`` and ``conformal_stage``, and picks a mark model from
+``pipeline.MARK_MODELS``.  The stage flags of ``simulate``, ``fit``,
+``predict`` and ``conformal`` are made from ``pipeline.SECTION_DEFAULTS``,
+one for each optional key, and spell that stage's bundle section: a flag that
+is not given is absent from it, so the stage applies the same default as to a
+bundle without the key, and the section is checked like a bundle's, by
+``pipeline.read_section``, before any file is read.  So a chain of
+subcommands and a run bundle take and refuse each setting the same way.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def cmd_predict(args) -> int:
     section = _section(args, "predict")
     params = ModelParams.from_json(args.params)
     seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
-    trace = pipeline.predict_stage(params, seq, pipeline.build_mark_model(args.mark_model, seq), section)
+    trace = pipeline.predict_stage(params, seq, pipeline.MARK_MODELS[args.mark_model](seq), section)
     pipeline.write_detections_csv(args.out, trace)
     print(f"wrote detection trace to {args.out}")
     return 0
@@ -74,7 +74,7 @@ def cmd_eval(args) -> int:
         seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
         marks_a, marks_b = (np.array([float(v) for v in m.split(",")]) for m in (args.marks_a, args.marks_b))
         out = pipeline.counterfactual_delta(
-            params, seq, pipeline.build_mark_model(args.mark_model, seq), args.time, args.location,
+            params, seq, pipeline.MARK_MODELS[args.mark_model](seq), args.time, args.location,
             marks_a, marks_b,
         )
         print(json.dumps(out, sort_keys=True))

@@ -42,7 +42,7 @@ class ScoreParams:
     k_reg: int = 2
 
     def __post_init__(self):
-        if self.lambda_reg < 0 or self.k_reg < 0:
+        if not self.lambda_reg >= 0 or self.k_reg < 0:  # NaN too
             raise ValueError("lambda_reg and k_reg must be nonnegative")
 
 

@@ -149,19 +149,22 @@ class FitConfig:
     beta_init: float = 1.0
 
     def __post_init__(self):
-        if self.beta_low > self.beta_high:
+        # written as "not in range", so that a NaN, which every comparison fails, fails here too
+        if not self.beta_low <= self.beta_high:
             # equal endpoints are allowed: the grid degenerates to one point
             raise ValueError("beta_low must be <= beta_high")
-        if self.beta_low <= 0:
+        if not self.beta_low > 0:
             raise ValueError("beta_low must be positive")
         if self.grid_points < 1 or self.max_outer < 1:
             raise ValueError("grid_points and max_outer must be >= 1")
         if self.pgd_steps < 0:
             raise ValueError("pgd_steps must be >= 0")
-        if self.eps_beta <= 0 or self.kappa <= 0:
+        if not self.eps_beta > 0 or not self.kappa > 0:
             raise ValueError("eps_beta and kappa must be positive")
-        if self.l1_weight < 0:
+        if not self.l1_weight >= 0:
             raise ValueError("l1_weight must be nonnegative")
+        if not self.beta_init > 0:
+            raise ValueError("beta_init must be positive")
 
 
 @dataclass

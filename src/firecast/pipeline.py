@@ -9,12 +9,12 @@ data and can be frozen for later files.
 
 The chain runs through one function per stage: ``simulate_stage``,
 ``fit_stage``, ``predict_stage`` and ``conformal_stage``.  Each reads a
-settings dict shaped like its bundle section and applies the section's
-defaults, conversions and checks itself, so no key is read outside its
-stage.  ``run_end_to_end`` passes the bundle's sections and the CLI
-subcommands the sections their flags spell;
-``run_end_to_end`` chains the stages after simulate-or-ingest and writes
-every artifact plus a reproducibility manifest.
+settings dict shaped like its bundle section through ``read_section``,
+which applies the section's defaults and checks each value's type, and then
+checks the ranges itself, so no key is read outside its stage.
+``run_end_to_end`` passes them the bundle's sections, chains them after
+simulate-or-ingest and writes every artifact plus a reproducibility
+manifest; the CLI subcommands pass the sections their flags spell.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import inspect
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -621,14 +622,6 @@ def _sha256(path: Path) -> str:
 # pipeline stages, shared by run_end_to_end and the CLI subcommands
 
 
-def _choose(section: str, key: str, name):
-    """The entry named ``name`` in the key's table in ``CHOICES``, or a ValueError naming the choices."""
-    table, what = CHOICES[section, key]
-    if not isinstance(name, str) or name not in table:
-        raise ValueError(f"unknown {what} {name!r}; expected {' or '.join(map(repr, table))}")
-    return table[name]
-
-
 MARK_MODELS = {
     "linear": lambda seq: LinearMarkModel(),
     "kde": lambda seq: NonLinearMarkModel(kde_scorer(seq.marks)),
@@ -640,7 +633,7 @@ MARK_DISTRIBUTIONS = {
     "uniform": lambda params: simulation.uniform_mark_sampler,
 }
 
-# each stage section's optional keys and defaults: its stage merges its section over them and the
+# each stage section's optional keys and defaults: ``read_section`` checks a section by them, and the
 # CLI makes its flags from them; the fit's, the detector's, the score's and ``split_fraction`` are
 # read off ``FitConfig``, ``from_first_day_risk``, ``ScoreParams`` and ``sraps``: each is written once
 _DETECTOR = inspect.signature(thresholding.ThresholdConfig.from_first_day_risk).parameters
@@ -665,9 +658,29 @@ CHOICES = {
 }
 
 
-def build_mark_model(spec: str, seq: EventSequence):
-    """Mark model by name: ``linear`` or ``kde`` (fitted on ``seq``'s marks)."""
-    return _choose("fit", "mark_model", spec)(seq)
+# by a default's type: the test a given value must pass (a bool is no number), and its words in errors
+VALUE_KINDS = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(VALUE_KINDS[float][0], v)), "a list of numbers"),
+}
+
+
+def read_section(section: str, given: dict) -> dict:
+    """``given`` merged over the section's ``SECTION_DEFAULTS``, each given value
+    checked, not converted, against its key's default: a str default takes a
+    name in the key's ``CHOICES`` table, and any other default a value of its
+    kind in ``VALUE_KINDS``.  A key without a default passes to its stage."""
+    for key, value in given.items():
+        kind = type(SECTION_DEFAULTS[section].get(key))  # NoneType without a default
+        if kind is str:
+            table, what = CHOICES[section, key]
+            if not isinstance(value, str) or value not in table:
+                raise ValueError(f"unknown {what} {value!r}; expected {' or '.join(map(repr, table))}")
+        elif kind in VALUE_KINDS and not VALUE_KINDS[kind][0](value):
+            raise ValueError(f"{key} must be {VALUE_KINDS[kind][1]}, got {value!r}")
+    return {**SECTION_DEFAULTS[section], **given}
 
 
 def fit_stage(seq: EventSequence, section: dict, feasible=None):
@@ -675,9 +688,9 @@ def fit_stage(seq: EventSequence, section: dict, feasible=None):
     ``method`` is the beta ``grid`` or the ``alternating`` beta search,
     ``mark_model`` is ``linear`` or ``kde``, and every other key is a
     ``FitConfig`` field.  Returns the fit and the mark model it used."""
-    cfg = {**SECTION_DEFAULTS["fit"], **section}
-    fit_fn = _choose("fit", "method", cfg.pop("method"))
-    mark_model = build_mark_model(cfg.pop("mark_model"), seq)
+    cfg = read_section("fit", section)
+    fit_fn = FIT_METHODS[cfg.pop("method")]
+    mark_model = MARK_MODELS[cfg.pop("mark_model")](seq)
     fit = getattr(estimation, fit_fn)(seq, mark_model, estimation.FitConfig(**cfg), feasible)
     return fit, mark_model
 
@@ -687,7 +700,7 @@ def predict_stage(
 ) -> thresholding.DetectionTrace:
     """Daily risk, day-level truths and the dynamic-threshold detections, from
     a ``predict`` section merged over its ``SECTION_DEFAULTS``."""
-    cfg = {**SECTION_DEFAULTS["predict"], **section}
+    cfg = read_section("predict", section)
     num_days = int(math.floor(seq.horizon))
     if num_days < 1:
         raise ValueError(f"horizon {seq.horizon} is under one day: predict needs at least one whole day")
@@ -703,10 +716,8 @@ def conformal_stage(seq: EventSequence, section: dict, seed: int) -> conformal_m
     ``SECTION_DEFAULTS``: the first ``max(10, int(train_fraction * n))`` of
     the n events train, the rest form the test stream; ``train_fraction``
     must lie in (0, 1), and ``method`` is ``eraps`` or ``sraps``."""
-    cfg = {**SECTION_DEFAULTS["conformal"], **section}
-    method = cfg["method"]
-    _choose("conformal", "method", method)
-    fraction = float(cfg["train_fraction"])
+    cfg = read_section("conformal", section)
+    fraction = cfg["train_fraction"]
     if not 0.0 < fraction < 1.0:  # NaN too
         raise ValueError(f"train_fraction must lie in (0, 1), got {fraction!r}")
     if seq.magnitudes is None:
@@ -717,18 +728,18 @@ def conformal_stage(seq: EventSequence, section: dict, seed: int) -> conformal_m
     X, y = seq.marks, seq.magnitudes
     split = (X[:n_train], y[:n_train], X[n_train:], y[n_train:])
     shared = {
-        "alphas": tuple(float(a) for a in cfg["alphas"]),
-        "score_params": conformal_mod.ScoreParams(float(cfg["lambda_reg"]), int(cfg["k_reg"])),
+        "alphas": cfg["alphas"],
+        "score_params": conformal_mod.ScoreParams(cfg["lambda_reg"], cfg["k_reg"]),
         "seed": seed,
     }
-    if method == "eraps":
+    if cfg["method"] == "eraps":
         return conformal_mod.eraps(
             *split,
-            num_bootstrap=int(cfg["num_bootstrap"]),
-            batch_size=min(int(cfg["batch_size"]), len(seq) - n_train),
+            num_bootstrap=cfg["num_bootstrap"],
+            batch_size=min(cfg["batch_size"], len(seq) - n_train),
             **shared,
         )
-    return conformal_mod.sraps(*split, split_fraction=float(cfg["split_fraction"]), **shared)
+    return conformal_mod.sraps(*split, split_fraction=cfg["split_fraction"], **shared)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +765,7 @@ BUNDLE_KEYS = {
 
 
 def check_bundle_keys(bundle: dict) -> None:
-    """Reject a key that no stage reads or a choice its stage does not know,
+    """Reject a key that no stage reads or a value ``read_section`` refuses,
     so a typo fails before any stage runs instead of running on defaults or
     failing late; in ``conformal``, that includes the other method's keys.
     The CLI checks the section its flags spell with it too."""
@@ -766,10 +777,9 @@ def check_bundle_keys(bundle: dict) -> None:
         unknown = sorted(set(cfg) - known)
         if unknown:
             raise PipelineError(stage, f"unknown keys {unknown} in {where}; expected some of {sorted(known)}")
-    for section, key in CHOICES:
-        if key in bundle.get(section, {}):
-            with _stage(BUNDLE_KEYS[section][0], []):  # the stage's own tag and message
-                _choose(section, key, bundle[section][key])
+    for section in SECTION_DEFAULTS:
+        with _stage(BUNDLE_KEYS[section][0], []):  # the stage's own tag and message
+            read_section(section, bundle.get(section, {}))
     conformal = bundle.get("conformal", {})
     method = conformal.get("method", SECTION_DEFAULTS["conformal"]["method"])
     others = set().union(*(keys for m, keys in CONFORMAL_METHOD_KEYS.items() if m != method))
@@ -802,19 +812,21 @@ def simulate_stage(section: dict, seed: int):
     """Events drawn by ``simulation.simulate_clusters`` from a ``simulate``
     section, and the params' support; ``firecast simulate`` calls it too, so
     both draw the same events."""
+    cfg = read_section("simulate", section)
+    n_classes = cfg["magnitude_classes"]
+    if n_classes < 0 or n_classes == 1:
+        raise ValueError(f"magnitude_classes must be 0 (no labels) or at least 2, got {n_classes}")
     source = section["params_file"] if "params_file" in section else json.dumps(section["params"])
     params = ModelParams.from_json(source)
-    cfg = {**SECTION_DEFAULTS["simulate"], **section}
     magnitude_sampler = None
-    n_classes = int(cfg["magnitude_classes"])
-    if n_classes >= 2:
+    if n_classes:
         def magnitude_sampler(rng, marks, location):
             # label tied to the first mark so a classifier has signal
             return 1 + np.minimum(n_classes - 1, (marks[..., 0] * n_classes).astype(np.int64))
 
-    mark_sampler = _choose("simulate", "mark_distribution", cfg["mark_distribution"])(params)
+    mark_sampler = MARK_DISTRIBUTIONS[cfg["mark_distribution"]](params)
     config = simulation.SimConfig(
-        params=params, horizon=float(section["horizon"]), seed=seed,
+        params=params, horizon=section["horizon"], seed=seed,
         mark_sampler=mark_sampler, magnitude_sampler=magnitude_sampler,
     )
     return simulation.simulate_clusters(config), model.FeasibleSet.of(params)
@@ -827,8 +839,11 @@ def _bundle_ingest(cfg: dict, notes: list):
         radius = float(cfg["neighbor_radius"])
         if not radius >= 0:
             raise ValueError(f"neighbor_radius must be a nonnegative distance in degrees, got {radius!r}")
+    categorical = cfg.get("categorical_columns", [])
+    if not isinstance(categorical, list) or not all(isinstance(name, str) for name in categorical):
+        raise ValueError(f"categorical_columns must be a list of column names, got {categorical!r}")
     grid = GridSpec.from_dict(cfg["grid"]) if "grid" in cfg else None
-    result = ingest(cfg["csv"], grid, tuple(cfg.get("categorical_columns", ())), horizon=cfg.get("horizon"))
+    result = ingest(cfg["csv"], grid, tuple(categorical), horizon=cfg.get("horizon"))
     seq = result.sequence
     notes.extend(result.messages)
     if "neighbor_radius" in cfg:

@@ -53,9 +53,9 @@ class ThresholdConfig:
             object.__setattr__(self, name, float(getattr(self, name)))
         if np.any(self.tau_min > self.tau_max):
             raise ValueError("tau_min must be <= tau_max")
-        if np.any(self.eta < 0) or self.delta < 0:
+        if np.any(self.eta < 0) or not self.delta >= 0:  # a NaN delta too; an infinite one blocks every alarm
             raise ValueError("eta and delta must be nonnegative")
-        if self.a1 <= 0 or self.a2 <= 0:
+        if not self.a1 > 0 or not self.a2 > 0:  # NaN too
             raise ValueError("a1 and a2 must be positive")
 
     @classmethod

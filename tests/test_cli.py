@@ -89,7 +89,7 @@ def test_eval_counterfactual_scores_marks_like_predict(tmp_path, params_file, ca
             "--marks-a", marks, "--marks-b", "0.9,0.9", "--mark-model", mark_model,
         ]) == 0
         lam[mark_model] = json.loads(capsys.readouterr().out)["lambda_a"]
-        risk = pipeline.risk_series(params, seq, pipeline.build_mark_model(mark_model, seq))
+        risk = pipeline.risk_series(params, seq, pipeline.MARK_MODELS[mark_model](seq))
         assert lam[mark_model] == risk[39, 1]
     assert lam["kde"] != pytest.approx(lam["linear"], rel=1e-3)
 
@@ -585,6 +585,18 @@ def test_simulate_matches_run_simulate_stage(tmp_path, params_file):
                      "--out", str(events)]) == 0
         assert events.read_bytes() == (tmp_path / name / "events.csv").read_bytes()
     assert load_events_csv(events, horizon=150.0, num_locations=2).magnitudes is not None
+
+
+@pytest.mark.parametrize("classes", ["1", "-2"])
+def test_simulate_rejects_one_or_negative_magnitude_classes(tmp_path, params_file, capsys, classes):
+    # both used to draw no labels without a word
+    events = tmp_path / "events.csv"
+    assert main(["simulate", "--params", str(params_file), "--horizon", "20", "--magnitude-classes", classes,
+                 "--out", str(events)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"firecast simulate: [simulate] magnitude_classes must be 0 (no labels) or at least 2, got {classes}"
+    )
+    assert not events.exists()
 
 
 def test_simulated_labels_feed_conformal(tmp_path, params_file, capsys):

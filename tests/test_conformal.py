@@ -152,6 +152,12 @@ class TestBuildSet:
             tight = set(build_set(p, calibration, 0.2, u, sp).tolist())
             assert tight <= loose
 
+    @pytest.mark.parametrize("lambda_reg", [-0.5, float("nan")])
+    def test_score_params_reject_a_negative_or_nan_lambda_reg(self, lambda_reg):
+        # a NaN weight used to give every label a NaN score: coverage 0 and empty sets, without an error
+        with pytest.raises(ValueError, match="lambda_reg"):
+            ScoreParams(lambda_reg=lambda_reg)
+
     def test_rejects_bad_inputs(self):
         calibration = np.array([0.5])
         with pytest.raises(ValueError):

@@ -507,6 +507,17 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(l1_weight=-0.1)
 
+    @pytest.mark.parametrize("name", ["beta_low", "beta_high", "kappa", "l1_weight", "eps_beta", "beta_init"])
+    def test_nan_rejected(self, name):
+        # a NaN passes every "x < 0" check: a NaN kappa or l1_weight used to leave the fit at its
+        # start without an error, and a NaN beta_init failed late as a non-finite gradient
+        with pytest.raises(ValueError, match=name):
+            FitConfig(**{name: float("nan")})
+
+    def test_beta_init_must_be_positive(self):
+        with pytest.raises(ValueError, match="beta_init must be positive"):
+            FitConfig(beta_init=0.0)
+
     def test_default_init_feasible(self):
         rng = np.random.default_rng(14)
         _, seq = random_instance(rng)

@@ -14,6 +14,8 @@ from firecast.events import EventSequence, load_events_csv, save_events_csv
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import RATE_FLOOR, ModelParams
 from firecast.pipeline import (
+    CONFORMAL_METHOD_KEYS,
+    SECTION_DEFAULTS,
     GridSpec,
     MarkStats,
     DETECTIONS_HEADER,
@@ -28,6 +30,7 @@ from firecast.pipeline import (
     ingest,
     query_marks_by_location,
     read_detections_csv,
+    read_section,
     risk_series,
     run_end_to_end,
     write_conformal_sets_jsonl,
@@ -824,7 +827,79 @@ def test_fit_stage_calls_the_estimation_function_set_at_call_time(monkeypatch, m
     assert calls == [("seq", mark_model, estimation.FitConfig(pgd_steps=3), "feasible")]
 
 
+def wrong_values(default):
+    """Values of the wrong type for a stage key with this default: an unknown
+    name for a choice, a string or a number for a bool, a fraction, a bool or a
+    string for an int, a bool or a string for a float, and a scalar or a list
+    of non-numbers for a tuple."""
+    if isinstance(default, str):
+        return ["no_such_" + default, 1]
+    if isinstance(default, bool):  # before int: a bool is an int
+        return ["false", 0]
+    if isinstance(default, int):
+        return [3.7, 4.0, True, "3"]
+    if isinstance(default, float):
+        return [True, "0.5"]
+    if isinstance(default, tuple):
+        return [0.1, [True], ["0.1"]]
+    raise AssertionError(f"no wrong values for a {type(default).__name__} default")
+
+
+SECTION_STAGES = {"simulate": "data", "fit": "fit", "predict": "predict", "conformal": "conformal"}
+WRONG_TYPED = [
+    pytest.param(section, key, value, id=f"{section}.{key}={value!r}")
+    for section, defaults in SECTION_DEFAULTS.items()
+    for key, default in defaults.items()
+    for value in wrong_values(default)
+]
+
+
+def test_read_section_checks_without_converting():
+    cfg = read_section("conformal", {"lambda_reg": 1, "alphas": [0.1, 0.2], "method": "sraps"})
+    assert cfg == {**SECTION_DEFAULTS["conformal"], "lambda_reg": 1, "alphas": [0.1, 0.2], "method": "sraps"}
+    assert type(cfg["lambda_reg"]) is int
+    # a key without a default is its stage's to read
+    assert read_section("simulate", {"horizon": "150"})["horizon"] == "150"
+
+
 class TestBundleChecks:
+    @pytest.mark.parametrize("section, key, value", WRONG_TYPED)
+    def test_a_wrong_typed_value_fails_before_any_stage(self, tmp_path, section, key, value):
+        # every key of SECTION_DEFAULTS, so a key added later is covered too
+        bundle = small_bundle()
+        if section == "conformal":  # alone, under the method that reads the key
+            owner = [method for method, keys in CONFORMAL_METHOD_KEYS.items() if key in keys]
+            bundle["conformal"] = {key: value, **({"method": owner[0]} if owner else {})}
+        else:
+            bundle[section][key] = value
+        if isinstance(SECTION_DEFAULTS[section][key], str):
+            expected = rf"^\[{SECTION_STAGES[section]}\] unknown .* {re.escape(repr(value))}; expected '"
+        else:
+            expected = rf"^\[{SECTION_STAGES[section]}\] {key} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(PipelineError, match=expected):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        # a bundle used to truncate the counts (3 bootstraps, batches of 4, k_reg 1, 2 classes)
+        ("conformal", "num_bootstrap", 3.7, "[conformal] num_bootstrap must be an integer, got 3.7"),
+        ("conformal", "batch_size", 4.9, "[conformal] batch_size must be an integer, got 4.9"),
+        ("conformal", "k_reg", 1.5, "[conformal] k_reg must be an integer, got 1.5"),
+        ("simulate", "magnitude_classes", 2.5, "[data] magnitude_classes must be an integer, got 2.5"),
+        # ran with screening on, and with one grid point
+        ("predict", "screening", "false", "[predict] screening must be true or false, got 'false'"),
+        ("fit", "grid_points", True, "[fit] grid_points must be an integer, got True"),
+        # failed only in their stage, after earlier artifacts were written
+        ("fit", "pgd_steps", 4.0, "[fit] pgd_steps must be an integer, got 4.0"),
+        ("conformal", "alphas", 0.1, "[conformal] alphas must be a list of numbers, got 0.1"),
+    ])
+    def test_a_wrong_type_is_named_in_the_message(self, tmp_path, section, key, value, message):
+        bundle = small_bundle()
+        bundle[section][key] = value
+        with pytest.raises(PipelineError, match="^" + re.escape(message) + "$"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("section, key, stage", [
         (None, "conformall", "data"),
         ("simulate", "horizn", "data"),
@@ -956,6 +1031,32 @@ class TestRunVariants:
         pairs = set(zip(params["support"]["src"], params["support"]["dst"]))
         assert len(params["alpha"]) == len(pairs) == 12
         assert (0, 3) not in pairs and (3, 0) not in pairs
+
+    @pytest.mark.parametrize("columns", ["season", ["season", 3]])
+    def test_categorical_columns_must_be_a_list_of_names(self, tmp_path, columns):
+        # a bare "season" was read as six one-letter names, so the season column was parsed as
+        # numbers and failed as "could not convert string to float"
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,location,season\n" + "".join(f"{0.5 + i},{i % 3},{'ab'[i % 2]}\n" for i in range(30)))
+        bundle = {"seed": 3, "ingest": {"csv": str(raw), "horizon": 31.0, "categorical_columns": columns},
+                  "fit": {"grid_points": 1, "pgd_steps": 5}}
+        message = f"[data] categorical_columns must be a list of column names, got {columns!r}"
+        with pytest.raises(PipelineError, match="^" + re.escape(message) + "$"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run" / "events.csv").exists()
+        bundle["ingest"]["categorical_columns"] = ["season"]
+        run_end_to_end(bundle, tmp_path / "run")
+        assert (tmp_path / "run" / "events.csv").read_text().startswith("time,location,m_0,m_1")
+
+    @pytest.mark.parametrize("classes", [1, -2])
+    def test_magnitude_classes_must_be_zero_or_at_least_two(self, tmp_path, classes):
+        # both used to draw no labels without a word
+        bundle = small_bundle(with_conformal=False)
+        bundle["simulate"]["magnitude_classes"] = classes
+        message = f"[data] magnitude_classes must be 0 (no labels) or at least 2, got {classes}"
+        with pytest.raises(PipelineError, match="^" + re.escape(message) + "$"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run" / "events.csv").exists()
 
     def test_neighbor_radius_without_grid_fails(self, tmp_path):
         # cell ids carry no centroids, so a radius cannot build a mask

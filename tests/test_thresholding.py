@@ -50,6 +50,15 @@ class TestThresholdConfig:
                     **{"delta": 0.05, "a1": 1.1, "a2": 1.1, knob: -1.0},
                 )
 
+    @pytest.mark.parametrize("knob", ["delta", "a1", "a2"])
+    def test_nan_knob_rejected(self, knob):
+        # every comparison with NaN is false, so a "knob < 0" check used to pass it
+        with pytest.raises(ValueError, match=knob):
+            ThresholdConfig(
+                tau_min=np.array([1.0]), tau_max=np.array([2.0]), eta=np.array([0.1]),
+                **{"delta": 0.05, "a1": 1.1, "a2": 1.1, knob: float("nan")},
+            )
+
 
 class TestDetect:
     def test_flat_series_slope_gate_blocks(self):
