@@ -1,15 +1,16 @@
 """Command-line interface: simulate, fit, predict, conformal, eval, gridify, run.
 
 Each subcommand only parses its arguments and calls the same pipeline stage
-functions as ``firecast run``: ``pipeline.simulate_stage``, ``fit_stage``,
-``predict_stage`` and ``conformal_stage``, and picks a mark model from
-``pipeline.MARK_MODELS``.  The stage flags of ``simulate``, ``fit``,
-``predict`` and ``conformal`` are made from ``pipeline.SECTION_DEFAULTS``,
-one for each optional key, and spell that stage's bundle section: a flag that
-is not given is absent from it, so the stage applies the same default as to a
-bundle without the key, and the section is checked like a bundle's, by
-``pipeline.read_section``, before any file is read.  So a chain of
-subcommands and a run bundle take and refuse each setting the same way.
+functions as ``firecast run``: ``pipeline.simulate_stage``, ``ingest_stage``
+(``gridify``), ``fit_stage``, ``predict_stage`` and ``conformal_stage``.  The
+stage flags of ``simulate``, ``fit``, ``predict`` and ``conformal`` are made
+from ``pipeline.SECTION_DEFAULTS``, one for each optional key; ``gridify``'s
+are named for ``ingest`` keys, the ``--grid`` file's JSON being the grid.
+Each spells its stage's bundle section: a flag that is not given is absent
+from it, so the stage applies the same default as to a bundle without the
+key, and the section is checked like a bundle's, by ``pipeline.read_section``,
+before any file is read.  So a chain of subcommands and a run bundle take and
+refuse each setting the same way.
 """
 
 from __future__ import annotations
@@ -98,13 +99,14 @@ def cmd_conformal(args) -> int:
 
 
 def cmd_gridify(args) -> int:
-    grid = pipeline.GridSpec.from_dict(json.loads(Path(args.grid).read_text()))
-    categorical = tuple(args.categorical.split(",")) if args.categorical else ()
-    result = pipeline.ingest(args.raw, grid, categorical, horizon=args.horizon)
-    save_events_csv(result.sequence, args.out)
-    for msg in result.messages:
+    section = {k: v for k, v in vars(args).items() if k in pipeline.BUNDLE_KEYS["ingest"][1]}
+    section["grid"] = json.loads(Path(args.grid).read_text())
+    notes = []
+    seq, _ = pipeline.ingest_stage(section, notes)
+    save_events_csv(seq, args.out)
+    for msg in notes:
         print(msg)
-    print(f"wrote {len(result.sequence)} events over {grid.num_cells} cells to {args.out}")
+    print(f"wrote {len(seq)} events over {seq.num_locations} cells to {args.out}")
     return 0
 
 
@@ -198,11 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default="conformal_summary.csv")
     p.set_defaults(func=cmd_conformal)
 
-    p = sub.add_parser("gridify", help="map raw coordinates onto the grid")
-    p.add_argument("--raw", required=True)
+    p = sub.add_parser("gridify", help="map raw coordinates onto the grid", argument_default=argparse.SUPPRESS)
+    p.add_argument("--raw", dest="csv", required=True)
     p.add_argument("--grid", required=True, help="GridSpec JSON")
     p.add_argument("--horizon", type=float)
-    p.add_argument("--categorical", help="comma-separated categorical mark columns")
+    p.add_argument("--categorical", dest="categorical_columns", type=lambda text: text.split(","),
+                   help="comma-separated categorical mark columns")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gridify)
 

@@ -7,11 +7,12 @@ mark columns are imputed per location by linear interpolation over time
 min-max scaled to [0, 1]; scaling statistics are fitted once on training
 data and can be frozen for later files.
 
-The chain runs through one function per stage: ``simulate_stage``,
-``fit_stage``, ``predict_stage`` and ``conformal_stage``.  Each reads a
-settings dict shaped like its bundle section through ``read_section``,
-which applies the section's defaults and checks each value's type, and then
-checks the ranges itself, so no key is read outside its stage.
+The chain runs through one function per stage: ``simulate_stage`` or
+``ingest_stage``, ``fit_stage``, ``predict_stage`` and ``conformal_stage``.
+Each reads a settings dict shaped like its bundle section through
+``read_section``, which applies the section's defaults and checks its keys
+and their kinds, and then checks the ranges itself, so no key is read
+outside its stage.
 ``run_end_to_end`` passes them the bundle's sections, chains them after
 simulate-or-ingest and writes every artifact plus a reproducibility
 manifest; the CLI subcommands pass the sections their flags spell.
@@ -68,8 +69,10 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("lat_min", "lon_min", "lat_max", "lon_max", "cell_size"):
+            check_kind(name, getattr(self, name), float)
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_kind("excluded", self.excluded, tuple)
         if self.lat_max <= self.lat_min or self.lon_max <= self.lon_min:
             raise ValueError("bounding box is empty")
         if self.cell_size <= 0:
@@ -124,31 +127,17 @@ class GridSpec:
         ])
 
     def to_dict(self) -> dict:
-        return {
-            "lat_min": self.lat_min,
-            "lon_min": self.lon_min,
-            "lat_max": self.lat_max,
-            "lon_max": self.lon_max,
-            "cell_size": self.cell_size,
-            "excluded": list(self.excluded),
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "excluded": list(self.excluded)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        """The grid a ``to_dict`` mapping spells; a key that is no field fails,
-        so a misspelt ``cell_size`` does not run at the default."""
+        """The grid a ``to_dict`` mapping spells, unconverted; a key that is no
+        field fails, so a misspelt ``cell_size`` does not run at the default."""
         known = [f.name for f in fields(cls)]
         unknown = sorted(set(d) - set(known))
         if unknown:
             raise ValueError(f"unknown grid keys {unknown}; expected some of {known}")
-        return cls(
-            lat_min=float(d["lat_min"]),
-            lon_min=float(d["lon_min"]),
-            lat_max=float(d["lat_max"]),
-            lon_max=float(d["lon_max"]),
-            cell_size=float(d.get("cell_size", 0.24)),
-            excluded=tuple(d.get("excluded", ())),
-        )
+        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -170,36 +159,20 @@ class MarkStats:
     categories: dict = field(default_factory=dict)  # column -> sorted category values
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values, dtype=float)
-        for j in range(values.shape[1]):
-            col = values[:, j]
-            if self.std[j] <= 0 or self.z_max[j] <= self.z_min[j]:
-                out[:, j] = 0.5
-                continue
-            z = (col - self.mean[j]) / self.std[j]
-            out[:, j] = (z - self.z_min[j]) / (self.z_max[j] - self.z_min[j])
-        return np.clip(out, 0.0, 1.0)
+        flat = (self.std <= 0) | (self.z_max <= self.z_min)  # divided by 1 instead, then set to 0.5
+        z = (values - self.mean) / np.where(flat, 1.0, self.std)
+        scaled = (z - self.z_min) / np.where(flat, 1.0, self.z_max - self.z_min)
+        return np.clip(np.where(flat, 0.5, scaled), 0.0, 1.0)
 
     @classmethod
     def fit(cls, values: np.ndarray, columns, categories=None) -> "MarkStats":
         mean = values.mean(axis=0)
         std = values.std(axis=0)
-        z_min = np.zeros(values.shape[1])
-        z_max = np.zeros(values.shape[1])
-        for j in range(values.shape[1]):
-            if std[j] > 1e-12:
-                z = (values[:, j] - mean[j]) / std[j]
-                z_min[j], z_max[j] = z.min(), z.max()
-            else:
-                std[j] = 0.0
-        return cls(
-            columns=list(columns),
-            mean=mean,
-            std=std,
-            z_min=z_min,
-            z_max=z_max,
-            categories=categories or {},
-        )
+        std = np.where(std > 1e-12, std, 0.0)
+        z = (values - mean) / np.where(std > 0, std, 1.0)
+        z_min = np.where(std > 0, z.min(axis=0), 0.0)
+        z_max = np.where(std > 0, z.max(axis=0), 0.0)
+        return cls(list(columns), mean, std, z_min, z_max, categories or {})
 
 
 def impute_series(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -647,6 +620,13 @@ SECTION_DEFAULTS = {
         "lambda_reg": conformal_mod.ScoreParams.lambda_reg, "k_reg": conformal_mod.ScoreParams.k_reg,
     },
 }
+# the data sections' keys without a default, each with its kind (a type that ``VALUE_KINDS`` knows);
+# a section needs exactly one key of each of its ``REQUIRED_KEYS`` groups
+DATA_KEYS = {
+    "simulate": {"params": dict, "params_file": str, "horizon": float},
+    "ingest": {"csv": str, "grid": GridSpec, "neighbor_radius": float, "horizon": float, "categorical_columns": list},
+}
+REQUIRED_KEYS = {"simulate": [("params", "params_file"), ("horizon",)], "ingest": [("csv",)]}
 # the conformal keys that only one method reads
 CONFORMAL_METHOD_KEYS = {"eraps": {"num_bootstrap", "batch_size"}, "sraps": {"split_fraction"}}
 # the section keys whose value names a table entry, with the table and their word in errors
@@ -656,31 +636,59 @@ CHOICES = {
     ("fit", "mark_model"): (MARK_MODELS, "mark model"),
     ("conformal", "method"): (CONFORMAL_METHOD_KEYS, "conformal method"),
 }
+# each bundle section's stage, which tags its errors, and its keys' kinds: a default's type or a data key's
+BUNDLE_KEYS = {
+    section: ("data" if section in DATA_KEYS else section,
+              {**DATA_KEYS.get(section, {}), **{k: type(v) for k, v in SECTION_DEFAULTS.get(section, {}).items()}})
+    for section in (*DATA_KEYS, *SECTION_DEFAULTS)
+}
 
 
-# by a default's type: the test a given value must pass (a bool is no number), and its words in errors
+# by a key's kind: the test a given value must pass (a bool is no number), and its words in errors;
+# a grid is checked by building it, so its own checks name a bad grid key
 VALUE_KINDS = {
     bool: (lambda v: isinstance(v, bool), "true or false"),
     int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
     float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
     tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(VALUE_KINDS[float][0], v)), "a list of numbers"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, (list, tuple)) and all(isinstance(n, str) for n in v), "a list of column names"),
+    dict: (lambda v: isinstance(v, dict), "a JSON object"),
+    GridSpec: (lambda v: isinstance(v, dict) and GridSpec.from_dict(v) is not None, "a JSON object"),
 }
+
+
+def check_kind(key: str, value, kind) -> None:
+    """Fail unless ``value`` passes the test of ``kind`` in ``VALUE_KINDS``."""
+    test, words = VALUE_KINDS[kind]
+    if not test(value):
+        raise ValueError(f"{key} must be {words}, got {value!r}")
 
 
 def read_section(section: str, given: dict) -> dict:
     """``given`` merged over the section's ``SECTION_DEFAULTS``, each given value
-    checked, not converted, against its key's default: a str default takes a
-    name in the key's ``CHOICES`` table, and any other default a value of its
-    kind in ``VALUE_KINDS``.  A key without a default passes to its stage."""
+    checked, not converted, against its key's kind in ``BUNDLE_KEYS``: a key of
+    the ``CHOICES`` table takes a name of its table, any other a value of its
+    kind in ``VALUE_KINDS``.  An unknown key fails, and so does a section that
+    lacks a key of one of its ``REQUIRED_KEYS`` groups or gives two."""
+    if not isinstance(given, dict):
+        raise ValueError(f"section {section!r} must be a JSON object")
+    kinds = BUNDLE_KEYS[section][1]
+    unknown = sorted(set(given) - set(kinds))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in section {section!r}; expected some of {sorted(kinds)}")
+    for group in REQUIRED_KEYS.get(section, ()):
+        present = [key for key in group if key in given]
+        if len(present) != 1:
+            raise ValueError(f"{section} needs {' or '.join(group)}" + (", not both" if present else ""))
     for key, value in given.items():
-        kind = type(SECTION_DEFAULTS[section].get(key))  # NoneType without a default
-        if kind is str:
+        if (section, key) in CHOICES:
             table, what = CHOICES[section, key]
             if not isinstance(value, str) or value not in table:
                 raise ValueError(f"unknown {what} {value!r}; expected {' or '.join(map(repr, table))}")
-        elif kind in VALUE_KINDS and not VALUE_KINDS[kind][0](value):
-            raise ValueError(f"{key} must be {VALUE_KINDS[kind][1]}, got {value!r}")
-    return {**SECTION_DEFAULTS[section], **given}
+        else:
+            check_kind(key, value, kinds[key])
+    return {**SECTION_DEFAULTS.get(section, {}), **given}
 
 
 def fit_stage(seq: EventSequence, section: dict, feasible=None):
@@ -754,32 +762,21 @@ STAGE_ARTIFACTS = {
 }
 
 
-# the keys each bundle section may hold (None: the top level), and the stage
-# that reads them and tags their errors
-BUNDLE_KEYS = {
-    None: ("data", {"seed", "simulate", "ingest", "fit", "predict", "conformal"}),
-    "simulate": ("data", {"params", "params_file", "horizon"} | set(SECTION_DEFAULTS["simulate"])),
-    "ingest": ("data", {"csv", "grid", "neighbor_radius", "horizon", "categorical_columns"}),
-    **{section: (section, set(SECTION_DEFAULTS[section])) for section in ("fit", "predict", "conformal")},
-}
-
-
 def check_bundle_keys(bundle: dict) -> None:
-    """Reject a key that no stage reads or a value ``read_section`` refuses,
+    """Reject an unknown or missing key, or a value ``read_section`` refuses,
     so a typo fails before any stage runs instead of running on defaults or
     failing late; in ``conformal``, that includes the other method's keys.
     The CLI checks the section its flags spell with it too."""
-    for section, (stage, known) in BUNDLE_KEYS.items():
-        cfg = bundle if section is None else bundle.get(section, {})
-        where = "the bundle" if section is None else f"section {section!r}"
-        if not isinstance(cfg, dict):
-            raise PipelineError(stage, f"{where} must be a JSON object")
-        unknown = sorted(set(cfg) - known)
-        if unknown:
-            raise PipelineError(stage, f"unknown keys {unknown} in {where}; expected some of {sorted(known)}")
-    for section in SECTION_DEFAULTS:
-        with _stage(BUNDLE_KEYS[section][0], []):  # the stage's own tag and message
-            read_section(section, bundle.get(section, {}))
+    if not isinstance(bundle, dict):
+        raise PipelineError("data", "the bundle must be a JSON object")
+    known = {"seed", *BUNDLE_KEYS}
+    unknown = sorted(set(bundle) - known)
+    if unknown:
+        raise PipelineError("data", f"unknown keys {unknown} in the bundle; expected some of {sorted(known)}")
+    for section, (stage, _) in BUNDLE_KEYS.items():
+        if section in bundle:
+            with _stage(stage, []):  # the stage's own tag and message
+                read_section(section, bundle[section])
     conformal = bundle.get("conformal", {})
     method = conformal.get("method", SECTION_DEFAULTS["conformal"]["method"])
     others = set().union(*(keys for m, keys in CONFORMAL_METHOD_KEYS.items() if m != method))
@@ -816,8 +813,7 @@ def simulate_stage(section: dict, seed: int):
     n_classes = cfg["magnitude_classes"]
     if n_classes < 0 or n_classes == 1:
         raise ValueError(f"magnitude_classes must be 0 (no labels) or at least 2, got {n_classes}")
-    source = section["params_file"] if "params_file" in section else json.dumps(section["params"])
-    params = ModelParams.from_json(source)
+    params = ModelParams.from_json(cfg["params_file"] if "params_file" in cfg else json.dumps(cfg["params"]))
     magnitude_sampler = None
     if n_classes:
         def magnitude_sampler(rng, marks, location):
@@ -826,30 +822,29 @@ def simulate_stage(section: dict, seed: int):
 
     mark_sampler = MARK_DISTRIBUTIONS[cfg["mark_distribution"]](params)
     config = simulation.SimConfig(
-        params=params, horizon=section["horizon"], seed=seed,
+        params=params, horizon=cfg["horizon"], seed=seed,
         mark_sampler=mark_sampler, magnitude_sampler=magnitude_sampler,
     )
     return simulation.simulate_clusters(config), model.FeasibleSet.of(params)
 
 
-def _bundle_ingest(cfg: dict, notes: list):
-    if "neighbor_radius" in cfg:
-        if "grid" not in cfg:
-            raise ValueError("neighbor_radius needs a grid: cell ids carry no centroids to measure")
-        radius = float(cfg["neighbor_radius"])
-        if not radius >= 0:
-            raise ValueError(f"neighbor_radius must be a nonnegative distance in degrees, got {radius!r}")
-    categorical = cfg.get("categorical_columns", [])
-    if not isinstance(categorical, list) or not all(isinstance(name, str) for name in categorical):
-        raise ValueError(f"categorical_columns must be a list of column names, got {categorical!r}")
+def ingest_stage(section: dict, notes: list):
+    """Events read by ``ingest`` from an ``ingest`` section, its messages added
+    to ``notes``, and the support ``neighbor_radius`` allows (None: all pairs);
+    ``firecast gridify`` calls it too, so both read the same events."""
+    cfg = read_section("ingest", section)
     grid = GridSpec.from_dict(cfg["grid"]) if "grid" in cfg else None
-    result = ingest(cfg["csv"], grid, tuple(categorical), horizon=cfg.get("horizon"))
-    seq = result.sequence
+    radius = cfg.get("neighbor_radius")
+    if radius is not None and grid is None:
+        raise ValueError("neighbor_radius needs a grid: cell ids carry no centroids to measure")
+    if radius is not None and not radius >= 0:
+        raise ValueError(f"neighbor_radius must be a nonnegative distance in degrees, got {radius!r}")
+    result = ingest(cfg["csv"], grid, cfg.get("categorical_columns", ()), horizon=cfg.get("horizon"))
     notes.extend(result.messages)
-    if "neighbor_radius" in cfg:
-        centroids = grid.centroids()
-        return seq, model.FeasibleSet.on_pairs(*model.neighbor_pairs(centroids, radius), len(centroids))
-    return seq, model.default_feasible_set(seq)
+    if radius is None:
+        return result.sequence, None
+    centroids = grid.centroids()
+    return result.sequence, model.FeasibleSet.on_pairs(*model.neighbor_pairs(centroids, radius), len(centroids))
 
 
 def run_end_to_end(bundle: dict, out_dir) -> dict:
@@ -878,7 +873,7 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
         if "simulate" in bundle:
             seq, feasible = simulate_stage(bundle["simulate"], seed)
         elif "ingest" in bundle:
-            seq, feasible = _bundle_ingest(bundle["ingest"], notes)
+            seq, feasible = ingest_stage(bundle["ingest"], notes)
         else:
             raise ValueError("bundle needs a 'simulate' or 'ingest' stage")
         save_events_csv(seq, out / "events.csv")

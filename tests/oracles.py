@@ -414,6 +414,22 @@ def impute_by_location_oracle(times, locations, values):
     return col
 
 
+def mark_stats_oracle(train, values):
+    """``values`` scaled one column at a time by statistics fitted on
+    ``train``: standardized by the training mean and std, min-max scaled by
+    the training z range and clipped to [0, 1]; a column whose training std
+    is at most 1e-12, or whose z range is empty, maps to 0.5 without dividing."""
+    mean, std = train.mean(axis=0), train.std(axis=0)
+    out = np.empty_like(values, dtype=float)
+    for j in range(train.shape[1]):
+        z = (train[:, j] - mean[j]) / std[j] if std[j] > 1e-12 else None
+        if z is None or z.max() <= z.min():
+            out[:, j] = 0.5
+        else:
+            out[:, j] = ((values[:, j] - mean[j]) / std[j] - z.min()) / (z.max() - z.min())
+    return np.clip(out, 0.0, 1.0)
+
+
 def read_detections_csv_oracle(path):
     """The detections CSV parsed by column name with ``np.genfromtxt``, as
     (risk, threshold, prediction, truth) arrays of one row per day in file

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -662,3 +663,56 @@ def test_choices_are_the_pipeline_tables():
     assert list(choices("fit", "--method")) == list(pipeline.FIT_METHODS)
     assert list(choices("conformal", "--method")) == list(pipeline.CONFORMAL_METHOD_KEYS)
     assert list(choices("simulate", "--mark-distribution")) == list(pipeline.MARK_DISTRIBUTIONS)
+
+
+def wrong_data_values(kind):
+    """Values of the wrong kind for a data key: a bool and a string for a
+    number, a number for a string, a list for a JSON object (the grid too) and
+    a bare name for a list of names."""
+    return {float: [True, "150"], str: [3], dict: [[1]], pipeline.GridSpec: [[1]], list: ["season"]}[kind]
+
+
+# the gridify and simulate flags that can carry a value of a wrong kind: --horizon parses
+# its text as a number, and the --grid file holds any JSON; the other data flags spell a
+# string or a list of names whatever their text, and params and neighbor_radius have none
+DATA_FLAGS = {("simulate", "horizon"): "--horizon", ("ingest", "horizon"): "--horizon", ("ingest", "grid"): "--grid"}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param(section, key, value, id=f"{section}.{key}={value!r}")
+    for section, kinds in pipeline.DATA_KEYS.items()
+    for key, kind in kinds.items()
+    for value in wrong_data_values(kind)
+])
+def test_a_data_key_of_the_wrong_kind_is_refused_by_bundle_and_cli(tmp_path, capsys, params_file, section, key, value):
+    # e.g. a simulate horizon of true ran as one day, "csv": 3 read file descriptor 3, and a
+    # neighbor_radius of "0.5" ran as 0.5
+    raw = tmp_path / "raw.csv"
+    raw.write_text("time,lat,lon\n1.0,0.2,0.2\n2.0,0.8,0.9\n")
+    grid = {"lat_min": 0.0, "lon_min": 0.0, "lat_max": 1.0, "lon_max": 1.0, "cell_size": 0.5}
+    base = {"simulate": {"params_file": str(params_file), "horizon": 20.0},
+            "ingest": {"csv": str(raw), "grid": grid, "horizon": 5.0}}[section]
+    if key == "params":  # a section gives params or params_file, not both
+        base = {"params": json.loads(params_file.read_text()), "horizon": 20.0}
+    pipeline.check_bundle_keys({section: base})
+    message = f"{key} must be {pipeline.VALUE_KINDS[pipeline.DATA_KEYS[section][key]][1]}, got {value!r}"
+    with pytest.raises(pipeline.PipelineError, match="^" + re.escape(f"[data] {message}") + "$"):
+        pipeline.run_end_to_end({section: {**base, key: value}}, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+    flag = DATA_FLAGS.get((section, key))
+    if flag is None:
+        return
+    out = tmp_path / "events.csv"
+    text = json.dumps(value)
+    (tmp_path / "grid.json").write_text(text if flag == "--grid" else json.dumps(grid))
+    command = ["simulate", "--params", str(params_file), "--horizon", "20"] if section == "simulate" else \
+        ["gridify", "--raw", str(raw), "--grid", str(tmp_path / "grid.json"), "--horizon", "5"]
+    argv = [*command, *([flag, text] if flag == "--horizon" else []), "--out", str(out)]
+    if flag == "--horizon":  # argparse refuses the text, naming the flag
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert f"argument --horizon: invalid float value: {text!r}" in capsys.readouterr().err
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip() == f"firecast gridify: [gridify] {message}"
+    assert not out.exists()

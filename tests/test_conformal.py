@@ -258,6 +258,14 @@ class TestEraps:
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             eraps(tx, ty, ex, ey, num_bootstrap=3, batch_size=5, alphas=alphas)
 
+    def test_empty_alphas_rejected(self):
+        # both used to run without a set to build
+        tx, ty, ex, ey = self._data()
+        with pytest.raises(ValueError, match=r"^alphas must name at least one level$"):
+            eraps(tx, ty, ex, ey, num_bootstrap=3, batch_size=5, alphas=[])
+        with pytest.raises(ValueError, match=r"^alphas must name at least one level$"):
+            sraps(tx, ty, ex, ey, split_fraction=0.5, alphas=())
+
     @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.nan] * 3, [np.inf, 0.5, 0.5]])
     def test_non_finite_probabilities_rejected(self, bad):
         tx, ty, ex, ey = self._data()

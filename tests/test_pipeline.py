@@ -42,6 +42,7 @@ from firecast.thresholding import DetectionTrace
 from oracles import (
     f1_oracle,
     impute_by_location_oracle,
+    mark_stats_oracle,
     naive_ground_intensity,
     query_marks_by_location_oracle,
     read_detections_csv_oracle,
@@ -93,6 +94,19 @@ class TestGridSpec:
     def test_dict_round_trip(self):
         back = GridSpec.from_dict(self.grid.to_dict())
         assert back == self.grid
+
+    @pytest.mark.parametrize("key, value, message", [
+        # from_dict used to read true as 1.0, "2" as 2.0, and "12" as the cells 1 and 2
+        ("lat_min", True, "lat_min must be a number, got True"),
+        ("lat_max", "2", "lat_max must be a number, got '2'"),
+        ("excluded", "12", "excluded must be a list of numbers, got '12'"),
+    ])
+    def test_values_of_the_wrong_kind_rejected(self, key, value, message):
+        box = dict(lat_min=0, lon_min=0, lat_max=3, lon_max=1, cell_size=0.5)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            GridSpec.from_dict({**box, key: value})
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            GridSpec(**{**box, key: value})
 
     def test_unknown_keys_rejected(self):
         # a misspelt cell_size used to run at the default 0.24: 25 cells instead of 4
@@ -260,6 +274,21 @@ class TestLocationRuns:
         expected = MarkStats.fit(imputed, ["a", "b", "c"]).transform(imputed)
         assert res.sequence.marks.tobytes() == expected.tobytes()
         assert len(calls) == 3 * len(np.unique(locations))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mark_stats_match_the_column_loop(seed):
+    # bit for bit, with no RuntimeWarning (an error here) from a zero-variance column
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(1, 40))
+    train = rng.normal(size=(n, 5)) * rng.uniform(0.01, 100.0, 5) + rng.normal(size=5)
+    train[:, 1] = 3.25  # zero variance
+    train[:, 2] = 7.0 + 1e-14 * rng.normal(size=n)  # a std under 1e-12 counts as none
+    held_out = rng.normal(size=(2 * n, 5)) * 60.0  # values beyond the training range are clipped
+    stats = MarkStats.fit(train, list("abcde"))
+    for values in (train, held_out):
+        assert stats.transform(values).tobytes() == mark_stats_oracle(train, values).tobytes()
+    assert stats.std[1] == stats.std[2] == 0.0
 
 
 class TestMetrics:
@@ -858,8 +887,9 @@ def test_read_section_checks_without_converting():
     cfg = read_section("conformal", {"lambda_reg": 1, "alphas": [0.1, 0.2], "method": "sraps"})
     assert cfg == {**SECTION_DEFAULTS["conformal"], "lambda_reg": 1, "alphas": [0.1, 0.2], "method": "sraps"}
     assert type(cfg["lambda_reg"]) is int
-    # a key without a default is its stage's to read
-    assert read_section("simulate", {"horizon": "150"})["horizon"] == "150"
+    # a key without a default is checked against the kind its section declares
+    with pytest.raises(ValueError, match=r"^horizon must be a number, got '150'$"):
+        read_section("simulate", {"params_file": "params.json", "horizon": "150"})
 
 
 class TestBundleChecks:
@@ -921,6 +951,49 @@ class TestBundleChecks:
             bundle[section] = [key]
             with pytest.raises(PipelineError, match=rf"^\[{stage}\] section '{section}' must be a JSON object"):
                 run_end_to_end(bundle, tmp_path / "run")
+
+    @pytest.mark.parametrize("section, drop, message", [
+        # a missing key used to fail in the data stage as a bare name: "[data] 'horizon'"
+        ("simulate", "horizon", "[data] simulate needs horizon"),
+        ("simulate", "params", "[data] simulate needs params or params_file"),
+        ("ingest", "csv", "[data] ingest needs csv"),
+    ])
+    def test_a_missing_data_key_fails_before_any_stage(self, tmp_path, section, drop, message):
+        bundle = small_bundle(with_conformal=False)
+        if section == "ingest":
+            del bundle["simulate"]
+            bundle["ingest"] = {"csv": "incidents.csv", "horizon": 5.0}
+        del bundle[section][drop]
+        with pytest.raises(PipelineError, match="^" + re.escape(message) + "$"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_params_and_params_file_together_fail(self, tmp_path):
+        # params_file used to win without a word
+        bundle = small_bundle(with_conformal=False)
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(bundle["simulate"]["params"]))
+        bundle["simulate"]["params_file"] = str(params_file)
+        message = "[data] simulate needs params or params_file, not both"
+        with pytest.raises(PipelineError, match="^" + re.escape(message) + "$"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        # the grid used to run from 1.0 and to 2.0, and without the cells 1 and 2
+        ("lat_min", True, "[data] lat_min must be a number, got True"),
+        ("lat_max", "2", "[data] lat_max must be a number, got '2'"),
+        ("excluded", "12", "[data] excluded must be a list of numbers, got '12'"),
+    ])
+    def test_a_grid_value_of_the_wrong_kind_fails_before_any_stage(self, tmp_path, key, value, message):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,lat,lon\n" + "".join(f"{0.5 + i},{1.1 + 0.02 * i},0.3\n" for i in range(30)))
+        grid = {"lat_min": 0, "lon_min": 0, "lat_max": 3, "lon_max": 1, "cell_size": 0.5, key: value}
+        bundle = {"seed": 3, "ingest": {"csv": str(raw), "grid": grid, "horizon": 31.0},
+                  "fit": {"grid_points": 1, "pgd_steps": 5}}
+        with pytest.raises(PipelineError, match="^" + re.escape(message) + "$"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("section, key, value, stage", [
         ("simulate", "mark_distribution", "Linear", "data"),
@@ -1047,6 +1120,14 @@ class TestRunVariants:
         bundle["ingest"]["categorical_columns"] = ["season"]
         run_end_to_end(bundle, tmp_path / "run")
         assert (tmp_path / "run" / "events.csv").read_text().startswith("time,location,m_0,m_1")
+
+    def test_an_empty_alphas_list_fails_the_conformal_stage(self, tmp_path):
+        # it used to fit every classifier and write a header-only conformal_summary.csv
+        bundle = small_bundle()
+        bundle["conformal"]["alphas"] = []
+        with pytest.raises(PipelineError, match=r"^\[conformal\] alphas must name at least one level$"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run" / "conformal_summary.csv").exists()
 
     @pytest.mark.parametrize("classes", [1, -2])
     def test_magnitude_classes_must_be_zero_or_at_least_two(self, tmp_path, classes):
