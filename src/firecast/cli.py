@@ -38,7 +38,7 @@ def _section(args, name: str) -> dict:
     """The ``name`` bundle section that the given flags spell, checked like a
     bundle's: the parsed flags whose names are keys of that section."""
     section = {k: v for k, v in vars(args).items() if k in pipeline.BUNDLE_KEYS[name][1]}
-    pipeline.check_bundle_keys({name: section})
+    pipeline.read_section(name, section)
     return section
 
 

@@ -44,6 +44,8 @@ class ScoreParams:
     def __post_init__(self):
         if not self.lambda_reg >= 0 or self.k_reg < 0:  # NaN too
             raise ValueError("lambda_reg and k_reg must be nonnegative")
+        if not math.isfinite(self.lambda_reg):
+            raise ValueError(f"lambda_reg must be finite, got {self.lambda_reg!r}")
 
 
 def check_probability_vector(p: np.ndarray, ndim: int = 1) -> np.ndarray:

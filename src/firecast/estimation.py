@@ -165,6 +165,9 @@ class FitConfig:
             raise ValueError("l1_weight must be nonnegative")
         if not self.beta_init > 0:
             raise ValueError("beta_init must be positive")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass

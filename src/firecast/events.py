@@ -117,6 +117,9 @@ def read_csv_rows(path):
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: no header row")
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise ValueError(f"{path}: the header names column {', '.join(map(repr, repeated))} more than once")
         yield header
         for lineno, row in enumerate(reader, start=2):
             if any(map(str.strip, row)):

@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -131,12 +131,15 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        """The grid a ``to_dict`` mapping spells, unconverted; a key that is no
-        field fails, so a misspelt ``cell_size`` does not run at the default."""
+        """The grid a ``to_dict`` mapping spells, unconverted; an unknown or missing
+        key fails by name, so a misspelt ``cell_size`` does not run at the default."""
         known = [f.name for f in fields(cls)]
         unknown = sorted(set(d) - set(known))
         if unknown:
             raise ValueError(f"unknown grid keys {unknown}; expected some of {known}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ValueError(f"missing grid keys {missing}")
         return cls(**d)
 
 
@@ -627,7 +630,7 @@ DATA_KEYS = {
     "ingest": {"csv": str, "grid": GridSpec, "neighbor_radius": float, "horizon": float, "categorical_columns": list},
 }
 REQUIRED_KEYS = {"simulate": [("params", "params_file"), ("horizon",)], "ingest": [("csv",)]}
-# the conformal keys that only one method reads
+# the conformal keys that only one method reads; ``read_section`` refuses them under the other
 CONFORMAL_METHOD_KEYS = {"eraps": {"num_bootstrap", "batch_size"}, "sraps": {"split_fraction"}}
 # the section keys whose value names a table entry, with the table and their word in errors
 CHOICES = {
@@ -668,9 +671,9 @@ def check_kind(key: str, value, kind) -> None:
 def read_section(section: str, given: dict) -> dict:
     """``given`` merged over the section's ``SECTION_DEFAULTS``, each given value
     checked, not converted, against its key's kind in ``BUNDLE_KEYS``: a key of
-    the ``CHOICES`` table takes a name of its table, any other a value of its
-    kind in ``VALUE_KINDS``.  An unknown key fails, and so does a section that
-    lacks a key of one of its ``REQUIRED_KEYS`` groups or gives two."""
+    ``CHOICES`` takes a name of its table, any other a value of its kind in
+    ``VALUE_KINDS``.  An unknown key fails, and so does a missing or doubled
+    key of a ``REQUIRED_KEYS`` group, or another conformal method's key."""
     if not isinstance(given, dict):
         raise ValueError(f"section {section!r} must be a JSON object")
     kinds = BUNDLE_KEYS[section][1]
@@ -688,7 +691,12 @@ def read_section(section: str, given: dict) -> dict:
                 raise ValueError(f"unknown {what} {value!r}; expected {' or '.join(map(repr, table))}")
         else:
             check_kind(key, value, kinds[key])
-    return {**SECTION_DEFAULTS.get(section, {}), **given}
+    cfg = {**SECTION_DEFAULTS.get(section, {}), **given}
+    if section == "conformal":
+        foreign = sorted(set(given) & set().union(*(v for m, v in CONFORMAL_METHOD_KEYS.items() if m != cfg["method"])))
+        if foreign:
+            raise ValueError(f"keys {foreign} do not apply to method {cfg['method']!r}")
+    return cfg
 
 
 def fit_stage(seq: EventSequence, section: dict, feasible=None):
@@ -752,37 +760,6 @@ def conformal_stage(seq: EventSequence, section: dict, seed: int) -> conformal_m
 
 # ---------------------------------------------------------------------------
 # end-to-end orchestration
-
-STAGE_ARTIFACTS = {
-    "data": ("events.csv",),
-    "fit": ("params.json", "fit_trace.csv"),
-    "predict": ("detections.csv",),
-    "eval": ("metrics.csv",),
-    "conformal": ("conformal_sets.jsonl", "conformal_summary.csv"),
-}
-
-
-def check_bundle_keys(bundle: dict) -> None:
-    """Reject an unknown or missing key, or a value ``read_section`` refuses,
-    so a typo fails before any stage runs instead of running on defaults or
-    failing late; in ``conformal``, that includes the other method's keys.
-    The CLI checks the section its flags spell with it too."""
-    if not isinstance(bundle, dict):
-        raise PipelineError("data", "the bundle must be a JSON object")
-    known = {"seed", *BUNDLE_KEYS}
-    unknown = sorted(set(bundle) - known)
-    if unknown:
-        raise PipelineError("data", f"unknown keys {unknown} in the bundle; expected some of {sorted(known)}")
-    for section, (stage, _) in BUNDLE_KEYS.items():
-        if section in bundle:
-            with _stage(stage, []):  # the stage's own tag and message
-                read_section(section, bundle[section])
-    conformal = bundle.get("conformal", {})
-    method = conformal.get("method", SECTION_DEFAULTS["conformal"]["method"])
-    others = set().union(*(keys for m, keys in CONFORMAL_METHOD_KEYS.items() if m != method))
-    foreign = sorted(set(conformal) & others)
-    if foreign:
-        raise PipelineError("conformal", f"keys {foreign} do not apply to method {method!r}")
 
 
 class _stage:
@@ -851,23 +828,35 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
     """Execute the full chain described by a config bundle; returns the manifest.
 
     Stages: simulate-or-ingest -> fit -> predict -> eval -> optional
-    conformal, each through the stage functions above.  All artifacts land
-    in ``out_dir`` with fixed names; the manifest records the seed, package
-    version, config hash, and artifact digests, and two runs with the same
-    bundle are byte-identical.  A failing stage raises ``PipelineError``
-    tagged with its name; artifacts of earlier stages stay on disk.  A key no
-    stage reads fails before any stage runs (``check_bundle_keys``).  Each
-    stage gets its bundle section as it is; the stage applies its defaults.
+    conformal, each through the stage functions above, after every section
+    is read by ``read_section`` under its stage's tag.  ``out_dir`` is made
+    once the data stage has its events, and gets each artifact under a fixed
+    name and a manifest of the seed, package version, config hash and the
+    digest of each artifact written; two runs of one bundle are
+    byte-identical.  A failing stage raises ``PipelineError`` tagged with its
+    name; artifacts of earlier stages stay on disk.
     """
-    check_bundle_keys(bundle)
-    seed = bundle.get("seed", 0)
-    if type(seed) is not int:  # not a bool either
-        raise PipelineError("data", f"seed must be an integer, got {seed!r}")
+    with _stage("data", []):
+        if not isinstance(bundle, dict):
+            raise ValueError("the bundle must be a JSON object")
+        known = {"seed", *BUNDLE_KEYS}
+        unknown = sorted(set(bundle) - known)
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} in the bundle; expected some of {sorted(known)}")
+        seed = bundle.get("seed", 0)
+        check_kind("seed", seed, int)
+    for section, (stage, _) in BUNDLE_KEYS.items():
+        if section in bundle:
+            with _stage(stage, []):
+                read_section(section, bundle[section])
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    config_hash = hashlib.sha256(json.dumps(bundle, sort_keys=True).encode()).hexdigest()
     notes: list[str] = []
     stages: list[str] = []
+    written: list[str] = []
+
+    def artifact(name: str) -> Path:
+        written.append(name)
+        return out / name
 
     with _stage("data", stages):
         if "simulate" in bundle:
@@ -876,34 +865,33 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
             seq, feasible = ingest_stage(bundle["ingest"], notes)
         else:
             raise ValueError("bundle needs a 'simulate' or 'ingest' stage")
-        save_events_csv(seq, out / "events.csv")
+        out.mkdir(parents=True, exist_ok=True)
+        save_events_csv(seq, artifact("events.csv"))
 
     with _stage("fit", stages):
         fit, mark_model = fit_stage(seq, bundle.get("fit", {}), feasible)
-        fit.params.to_json(out / "params.json")
-        write_fit_trace_csv(out / "fit_trace.csv", fit.trace)
+        fit.params.to_json(artifact("params.json"))
+        write_fit_trace_csv(artifact("fit_trace.csv"), fit.trace)
 
     with _stage("predict", stages):
         trace = predict_stage(fit.params, seq, mark_model, bundle.get("predict", {}))
-        write_detections_csv(out / "detections.csv", trace)
+        write_detections_csv(artifact("detections.csv"), trace)
 
     with _stage("eval", stages):
-        write_metrics_csv(out / "metrics.csv", f1_metrics(trace.prediction, trace.truth))
+        write_metrics_csv(artifact("metrics.csv"), f1_metrics(trace.prediction, trace.truth))
 
     if "conformal" in bundle:
         with _stage("conformal", stages):
             run = conformal_stage(seq, bundle["conformal"], seed)
-            write_conformal_sets_jsonl(out / "conformal_sets.jsonl", run)
-            write_conformal_summary_csv(out / "conformal_summary.csv", run)
+            write_conformal_sets_jsonl(artifact("conformal_sets.jsonl"), run)
+            write_conformal_summary_csv(artifact("conformal_summary.csv"), run)
 
     manifest = {
         "package_version": __version__,
         "seed": seed,
-        "config_sha256": config_hash,
+        "config_sha256": hashlib.sha256(json.dumps(bundle, sort_keys=True).encode()).hexdigest(),
         "stages": stages,
-        "artifacts": {
-            name: _sha256(out / name) for stage in stages for name in STAGE_ARTIFACTS[stage]
-        },
+        "artifacts": {name: _sha256(out / name) for name in written},
         "notes": notes,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

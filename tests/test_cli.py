@@ -654,6 +654,25 @@ def test_a_train_fraction_outside_the_unit_interval_fails(tmp_path, params_file,
     assert not sets.exists()
 
 
+@pytest.mark.parametrize("drop", [["lat_min"], ["lat_min", "lon_max"]])
+def test_a_grid_without_a_box_key_fails_naming_it_in_run_and_gridify(tmp_path, capsys, drop):
+    # both used to fail as "GridSpec.__init__() missing 1 required positional argument: 'lat_min'"
+    raw = tmp_path / "raw.csv"
+    raw.write_text("time,lat,lon\n1.0,0.2,0.2\n2.0,0.8,0.9\n")
+    grid = {k: v for k, v in {"lat_min": 0, "lon_min": 0, "lat_max": 1, "lon_max": 1}.items() if k not in drop}
+    message = f"missing grid keys {drop}"
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(json.dumps({"ingest": {"csv": str(raw), "grid": grid, "horizon": 5.0}}))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast run: [data] {message}"
+    assert not (tmp_path / "run").exists()
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    out = tmp_path / "events.csv"
+    assert main(["gridify", "--raw", str(raw), "--grid", str(tmp_path / "grid.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == f"firecast gridify: [gridify] {message}"
+    assert not out.exists()
+
+
 def test_choices_are_the_pipeline_tables():
     def choices(command, flag):
         return next(a.choices for a in _subcommand_actions(command) if flag in a.option_strings)
@@ -694,7 +713,7 @@ def test_a_data_key_of_the_wrong_kind_is_refused_by_bundle_and_cli(tmp_path, cap
             "ingest": {"csv": str(raw), "grid": grid, "horizon": 5.0}}[section]
     if key == "params":  # a section gives params or params_file, not both
         base = {"params": json.loads(params_file.read_text()), "horizon": 20.0}
-    pipeline.check_bundle_keys({section: base})
+    pipeline.read_section(section, base)
     message = f"{key} must be {pipeline.VALUE_KINDS[pipeline.DATA_KEYS[section][key]][1]}, got {value!r}"
     with pytest.raises(pipeline.PipelineError, match="^" + re.escape(f"[data] {message}") + "$"):
         pipeline.run_end_to_end({section: {**base, key: value}}, tmp_path / "run")

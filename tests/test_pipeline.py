@@ -22,6 +22,7 @@ from firecast.pipeline import (
     PipelineError,
     _sha256,
     _stage,
+    conformal_stage,
     counterfactual_delta,
     daily_truths,
     f1_metrics,
@@ -178,6 +179,18 @@ class TestIngest:
         write_csv(path, "time,location,flat", [(i + 1.0, 0, 7.7) for i in range(5)])
         res = ingest(path, horizon=10.0)
         assert np.all(res.sequence.marks[:, 0] == 0.5)
+
+    def test_a_column_named_twice_fails_in_both_readers(self, tmp_path):
+        # ingest used to read the second temp column into both: events 20, 20 and 40 in each
+        path = tmp_path / "ev.csv"
+        write_csv(path, "time,location,temp,temp", [(1.0, 0, 10, 20), (2.0, 0, 30, 40), (3.0, 1, 50, 60)])
+        message = f"{path}: the header names column 'temp' more than once"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ingest(path, horizon=10.0)
+        write_csv(path, "time,location,m_0,m_1,m_0", [(1.0, 0, 0.1, 0.2, 0.3)])
+        message = f"{path}: the header names column 'm_0' more than once"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            load_events_csv(path, horizon=10.0, num_locations=1)
 
     def test_unparseable_row_reports_line(self, tmp_path):
         path = tmp_path / "ev.csv"
@@ -817,6 +830,43 @@ class TestRunEndToEnd:
             assert float(coverage) == np.mean([t in labels for t, labels in zip(truths, stream)])
             assert float(mean_size) == np.mean([len(labels) for labels in stream])
 
+    @pytest.mark.parametrize("with_conformal", [True, False])
+    def test_the_manifest_digests_exactly_the_files_written(self, tmp_path, with_conformal):
+        out = tmp_path / "run"
+        manifest = run_end_to_end(small_bundle(with_conformal), out)
+        assert set(manifest["artifacts"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert ("conformal_summary.csv" in manifest["artifacts"]) == with_conformal
+        for name, digest in manifest["artifacts"].items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("case", ["negative radius", "radius without a grid", "one magnitude class", "missing csv"])
+    def test_a_failed_data_stage_leaves_no_output_directory(self, tmp_path, case):
+        # each failed as [data] but left an empty output directory behind
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,location\n" + "".join(f"{0.5 + i},{i % 3}\n" for i in range(30)))
+        grid = {"lat_min": 0, "lon_min": 0, "lat_max": 1, "lon_max": 1, "cell_size": 0.5}
+        bundle = {
+            "negative radius": {"ingest": {"csv": str(raw), "grid": grid, "neighbor_radius": -1}},
+            "radius without a grid": {"ingest": {"csv": str(raw), "neighbor_radius": 0.5}},
+            "one magnitude class": {"simulate": {**small_bundle()["simulate"], "magnitude_classes": 1}},
+            "missing csv": {"ingest": {"csv": str(tmp_path / "ingest.csv")}},
+        }[case]
+        with pytest.raises(PipelineError, match=r"^\[data\] "):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("fit", "kappa"), ("fit", "l1_weight"), ("fit", "eps_beta"), ("fit", "beta_high"), ("fit", "beta_init"),
+        ("conformal", "lambda_reg"),
+    ])
+    def test_an_infinite_fit_or_score_setting_fails_by_name(self, tmp_path, section, key):
+        # json.loads reads Infinity: kappa took no step, l1_weight wrote an inf objective,
+        # lambda_reg a coverage of 0, and beta_high and beta_init failed as non-finite gradients
+        bundle = small_bundle()
+        bundle[section][key] = math.inf
+        with pytest.raises(PipelineError, match="^" + re.escape(f"[{section}] {key} must be finite, got inf") + "$"):
+            run_end_to_end(bundle, tmp_path / "run")
+
     @pytest.mark.parametrize("seed", [3.7, True, "abc"])
     def test_seed_must_be_an_integer(self, tmp_path, seed):
         # 3.7 used to run as seed 3 and true as seed 1; "abc" raised a bare ValueError
@@ -1024,6 +1074,20 @@ class TestBundleChecks:
         with pytest.raises(PipelineError, match="^" + expected):
             run_end_to_end(bundle, tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("method, foreign", [
+        ("sraps", {"num_bootstrap": 3, "batch_size": 99}),
+        ("eraps", {"split_fraction": 0.5}),
+    ])
+    def test_a_direct_conformal_stage_call_refuses_the_other_methods_keys(self, method, foreign):
+        # the stage used to run, ignoring the keys
+        rng = np.random.default_rng(0)
+        seq = EventSequence(times=np.arange(1.0, 41.0), locations=np.zeros(40, dtype=int),
+                            marks=rng.uniform(size=(40, 2)), horizon=41.0, num_locations=1,
+                            magnitudes=rng.integers(1, 4, size=40))
+        expected = re.escape(f"keys {sorted(foreign)} do not apply to method '{method}'")
+        with pytest.raises(ValueError, match="^" + expected + "$"):
+            conformal_stage(seq, {"method": method, **foreign}, 0)
 
 
 class TestGridRowCol:
