@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, fit, predict, conformal, eval, gridify, run.
+"""Command-line interface: simulate, fit, predict, conformal, eval, counterfactual, gridify, run.
 
 Each subcommand only parses its arguments and calls the same pipeline stage
 functions as ``firecast run``: ``pipeline.simulate_stage``, ``ingest_stage``
@@ -10,7 +10,8 @@ Each spells its stage's bundle section: a flag that is not given is absent
 from it, so the stage applies the same default as to a bundle without the
 key, and the section is checked like a bundle's, by ``pipeline.read_section``,
 before any file is read.  So a chain of subcommands and a run bundle take and
-refuse each setting the same way.
+refuse each setting the same way.  ``main`` runs each subcommand as a stage
+named for it, so a failure prints one tagged line (``run`` keeps its stage's tag).
 """
 
 from __future__ import annotations
@@ -65,25 +66,21 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    needed = ("params", "events", "horizon", "locations", "time", "location", "marks_a", "marks_b")
-    needed = needed if args.counterfactual else ("detections",)
-    missing = ["--" + name.replace("_", "-") for name in needed if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"missing {' '.join(missing)}")
-    if args.counterfactual:
-        params = ModelParams.from_json(args.params)
-        seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
-        marks_a, marks_b = (np.array([float(v) for v in m.split(",")]) for m in (args.marks_a, args.marks_b))
-        out = pipeline.counterfactual_delta(
-            params, seq, pipeline.MARK_MODELS[args.mark_model](seq), args.time, args.location,
-            marks_a, marks_b,
-        )
-        print(json.dumps(out, sort_keys=True))
-        return 0
     trace = pipeline.read_detections_csv(args.detections)
     report = pipeline.f1_metrics(trace.prediction, trace.truth)
     pipeline.write_metrics_csv(args.out, report)
     print(f"mean F1 {report.f1.mean():.4f} over {len(report.f1)} locations -> {args.out}")
+    return 0
+
+
+def cmd_counterfactual(args) -> int:
+    params = ModelParams.from_json(args.params)
+    seq = load_events_csv(args.events, horizon=args.horizon, num_locations=args.locations)
+    marks_a, marks_b = (np.array([float(v) for v in m.split(",")]) for m in (args.marks_a, args.marks_b))
+    out = pipeline.counterfactual_delta(
+        params, seq, pipeline.MARK_MODELS[args.mark_model](seq), args.time, args.location, marks_a, marks_b,
+    )
+    print(json.dumps(out, sort_keys=True))
     return 0
 
 
@@ -99,8 +96,8 @@ def cmd_conformal(args) -> int:
 
 
 def cmd_gridify(args) -> int:
-    section = {k: v for k, v in vars(args).items() if k in pipeline.BUNDLE_KEYS["ingest"][1]}
-    section["grid"] = json.loads(Path(args.grid).read_text())
+    section = _section(args, "ingest")
+    section["grid"] = json.loads(Path(args.grid_file).read_text())
     notes = []
     seq, _ = pipeline.ingest_stage(section, notes)
     save_events_csv(seq, args.out)
@@ -176,19 +173,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="precision/recall/F1 from a detection trace")
-    p.add_argument("--detections")
+    p.add_argument("--detections", required=True)
     p.add_argument("--out", default="metrics.csv")
-    p.add_argument("--counterfactual", action="store_true")
-    p.add_argument("--params")
-    p.add_argument("--events")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--locations", type=int)
-    p.add_argument("--time", type=float)
-    p.add_argument("--location", type=int)
-    p.add_argument("--marks-a")
-    p.add_argument("--marks-b")
-    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default=pipeline.SECTION_DEFAULTS["fit"]["mark_model"])
     p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("counterfactual", help="the risk at one time and location under two mark vectors")
+    p.add_argument("--params", required=True)
+    p.add_argument("--events", required=True)
+    p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--locations", type=int, required=True)
+    p.add_argument("--time", type=float, required=True)
+    p.add_argument("--location", type=int, required=True)
+    p.add_argument("--marks-a", required=True)
+    p.add_argument("--marks-b", required=True)
+    p.add_argument("--mark-model", choices=pipeline.MARK_MODELS, default=pipeline.SECTION_DEFAULTS["fit"]["mark_model"])
+    p.set_defaults(func=cmd_counterfactual)
 
     p = sub.add_parser("conformal", help="magnitude prediction sets", argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True, help="event CSV with a magnitude column")
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gridify", help="map raw coordinates onto the grid", argument_default=argparse.SUPPRESS)
     p.add_argument("--raw", dest="csv", required=True)
-    p.add_argument("--grid", required=True, help="GridSpec JSON")
+    p.add_argument("--grid", dest="grid_file", required=True, help="GridSpec JSON")
     p.add_argument("--horizon", type=float)
     p.add_argument("--categorical", dest="categorical_columns", type=lambda text: text.split(","),
                    help="comma-separated categorical mark columns")
@@ -221,12 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with pipeline._stage(args.command, []):
+            return args.func(args)
     except pipeline.PipelineError as exc:
         print(f"firecast {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # surface a stage-tagged one-liner, not a traceback
-        print(f"firecast {args.command}: [{args.command}] {exc}", file=sys.stderr)
         return 1
 
 

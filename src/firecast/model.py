@@ -107,13 +107,8 @@ class ModelParams:
         values = np.asarray(alpha_values, dtype=float)
         if not len(src) == len(dst) == len(values):
             raise ValueError(f"support has {len(src)} src, {len(dst)} dst and {len(values)} alpha entries")
-        if np.any((src < 0) | (src >= K) | (dst < 0) | (dst >= K)):
-            raise ValueError(f"support indices must lie in [0, {K})")
-        keys = src * K + dst
-        if np.any(np.diff(keys) <= 0):
-            order = np.argsort(keys, kind="stable")
-            if np.any(np.diff(keys[order]) == 0):
-                raise ValueError("support repeats a (src, dst) pair")
+        order = _support_order(src, dst, K)
+        if order is not None:
             src, dst, values = src[order], dst[order], values[order]
         params = object.__new__(cls)
         params._set(mu, src, dst, values, beta, gamma)
@@ -199,6 +194,23 @@ class ModelParams:
             support = payload.pop("support")
             return cls.from_pairs(mu, support.pop("src"), support.pop("dst"), alpha, float(beta), gamma)
         return cls(mu=mu, alpha=alpha, beta=float(beta), gamma=gamma, mask=payload["mask"])
+
+
+def _support_order(src: np.ndarray, dst: np.ndarray, K: int):
+    """The permutation that puts the (src, dst) index pairs of a K-location
+    support in ``np.nonzero`` order, or None if they are in it; fails on an
+    index outside [0, K) or a repeated pair."""
+    if len(src) != len(dst):
+        raise ValueError(f"support has {len(src)} src and {len(dst)} dst entries")
+    if np.any((src < 0) | (src >= K) | (dst < 0) | (dst >= K)):
+        raise ValueError(f"support indices must lie in [0, {K})")
+    keys = src * K + dst
+    if not np.any(np.diff(keys) <= 0):
+        return None
+    order = np.argsort(keys, kind="stable")
+    if np.any(np.diff(keys[order]) == 0):
+        raise ValueError("support repeats a (src, dst) pair")
+    return order
 
 
 def _json_array(values: np.ndarray) -> str:
@@ -479,7 +491,11 @@ class FeasibleSet:
     @classmethod
     def on_pairs(cls, src: np.ndarray, dst: np.ndarray, num_locations: int) -> "FeasibleSet":
         """The region whose allowed pairs are ``src, dst``, given in
-        ``np.nonzero`` order (as :func:`neighbor_pairs` returns them)."""
+        ``np.nonzero`` order (as :func:`neighbor_pairs` returns them); pairs
+        out of range, repeated or out of that order fail."""
+        src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+        if _support_order(src, dst, num_locations) is not None:
+            raise ValueError("support pairs must come in np.nonzero order: by src, then dst")
         feasible = object.__new__(cls)
         feasible.src, feasible.dst = _frozen(src), _frozen(dst)
         feasible.num_locations = num_locations

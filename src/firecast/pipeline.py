@@ -845,6 +845,8 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
             raise ValueError(f"unknown keys {unknown} in the bundle; expected some of {sorted(known)}")
         seed = bundle.get("seed", 0)
         check_kind("seed", seed, int)
+        if ("simulate" in bundle) == ("ingest" in bundle):
+            raise ValueError("bundle needs a 'simulate' or 'ingest' stage" + (", not both" if "ingest" in bundle else ""))
     for section, (stage, _) in BUNDLE_KEYS.items():
         if section in bundle:
             with _stage(stage, []):
@@ -861,10 +863,8 @@ def run_end_to_end(bundle: dict, out_dir) -> dict:
     with _stage("data", stages):
         if "simulate" in bundle:
             seq, feasible = simulate_stage(bundle["simulate"], seed)
-        elif "ingest" in bundle:
-            seq, feasible = ingest_stage(bundle["ingest"], notes)
         else:
-            raise ValueError("bundle needs a 'simulate' or 'ingest' stage")
+            seq, feasible = ingest_stage(bundle["ingest"], notes)
         out.mkdir(parents=True, exist_ok=True)
         save_events_csv(seq, artifact("events.csv"))
 

@@ -60,12 +60,12 @@ def test_simulate_fit_predict_eval_chain(tmp_path, params_file, capsys):
     assert metrics.read_text().splitlines()[0] == "location,precision,recall,f1"
 
 
-def test_eval_counterfactual(tmp_path, params_file, capsys):
+def test_counterfactual(tmp_path, params_file, capsys):
     events = tmp_path / "events.csv"
     main(["simulate", "--params", str(params_file), "--horizon", "80", "--out", str(events)])
     capsys.readouterr()
     assert main([
-        "eval", "--counterfactual", "--params", str(params_file),
+        "counterfactual", "--params", str(params_file),
         "--events", str(events), "--horizon", "80", "--locations", "2",
         "--time", "40", "--location", "0", "--marks-a", "0.1,0.1",
         "--marks-b", "0.9,0.9",
@@ -74,7 +74,7 @@ def test_eval_counterfactual(tmp_path, params_file, capsys):
     assert out["delta"] == pytest.approx(out["lambda_b"] - out["lambda_a"])
 
 
-def test_eval_counterfactual_scores_marks_like_predict(tmp_path, params_file, capsys):
+def test_counterfactual_scores_marks_like_predict(tmp_path, params_file, capsys):
     # at a day end, condition A set to the predict stage's query marks gives its risk cell
     events = tmp_path / "events.csv"
     main(["simulate", "--params", str(params_file), "--horizon", "80", "--out", str(events)])
@@ -85,7 +85,7 @@ def test_eval_counterfactual_scores_marks_like_predict(tmp_path, params_file, ca
     for mark_model in ("linear", "kde"):
         capsys.readouterr()
         assert main([
-            "eval", "--counterfactual", "--params", str(params_file), "--events", str(events),
+            "counterfactual", "--params", str(params_file), "--events", str(events),
             "--horizon", "80", "--locations", "2", "--time", "40", "--location", "1",
             "--marks-a", marks, "--marks-b", "0.9,0.9", "--mark-model", mark_model,
         ]) == 0
@@ -95,14 +95,18 @@ def test_eval_counterfactual_scores_marks_like_predict(tmp_path, params_file, ca
     assert lam["kde"] != pytest.approx(lam["linear"], rel=1e-3)
 
 
-def test_eval_names_missing_flags(capsys):
-    assert main(["eval"]) == 1
-    assert capsys.readouterr().err.strip() == "firecast eval: [eval] missing --detections"
-    assert main(["eval", "--counterfactual"]) == 1
-    assert capsys.readouterr().err.strip() == (
-        "firecast eval: [eval] missing --params --events --horizon --locations --time --location "
-        "--marks-a --marks-b"
-    )
+@pytest.mark.parametrize("command, missing", [
+    ("eval", "--detections"),
+    ("counterfactual", "--params --events --horizon --locations --time --location --marks-a --marks-b"),
+])
+def test_a_missing_flag_exits_with_argparse_usage(capsys, command, missing):
+    with pytest.raises(SystemExit) as info:
+        main([command])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: firecast {command} ")
+    assert err.strip().endswith(f"firecast {command}: error: the following arguments are required: "
+                                + ", ".join(missing.split()))
 
 
 @pytest.mark.parametrize("time, location, message", [
@@ -111,16 +115,16 @@ def test_eval_names_missing_flags(capsys):
     ("40", "2", "location 2 outside [0, 2)"),
     ("40", "-1", "location -1 outside [0, 2)"),
 ])
-def test_eval_counterfactual_rejects_out_of_range_queries(tmp_path, params_file, capsys, time, location, message):
+def test_counterfactual_rejects_out_of_range_queries(tmp_path, params_file, capsys, time, location, message):
     events = tmp_path / "events.csv"
     main(["simulate", "--params", str(params_file), "--horizon", "80", "--out", str(events)])
     capsys.readouterr()
     assert main([
-        "eval", "--counterfactual", "--params", str(params_file),
+        "counterfactual", "--params", str(params_file),
         "--events", str(events), "--horizon", "80", "--locations", "2",
         f"--time={time}", f"--location={location}", "--marks-a", "0.1,0.1", "--marks-b", "0.9,0.9",
     ]) == 1
-    assert capsys.readouterr().err.strip() == f"firecast eval: [eval] {message}"
+    assert capsys.readouterr().err.strip() == f"firecast counterfactual: [counterfactual] {message}"
 
 
 def test_conformal_command(tmp_path, capsys):
@@ -214,10 +218,17 @@ def test_run_command(tmp_path):
 
 
 def test_failures_exit_nonzero(tmp_path, capsys):
-    rc = main(["fit", "--events", str(tmp_path / "missing.csv"), "--horizon", "10",
+    # a file that cannot be opened is named, tagged with the subcommand
+    missing, missing_grid = tmp_path / "missing.csv", tmp_path / "missing.json"
+    rc = main(["fit", "--events", str(missing), "--horizon", "10",
                "--locations", "1", "--out", str(tmp_path / "p.json")])
     assert rc == 1
-    assert "firecast fit" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"firecast fit: [fit] [Errno 2] No such file or directory: '{missing}'\n"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"lat_min": 0.0, "lon_min": 0.0, "lat_max": 1.0, "lon_max": 1.0}))
+    for raw, grid_file, lost in ((missing, grid, missing), (grid, missing_grid, missing_grid)):
+        assert main(["gridify", "--raw", str(raw), "--grid", str(grid_file), "--out", str(tmp_path / "e.csv")]) == 1
+        assert capsys.readouterr().err == f"firecast gridify: [gridify] [Errno 2] No such file or directory: '{lost}'\n"
 
 
 def test_fit_rejects_a_nan_time_at_load(tmp_path, capsys):
@@ -677,7 +688,7 @@ def test_choices_are_the_pipeline_tables():
     def choices(command, flag):
         return next(a.choices for a in _subcommand_actions(command) if flag in a.option_strings)
 
-    for command in ("fit", "predict", "eval"):
+    for command in ("fit", "predict", "counterfactual"):
         assert list(choices(command, "--mark-model")) == list(pipeline.MARK_MODELS)
     assert list(choices("fit", "--method")) == list(pipeline.FIT_METHODS)
     assert list(choices("conformal", "--method")) == list(pipeline.CONFORMAL_METHOD_KEYS)

@@ -640,6 +640,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="support has 2 src, 2 dst and 1 alpha entries"):
             ModelParams.from_json(self.pair_json([0, 1], [1, 1], [0.3]))
 
+    @pytest.mark.parametrize("src, dst, message", [
+        ([5], [0], r"support indices must lie in \[0, 2\)"),
+        ([0, 1], [1, -1], r"support indices must lie in \[0, 2\)"),
+        ([0, 1, 0], [1, 1, 1], r"support repeats a \(src, dst\) pair"),
+        ([0, 0], [1, 0], r"support pairs must come in np.nonzero order: by src, then dst"),
+        ([1, 0], [0, 1], r"support pairs must come in np.nonzero order: by src, then dst"),
+        ([0], [0, 1], r"support has 1 src and 2 dst entries"),
+    ])
+    def test_feasible_set_on_pairs_checks_its_pairs(self, src, dst, message):
+        # each used to construct: a source of 5 failed as an IndexError in EventKernel, a
+        # repeated pair only after the first solve, and unsorted pairs fit in another order
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            FeasibleSet.on_pairs(np.array(src), np.array(dst), 2)
+
     def test_state_grid_params_json_is_small(self, tmp_path):
         # the state-ingest truth: 0.24-degree cells of the California box, 0.96-degree mask
         grid = GridSpec(lat_min=32.0, lon_min=-124.0, lat_max=42.0, lon_max=-114.0, cell_size=0.24)

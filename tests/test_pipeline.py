@@ -839,6 +839,14 @@ class TestRunEndToEnd:
         for name, digest in manifest["artifacts"].items():
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
 
+    def test_a_bundle_with_both_data_sections_fails(self, tmp_path):
+        # it ran the simulate stage and ignored the ingest section without a word
+        bundle = {**small_bundle(with_conformal=False), "ingest": {"csv": "nowhere.csv"}}
+        message = "[data] bundle needs a 'simulate' or 'ingest' stage, not both"
+        with pytest.raises(PipelineError, match="^" + re.escape(message) + "$"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("case", ["negative radius", "radius without a grid", "one magnitude class", "missing csv"])
     def test_a_failed_data_stage_leaves_no_output_directory(self, tmp_path, case):
         # each failed as [data] but left an empty output directory behind
@@ -991,7 +999,8 @@ class TestBundleChecks:
     ])
     def test_unknown_key_fails_before_any_stage(self, tmp_path, section, key, stage):
         bundle = small_bundle()
-        if section == "ingest":
+        if section == "ingest":  # in place of simulate: a bundle has one data section
+            del bundle["simulate"]
             bundle["ingest"] = {"csv": "incidents.csv"}
         (bundle if section is None else bundle[section])[key] = 1
         with pytest.raises(PipelineError, match=rf"^\[{stage}\] unknown keys \['{key}'\]"):
