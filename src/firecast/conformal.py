@@ -68,12 +68,15 @@ def scores_all_labels(p: np.ndarray, u, sp: ScoreParams) -> np.ndarray:
 
 
 def _check_alphas(alphas) -> tuple[float, ...]:
-    """``alphas`` as a tuple of floats, at least one, each in (0, 1)."""
+    """``alphas`` as a tuple of floats, at least one, each in (0, 1), none repeated."""
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise ValueError("alphas must name at least one level")
     if not all(0 < a < 1 for a in alphas):
         raise ValueError("alpha must be in (0, 1)")
+    repeated = sorted({a for a in alphas if alphas.count(a) > 1})
+    if repeated:
+        raise ValueError(f"alphas repeat {', '.join(map(repr, repeated))}")
     return alphas
 
 

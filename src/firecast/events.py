@@ -109,9 +109,10 @@ def save_events_csv(seq: EventSequence, path: str | Path) -> None:
         fh.write("".join(f"{','.join(row)}\r\n" for row in zip(*columns)))
 
 
-def read_csv_rows(path):
-    """Yield a CSV file's header, then each non-blank row as ``(line number, fields)``;
-    a missing header or a row with another field count fails naming the file."""
+def read_csv_columns(path):
+    """Each non-blank row's line number of a CSV file, and each column's texts (a
+    tuple) by name in header order; a missing header, a column named twice or
+    a row with another field count fails naming the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -120,40 +121,45 @@ def read_csv_rows(path):
         repeated = sorted({name for name in header if header.count(name) > 1})
         if repeated:
             raise ValueError(f"{path}: the header names column {', '.join(map(repr, repeated))} more than once")
-        yield header
+        lines, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if any(map(str.strip, row)):
                 if len(row) != len(header):
                     raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-                yield lineno, row
+                lines.append(lineno)
+                rows.append(row)
+    return lines, dict(zip(header, zip(*rows) if rows else [()] * len(header)))
+
+
+def parse_column(path, lines: list, texts, convert=float) -> np.ndarray:
+    """``convert`` (Python's ``float``, or ``int`` within 64 bits) of each of a column's
+    texts, each value with its bits; the first text refused fails naming its line."""
+    cast = np.int64 if convert is int else float
+    values = []
+    try:
+        for text in texts:
+            values.append(cast(convert(text)))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}:{lines[len(values)]}: unparseable row: {exc}") from exc
+    return np.array(values, dtype=cast)
 
 
 def load_events_csv(path: str | Path, horizon: float, num_locations: int) -> EventSequence:
-    """Read the canonical event CSV produced by :func:`save_events_csv`."""
-    rows = read_csv_rows(path)
-    header = next(rows)
-    mark_cols = [i for i, name in enumerate(header) if name.startswith("m_")]
-    try:
-        t_col = header.index("time")
-        u_col = header.index("location")
-    except ValueError as exc:
-        raise ValueError(f"{path}: missing required column: {exc}") from exc
-    mag_col = header.index("magnitude") if "magnitude" in header else None
-    times, locs, marks, mags = [], [], [], []
-    for lineno, row in rows:
-        try:
-            times.append(float(row[t_col]))
-            locs.append(int(row[u_col]))
-            marks.append([float(row[i]) for i in mark_cols])
-            if mag_col is not None:
-                mags.append(int(row[mag_col]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: unparseable row: {exc}") from exc
+    """Read the canonical event CSV produced by :func:`save_events_csv`; columns
+    are parsed in the order time, location, magnitude, marks."""
+    lines, texts = read_csv_columns(path)
+    missing = [name for name in ("time", "location") if name not in texts]
+    if missing:
+        raise ValueError(f"{path}: missing required column: {missing[0]!r} is not in list")
+    times = parse_column(path, lines, texts["time"])
+    locations = parse_column(path, lines, texts["location"], int)
+    magnitudes = parse_column(path, lines, texts["magnitude"], int) if "magnitude" in texts else None
+    marks = [parse_column(path, lines, texts[name]) for name in texts if name.startswith("m_")]
     return EventSequence(
-        times=np.array(times, dtype=float),
-        locations=np.array(locs, dtype=np.int64),
-        marks=np.array(marks, dtype=float).reshape(len(times), len(mark_cols)),
+        times=times,
+        locations=locations,
+        marks=np.reshape(marks, (len(marks), len(lines))).T,
         horizon=horizon,
         num_locations=num_locations,
-        magnitudes=np.array(mags, dtype=np.int64) if mag_col is not None else None,
+        magnitudes=magnitudes,
     )

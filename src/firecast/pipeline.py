@@ -20,6 +20,7 @@ manifest; the CLI subcommands pass the sections their flags spell.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import itertools
@@ -34,7 +35,7 @@ import numpy as np
 from . import __version__
 from . import conformal as conformal_mod
 from . import estimation, model, simulation, thresholding
-from .events import EventSequence, read_csv_rows, save_events_csv
+from .events import MARK_TOL, EventSequence, parse_column, read_csv_columns, save_events_csv
 from .marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from .model import DecayedExcitation, ModelParams, RATE_FLOOR
 
@@ -84,18 +85,17 @@ class GridSpec:
         if fractional:
             raise ValueError(f"excluded cell ids {fractional} are not integers")
         object.__setattr__(self, "excluded", tuple(int(i) for i in self.excluded))
-        excluded = set(self.excluded)
-        outside = sorted(i for i in excluded if not 0 <= i < n_rows * n_cols)
+        outside = sorted(i for i in set(self.excluded) if not 0 <= i < n_rows * n_cols)
         if outside:
             raise ValueError(f"excluded cell ids {outside} are outside the grid's {n_rows * n_cols} cells")
-        retained = [i for i in range(n_rows * n_cols) if i not in excluded]
-        if not retained:
+        kept = np.ones(n_rows * n_cols, dtype=bool)
+        kept[list(self.excluded)] = False
+        if not kept.any():
             raise ValueError("all grid cells are excluded")
-        compact = {full: cid for cid, full in enumerate(retained)}
         object.__setattr__(self, "_n_rows", n_rows)
         object.__setattr__(self, "_n_cols", n_cols)
-        object.__setattr__(self, "_retained", tuple(retained))
-        object.__setattr__(self, "_compact", compact)
+        object.__setattr__(self, "_retained", np.flatnonzero(kept))
+        object.__setattr__(self, "_compact", np.where(kept, np.cumsum(kept) - 1, -1))  # full-grid index -> id
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -105,13 +105,15 @@ class GridSpec:
     def num_cells(self) -> int:
         return len(self._retained)
 
-    def cell_of(self, lat: float, lon: float) -> int | None:
-        """Compact cell id for a coordinate; None if outside or excluded."""
-        if not (self.lat_min <= lat <= self.lat_max and self.lon_min <= lon <= self.lon_max):
-            return None
-        row = min(int((lat - self.lat_min) / self.cell_size), self._n_rows - 1)
-        col = min(int((lon - self.lon_min) / self.cell_size), self._n_cols - 1)
-        return self._compact.get(row * self._n_cols + col)
+    def cells_of(self, lat, lon) -> np.ndarray:
+        """Compact cell ids of coordinate arrays, -1 outside the box (its edges are
+        in, NaN is out) or in an excluded cell; the far edges clamp into the last cells."""
+        lat, lon = np.asarray(lat, dtype=float), np.asarray(lon, dtype=float)
+        inside = (self.lat_min <= lat) & (lat <= self.lat_max) & (self.lon_min <= lon) & (lon <= self.lon_max)
+        row = ((np.where(inside, lat, self.lat_min) - self.lat_min) / self.cell_size).astype(np.int64)
+        col = ((np.where(inside, lon, self.lon_min) - self.lon_min) / self.cell_size).astype(np.int64)
+        full = np.minimum(row, self._n_rows - 1) * self._n_cols + np.minimum(col, self._n_cols - 1)
+        return np.where(inside, self._compact[full], -1)
 
     def rowcol_of(self, cell_id: int) -> tuple[int, int]:
         row, col = divmod(self._retained[cell_id], self._n_cols)
@@ -119,8 +121,8 @@ class GridSpec:
 
     def centroids(self) -> np.ndarray:
         """(K, 2) lat/lon cell centres, clamped into the box so edge cells
-        truncated by the boundary still round-trip through ``cell_of``."""
-        row, col = np.divmod(np.array(self._retained), self._n_cols)
+        truncated by the boundary still round-trip through ``cells_of``."""
+        row, col = np.divmod(self._retained, self._n_cols)
         return np.column_stack([
             np.minimum(self.lat_min + (row + 0.5) * self.cell_size, self.lat_max),
             np.minimum(self.lon_min + (col + 0.5) * self.cell_size, self.lon_max),
@@ -224,61 +226,38 @@ def ingest(
     ``lat``/``lon`` (mapped through ``grid``).  Every remaining column except
     ``magnitude`` is a mark; columns listed in ``categorical_columns`` are
     one-hot encoded, the rest are imputed and rescaled.  Events outside
-    the grid are dropped and counted.  Pass ``stats`` to reuse scaling
-    statistics fitted on training data.
+    the grid are dropped and counted, but every row is parsed, in the column
+    order time, lat/lon or location, magnitude, marks.  Pass ``stats`` to
+    reuse scaling statistics fitted on training data.
     """
-    rows = read_csv_rows(csv_path)
-    header = next(rows)
-    cols = {name: i for i, name in enumerate(header)}
-    if "time" not in cols:
+    lines, texts = read_csv_columns(csv_path)
+    if "time" not in texts:
         raise ValueError(f"{csv_path}: missing 'time' column")
-    has_coords = "lat" in cols and "lon" in cols
-    if not has_coords and "location" not in cols:
+    has_coords = "lat" in texts and "lon" in texts
+    if not has_coords and "location" not in texts:
         raise ValueError(f"{csv_path}: need either 'location' or 'lat'/'lon' columns")
     if has_coords and grid is None:
         raise ValueError("coordinate input requires a GridSpec")
     reserved = {"time", "lat", "lon", "location", "magnitude"}
-    mark_cols = [name for name in header if name not in reserved]
+    mark_cols = [name for name in texts if name not in reserved]
 
-    times, locs, mags = [], [], []
-    raw_marks: dict[str, list] = {name: [] for name in mark_cols}
-    dropped = 0
-    messages: list[str] = []
-    for lineno, row in rows:
-        try:
-            t = float(row[cols["time"]])
-            if has_coords:
-                cell = grid.cell_of(float(row[cols["lat"]]), float(row[cols["lon"]]))
-            else:
-                cell = int(row[cols["location"]])
-                if grid is not None and not 0 <= cell < grid.num_cells:
-                    cell = None
-            if cell is None:
-                dropped += 1
-                continue
-            times.append(t)
-            locs.append(cell)
-            if "magnitude" in cols:
-                mags.append(int(row[cols["magnitude"]]))
-            for name in mark_cols:
-                raw = row[cols[name]].strip()
-                if name in categorical_columns:
-                    raw_marks[name].append(raw)
-                else:
-                    raw_marks[name].append(float(raw) if raw else np.nan)
-        except ValueError as exc:
-            raise ValueError(f"{csv_path}:{lineno}: unparseable row: {exc}") from exc
-    if dropped:
-        messages.append(f"dropped {dropped} events outside the grid")
-    if not times:
+    parsed = functools.partial(parse_column, csv_path, lines)
+    times = parsed(texts["time"])
+    cells = grid.cells_of(parsed(texts["lat"]), parsed(texts["lon"])) if has_coords else parsed(texts["location"], int)
+    mags = parsed(texts["magnitude"], int) if "magnitude" in texts else None
+    numeric = {name: parsed([text.strip() for text in texts[name]], lambda text: float(text) if text else math.nan)
+               for name in mark_cols if name not in categorical_columns}
+    # without a grid no row is dropped: a negative location fails in EventSequence
+    keep = np.full(len(lines), True) if grid is None else (cells >= 0) & (cells < grid.num_cells)
+    dropped = len(lines) - int(keep.sum())
+    messages = [f"dropped {dropped} events outside the grid"] if dropped else []
+    if not keep.any():
         raise ValueError(f"{csv_path}: no events retained")
-
-    times_arr = np.asarray(times, dtype=float)
-    if not np.isfinite(times_arr).all():  # before a missing horizon is read off the last time
+    if not np.isfinite(times[keep]).all():  # before a missing horizon is read off the last time
         raise ValueError("column 'time' has a non-finite value")
-    order = np.argsort(times_arr, kind="stable")
-    times_arr = times_arr[order]
-    locs_arr = np.asarray(locs, dtype=np.int64)[order]
+    order = np.flatnonzero(keep)[np.argsort(times[keep], kind="stable")]  # the kept rows in time order
+    times_arr = times[order]
+    locs_arr = cells[order]
 
     # numerics are imputed per location, on each location's run of the rows sorted by it
     loc_order, loc_runs = _location_runs(locs_arr)
@@ -290,14 +269,14 @@ def ingest(
     out_vals: list[np.ndarray] = []
     for name in mark_cols:
         if name in categorical_columns:
-            column = [raw_marks[name][i] for i in order]
+            column = [texts[name][i].strip() for i in order.tolist()]
             if name not in categories:
                 categories[name] = sorted(set(column))
             for cat in categories[name]:
                 out_cols.append(f"{name}={cat}")
                 out_vals.append(np.array([1.0 if v == cat else 0.0 for v in column]))
         else:
-            by_loc = np.asarray(raw_marks[name], dtype=float)[loc_rows]
+            by_loc = numeric[name][loc_rows]
             for start, end in loc_runs:
                 by_loc[start:end] = impute_series(loc_times[start:end], by_loc[start:end])
             col = np.empty_like(by_loc)
@@ -316,7 +295,7 @@ def ingest(
     scaled = stats.transform(values) if values.shape[1] else values
 
     if horizon is None:
-        horizon = float(math.ceil(times_arr[-1])) if len(times_arr) else 1.0
+        horizon = float(math.ceil(times_arr[-1]))
     K = grid.num_cells if grid is not None else int(locs_arr.max()) + 1
     seq = EventSequence(
         times=times_arr,
@@ -324,7 +303,7 @@ def ingest(
         marks=scaled,
         horizon=horizon,
         num_locations=K,
-        magnitudes=np.asarray(mags, dtype=np.int64)[order] if mags else None,
+        magnitudes=mags[order] if mags is not None else None,
     )
     return IngestResult(sequence=seq, stats=stats, dropped_outside=dropped, messages=messages)
 
@@ -434,12 +413,17 @@ def counterfactual_delta(
 ) -> dict:
     """Risk change at (t, k) when the external condition switches from A to
     B: the predict stage's ``risk_series`` at time t, every location
-    queried under each mark vector, so a query costs O(n K)."""
+    queried under each mark vector, so a query costs O(n K).  Each vector
+    must lie in [0, 1] like an event's marks; a NaN or infinite entry fails."""
     K = seq.num_locations
     if not 0 <= t <= seq.horizon:
         raise ValueError(f"query time {t} outside [0, {seq.horizon}]")
     if not 0 <= k < K:
         raise ValueError(f"location {k} outside [0, {K})")
+    for name, marks in (("marks_a", marks_a), ("marks_b", marks_b)):
+        marks = np.asarray(marks, dtype=float)
+        if not np.all((marks >= -MARK_TOL) & (marks <= 1.0 + MARK_TOL)):  # NaN fails too
+            raise ValueError(f"{name} {marks.tolist()} must lie in [0, 1], as an event's marks do")
     lam_a, lam_b = (
         float(risk_series(params, seq, mark_model, times=[t], query_marks=np.tile(marks, (K, 1)))[0, k])
         for marks in (marks_a, marks_b)
@@ -630,14 +614,18 @@ DATA_KEYS = {
     "ingest": {"csv": str, "grid": GridSpec, "neighbor_radius": float, "horizon": float, "categorical_columns": list},
 }
 REQUIRED_KEYS = {"simulate": [("params", "params_file"), ("horizon",)], "ingest": [("csv",)]}
-# the conformal keys that only one method reads; ``read_section`` refuses them under the other
-CONFORMAL_METHOD_KEYS = {"eraps": {"num_bootstrap", "batch_size"}, "sraps": {"split_fraction"}}
+# by section, the keys that only one method reads; ``read_section`` refuses them under another
+# (not ``beta_high``: ``FitConfig`` checks ``beta_low`` against it under either fit method)
+METHOD_KEYS = {
+    "fit": {"grid": {"grid_points"}, "alternating": {"eps_beta", "max_outer", "beta_init"}},
+    "conformal": {"eraps": {"num_bootstrap", "batch_size"}, "sraps": {"split_fraction"}},
+}
 # the section keys whose value names a table entry, with the table and their word in errors
 CHOICES = {
     ("simulate", "mark_distribution"): (MARK_DISTRIBUTIONS, "mark_distribution"),
     ("fit", "method"): (FIT_METHODS, "fit method"),
     ("fit", "mark_model"): (MARK_MODELS, "mark model"),
-    ("conformal", "method"): (CONFORMAL_METHOD_KEYS, "conformal method"),
+    ("conformal", "method"): (METHOD_KEYS["conformal"], "conformal method"),
 }
 # each bundle section's stage, which tags its errors, and its keys' kinds: a default's type or a data key's
 BUNDLE_KEYS = {
@@ -673,7 +661,8 @@ def read_section(section: str, given: dict) -> dict:
     checked, not converted, against its key's kind in ``BUNDLE_KEYS``: a key of
     ``CHOICES`` takes a name of its table, any other a value of its kind in
     ``VALUE_KINDS``.  An unknown key fails, and so does a missing or doubled
-    key of a ``REQUIRED_KEYS`` group, or another conformal method's key."""
+    key of a ``REQUIRED_KEYS`` group, or a key that ``METHOD_KEYS`` gives
+    to another method than the section's."""
     if not isinstance(given, dict):
         raise ValueError(f"section {section!r} must be a JSON object")
     kinds = BUNDLE_KEYS[section][1]
@@ -692,8 +681,8 @@ def read_section(section: str, given: dict) -> dict:
         else:
             check_kind(key, value, kinds[key])
     cfg = {**SECTION_DEFAULTS.get(section, {}), **given}
-    if section == "conformal":
-        foreign = sorted(set(given) & set().union(*(v for m, v in CONFORMAL_METHOD_KEYS.items() if m != cfg["method"])))
+    if section in METHOD_KEYS:
+        foreign = sorted(set(given) & set().union(*(v for m, v in METHOD_KEYS[section].items() if m != cfg["method"])))
         if foreign:
             raise ValueError(f"keys {foreign} do not apply to method {cfg['method']!r}")
     return cfg
@@ -703,7 +692,8 @@ def fit_stage(seq: EventSequence, section: dict, feasible=None):
     """Constrained MLE from a ``fit`` section merged over its ``SECTION_DEFAULTS``:
     ``method`` is the beta ``grid`` or the ``alternating`` beta search,
     ``mark_model`` is ``linear`` or ``kde``, and every other key is a
-    ``FitConfig`` field.  Returns the fit and the mark model it used."""
+    ``FitConfig`` field that ``METHOD_KEYS`` leaves to both methods or gives
+    to the chosen one.  Returns the fit and the mark model it used."""
     cfg = read_section("fit", section)
     fit_fn = FIT_METHODS[cfg.pop("method")]
     mark_model = MARK_MODELS[cfg.pop("mark_model")](seq)

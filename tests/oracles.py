@@ -449,6 +449,20 @@ def write_conformal_sets_jsonl_oracle(path, run):
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def cell_of_oracle(grid, lat, lon):
+    """One coordinate's compact cell id by the scalar rule, None outside the
+    box or in an excluded cell: the inclusive box test, then ``int()`` of the
+    offset over the cell size, clamped to the last row or column."""
+    if not (grid.lat_min <= lat <= grid.lat_max and grid.lon_min <= lon <= grid.lon_max):
+        return None
+    rows, cols = grid.shape
+    row = min(int((lat - grid.lat_min) / grid.cell_size), rows - 1)
+    col = min(int((lon - grid.lon_min) / grid.cell_size), cols - 1)
+    retained = [i for i in range(rows * cols) if i not in grid.excluded]
+    full = row * cols + col
+    return retained.index(full) if full in retained else None
+
+
 def centroid_mask_oracle(centroids, neighbor_radius):
     """Centroid-distance mask from full K x K broadcast arrays."""
     centroids = np.asarray(centroids, dtype=float)

@@ -127,6 +127,24 @@ def test_counterfactual_rejects_out_of_range_queries(tmp_path, params_file, caps
     assert capsys.readouterr().err.strip() == f"firecast counterfactual: [counterfactual] {message}"
 
 
+@pytest.mark.parametrize("marks_a, message", [
+    # NaN used to print {"delta": NaN, ...}, which is not JSON, and exit 0
+    ("0.1,nan", "marks_a [0.1, nan] must lie in [0, 1], as an event's marks do"),
+    ("2,2", "marks_a [2.0, 2.0] must lie in [0, 1], as an event's marks do"),
+], ids=["nan", "above"])
+def test_counterfactual_rejects_marks_no_event_carries(tmp_path, params_file, capsys, marks_a, message):
+    events = tmp_path / "events.csv"
+    main(["simulate", "--params", str(params_file), "--horizon", "80", "--out", str(events)])
+    capsys.readouterr()
+    assert main([
+        "counterfactual", "--params", str(params_file), "--events", str(events), "--horizon", "80",
+        "--locations", "2", "--time", "40", "--location", "0", "--marks-a", marks_a, "--marks-b", "0.9,0.9",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"firecast counterfactual: [counterfactual] {message}"
+
+
 def test_conformal_command(tmp_path, capsys):
     rng = np.random.default_rng(0)
     path = tmp_path / "labeled.csv"
@@ -575,6 +593,35 @@ def test_conformal_rejects_the_other_methods_flags(tmp_path, capsys, method, fla
     assert not sets.exists()
 
 
+@pytest.mark.parametrize("method, flags, foreign", [
+    (None, ["--max-outer", "4"], ["max_outer"]),  # grid by default
+    ("grid", ["--eps-beta", "0.05", "--beta-init", "2"], ["beta_init", "eps_beta"]),
+    ("alternating", ["--grid-points", "3"], ["grid_points"]),
+])
+def test_fit_rejects_the_other_methods_flags(tmp_path, capsys, method, flags, foreign):
+    # each used to run and be ignored by the method
+    chosen = ["--method", method] if method else []
+    out = tmp_path / "params.json"
+    assert main(["fit", "--events", str(tmp_path / "missing.csv"), "--horizon", "1", "--locations", "1",
+                 *chosen, *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"firecast fit: [fit] keys {foreign} do not apply to method '{method or 'grid'}'"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:beta line search")
+def test_fit_alternating_takes_beta_high_to_raise_beta_low(tmp_path):
+    # beta_low must not exceed beta_high under either method, so the alternating fit takes beta_high
+    events = tmp_path / "events.csv"
+    events.write_text("time,location,m_0\r\n" + "".join(f"{i + 0.5},0,0.{i}\r\n" for i in range(10)))
+    out = tmp_path / "params.json"
+    assert main(["fit", "--events", str(events), "--horizon", "12", "--locations", "1", "--method", "alternating",
+                 "--beta-low", "3", "--beta-high", "3", "--max-outer", "1", "--pgd-steps", "5",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["beta"] >= 3
+
+
 def test_simulate_matches_run_simulate_stage(tmp_path, params_file):
     """``firecast simulate`` draws the same events as a run's simulate stage,
     with the section's defaults and with every optional key set."""
@@ -691,7 +738,7 @@ def test_choices_are_the_pipeline_tables():
     for command in ("fit", "predict", "counterfactual"):
         assert list(choices(command, "--mark-model")) == list(pipeline.MARK_MODELS)
     assert list(choices("fit", "--method")) == list(pipeline.FIT_METHODS)
-    assert list(choices("conformal", "--method")) == list(pipeline.CONFORMAL_METHOD_KEYS)
+    assert list(choices("conformal", "--method")) == list(pipeline.METHOD_KEYS["conformal"])
     assert list(choices("simulate", "--mark-distribution")) == list(pipeline.MARK_DISTRIBUTIONS)
 
 

@@ -266,6 +266,14 @@ class TestEraps:
         with pytest.raises(ValueError, match=r"^alphas must name at least one level$"):
             sraps(tx, ty, ex, ey, split_fraction=0.5, alphas=())
 
+    def test_repeated_alphas_rejected(self):
+        # a repeated level used to write its summary row and every one of its sets twice
+        tx, ty, ex, ey = self._data()
+        with pytest.raises(ValueError, match=r"^alphas repeat 0\.1$"):
+            sraps(tx, ty, ex, ey, split_fraction=0.5, alphas=[0.1, 0.1])
+        with pytest.raises(ValueError, match=r"^alphas repeat 0\.1, 0\.2$"):
+            eraps(tx, ty, ex, ey, num_bootstrap=3, batch_size=5, alphas=[0.2, 0.1, 0.2, 0.1])
+
     @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.nan] * 3, [np.inf, 0.5, 0.5]])
     def test_non_finite_probabilities_rejected(self, bad):
         tx, ty, ex, ey = self._data()

@@ -14,7 +14,7 @@ from firecast.events import EventSequence, load_events_csv, save_events_csv
 from firecast.marks import LinearMarkModel, NonLinearMarkModel, kde_scorer
 from firecast.model import RATE_FLOOR, ModelParams
 from firecast.pipeline import (
-    CONFORMAL_METHOD_KEYS,
+    METHOD_KEYS,
     SECTION_DEFAULTS,
     GridSpec,
     MarkStats,
@@ -41,6 +41,7 @@ from firecast.pipeline import (
 from firecast.thresholding import DetectionTrace
 
 from oracles import (
+    cell_of_oracle,
     f1_oracle,
     impute_by_location_oracle,
     mark_stats_oracle,
@@ -62,13 +63,13 @@ class TestGridSpec:
         centroids = self.grid.centroids()
         for cid in range(self.grid.num_cells):
             lat, lon = centroids[cid]
-            assert self.grid.cell_of(lat, lon) == cid
+            assert self.grid.cells_of([lat], [lon]).tolist() == [cid]
 
     def test_excluded_and_outside_map_nowhere(self):
         full = GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5,
                         excluded=(0,))
-        assert full.cell_of(0.1, 0.1) is None  # excluded cell
-        assert full.cell_of(2.0, 0.1) is None  # outside the box
+        assert full.cells_of([0.1], [0.1]).tolist() == [-1]  # excluded cell
+        assert full.cells_of([2.0], [0.1]).tolist() == [-1]  # outside the box
         assert full.num_cells == 3
 
     def test_excluded_ids_outside_the_grid_rejected(self):
@@ -86,11 +87,28 @@ class TestGridSpec:
             GridSpec(**box, excluded=(1.5,))
         for ids in ([1], [1.0]):
             for grid in (GridSpec.from_dict({**box, "excluded": ids}), GridSpec(**box, excluded=tuple(ids))):
-                assert grid.num_cells == 3 and grid.excluded == (1,) and grid.cell_of(0.1, 0.6) is None
+                assert grid.num_cells == 3 and grid.excluded == (1,) and grid.cells_of([0.1], [0.6]).tolist() == [-1]
 
     def test_boundary_points_clamp_into_last_cell(self):
         grid = GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5)
-        assert grid.cell_of(1.0, 1.0) == grid.num_cells - 1
+        assert grid.cells_of([1.0], [1.0]).tolist() == [grid.num_cells - 1]
+
+    @pytest.mark.parametrize("cell_size", [0.24, 0.5, 0.7])
+    def test_cells_of_matches_the_scalar_rule(self, cell_size):
+        # 2.4 / 0.7 leaves a part row and column, truncated by the box
+        grid = GridSpec(lat_min=32.0, lon_min=-124.0, lat_max=34.4, lon_max=-121.6,
+                        cell_size=cell_size, excluded=(0, 5, 8))
+        edges_lat = np.array([32.0, 34.4, *(32.0 + cell_size * np.arange(1, 11))])
+        edges_lon = np.array([-124.0, -121.6, *(-124.0 + cell_size * np.arange(1, 11))])
+        rng = np.random.default_rng(7)
+        lat = np.concatenate([edges_lat, np.nextafter(edges_lat, -np.inf), np.nextafter(edges_lat, np.inf),
+                              rng.uniform(31.9, 34.5, 200), [np.nan, np.inf, -np.inf]])
+        lon = np.concatenate([edges_lon, np.nextafter(edges_lon, -np.inf), np.nextafter(edges_lon, np.inf),
+                              rng.uniform(-124.1, -121.5, 200), [-123.0, -123.0, -123.0]])
+        lat, lon = np.meshgrid(lat, lon)  # every latitude with every longitude
+        expected = [cell_of_oracle(grid, a, b) for a, b in zip(lat.ravel().tolist(), lon.ravel().tolist())]
+        assert grid.cells_of(lat.ravel(), lon.ravel()).tolist() == [-1 if c is None else c for c in expected]
+        assert grid.cells_of(lat, lon).shape == lat.shape
 
     def test_dict_round_trip(self):
         back = GridSpec.from_dict(self.grid.to_dict())
@@ -197,6 +215,45 @@ class TestIngest:
         write_csv(path, "time,location,x", [(1.0, 0, 0.5), ("oops", 0, 0.5)])
         with pytest.raises(ValueError, match=r":3"):
             ingest(path, horizon=10.0)
+
+    def test_without_a_grid_a_negative_location_fails(self, tmp_path):
+        # without a grid no row is dropped, so the event check sees it
+        path = tmp_path / "ev.csv"
+        write_csv(path, "time,location,x", [(1.0, 0, 0.5), (2.0, -1, 0.6), (3.0, 1, 0.7)])
+        with pytest.raises(ValueError, match=r"^event locations must lie in \[0, num_locations\)$"):
+            ingest(path, horizon=5.0)
+
+    def test_non_finite_coordinates_are_dropped_and_counted(self, tmp_path):
+        grid = GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5)
+        path = tmp_path / "raw.csv"
+        write_csv(path, "time,lat,lon,x", [(1.0, 0.2, 0.2, 0.4), (2.0, "nan", 0.2, 0.6), (3.0, 0.8, "inf", 0.9),
+                                           (4.0, "-inf", "nan", 0.1), (5.0, 0.8, 0.8, 0.3)])
+        res = ingest(path, grid=grid, horizon=6.0)
+        assert res.dropped_outside == 3 and res.messages == ["dropped 3 events outside the grid"]
+        assert res.sequence.times.tolist() == [1.0, 5.0] and res.sequence.locations.tolist() == [0, 3]
+
+    @pytest.mark.parametrize("row, message", [
+        ((2.0, 5.0, 5.0, "wet", 2), "could not convert string to float: 'wet'"),
+        ((2.0, 5.0, 5.0, 0.6, "big"), "invalid literal for int() with base 10: 'big'"),
+    ])
+    def test_a_dropped_row_that_does_not_parse_fails_naming_its_line(self, tmp_path, row, message):
+        # a row outside the grid used to be dropped unread past its coordinates
+        grid = GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5)
+        path = tmp_path / "raw.csv"
+        write_csv(path, "time,lat,lon,x,magnitude", [(1.0, 0.2, 0.2, 0.4, 1), row, (3.0, 0.8, 0.8, 0.9, 3)])
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: unparseable row: {message}") + "$"):
+            ingest(path, grid=grid, horizon=5.0)
+
+    def test_an_integer_beyond_64_bits_fails_naming_its_line(self, tmp_path):
+        # it used to fail as numpy's bare OverflowError, or with a grid to be dropped as outside it
+        path = tmp_path / "ev.csv"
+        write_csv(path, "time,location,m_0", [(1.0, 0, 0.4), (2.0, 99999999999999999999, 0.6)])
+        message = "^" + re.escape(f"{path}:3: unparseable row: Python int too large to convert to C long") + "$"
+        for read in (lambda: ingest(path, horizon=5.0),
+                     lambda: ingest(path, grid=GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1), horizon=5.0),
+                     lambda: load_events_csv(path, horizon=5.0, num_locations=1)):
+            with pytest.raises(ValueError, match=message):
+                read()
 
     def test_outside_bbox_dropped_with_count(self, tmp_path):
         grid = GridSpec(lat_min=0, lon_min=0, lat_max=1, lon_max=1, cell_size=0.5)
@@ -454,6 +511,20 @@ class TestRiskSeries:
         out = counterfactual_delta(params, seq, mm, 5.0, 0, [0.1, 0.1], [0.9, 0.9])
         assert out["delta"] == pytest.approx(out["lambda_b"] - out["lambda_a"])
         assert out["delta"] > 0
+
+    @pytest.mark.parametrize("marks_a, marks_b, message", [
+        # NaN used to come back as every risk, and 2 as a risk no event's marks can give
+        ([0.1, np.nan], [0.9, 0.9], "marks_a [0.1, nan] must lie in [0, 1], as an event's marks do"),
+        ([0.1, 0.1], [np.inf, 0.5], "marks_b [inf, 0.5] must lie in [0, 1], as an event's marks do"),
+        ([2.0, 2.0], [0.9, 0.9], "marks_a [2.0, 2.0] must lie in [0, 1], as an event's marks do"),
+        ([0.1, 0.1], [-0.01, 0.5], "marks_b [-0.01, 0.5] must lie in [0, 1], as an event's marks do"),
+    ], ids=["nan", "inf", "above", "below"])
+    def test_counterfactual_refuses_marks_no_event_carries(self, marks_a, marks_b, message):
+        params, seq = self._params_seq()
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            counterfactual_delta(params, seq, LinearMarkModel(), 5.0, 0, marks_a, marks_b)
+        # within the mark check's slack, as EventSequence allows
+        counterfactual_delta(params, seq, LinearMarkModel(), 5.0, 0, [-1e-10, 1.0 + 1e-10], [0.0, 1.0])
 
     @pytest.mark.parametrize("marks", ["linear", "kde"])
     def test_counterfactual_at_day_end_is_the_forecast(self, marks):
@@ -871,6 +942,8 @@ class TestRunEndToEnd:
         # json.loads reads Infinity: kappa took no step, l1_weight wrote an inf objective,
         # lambda_reg a coverage of 0, and beta_high and beta_init failed as non-finite gradients
         bundle = small_bundle()
+        if key in METHOD_KEYS["fit"]["alternating"]:  # under the method that reads it
+            bundle["fit"] = {"method": "alternating", "pgd_steps": 60}
         bundle[section][key] = math.inf
         with pytest.raises(PipelineError, match="^" + re.escape(f"[{section}] {key} must be finite, got inf") + "$"):
             run_end_to_end(bundle, tmp_path / "run")
@@ -956,7 +1029,7 @@ class TestBundleChecks:
         # every key of SECTION_DEFAULTS, so a key added later is covered too
         bundle = small_bundle()
         if section == "conformal":  # alone, under the method that reads the key
-            owner = [method for method, keys in CONFORMAL_METHOD_KEYS.items() if key in keys]
+            owner = [method for method, keys in METHOD_KEYS["conformal"].items() if key in keys]
             bundle["conformal"] = {key: value, **({"method": owner[0]} if owner else {})}
         else:
             bundle[section][key] = value
@@ -1097,6 +1170,33 @@ class TestBundleChecks:
         expected = re.escape(f"keys {sorted(foreign)} do not apply to method '{method}'")
         with pytest.raises(ValueError, match="^" + expected + "$"):
             conformal_stage(seq, {"method": method, **foreign}, 0)
+
+
+class TestFitMethodKeys:
+    @pytest.mark.parametrize("method, foreign", [
+        (None, {"max_outer": 4}),  # grid by default
+        ("grid", {"eps_beta": 0.05, "beta_init": 2.0}),
+        ("alternating", {"grid_points": 3}),
+    ])
+    def test_other_methods_keys_fail_before_any_stage(self, tmp_path, method, foreign):
+        # each used to run and be ignored by the method
+        bundle = small_bundle()
+        bundle["fit"] = {"pgd_steps": 5, **({"method": method} if method else {}), **foreign}
+        expected = re.escape(f"[fit] keys {sorted(foreign)} do not apply to method '{method or 'grid'}'")
+        with pytest.raises(PipelineError, match="^" + expected + "$"):
+            run_end_to_end(bundle, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+
+    @pytest.mark.filterwarnings("ignore:beta line search")
+    def test_an_alternating_fit_takes_beta_high(self):
+        # beta_low is checked against beta_high under either method, so a beta_low above the default
+        # beta_high of 2 needs it; the alternating search scans from beta_low up
+        seq = EventSequence(times=np.arange(0.5, 10.0), locations=np.zeros(10, dtype=int),
+                            marks=np.linspace(0.0, 0.9, 10)[:, None], horizon=12.0, num_locations=1)
+        fit, _ = fit_stage(seq, {"method": "alternating", "beta_low": 3.0, "beta_high": 3.0,
+                                 "max_outer": 1, "pgd_steps": 5})
+        assert fit.params.beta >= 3.0
 
 
 class TestGridRowCol:
